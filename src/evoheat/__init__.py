@@ -10,14 +10,16 @@ from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGrap
                        build_scenario, dirichlet_energy, edge_conductances,
                        tabulated_graph, vertex_weights, volume_decay_rate,
                        volume_growth_bound)
-from .linalg import SolverError, SpdOperator, cg_solve, dense_solve, stiffness_apply
+from .linalg import (SolverError, SpdOperator, banded_solve, cg_solve, dense_solve,
+                     rcm_ordering, spd_solve, stiffness_apply)
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, DiscreteFunction, degiorgi_interpolate, euler_step,
-                     operator_at, run_discrete, run_interpolated, steps_within_horizon,
-                     truncate)
+                     operator_at, run_discrete, run_families, run_interpolated,
+                     steps_within_horizon, truncate)
 from .verify import (ContractionReport, ConvergenceRow, EnergyReport, ExtremumReport,
-                     OracleResult, TestFunction, WeakResidualRow, chain_error_vs_oracle,
-                     contraction_check, convergence_table, default_test_catalog,
+                     OracleError, OracleResult, TestFunction, WeakResidualRow,
+                     chain_error_vs_oracle, contraction_check, contraction_report,
+                     convergence_table, default_test_catalog,
                      degiorgi_family, energy_estimate, extremum_check, fit_order,
                      initial_attainment_check, l2h1_interp_norm, oracle_value_at,
                      semidiscrete_oracle, weak_residual, weighted_l2, weighted_l2_sq)

@@ -2,9 +2,9 @@
 
 One JSON config drives every subcommand; flags override single fields.  Exit
 codes: 0 all checks passed, 1 a check failed (reports are still written),
-2 config error, 3 solver failure.  Identical configs produce byte-identical
-artifacts: the solver is deterministic and floats are written with shortest
-round-trip formatting.
+2 config error, 3 solver or reference-flow (oracle) failure.  Identical configs
+produce byte-identical artifacts: the solvers are deterministic and floats are
+written with shortest round-trip formatting.
 
 Config schema (all keys optional, defaults shown by --help):
 
@@ -37,9 +37,10 @@ from .geometry import (Scenario, ScenarioError, TimeWeightedGraph, build_scenari
                        dirichlet_energy, vertex_weights, volume_growth_bound)
 from .linalg import SolverError
 from .profiles import make_initial_data
-from .scheme import ChainFamily, DiscreteFunction, run_interpolated, truncate
-from .verify import (contraction_check, default_test_catalog, degiorgi_family,
-                     energy_estimate, extremum_check, fit_order,
+from .scheme import (ChainFamily, DiscreteFunction, run_families, run_interpolated,
+                     truncate)
+from .verify import (OracleError, contraction_report, default_test_catalog,
+                     degiorgi_family, energy_estimate, extremum_check, fit_order,
                      initial_attainment_check, l2h1_interp_norm, convergence_table,
                      weak_residual, weighted_l2_sq)
 
@@ -124,13 +125,14 @@ def _chain_c0(cfg: RunConfig, G: TimeWeightedGraph, chain: ChainFamily) -> float
 # deterministic artifact writing
 # ---------------------------------------------------------------------------
 
-def _write_text(path: str, text: str) -> None:
+def _write_chunks(path: str, chunks) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -139,7 +141,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    _write_chunks(path, [json.dumps(obj, indent=2) + "\n"])
 
 
 def _fmt(x) -> str:
@@ -154,15 +156,20 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_chunks(path, ["\n".join(lines) + "\n"])
+
+
+def _sample_rows(chain: ChainFamily):
+    """samples.csv, one sample per chunk: a ``t,vertex,value`` row per entry."""
+    yield "t,vertex,value\n"
+    vertex = [f",{i}," for i in range(len(chain.samples[0].values))]
+    for s in chain.samples:
+        t = repr(s.time)
+        yield "".join([f"{t}{i}{v!r}\n" for i, v in zip(vertex, s.values.tolist())])
 
 
 def _write_samples_csv(path: str, chain: ChainFamily) -> None:
-    rows = []
-    for s in chain.samples:
-        for i, v in enumerate(s.values):
-            rows.append((s.time, i, float(v)))
-    _write_csv(path, ["t", "vertex", "value"], rows)
+    _write_chunks(path, _sample_rows(chain))
 
 
 def _echo_config(cfg: RunConfig, outdir: str) -> None:
@@ -234,14 +241,14 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
     w0 = vertex_weights(G, 0.0)
     rows = []
     all_ok = True
+    truncated = [truncate(u0, float(level)) for level in cfg.truncation_levels]
     for h in cfg.h_list:
-        chain_full = run_interpolated(G, u0, float(h), cfg.m, rel_tol=cfg.rel_tol)
+        chain_full, *chains_n = run_families(G, [u0, *truncated], float(h), cfg.m,
+                                             rel_tol=cfg.rel_tol)
         c0 = _chain_c0(cfg, G, chain_full)
         bound_factor = float(np.exp(c0 * chain_full.horizon))
-        for level in cfg.truncation_levels:
-            u0n = truncate(u0, float(level))
+        for level, u0n, chain_n in zip(cfg.truncation_levels, truncated, chains_n):
             trunc_err = weighted_l2_sq(u0.values - u0n.values, w0)
-            chain_n = run_interpolated(G, u0n, float(h), cfg.m, rel_tol=cfg.rel_tol)
             diff_sup = 0.0
             diff_l2h1 = 0.0
             for sf, sn in zip(chain_full.samples, chain_n.samples):
@@ -268,16 +275,18 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Full battery: run artifacts plus every check on one configuration."""
     spec, G, u0 = _prepare(cfg)
-    chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
+    # the contraction check's chains from v0 and u0 - v0 share the run's operators
+    rng = np.random.default_rng(cfg.seed + 1)
+    v0 = DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
+    d0 = DiscreteFunction(u0.values - v0.values, 0.0)
+    chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
+                                           rel_tol=cfg.rel_tol)
     c0 = _chain_c0(cfg, G, chain)
 
     energy = energy_estimate(chain, G, u0, c0, cfg.slack)
     extremum = extremum_check(chain, u0)
-
-    rng = np.random.default_rng(cfg.seed + 1)
-    v0 = DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
-    contraction = contraction_check(G, u0, v0, cfg.h, cfg.m, c0,
-                                    slack=cfg.slack, rel_tol=cfg.rel_tol)
+    contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack)
+    del chain_v, chain_d  # not needed while the artifacts are written
 
     catalog = default_test_catalog(G, chain.horizon)
     if cfg.test_functions is not None:
@@ -388,6 +397,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OracleError as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

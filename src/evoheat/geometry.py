@@ -23,12 +23,15 @@ grid; the 2d analogue gives x-edge conductance (b/a)*(dy/dx) and cell volume a*b
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
+
+from .linalg import BandOrdering, rcm_ordering
 
 __all__ = [
     "ScenarioError",
@@ -77,6 +80,15 @@ class TimeWeightedGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def band_ordering(self) -> BandOrdering:
+        """Reverse Cuthill-McKee order of the vertices, computed on first use.
+
+        The edge set never changes in time, so every step operator of the graph
+        shares it; its bandwidth decides how those operators are solved.
+        """
+        return rcm_ordering(self.n_vertices, self.edges)
 
     @classmethod
     def static(cls, weights, edges, conductances, horizon: float = 1.0,

@@ -33,7 +33,7 @@ from .geometry import (Scenario, TimeWeightedGraph, build_scenario, dirichlet_en
 from .linalg import stiffness_apply
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, DiscreteFunction, degiorgi_interpolate,
-                     run_interpolated)
+                     run_families, run_interpolated)
 
 __all__ = [
     "weighted_l2_sq",
@@ -44,6 +44,8 @@ __all__ = [
     "extremum_check",
     "ContractionReport",
     "contraction_check",
+    "contraction_report",
+    "OracleError",
     "OracleResult",
     "semidiscrete_oracle",
     "oracle_value_at",
@@ -182,15 +184,25 @@ def contraction_check(G: TimeWeightedGraph, u0: DiscreteFunction, v0: DiscreteFu
                       rel_tol: float = 1e-10) -> ContractionReport:
     """Linearity of the scheme plus the energy estimate on the difference run.
 
-    Runs chains from u0, v0 and u0 - v0; the sample-wise difference of the first
-    two must match the third (the scheme is a fixed linear solve per step), and
-    the difference run must satisfy the energy estimate with the same c0, which
-    is the contraction bound between the two solutions.
+    Runs chains from u0, v0 and u0 - v0 together and judges them with
+    ``contraction_report``.
     """
-    chain_u = run_interpolated(G, u0, h, m, rel_tol=rel_tol)
-    chain_v = run_interpolated(G, v0, h, m, rel_tol=rel_tol)
     d0 = DiscreteFunction(u0.values - v0.values, 0.0)
-    chain_d = run_interpolated(G, d0, h, m, rel_tol=rel_tol)
+    chain_u, chain_v, chain_d = run_families(G, [u0, v0, d0], h, m, rel_tol=rel_tol)
+    return contraction_report(G, chain_u, chain_v, chain_d, c0, slack)
+
+
+def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: ChainFamily,
+                       chain_d: ChainFamily, c0: float,
+                       slack: float = 1e-8) -> ContractionReport:
+    """Judge chains run from u0, v0 and u0 - v0 on the same grid.
+
+    The sample-wise difference of the first two must match the third (the scheme
+    is a fixed linear solve per step), and the difference run must satisfy the
+    energy estimate with the same c0, which is the contraction bound between the
+    two solutions.
+    """
+    u0, v0, d0 = chain_u.samples[0], chain_v.samples[0], chain_d.samples[0]
     residual = max(
         float(np.max(np.abs((su.values - sv.values) - sd.values)))
         for su, sv, sd in zip(chain_u.samples, chain_v.samples, chain_d.samples))
@@ -205,6 +217,10 @@ def contraction_check(G: TimeWeightedGraph, u0: DiscreteFunction, v0: DiscreteFu
 # ---------------------------------------------------------------------------
 # semi-discrete reference flow
 # ---------------------------------------------------------------------------
+
+class OracleError(ValueError):
+    """The reference flow failed its halving self-check (or blew up)."""
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -258,7 +274,7 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
         self_check = max(self_check,
                          weighted_l2(fine[2 * i] - yc, vertex_weights(G, t)))
     if not (self_check < self_check_tol):  # also catches NaN from a blown-up run
-        raise ValueError(
+        raise OracleError(
             f"oracle self-check failed: halving n_steps={n_steps} moves the "
             f"trajectory by {self_check:.3e} (tolerance {self_check_tol:.1e})")
     samples = [DiscreteFunction(y, i * dt) for i, y in enumerate(fine)]

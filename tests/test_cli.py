@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -244,3 +246,23 @@ def test_scenario_from_file_path(tmp_path):
                         initial={"profile": "harmonic", "k": 1})
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out]) == 0
+
+
+def test_oracle_failure_exits_three(tmp_path, capsys):
+    # 16 RK4 steps on a 64-vertex circle fail the halving self-check
+    cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 64},
+                        initial={"profile": "harmonic", "k": 1}, oracle_steps=16)
+    out = str(tmp_path / "out")
+    assert main(["converge", "--config", cfg, "--out", out]) == 3
+    assert "oracle failure" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_imports_numpy_only():
+    code = "import sys, evoheat.cli; print('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import evoheat as eh
 
-from helpers import random_operator
+from helpers import build, random_operator
 
 # (mass + h*stiffness) on the single-edge graph, h = 1, unit coefficients:
 # A = [[2, -1], [-1, 2]], so A @ (1, 0) = (2, -1) and A^-1 (1, 0) = (2/3, 1/3).
@@ -102,3 +102,82 @@ def test_apply_matches_dense(seed):
     A = random_operator(seed)
     x = np.random.default_rng(seed + 3).standard_normal(A.n)
     assert_allclose(A.apply(x), A.dense() @ x, rtol=1e-12, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# direct path: reverse Cuthill-McKee order and band L D L^T
+# ---------------------------------------------------------------------------
+
+def _ring_operator(seed, n, closed):
+    """Cycle (closed) or path on n relabelled vertices, some conductances zero."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(n)
+    pairs = [(label[i], label[i + 1]) for i in range(n - 1)]
+    if closed and n >= 3:
+        pairs.append((label[n - 1], label[0]))
+    edges = np.sort(np.array(pairs, dtype=np.int64), axis=1)
+    coeffs = rng.uniform(0.1, 2.0, len(edges))
+    coeffs[rng.uniform(size=len(coeffs)) < 0.25] = 0.0
+    return eh.SpdOperator(mass=rng.uniform(0.5, 2.0, n), edges=edges, coeffs=coeffs,
+                          h=float(rng.uniform(0.01, 0.5)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 40), st.booleans())
+def test_banded_matches_dense_on_cycles_and_paths(seed, n, closed):
+    A = _ring_operator(seed, n, closed)
+    ordering = eh.rcm_ordering(A.n, A.edges)
+    assert ordering.bandwidth == (2 if closed and n >= 3 else 1)
+    b = np.random.default_rng(seed + 4).standard_normal(n)
+    [x] = eh.banded_solve(A, [b], rel_tol=1e-13, ordering=ordering)
+    y = eh.dense_solve(A, b)
+    assert_allclose(x, y, rtol=0, atol=1e-12 * (np.abs(y).max() + 1.0))
+
+
+def test_banded_residual_contract():
+    for seed, rel_tol in [(0, 1e-8), (1, 1e-12), (2, 1e-12)]:
+        A = _ring_operator(seed, 64, closed=True)
+        rhs = np.random.default_rng(seed + 50).standard_normal((3, A.n))
+        for x, b in zip(eh.banded_solve(A, rhs, rel_tol=rel_tol), rhs):
+            res = np.linalg.norm(A.apply(x) - b)
+            assert res <= rel_tol * np.linalg.norm(b)
+
+
+def test_banded_reports_failure():
+    A = _ring_operator(7, 16, closed=True)
+    b = np.random.default_rng(8).standard_normal(A.n)
+    with pytest.raises(eh.SolverError) as excinfo:
+        eh.banded_solve(A, [b], rel_tol=0.0)
+    assert excinfo.value.relative_residual > 0.0
+    assert "refinements" in str(excinfo.value)
+
+
+def test_banded_zero_rhs():
+    [x] = eh.banded_solve(_single_edge_operator(), [np.zeros(2)], rel_tol=0.0)
+    assert np.array_equal(x, np.zeros(2))
+
+
+def _cg_calls_per_step(monkeypatch, G):
+    calls = []
+    real = eh.linalg.cg_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eh.linalg, "cg_solve", counting)
+    u0 = eh.make_initial_data(G, {"profile": "random", "seed": 1})
+    eh.euler_step(G, 0.1, 0.1, u0)
+    return len(calls)
+
+
+def test_narrow_graphs_take_the_direct_path(monkeypatch):
+    circle = build("conformal_circle", n=256, k_spatial=1)
+    assert circle.band_ordering.bandwidth == 2 and circle.band_ordering.direct
+    assert _cg_calls_per_step(monkeypatch, circle) == 0
+
+
+def test_wide_graphs_take_cg(monkeypatch):
+    torus = build("product_torus", nx=48, ny=48)
+    assert torus.band_ordering.bandwidth == 95 and not torus.band_ordering.direct
+    assert _cg_calls_per_step(monkeypatch, torus) == 1

@@ -236,3 +236,17 @@ def test_discrete_function_validation():
         eh.DiscreteFunction(np.array([1.0, np.nan]), 0.0)
     with pytest.raises(ValueError):
         eh.DiscreteFunction(np.ones((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("G", [MOVING, build("product_torus", nx=8, ny=8, T=0.5)],
+                         ids=["direct", "cg"])
+def test_families_stepped_together_match_each_run_alone(G):
+    rng = np.random.default_rng(8)
+    initials = [_df(rng.standard_normal(G.n_vertices)) for _ in range(3)]
+    together = eh.run_families(G, initials, 0.1, m=2, rel_tol=1e-10)
+    for u0, family in zip(initials, together):
+        alone = eh.run_interpolated(G, u0, 0.1, m=2, rel_tol=1e-10)
+        assert len(family.samples) == len(alone.samples)
+        for got, want in zip(family.samples, alone.samples):
+            assert got.time == want.time
+            assert np.array_equal(got.values, want.values)
