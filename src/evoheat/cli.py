@@ -285,7 +285,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     energy = energy_estimate(chain, G, u0, c0, cfg.slack)
     extremum = extremum_check(chain, u0)
-    contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack)
+    contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack,
+                                     rel_tol=cfg.rel_tol)
     del chain_v, chain_d  # not needed while the artifacts are written
 
     catalog = default_test_catalog(G, chain.horizon)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TimeWeightedGraph, edge_conductances, vertex_weights
+from .geometry import _TIME_FUZZ, TimeWeightedGraph, edge_conductances, vertex_weights
 from .linalg import SpdOperator, spd_solve
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "steps_within_horizon",
     "truncate",
 ]
-
-_TIME_FUZZ = 1e-9
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (Scenario, TimeWeightedGraph, build_scenario, dirichlet_energy,
-                       edge_conductances, vertex_weights, volume_decay_rate)
+from .geometry import (_TIME_FUZZ, Scenario, TimeWeightedGraph, build_scenario,
+                       dirichlet_energy, edge_conductances, vertex_weights,
+                       volume_decay_rate)
 from .linalg import stiffness_apply
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, DiscreteFunction, degiorgi_interpolate,
@@ -61,8 +62,6 @@ __all__ = [
     "l2h1_interp_norm",
     "degiorgi_family",
 ]
-
-_GRID_FUZZ = 1e-9
 
 
 def weighted_l2_sq(values: np.ndarray, weights: np.ndarray) -> float:
@@ -189,25 +188,50 @@ def contraction_check(G: TimeWeightedGraph, u0: DiscreteFunction, v0: DiscreteFu
     """
     d0 = DiscreteFunction(u0.values - v0.values, 0.0)
     chain_u, chain_v, chain_d = run_families(G, [u0, v0, d0], h, m, rel_tol=rel_tol)
-    return contraction_report(G, chain_u, chain_v, chain_d, c0, slack)
+    return contraction_report(G, chain_u, chain_v, chain_d, c0, slack, rel_tol=rel_tol)
+
+
+def _solve_error_bound(G: TimeWeightedGraph, chains: list[ChainFamily],
+                       rel_tol: float) -> float:
+    """Sup-norm bound on how far the chains' samples, summed, lie from exact ones.
+
+    Each sample solves (M_t + h S_t) x = M_t x_prev to a residual of at most
+    rel_tol * ||M_t x_prev||_2.  The matrix is strictly diagonally dominant by
+    the weights w_i(t), so the solve misses the exact x by at most that residual
+    over min_i w_i(t) in the sup norm (Varah 1975).  The exact step is a
+    sup-norm contraction, so these per-step errors add up along each chain.
+    Returns the largest per-sample sum over the given families.
+    """
+    m = chains[0].m
+    bound = np.zeros(len(chains[0].samples))
+    for j in range(1, len(bound)):
+        w = vertex_weights(G, chains[0].samples[j].time)
+        prev = max(j - m, 0)
+        rhs = w * np.stack([chain.samples[prev].values for chain in chains])
+        error = rel_tol * float(np.linalg.norm(rhs, axis=1).sum()) / float(w.min())
+        bound[j] = bound[prev] + error
+    return float(bound.max())
 
 
 def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: ChainFamily,
-                       chain_d: ChainFamily, c0: float,
-                       slack: float = 1e-8) -> ContractionReport:
+                       chain_d: ChainFamily, c0: float, slack: float = 1e-8, *,
+                       rel_tol: float = 1e-10) -> ContractionReport:
     """Judge chains run from u0, v0 and u0 - v0 on the same grid.
 
     The sample-wise difference of the first two must match the third (the scheme
     is a fixed linear solve per step), and the difference run must satisfy the
     energy estimate with the same c0, which is the contraction bound between the
-    two solutions.
+    two solutions.  The linearity tolerance is ``_solve_error_bound`` of the three
+    chains at the solver's ``rel_tol`` plus a rounding floor of 1e-9 times the
+    data norms.
     """
     u0, v0, d0 = chain_u.samples[0], chain_v.samples[0], chain_d.samples[0]
     residual = max(
         float(np.max(np.abs((su.values - sv.values) - sd.values)))
         for su, sv, sd in zip(chain_u.samples, chain_v.samples, chain_d.samples))
     w0 = vertex_weights(G, 0.0)
-    tol = 1e-9 * (weighted_l2(u0.values, w0) + weighted_l2(v0.values, w0))
+    tol = (_solve_error_bound(G, [chain_u, chain_v, chain_d], rel_tol)
+           + 1e-9 * (weighted_l2(u0.values, w0) + weighted_l2(v0.values, w0)))
     energy = energy_estimate(chain_d, G, d0, c0, slack)
     return ContractionReport(linearity_residual=residual, linearity_tol=tol,
                              difference_energy=energy,
@@ -231,24 +255,6 @@ class OracleResult:
     self_check: float
 
 
-def _rk4_run(G: TimeWeightedGraph, y0: np.ndarray, T: float, n: int) -> list[np.ndarray]:
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return -stiffness_apply(G.edges, edge_conductances(G, t), y) / vertex_weights(G, t)
-
-    dt = T / n
-    y = y0.copy()
-    out = [y0.copy()]
-    for i in range(n):
-        t = i * dt
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = f(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(y)
-    return out
-
-
 def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
                         n_steps: int = 4096, self_check_tol: float = 1e-10) -> OracleResult:
     """Classical RK4 integration of the exact-in-time flow u' = -M_t^{-1} S_t u.
@@ -258,22 +264,56 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
     times (checked by actually running both; failure raises).  The step count
     also has to respect RK4's stability window for the stiffest graph mode, so
     err on the large side; the cost is linear in n_steps.
+
+    The fine run (n_steps) and the halved run advance together: each halved
+    step follows the two fine steps it spans, and the gap between the two runs
+    is measured at its end, so only the fine trajectory is kept.  Within such a
+    window the coefficients are evaluated once per distinct stage time, keyed on
+    the exact float each run computes; the coefficient callables are pure, so
+    the result is bitwise that of two separate runs.
     """
     if u0.values.shape != (G.n_vertices,):
         raise ValueError(f"u0 has {len(u0.values)} entries, graph has {G.n_vertices}")
-    if not (0 < T <= G.horizon + _GRID_FUZZ * max(1.0, G.horizon)):
+    if not (0 < T <= G.horizon + _TIME_FUZZ * max(1.0, G.horizon)):
         raise ValueError(f"T = {T} outside (0, {G.horizon}]")
     if n_steps < 2 or n_steps % 2:
         raise ValueError(f"n_steps must be even and >= 2, got {n_steps}")
-    fine = _rk4_run(G, u0.values, T, n_steps)
-    coarse = _rk4_run(G, u0.values, T, n_steps // 2)
+    coeffs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def coefficients(t: float) -> tuple[np.ndarray, np.ndarray]:
+        hit = coeffs.get(t)
+        if hit is None:
+            hit = coeffs[t] = (vertex_weights(G, t), edge_conductances(G, t))
+        return hit
+
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        w, c = coefficients(t)
+        return -stiffness_apply(G.edges, c, y) / w
+
+    def rk4_step(t: float, dt: float, y: np.ndarray) -> np.ndarray:
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = f(t + dt, y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    half = n_steps // 2
     dt = T / n_steps
+    dt_half = T / half
+    fine = [u0.values.copy()]
+    y_half = u0.values.copy()
     self_check = 0.0
-    for i, yc in enumerate(coarse):
-        t = i * (2 * dt)
-        self_check = max(self_check,
-                         weighted_l2(fine[2 * i] - yc, vertex_weights(G, t)))
-    if not (self_check < self_check_tol):  # also catches NaN from a blown-up run
+    for i in range(half):
+        # no stage time of this window lies below its two starting times
+        start = min(2 * i * dt, i * dt_half)
+        coeffs = {t: c for t, c in coeffs.items() if t >= start}
+        fine.append(rk4_step(2 * i * dt, dt, fine[-1]))
+        fine.append(rk4_step((2 * i + 1) * dt, dt, fine[-1]))
+        y_half = rk4_step(i * dt_half, dt_half, y_half)
+        w_end, _ = coefficients((i + 1) * dt_half)
+        # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
+        self_check = float(np.maximum(self_check, weighted_l2(fine[-1] - y_half, w_end)))
+    if not (self_check < self_check_tol):  # NaN from a blown-up run fails too
         raise OracleError(
             f"oracle self-check failed: halving n_steps={n_steps} moves the "
             f"trajectory by {self_check:.3e} (tolerance {self_check_tol:.1e})")
@@ -285,10 +325,10 @@ def oracle_value_at(oracle: OracleResult, t: float) -> np.ndarray:
     """Oracle trajectory at time t, linearly interpolated between grid samples."""
     dt = oracle.samples[1].time - oracle.samples[0].time
     pos = t / dt
-    i = int(math.floor(pos + _GRID_FUZZ))
+    i = int(math.floor(pos + _TIME_FUZZ))
     i = min(max(i, 0), len(oracle.samples) - 1)
     frac = pos - i
-    if frac <= _GRID_FUZZ or i == len(oracle.samples) - 1:
+    if frac <= _TIME_FUZZ or i == len(oracle.samples) - 1:
         return oracle.samples[i].values
     return (1.0 - frac) * oracle.samples[i].values + frac * oracle.samples[i + 1].values
 
@@ -459,7 +499,7 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
     """
     delta = chain.delta
     j = int(round(t_small / delta))
-    if abs(j * delta - t_small) > _GRID_FUZZ * max(1.0, chain.horizon):
+    if abs(j * delta - t_small) > _TIME_FUZZ * max(1.0, chain.horizon):
         raise ValueError(f"t_small = {t_small} is not on the delta-grid "
                          f"(delta = {delta})")
     if not (1 <= j < len(chain.samples)):
@@ -482,7 +522,7 @@ def l2h1_interp_norm(samples: list[DiscreteFunction], G: TimeWeightedGraph,
             raise ValueError("dt is required for a single sample")
         gaps = np.diff([s.time for s in samples])
         dt = float(gaps[0])
-        if dt <= 0 or np.any(np.abs(gaps - dt) > _GRID_FUZZ * max(1.0, abs(dt))):
+        if dt <= 0 or np.any(np.abs(gaps - dt) > _TIME_FUZZ * max(1.0, abs(dt))):
             raise ValueError("samples are not on a uniform time grid")
     return sum(dt * dirichlet_energy(G, s.time, s.values) for s in samples)
 

@@ -239,6 +239,19 @@ def test_verify_test_function_filter(tmp_path):
     assert main(["verify", "--config", bad, "--out", out]) == 2
 
 
+def test_verify_linearity_tolerance_follows_tol_flag(tmp_path):
+    # the 16x16 torus solves by Jacobi-CG, whose linearity residual at --tol 1e-6
+    # sits far above a fixed 1e-9 * (data norms) tolerance
+    cfg = _write_config(tmp_path,
+                        scenario={"kind": "product_torus", "nx": 16, "ny": 16, "T": 1.0},
+                        initial={"profile": "random"}, h=0.1, m=4)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out, "--tol", "1e-6"]) == 0
+    contraction = _read_json(out, "verify_report.json")["contraction"]
+    assert contraction["pass"] is True
+    assert 1e-7 < contraction["linearity_residual"] < contraction["linearity_tol"]
+
+
 def test_scenario_from_file_path(tmp_path):
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps({"kind": "static_circle", "n": 8, "T": 1.0}))

@@ -65,6 +65,14 @@ def test_oracle_rejects_odd_or_unstable_steps():
                                1.0, n_steps=2)
 
 
+def test_oracle_overflow_in_both_runs_fails_self_check():
+    # one step overflows both runs, so every gap between them is NaN
+    G = eh.TimeWeightedGraph.static(np.ones(2), np.array([[0, 1]]), np.array([1e80]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(eh.OracleError, match="self-check"):
+        eh.semidiscrete_oracle(G, _df([1.0, -1.0]), 1.0, n_steps=4)
+
+
 def test_oracle_value_interpolates():
     oracle = eh.semidiscrete_oracle(TWO_VERTEX, _df([1.0, -1.0]), 1.0, n_steps=512)
     dt = 1.0 / 512
@@ -72,6 +80,80 @@ def test_oracle_value_interpolates():
     mid = eh.oracle_value_at(oracle, 1.5 * dt)
     want = 0.5 * (oracle.samples[1].values + oracle.samples[2].values)
     assert_allclose(mid, want, rtol=1e-12)
+
+
+def _two_run_rk4(G, u0, T, n_steps):
+    """The reference flow written out plainly: a fine and a halved RK4 run, kept
+    whole and compared afterwards, every coefficient evaluated where it is used."""
+    def f(t, y):
+        return -eh.stiffness_apply(G.edges, eh.edge_conductances(G, t), y) \
+            / eh.vertex_weights(G, t)
+
+    def run(n):
+        dt = T / n
+        ys = [u0.values.copy()]
+        for i in range(n):
+            t, y = i * dt, ys[-1]
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = f(t + dt, y + dt * k3)
+            ys.append(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        return ys
+
+    fine, coarse = run(n_steps), run(n_steps // 2)
+    dt = T / n_steps
+    gap = 0.0
+    for i, yc in enumerate(coarse):
+        gap = max(gap, eh.weighted_l2(fine[2 * i] - yc, eh.vertex_weights(G, i * (2 * dt))))
+    return fine, [i * dt for i in range(n_steps + 1)], gap
+
+
+def _tabulated_square():
+    return eh.tabulated_graph({
+        "n_vertices": 4,
+        "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+        "times": [0.0, 0.5, 1.0],
+        "weights": [[1.0, 2.0, 1.5, 1.0], [2.0, 1.0, 1.0, 1.5], [1.0, 1.5, 2.0, 1.0]],
+        "conductances": [[1.0, 0.5, 2.0, 1.0], [2.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.5, 1.0]],
+    })
+
+
+@pytest.mark.parametrize("G, T, n_steps", [
+    (MOVING, 1.0, 1024),                                     # dyadic horizon
+    (MOVING, 0.7, 1000),                                     # stage times differ by ulps
+    (build("product_torus", T=1.3, nx=5, ny=6), 1.3, 1000),
+    (_tabulated_square(), 1.0, 1024),
+], ids=["dyadic", "non_dyadic", "torus", "tabulated"])
+def test_oracle_bitwise_equals_two_separate_runs(G, T, n_steps):
+    u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
+    values, times, gap = _two_run_rk4(G, u0, T, n_steps)
+    oracle = eh.semidiscrete_oracle(G, u0, T, n_steps=n_steps)
+    assert len(oracle.samples) == n_steps + 1
+    for s, want, t in zip(oracle.samples, values, times):
+        assert np.array_equal(s.values, want)
+        assert s.time == t
+    assert oracle.self_check == gap
+    assert 0.0 < gap < 1e-10
+
+
+def test_oracle_evaluates_coefficients_once_per_stage_time():
+    calls = {"weights": 0, "conductances": 0}
+
+    def weights_at(t):
+        calls["weights"] += 1
+        return MOVING.weights_at(t)
+
+    def conductances_at(t):
+        calls["conductances"] += 1
+        return MOVING.conductances_at(t)
+
+    G = eh.TimeWeightedGraph(MOVING.n_vertices, MOVING.edges, weights_at,
+                             conductances_at, MOVING.horizon, MOVING.coords)
+    u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
+    eh.semidiscrete_oracle(G, u0, 1.0, n_steps=64, self_check_tol=1e-6)
+    # stage times of the fine run are k/128, k = 0..128; the halved run's are among them
+    assert calls == {"weights": 2 * 64 + 1, "conductances": 2 * 64 + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +247,54 @@ def test_contraction_exact_scaling():
     rep = eh.contraction_check(MOVING, u0, v0, h=0.25, m=2, c0=c0)
     assert rep.linearity_residual == 0.0
     assert rep.passed
+
+
+def test_contraction_tolerance_follows_solver_tolerance():
+    rng = np.random.default_rng(6)
+    u0, v0 = _df(rng.standard_normal(12)), _df(rng.standard_normal(12))
+    initials = [u0, v0, _df(u0.values - v0.values)]
+    c0 = eh.volume_growth_bound(MOVING, np.linspace(0, 1, 9))
+    w0 = eh.vertex_weights(MOVING, 0.0)
+    floor = 1e-9 * (eh.weighted_l2(u0.values, w0) + eh.weighted_l2(v0.values, w0))
+    tols = []
+    for rel_tol in (1e-12, 1e-6):
+        chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=rel_tol)
+        rep = eh.contraction_report(MOVING, *chains, c0, rel_tol=rel_tol)
+        assert rep.passed
+        tols.append(rep.linearity_tol)
+        # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed over
+        # the steps so far and the three families; the tolerance is the largest sum
+        sums = [0.0, 0.0]
+        for j, s in enumerate(chains[0].samples[1:], start=1):
+            w = eh.vertex_weights(MOVING, s.time)
+            prev = max(j - 2, 0)
+            sums[j % 2] += sum(rel_tol * np.linalg.norm(w * c.samples[prev].values) / w.min()
+                               for c in chains)
+        assert rep.linearity_tol == pytest.approx(max(sums) + floor, rel=1e-12)
+    assert floor < tols[0] < 2 * floor
+    assert tols[1] > 1e3 * tols[0]
+
+
+def test_contraction_catches_difference_chain_off_by_tenfold_bound():
+    rng = np.random.default_rng(7)
+    u0, v0 = _df(rng.standard_normal(12)), _df(rng.standard_normal(12))
+    chain_u, chain_v, chain_d = eh.run_families(
+        MOVING, [u0, v0, _df(u0.values - v0.values)], 0.25, m=2, rel_tol=1e-8)
+    c0 = eh.volume_growth_bound(MOVING, chain_u.times())
+    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, c0, rel_tol=1e-8)
+    assert rep.passed
+
+    j = len(chain_d.samples) // 2
+    samples = list(chain_d.samples)
+    off = samples[j].values.copy()
+    off[3] += 10.0 * rep.linearity_tol
+    samples[j] = _df(off, samples[j].time)
+    bad_d = eh.ChainFamily(chain_d.h, chain_d.m, chain_d.horizon, samples)
+    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0, rel_tol=1e-8)
+    assert bad.difference_energy.passed
+    assert bad.linearity_tol == pytest.approx(rep.linearity_tol, rel=1e-3)
+    assert bad.linearity_residual > 9.0 * bad.linearity_tol
+    assert not bad.passed
 
 
 # ---------------------------------------------------------------------------
