@@ -39,10 +39,10 @@ from .linalg import SolverError
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, DiscreteFunction, run_families, run_interpolated,
                      truncate)
-from .verify import (OracleError, contraction_report, default_test_catalog,
-                     degiorgi_family, energy_estimate, extremum_check, fit_order,
-                     initial_attainment_check, l2h1_interp_norm, convergence_table,
-                     weak_residual, weighted_l2_sq)
+from .verify import (EnergyReport, ExtremumReport, OracleError, contraction_report,
+                     default_test_catalog, degiorgi_family, energy_estimate,
+                     extremum_check, fit_order, initial_attainment_check,
+                     l2h1_interp_norm, convergence_table, weak_residual, weighted_l2_sq)
 
 __all__ = ["RunConfig", "ConfigError", "main",
            "cmd_run", "cmd_converge", "cmd_compare_interp", "cmd_l2_limit", "cmd_verify"]
@@ -162,19 +162,26 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def _sample_rows(chain: ChainFamily):
     """samples.csv, one sample per chunk: a ``t,vertex,value`` row per entry."""
     yield "t,vertex,value\n"
-    vertex = [f",{i}," for i in range(len(chain.samples[0].values))]
-    for s in chain.samples:
-        t = repr(s.time)
-        yield "".join([f"{t}{i}{v!r}\n" for i, v in zip(vertex, s.values.tolist())])
-
-
-def _write_samples_csv(path: str, chain: ChainFamily) -> None:
-    _write_chunks(path, _sample_rows(chain))
+    vertex = [f",{i}," for i in range(chain.values.shape[1])]
+    for t, row in zip(chain.times().tolist(), chain.values):
+        t = repr(t)
+        yield "".join([f"{t}{i}{v!r}\n" for i, v in zip(vertex, row.tolist())])
 
 
 def _echo_config(cfg: RunConfig, outdir: str) -> None:
     doc = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
     _write_json(os.path.join(outdir, "run_config.json"), doc)
+
+
+def _write_run_artifacts(cfg: RunConfig, spec: Scenario, chain: ChainFamily,
+                         energy: EnergyReport, extremum: ExtremumReport) -> None:
+    """run_config.json, samples.csv, energy_report.json, extremum_report.json."""
+    _echo_config(cfg, cfg.out)
+    _write_chunks(os.path.join(cfg.out, "samples.csv"), _sample_rows(chain))
+    _write_json(os.path.join(cfg.out, "energy_report.json"),
+                {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
+                 "horizon": chain.horizon, **energy.to_json_dict()})
+    _write_json(os.path.join(cfg.out, "extremum_report.json"), extremum.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +195,7 @@ def cmd_run(cfg: RunConfig) -> int:
     c0 = _chain_c0(cfg, G, chain)
     energy = energy_estimate(chain, G, u0, c0, cfg.slack)
     extremum = extremum_check(chain, u0)
-
-    _echo_config(cfg, cfg.out)
-    _write_samples_csv(os.path.join(cfg.out, "samples.csv"), chain)
-    _write_json(os.path.join(cfg.out, "energy_report.json"),
-                {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
-                 "horizon": chain.horizon, **energy.to_json_dict()})
-    _write_json(os.path.join(cfg.out, "extremum_report.json"), extremum.to_json_dict())
+    _write_run_artifacts(cfg, spec, chain, energy, extremum)
     return EXIT_OK if (energy.passed and extremum.passed) else EXIT_CHECK_FAILED
 
 
@@ -219,10 +220,9 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
     chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
     c0 = _chain_c0(cfg, G, chain)
     energy = energy_estimate(chain, G, u0, c0, cfg.slack)
-    dg = degiorgi_family(G, chain.discrete_sequence(), chain.h, chain.m,
-                         rel_tol=cfg.rel_tol)
-    shifted = l2h1_interp_norm(chain.produced(), G, dt=chain.delta)
-    resolvent = l2h1_interp_norm(dg, G, dt=chain.delta)
+    dg = degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m, rel_tol=cfg.rel_tol)
+    shifted = energy.dissipation  # the l2h1 norm of the produced samples
+    resolvent = l2h1_interp_norm(dg, chain.times()[1:], G, dt=chain.delta)
     ratio = None if shifted == 0.0 else resolvent / shifted
     _echo_config(cfg, cfg.out)
     _write_json(os.path.join(cfg.out, "comparison.json"), {
@@ -236,7 +236,11 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
 
 
 def cmd_l2_limit(cfg: RunConfig) -> int:
-    """Truncated-vs-full runs against the contraction bound, per level and h."""
+    """Truncated-vs-full runs against the contraction bound, per level and h.
+
+    The scheme is linear, so the difference of the full and a truncated run is
+    the run from u0 - truncate(u0); its energy estimate is the contraction bound.
+    """
     spec, G, u0 = _prepare(cfg)
     w0 = vertex_weights(G, 0.0)
     rows = []
@@ -246,25 +250,16 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
         chain_full, *chains_n = run_families(G, [u0, *truncated], float(h), cfg.m,
                                              rel_tol=cfg.rel_tol)
         c0 = _chain_c0(cfg, G, chain_full)
-        bound_factor = float(np.exp(c0 * chain_full.horizon))
         for level, u0n, chain_n in zip(cfg.truncation_levels, truncated, chains_n):
-            trunc_err = weighted_l2_sq(u0.values - u0n.values, w0)
-            diff_sup = 0.0
-            diff_l2h1 = 0.0
-            for sf, sn in zip(chain_full.samples, chain_n.samples):
-                d = sf.values - sn.values
-                diff_sup = max(diff_sup, weighted_l2_sq(d, vertex_weights(G, sf.time)))
-            for sf, sn in zip(chain_full.produced(), chain_n.produced()):
-                diff_l2h1 += chain_full.delta * dirichlet_energy(
-                    G, sf.time, sf.values - sn.values)
-            bound = bound_factor * trunc_err
-            ok = (diff_sup <= bound * (1.0 + cfg.slack)
-                  and diff_l2h1 <= bound * (1.0 + cfg.slack))
-            all_ok = all_ok and ok
+            diff = ChainFamily(chain_full.h, chain_full.m, chain_full.horizon,
+                               chain_full.values - chain_n.values)
+            d0 = DiscreteFunction(diff.values[0], 0.0)
+            energy = energy_estimate(diff, G, d0, c0, cfg.slack)
+            all_ok = all_ok and energy.passed
             rows.append({"h": float(h), "level": float(level),
-                         "truncation_error": trunc_err, "diff_sup_l2": diff_sup,
-                         "diff_l2h1": diff_l2h1, "bound": bound, "c0_used": c0,
-                         "pass": ok})
+                         "truncation_error": weighted_l2_sq(d0.values, w0),
+                         "diff_sup_l2": energy.sup_l2, "diff_l2h1": energy.dissipation,
+                         "bound": energy.rhs, "c0_used": c0, "pass": energy.passed})
     _echo_config(cfg, cfg.out)
     _write_json(os.path.join(cfg.out, "truncation_report.json"),
                 {"scenario": spec.to_dict(), "m": cfg.m, "slack": cfg.slack,
@@ -303,12 +298,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     att_ok = att ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
 
     ok = bool(energy.passed and extremum.passed and contraction.passed and att_ok)
-    _echo_config(cfg, cfg.out)
-    _write_samples_csv(os.path.join(cfg.out, "samples.csv"), chain)
-    _write_json(os.path.join(cfg.out, "energy_report.json"),
-                {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
-                 "horizon": chain.horizon, **energy.to_json_dict()})
-    _write_json(os.path.join(cfg.out, "extremum_report.json"), extremum.to_json_dict())
+    _write_run_artifacts(cfg, spec, chain, energy, extremum)
     _write_json(os.path.join(cfg.out, "verify_report.json"), {
         "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
         "horizon": chain.horizon, "c0_used": c0,

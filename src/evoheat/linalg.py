@@ -252,21 +252,20 @@ def banded_solve(A: SpdOperator, rhs: Sequence[np.ndarray], rel_tol: float = 1e-
 
 
 def spd_solve(A: SpdOperator, rhs: Sequence[np.ndarray], rel_tol: float = 1e-10,
-              max_iter: int | None = None,
               ordering: Optional[BandOrdering] = None) -> list[np.ndarray]:
     """Solve A x = b for each b in rhs, to ||A x - b||_2 <= rel_tol * ||b||_2.
 
     The single solve entry point.  ``ordering`` is the reverse Cuthill-McKee
     order of A's edges (computed here when None; graphs cache theirs).  Narrow
     bands factor A once for all of rhs (``banded_solve``); wide ones run
-    ``cg_solve`` per column, where max_iter applies.  Raises SolverError when
-    the residual target is missed.
+    ``cg_solve`` per column with its default iteration cap.  Raises SolverError
+    when the residual target is missed.
     """
     if ordering is None:
         ordering = rcm_ordering(A.n, A.edges)
     if ordering.direct:
         return banded_solve(A, rhs, rel_tol=rel_tol, ordering=ordering)
-    return [cg_solve(A, b, rel_tol=rel_tol, max_iter=max_iter) for b in rhs]
+    return [cg_solve(A, b, rel_tol=rel_tol) for b in rhs]
 
 
 def cg_solve(A: SpdOperator, b: np.ndarray, rel_tol: float = 1e-10,

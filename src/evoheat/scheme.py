@@ -21,7 +21,8 @@ energy bounds, which is the point of the comparison tooling in ``verify``.
 
 ``run_families`` steps several chain families from different initial values
 through the same operators, building and factoring each operator once; every
-family comes out bitwise as if run alone.
+family comes out bitwise as if run alone.  A family is one (N*m + 1, n) array
+whose row j is the sample at t = j*delta.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
 
 
 def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: DiscreteFunction,
-               rel_tol: float = 1e-10, max_iter: int | None = None) -> DiscreteFunction:
+               rel_tol: float = 1e-10) -> DiscreteFunction:
     """One implicit step of length h, coefficients frozen at time t.
 
     Solves (M_t + h S_t) u = M_t u_prev and tags the result with time t.  The
@@ -92,8 +93,7 @@ def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: DiscreteFunctio
         raise ValueError(f"u_prev has {len(u_prev.values)} entries, "
                          f"graph has {G.n_vertices} vertices")
     A = operator_at(G, t, h)
-    [x] = spd_solve(A, [A.mass * u_prev.values], rel_tol=rel_tol, max_iter=max_iter,
-                    ordering=G.band_ordering)
+    [x] = spd_solve(A, [A.mass * u_prev.values], rel_tol=rel_tol, ordering=G.band_ordering)
     return DiscreteFunction(x, t)
 
 
@@ -136,16 +136,21 @@ def run_discrete(G: TimeWeightedGraph, u0: DiscreteFunction, h: float, N: int,
 class ChainFamily:
     """Samples of the shifted interpolation on the grid t_j = j * delta.
 
-    samples[j] lives at time j*delta for j = 0..N*m, delta = h/m, horizon = N*h.
-    samples[0] is the initial value; samples at multiples of m are the plain step
-    sequence; sample j with j >= 1 was produced by a full step of length h from
-    samples[j - m] (the initial value when j < m).  Chain index = j mod m.
+    values[j] is the sample at time j*delta for j = 0..N*m, delta = h/m,
+    horizon = N*h.  values[0] is the initial value; values[::m] is the plain
+    step sequence u_0, ..., u_N and values[1:] everything that came out of a
+    minimization; row j >= 1 was produced by a full step of length h from row
+    j - m (the initial value when j < m).  Chain index = j mod m.
     """
 
     h: float
     m: int
     horizon: float
-    samples: list[DiscreteFunction]
+    values: np.ndarray
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     @property
     def delta(self) -> float:
@@ -153,18 +158,11 @@ class ChainFamily:
 
     @property
     def n_steps(self) -> int:
-        return (len(self.samples) - 1) // self.m
+        return (len(self.values) - 1) // self.m
 
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.samples])
-
-    def produced(self) -> list[DiscreteFunction]:
-        """The samples that came out of a minimization (everything past j = 0)."""
-        return self.samples[1:]
-
-    def discrete_sequence(self) -> list[DiscreteFunction]:
-        """u_0, u_1, ..., u_N: the samples at multiples of h (chain 0)."""
-        return self.samples[:: self.m]
+        """The grid times j*delta of the rows of ``values``."""
+        return np.arange(len(self.values)) * self.delta
 
 
 def run_interpolated(G: TimeWeightedGraph, u0: DiscreteFunction, h: float,
@@ -192,22 +190,24 @@ def run_families(G: TimeWeightedGraph, initials: list[DiscreteFunction], h: floa
         raise ValueError(f"m must be >= 1, got {m}")
     N = steps_within_horizon(G.horizon, h)
     delta = h / m
-    runs = [[DiscreteFunction(u0.values, 0.0)] for u0 in initials]
+    runs = [np.empty((N * m + 1, G.n_vertices)) for _ in initials]
+    for run, u0 in zip(runs, initials):
+        run[0] = u0.values
     for j in range(1, N * m + 1):
-        t = j * delta
-        A = operator_at(G, t, h)
-        rhs = [A.mass * run[max(j - m, 0)].values for run in runs]
+        A = operator_at(G, j * delta, h)
+        rhs = [A.mass * run[max(j - m, 0)] for run in runs]
         xs = spd_solve(A, rhs, rel_tol=rel_tol, ordering=G.band_ordering)
         for run, x in zip(runs, xs):
-            run.append(DiscreteFunction(x, t))
-    return [ChainFamily(h=float(h), m=int(m), horizon=N * h, samples=run) for run in runs]
+            run[j] = x
+    return [ChainFamily(h=float(h), m=int(m), horizon=N * h, values=run) for run in runs]
 
 
-def degiorgi_interpolate(G: TimeWeightedGraph, seq: list[DiscreteFunction], h: float,
-                         t: float, rel_tol: float = 1e-10) -> DiscreteFunction:
+def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
+                         rel_tol: float = 1e-10) -> DiscreteFunction:
     """Resolvent interpolation of a step sequence at an intermediate time.
 
-    ``seq`` is the full sequence [u_0, u_1, ..., u_N] (initial value included).
+    ``seq`` is the full sequence u_0, u_1, ..., u_N (initial value included),
+    as array rows (``chain.values[::m]``) or as DiscreteFunctions.
     For t = (k-1)*h + delta with delta in (0, h], solves the shortened step
 
         (M_t + delta * S_t) u = M_t u_{k-1}
@@ -226,7 +226,9 @@ def degiorgi_interpolate(G: TimeWeightedGraph, seq: list[DiscreteFunction], h: f
     k = int(math.ceil(t / h - _TIME_FUZZ))
     k = min(max(k, 1), N)
     delta = t - (k - 1) * h
+    u_prev = seq[k - 1]
+    if isinstance(u_prev, DiscreteFunction):
+        u_prev = u_prev.values
     A = operator_at(G, t, delta)
-    [x] = spd_solve(A, [A.mass * seq[k - 1].values], rel_tol=rel_tol,
-                    ordering=G.band_ordering)
+    [x] = spd_solve(A, [A.mass * u_prev], rel_tol=rel_tol, ordering=G.band_ordering)
     return DiscreteFunction(x, t)

@@ -17,7 +17,7 @@ EnergyReport.passed is the conjunction of the two; margin measures the worse one
 The dissipation quadrature runs over the produced samples j = 1..N*m, which for
 m = 1 is exactly the step-sequence sum sum_k h * energy(u_k, kh); including the
 j = 0 sample would charge the scheme for the raw initial datum's Dirichlet
-energy, which it does not control.
+energy, which it does not control.  It is ``l2h1_interp_norm`` of those rows.
 """
 
 from __future__ import annotations
@@ -110,16 +110,14 @@ def energy_estimate(chain: ChainFamily, G: TimeWeightedGraph, u0: DiscreteFuncti
     (``volume_growth_bound`` over that grid certifies it); a larger value only
     slackens the bound.
     """
-    if not np.array_equal(chain.samples[0].values, u0.values):
+    if not np.array_equal(chain.values[0], u0.values):
         raise ValueError("chain was not produced from the given initial value")
     if c0 < 0:
         raise ValueError(f"c0 must be nonnegative, got {c0}")
     rhs = math.exp(c0 * chain.horizon) * weighted_l2_sq(u0.values, vertex_weights(G, 0.0))
-    sup_l2 = max(weighted_l2_sq(s.values, vertex_weights(G, s.time))
-                 for s in chain.samples)
-    delta = chain.delta
-    dissipation = sum(delta * dirichlet_energy(G, s.time, s.values)
-                      for s in chain.produced())
+    times = chain.times()
+    sup_l2 = max(weighted_l2_sq(v, vertex_weights(G, t)) for t, v in zip(times, chain.values))
+    dissipation = l2h1_interp_norm(chain.values[1:], times[1:], G, dt=chain.delta)
     lhs = max(sup_l2, dissipation)
     passed = lhs <= rhs * (1.0 + slack)
     margin = 0.0 if rhs == 0.0 else (rhs - lhs) / rhs
@@ -149,12 +147,8 @@ def extremum_check(chain: ChainFamily, u0: DiscreteFunction) -> ExtremumReport:
     """Every sample must stay inside [min u0, max u0] up to solver noise."""
     lo = float(u0.values.min())
     hi = float(u0.values.max())
-    worst = 0.0
-    for s in chain.produced():
-        worst = max(worst,
-                    float(s.values.max()) - hi,
-                    lo - float(s.values.min()))
-    worst = max(worst, 0.0)
+    produced = chain.values[1:]
+    worst = max(float(produced.max()) - hi, lo - float(produced.min()), 0.0)
     tol = 1e-12 * (float(np.max(np.abs(u0.values))) + 1.0)
     return ExtremumReport(lo=lo, hi=hi, worst_violation=worst, tol=tol,
                           passed=worst <= tol)
@@ -203,11 +197,12 @@ def _solve_error_bound(G: TimeWeightedGraph, chains: list[ChainFamily],
     Returns the largest per-sample sum over the given families.
     """
     m = chains[0].m
-    bound = np.zeros(len(chains[0].samples))
+    times = chains[0].times()
+    bound = np.zeros(len(times))
     for j in range(1, len(bound)):
-        w = vertex_weights(G, chains[0].samples[j].time)
+        w = vertex_weights(G, times[j])
         prev = max(j - m, 0)
-        rhs = w * np.stack([chain.samples[prev].values for chain in chains])
+        rhs = w * np.stack([chain.values[prev] for chain in chains])
         error = rel_tol * float(np.linalg.norm(rhs, axis=1).sum()) / float(w.min())
         bound[j] = bound[prev] + error
     return float(bound.max())
@@ -225,14 +220,13 @@ def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: Chai
     chains at the solver's ``rel_tol`` plus a rounding floor of 1e-9 times the
     data norms.
     """
-    u0, v0, d0 = chain_u.samples[0], chain_v.samples[0], chain_d.samples[0]
-    residual = max(
-        float(np.max(np.abs((su.values - sv.values) - sd.values)))
-        for su, sv, sd in zip(chain_u.samples, chain_v.samples, chain_d.samples))
+    gap = chain_u.values - chain_v.values
+    gap -= chain_d.values
+    residual = float(np.abs(gap, out=gap).max())
     w0 = vertex_weights(G, 0.0)
     tol = (_solve_error_bound(G, [chain_u, chain_v, chain_d], rel_tol)
-           + 1e-9 * (weighted_l2(u0.values, w0) + weighted_l2(v0.values, w0)))
-    energy = energy_estimate(chain_d, G, d0, c0, slack)
+           + 1e-9 * (weighted_l2(chain_u.values[0], w0) + weighted_l2(chain_v.values[0], w0)))
+    energy = energy_estimate(chain_d, G, DiscreteFunction(chain_d.values[0], 0.0), c0, slack)
     return ContractionReport(linearity_residual=residual, linearity_tol=tol,
                              difference_energy=energy,
                              passed=bool(energy.passed and residual <= tol))
@@ -248,11 +242,22 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Reference trajectory of u' = -M_t^{-1} S_t u on a uniform grid."""
+    """Reference trajectory of u' = -M_t^{-1} S_t u on a uniform grid.
 
-    samples: list[DiscreteFunction]
+    values[i] is the state at time i*dt, dt = horizon/n_steps, i = 0..n_steps.
+    """
+
+    values: np.ndarray
+    horizon: float
     n_steps: int
     self_check: float
+
+    @property
+    def dt(self) -> float:
+        return self.horizon / self.n_steps
+
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
 
 
 def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
@@ -300,37 +305,36 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
     half = n_steps // 2
     dt = T / n_steps
     dt_half = T / half
-    fine = [u0.values.copy()]
+    fine = np.empty((n_steps + 1, G.n_vertices))
+    fine[0] = u0.values
     y_half = u0.values.copy()
     self_check = 0.0
     for i in range(half):
         # no stage time of this window lies below its two starting times
         start = min(2 * i * dt, i * dt_half)
         coeffs = {t: c for t, c in coeffs.items() if t >= start}
-        fine.append(rk4_step(2 * i * dt, dt, fine[-1]))
-        fine.append(rk4_step((2 * i + 1) * dt, dt, fine[-1]))
+        fine[2 * i + 1] = rk4_step(2 * i * dt, dt, fine[2 * i])
+        fine[2 * i + 2] = rk4_step((2 * i + 1) * dt, dt, fine[2 * i + 1])
         y_half = rk4_step(i * dt_half, dt_half, y_half)
         w_end, _ = coefficients((i + 1) * dt_half)
         # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
-        self_check = float(np.maximum(self_check, weighted_l2(fine[-1] - y_half, w_end)))
+        self_check = float(np.maximum(self_check, weighted_l2(fine[2 * i + 2] - y_half, w_end)))
     if not (self_check < self_check_tol):  # NaN from a blown-up run fails too
         raise OracleError(
             f"oracle self-check failed: halving n_steps={n_steps} moves the "
             f"trajectory by {self_check:.3e} (tolerance {self_check_tol:.1e})")
-    samples = [DiscreteFunction(y, i * dt) for i, y in enumerate(fine)]
-    return OracleResult(samples=samples, n_steps=n_steps, self_check=self_check)
+    return OracleResult(fine, float(T), n_steps, self_check)
 
 
 def oracle_value_at(oracle: OracleResult, t: float) -> np.ndarray:
     """Oracle trajectory at time t, linearly interpolated between grid samples."""
-    dt = oracle.samples[1].time - oracle.samples[0].time
-    pos = t / dt
+    pos = t / oracle.dt
     i = int(math.floor(pos + _TIME_FUZZ))
-    i = min(max(i, 0), len(oracle.samples) - 1)
+    i = min(max(i, 0), oracle.n_steps)
     frac = pos - i
-    if frac <= _TIME_FUZZ or i == len(oracle.samples) - 1:
-        return oracle.samples[i].values
-    return (1.0 - frac) * oracle.samples[i].values + frac * oracle.samples[i + 1].values
+    if frac <= _TIME_FUZZ or i == oracle.n_steps:
+        return oracle.values[i]
+    return (1.0 - frac) * oracle.values[i] + frac * oracle.values[i + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +357,8 @@ def chain_error_vs_oracle(chain: ChainFamily, G: TimeWeightedGraph,
                           oracle: OracleResult) -> float:
     """max over chain grid times of the weighted l2 distance to the oracle."""
     err = 0.0
-    for s in chain.samples:
-        ref = oracle_value_at(oracle, s.time)
-        err = max(err, weighted_l2(s.values - ref, vertex_weights(G, s.time)))
+    for t, v in zip(chain.times(), chain.values):
+        err = max(err, weighted_l2(v - oracle_value_at(oracle, t), vertex_weights(G, t)))
     return err
 
 
@@ -411,11 +414,9 @@ class TestFunction:
 
 def default_test_catalog(G: TimeWeightedGraph, T: float, ks=(1, 2)) -> list[TestFunction]:
     """Low spatial harmonics times {sin(pi t/T), t(T-t)/T^2}, both vanishing at 0 and T."""
-    from .profiles import make_initial_data as _mk
-
     catalog = []
     for k in ks:
-        psi = _mk(G, {"profile": "harmonic", "k": int(k)}).values
+        psi = make_initial_data(G, {"profile": "harmonic", "k": int(k)}).values
         catalog.append(TestFunction(
             name=f"k{k}_sin", space=psi,
             profile=lambda t, T=T: math.sin(math.pi * t / T),
@@ -452,7 +453,7 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
     """
     delta = chain.delta
     T = chain.horizon
-    nm = len(chain.samples) - 1
+    nm = len(chain.values) - 1
     w = [vertex_weights(G, j * delta) for j in range(nm)]
     rate = [volume_decay_rate(G, j * delta, delta) for j in range(nm)]
     cond = [edge_conductances(G, j * delta) for j in range(nm)]
@@ -469,7 +470,7 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
         norm = 0.0
         psi = fn.space
         for j in range(nm):
-            u = chain.samples[j].values
+            u = chain.values[j]
             phi = phis[j]
             dphi = fn.profile_dt(j * delta)
             mass_term = dphi * float(np.dot(w[j] * u, psi)) \
@@ -502,35 +503,35 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
     if abs(j * delta - t_small) > _TIME_FUZZ * max(1.0, chain.horizon):
         raise ValueError(f"t_small = {t_small} is not on the delta-grid "
                          f"(delta = {delta})")
-    if not (1 <= j < len(chain.samples)):
+    if not (1 <= j < len(chain.values)):
         raise ValueError(f"t_small = {t_small} outside the run (0, {chain.horizon}]")
-    s = chain.samples[j]
-    return weighted_l2(s.values - u0.values, vertex_weights(G, s.time))
+    return weighted_l2(chain.values[j] - u0.values, vertex_weights(G, j * delta))
 
 
-def l2h1_interp_norm(samples: list[DiscreteFunction], G: TimeWeightedGraph,
+def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph,
                      dt: Optional[float] = None) -> float:
-    """sum_j dt * energy(sample_j, t_j) over the provided samples.
+    """sum_j dt * energy(values[j], times[j]) over the rows of ``values``.
 
-    dt is inferred from the (uniform) time tags when not given; a single sample
+    dt is inferred from the (uniform) times when not given; a single sample
     needs it explicitly.
     """
-    if not samples:
+    if len(values) == 0:
         return 0.0
     if dt is None:
-        if len(samples) < 2:
+        if len(values) < 2:
             raise ValueError("dt is required for a single sample")
-        gaps = np.diff([s.time for s in samples])
+        gaps = np.diff(times)
         dt = float(gaps[0])
         if dt <= 0 or np.any(np.abs(gaps - dt) > _TIME_FUZZ * max(1.0, abs(dt))):
             raise ValueError("samples are not on a uniform time grid")
-    return sum(dt * dirichlet_energy(G, s.time, s.values) for s in samples)
+    return sum(dt * dirichlet_energy(G, t, v) for t, v in zip(times, values))
 
 
-def degiorgi_family(G: TimeWeightedGraph, seq: list[DiscreteFunction], h: float,
-                    m: int, rel_tol: float = 1e-10) -> list[DiscreteFunction]:
-    """Resolvent interpolation of a step sequence on the delta-grid, j = 1..N*m."""
+def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
+                    rel_tol: float = 1e-10) -> np.ndarray:
+    """Resolvent interpolation of the step sequence ``seq`` (rows u_0..u_N) on the
+    delta-grid: row j - 1 is the value at t = j*delta, j = 1..N*m."""
     N = len(seq) - 1
     delta = h / m
-    return [degiorgi_interpolate(G, seq, h, j * delta, rel_tol=rel_tol)
-            for j in range(1, N * m + 1)]
+    return np.array([degiorgi_interpolate(G, seq, h, j * delta, rel_tol=rel_tol).values
+                     for j in range(1, N * m + 1)])

@@ -1,6 +1,7 @@
 """CLI exit codes, artifacts, determinism.  Everything goes through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,7 +63,7 @@ def test_run_samples_roundtrip_exactly(tmp_path):
     for line in lines[::37]:  # spot checks across the file
         t, vertex, value = line.split(",")
         j = round(float(t) / chain.delta)
-        assert float(value) == chain.samples[j].values[int(vertex)]
+        assert float(value) == chain.values[j, int(vertex)]
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -196,6 +197,59 @@ def test_l2_limit_command(tmp_path):
         assert row["pass"] is True
         assert row["diff_sup_l2"] <= row["bound"] * (1 + 1e-8)
         assert row["diff_l2h1"] <= row["bound"] * (1 + 1e-8)
+
+
+def test_l2_limit_report_equals_hand_loop(tmp_path):
+    # the config of test_l2_limit_command; the reference is criterion 10's hand
+    # loop: each truncated run on its own, differences taken sample by sample
+    levels, h_list = [1, 4], [0.25, 0.125]
+    cfg = _write_config(
+        tmp_path,
+        initial={"profile": "random", "dist": "cauchy", "seed": 3},
+        h_list=h_list,
+        truncation_levels=levels,
+        scenario={"kind": "conformal_circle", "n": 12, "T": 1.0},
+    )
+    out = str(tmp_path / "out")
+    assert main(["l2-limit", "--config", cfg, "--out", out]) == 0
+    rows = _read_json(out, "truncation_report.json")["rows"]
+
+    G = eh.build_scenario(Scenario.from_dict({"kind": "conformal_circle", "n": 12, "T": 1.0}))
+    u0 = eh.make_initial_data(G, {"profile": "random", "dist": "cauchy", "seed": 3})
+    w0 = eh.vertex_weights(G, 0.0)
+    want = []
+    for h in h_list:
+        chain_full = eh.run_interpolated(G, u0, h, m=2, rel_tol=1e-12)
+        c0 = eh.volume_growth_bound(G, chain_full.times())
+        bound_factor = math.exp(c0 * chain_full.horizon)
+        times = chain_full.times()
+        for level in levels:
+            u0n = eh.truncate(u0, float(level))
+            trunc_err = eh.weighted_l2_sq(u0.values - u0n.values, w0)
+            chain_n = eh.run_interpolated(G, u0n, h, m=2, rel_tol=1e-12)
+            diff_sup = max(
+                eh.weighted_l2_sq(sf - sn, eh.vertex_weights(G, t))
+                for t, sf, sn in zip(times, chain_full.values, chain_n.values))
+            diff_l2h1 = sum(
+                chain_full.delta * eh.dirichlet_energy(G, t, sf - sn)
+                for t, sf, sn in zip(times[1:], chain_full.values[1:], chain_n.values[1:]))
+            want.append((h, float(level), trunc_err, diff_sup, diff_l2h1,
+                         bound_factor * trunc_err))
+    got = [(r["h"], r["level"], r["truncation_error"], r["diff_sup_l2"], r["diff_l2h1"],
+            r["bound"]) for r in rows]
+    assert got == want
+
+
+def test_run_and_verify_write_identical_run_artifacts(tmp_path):
+    cfg = _write_config(tmp_path, scenario={"kind": "conformal_circle", "n": 12, "T": 1.0},
+                        initial={"profile": "random", "seed": 5}, h=0.1)
+    out = str(tmp_path / "out")  # one directory: run_config.json echoes it
+    names = ("run_config.json", "samples.csv", "energy_report.json", "extremum_report.json")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    from_run = {n: open(os.path.join(out, n), "rb").read() for n in names}
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    for n in names:
+        assert open(os.path.join(out, n), "rb").read() == from_run[n], n
 
 
 def test_pinching_reports_zero_growth_bound(tmp_path):

@@ -43,8 +43,8 @@ def test_run_discrete_eigen_decay():
 def test_constants_are_fixed_points():
     u0 = _df(np.full(MOVING.n_vertices, 2.5))
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=3, rel_tol=1e-13)
-    for s in chain.samples:
-        assert_allclose(s.values, 2.5, rtol=1e-11)
+    for s in chain.values:
+        assert_allclose(s, 2.5, rtol=1e-11)
 
 
 def test_interpolation_with_m1_is_the_step_sequence():
@@ -52,9 +52,9 @@ def test_interpolation_with_m1_is_the_step_sequence():
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=1, rel_tol=1e-12)
     seq = eh.run_discrete(MOVING, u0, 0.25, 4, rel_tol=1e-12)
     assert chain.n_steps == 4
-    for got, want in zip(chain.produced(), seq):
-        assert np.array_equal(got.values, want.values)
-        assert got.time == want.time
+    for got, t, want in zip(chain.values[1:], chain.times()[1:], seq):
+        assert np.array_equal(got, want.values)
+        assert t == want.time
 
 
 def test_chain_samples_at_step_multiples_match_step_sequence():
@@ -63,11 +63,11 @@ def test_chain_samples_at_step_multiples_match_step_sequence():
     seq = eh.run_discrete(MOVING, u0, 0.25, 4, rel_tol=1e-12)
     for k in range(1, 5):
         # with m a power of two the grid times coincide bitwise, so the solves do too
-        assert chain.samples[2 * k].time == seq[k - 1].time
-        assert np.array_equal(chain.samples[2 * k].values, seq[k - 1].values)
-    disc = chain.discrete_sequence()
-    assert np.array_equal(disc[0].values, u0.values)
-    assert np.array_equal(disc[3].values, seq[2].values)
+        assert chain.times()[2 * k] == seq[k - 1].time
+        assert np.array_equal(chain.values[2 * k], seq[k - 1].values)
+    disc = chain.values[::chain.m]
+    assert np.array_equal(disc[0], u0.values)
+    assert np.array_equal(disc[3], seq[2].values)
 
 
 def test_early_samples_step_from_initial_value():
@@ -77,7 +77,7 @@ def test_early_samples_step_from_initial_value():
     delta = h / m
     for j in (1, 2, 3):
         want = eh.euler_step(MOVING, j * delta, h, u0, rel_tol=1e-12)
-        assert np.array_equal(chain.samples[j].values, want.values)
+        assert np.array_equal(chain.values[j], want.values)
 
 
 def test_shifted_sample_differs_from_shortened_step():
@@ -87,7 +87,7 @@ def test_shifted_sample_differs_from_shortened_step():
     chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
     seq = [u0] + eh.run_discrete(MOVING, u0, h, 4, rel_tol=1e-12)
     short = eh.degiorgi_interpolate(MOVING, seq, h, h / m, rel_tol=1e-12)
-    assert np.abs(chain.samples[1].values - short.values).max() > 1e-3
+    assert np.abs(chain.values[1] - short.values).max() > 1e-3
 
 
 def test_chains_are_independent_of_evaluation_order():
@@ -99,7 +99,7 @@ def test_chains_are_independent_of_evaluation_order():
         prev = u0
         for j in range(r if r else m, chain.n_steps * m + 1, m):
             prev = eh.euler_step(MOVING, j * delta, h, prev, rel_tol=1e-10)
-            assert np.array_equal(chain.samples[j].values, prev.values)
+            assert np.array_equal(chain.values[j], prev.values)
 
 
 def test_degiorgi_limits():
@@ -183,9 +183,9 @@ def test_exact_scalings_are_bitwise():
     base = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-10)
     doubled = eh.run_interpolated(MOVING, _df(2.0 * u0.values), 0.25, m=2, rel_tol=1e-10)
     negated = eh.run_interpolated(MOVING, _df(-u0.values), 0.25, m=2, rel_tol=1e-10)
-    for s, d, n in zip(base.samples, doubled.samples, negated.samples):
-        assert np.array_equal(d.values, 2.0 * s.values)
-        assert np.array_equal(n.values, -s.values)
+    for s, d, n in zip(base.values, doubled.values, negated.values):
+        assert np.array_equal(d, 2.0 * s)
+        assert np.array_equal(n, -s)
 
 
 def test_linearity_within_tolerance():
@@ -199,8 +199,8 @@ def test_linearity_within_tolerance():
     cw = eh.run_interpolated(MOVING, w0, 0.2, m=2, rel_tol=1e-12)
     w_init = eh.vertex_weights(MOVING, 0.0)
     scale = eh.weighted_l2(u0.values, w_init) + eh.weighted_l2(v0.values, w_init)
-    for su, sv, sw in zip(cu.samples, cv.samples, cw.samples):
-        gap = np.abs(sw.values - (a * su.values + b * sv.values)).max()
+    for su, sv, sw in zip(cu.values, cv.values, cw.values):
+        gap = np.abs(sw - (a * su + b * sv)).max()
         assert gap <= 1e-9 * scale
 
 
@@ -246,7 +246,7 @@ def test_families_stepped_together_match_each_run_alone(G):
     together = eh.run_families(G, initials, 0.1, m=2, rel_tol=1e-10)
     for u0, family in zip(initials, together):
         alone = eh.run_interpolated(G, u0, 0.1, m=2, rel_tol=1e-10)
-        assert len(family.samples) == len(alone.samples)
-        for got, want in zip(family.samples, alone.samples):
-            assert got.time == want.time
-            assert np.array_equal(got.values, want.values)
+        assert len(family.values) == len(alone.values)
+        assert np.array_equal(family.times(), alone.times())
+        for got, want in zip(family.values, alone.values):
+            assert np.array_equal(got, want)

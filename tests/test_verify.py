@@ -29,8 +29,8 @@ def _df(values, t=0.0):
 def test_oracle_two_vertex_decay():
     oracle = eh.semidiscrete_oracle(TWO_VERTEX, _df([1.0, -1.0]), 1.0, n_steps=1024)
     assert oracle.self_check < 1e-10
-    assert_allclose(oracle.samples[-1].values, [E_MINUS_2, -E_MINUS_2], rtol=1e-9)
-    assert oracle.samples[-1].time == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(oracle.values[-1], [E_MINUS_2, -E_MINUS_2], rtol=1e-9)
+    assert oracle.times()[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_conformal_closed_form():
@@ -45,15 +45,15 @@ def test_oracle_conformal_closed_form():
     factor = math.exp(-lam * (1.0 - math.exp(-2.0)) / 2.0)
     oracle = eh.semidiscrete_oracle(G, u0, 1.0, n_steps=512)
     # atol floor: the entries at the cosine zeros are pure rounding noise
-    assert_allclose(oracle.samples[-1].values, factor * u0.values,
+    assert_allclose(oracle.values[-1], factor * u0.values,
                     rtol=1e-9, atol=1e-14)
 
 
 def test_oracle_constant_is_exact():
     oracle = eh.semidiscrete_oracle(MOVING, _df(np.full(12, 3.0)), 1.0, n_steps=64)
     assert oracle.self_check == 0.0
-    for s in oracle.samples:
-        assert np.array_equal(s.values, np.full(12, 3.0))
+    for s in oracle.values:
+        assert np.array_equal(s, np.full(12, 3.0))
 
 
 def test_oracle_rejects_odd_or_unstable_steps():
@@ -76,9 +76,9 @@ def test_oracle_overflow_in_both_runs_fails_self_check():
 def test_oracle_value_interpolates():
     oracle = eh.semidiscrete_oracle(TWO_VERTEX, _df([1.0, -1.0]), 1.0, n_steps=512)
     dt = 1.0 / 512
-    assert np.array_equal(eh.oracle_value_at(oracle, 3 * dt), oracle.samples[3].values)
+    assert np.array_equal(eh.oracle_value_at(oracle, 3 * dt), oracle.values[3])
     mid = eh.oracle_value_at(oracle, 1.5 * dt)
-    want = 0.5 * (oracle.samples[1].values + oracle.samples[2].values)
+    want = 0.5 * (oracle.values[1] + oracle.values[2])
     assert_allclose(mid, want, rtol=1e-12)
 
 
@@ -129,10 +129,10 @@ def test_oracle_bitwise_equals_two_separate_runs(G, T, n_steps):
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     values, times, gap = _two_run_rk4(G, u0, T, n_steps)
     oracle = eh.semidiscrete_oracle(G, u0, T, n_steps=n_steps)
-    assert len(oracle.samples) == n_steps + 1
-    for s, want, t in zip(oracle.samples, values, times):
-        assert np.array_equal(s.values, want)
-        assert s.time == t
+    assert len(oracle.values) == n_steps + 1
+    for s, st, want, t in zip(oracle.values, oracle.times(), values, times):
+        assert np.array_equal(s, want)
+        assert st == t
     assert oracle.self_check == gap
     assert 0.0 < gap < 1e-10
 
@@ -224,7 +224,7 @@ def test_energy_report_json_uses_pass_key():
 def test_extremum_flags_fabricated_violation():
     u0 = _df([0.0, 1.0])
     bad = eh.ChainFamily(h=0.1, m=1, horizon=0.1,
-                         samples=[u0, _df([0.2, 1.5], t=0.1)])
+                         values=np.array([u0.values, [0.2, 1.5]]))
     rep = eh.extremum_check(bad, u0)
     assert rep.lo == 0.0 and rep.hi == 1.0
     assert rep.worst_violation == pytest.approx(0.5)
@@ -265,10 +265,10 @@ def test_contraction_tolerance_follows_solver_tolerance():
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed over
         # the steps so far and the three families; the tolerance is the largest sum
         sums = [0.0, 0.0]
-        for j, s in enumerate(chains[0].samples[1:], start=1):
-            w = eh.vertex_weights(MOVING, s.time)
+        for j, t in enumerate(chains[0].times()[1:], start=1):
+            w = eh.vertex_weights(MOVING, t)
             prev = max(j - 2, 0)
-            sums[j % 2] += sum(rel_tol * np.linalg.norm(w * c.samples[prev].values) / w.min()
+            sums[j % 2] += sum(rel_tol * np.linalg.norm(w * c.values[prev]) / w.min()
                                for c in chains)
         assert rep.linearity_tol == pytest.approx(max(sums) + floor, rel=1e-12)
     assert floor < tols[0] < 2 * floor
@@ -284,11 +284,9 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, c0, rel_tol=1e-8)
     assert rep.passed
 
-    j = len(chain_d.samples) // 2
-    samples = list(chain_d.samples)
-    off = samples[j].values.copy()
-    off[3] += 10.0 * rep.linearity_tol
-    samples[j] = _df(off, samples[j].time)
+    j = len(chain_d.values) // 2
+    samples = chain_d.values.copy()
+    samples[j, 3] += 10.0 * rep.linearity_tol
     bad_d = eh.ChainFamily(chain_d.h, chain_d.m, chain_d.horizon, samples)
     bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0, rel_tol=1e-8)
     assert bad.difference_energy.passed
@@ -414,14 +412,14 @@ def test_attainment_shrinks_with_h():
 
 
 def test_l2h1_norm_hand_value():
-    s = _df([1.0, 0.0], t=0.5)
-    assert eh.l2h1_interp_norm([s], TWO_VERTEX, dt=0.25) == 0.25
+    s = np.array([[1.0, 0.0]])
+    assert eh.l2h1_interp_norm(s, [0.5], TWO_VERTEX, dt=0.25) == 0.25
     with pytest.raises(ValueError):
-        eh.l2h1_interp_norm([s], TWO_VERTEX)
-    ragged = [_df([1.0, 0.0], t=0.1), _df([1.0, 0.0], t=0.15), _df([1.0, 0.0], t=0.4)]
+        eh.l2h1_interp_norm(s, [0.5], TWO_VERTEX)
+    ragged = np.array([[1.0, 0.0]] * 3)
     with pytest.raises(ValueError, match="uniform"):
-        eh.l2h1_interp_norm(ragged, TWO_VERTEX)
-    assert eh.l2h1_interp_norm([], TWO_VERTEX) == 0.0
+        eh.l2h1_interp_norm(ragged, [0.1, 0.15, 0.4], TWO_VERTEX)
+    assert eh.l2h1_interp_norm(np.empty((0, 2)), [], TWO_VERTEX) == 0.0
 
 
 def test_degiorgi_family_grid_and_static_ratio():
@@ -429,13 +427,17 @@ def test_degiorgi_family_grid_and_static_ratio():
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 2})
     h, m = 0.2, 4
     chain = eh.run_interpolated(G, u0, h, m, rel_tol=1e-12)
-    seq = chain.discrete_sequence()
+    seq = chain.values[::m]
     dg = eh.degiorgi_family(G, seq, h, m, rel_tol=1e-12)
-    assert len(dg) == len(chain.produced())
-    assert_allclose([s.time for s in dg], [s.time for s in chain.produced()], atol=1e-12)
+    assert len(dg) == len(chain.values[1:])
+    # row j - 1 is the resolvent value at the grid time j*delta
+    for j in (1, m + 1, len(dg)):
+        want = eh.degiorgi_interpolate(G, seq, h, chain.times()[j], rel_tol=1e-12)
+        assert np.array_equal(dg[j - 1], want.values)
     # at step multiples the resolvent solves the stepping system itself
-    assert_allclose(dg[m - 1].values, seq[1].values, atol=1e-9)
+    assert_allclose(dg[m - 1], seq[1], atol=1e-9)
     # statically, the shortened step smooths strictly less mode by mode
-    shifted_norm = eh.l2h1_interp_norm(chain.produced(), G, chain.delta)
-    dg_norm = eh.l2h1_interp_norm(dg, G, chain.delta)
+    times = chain.times()[1:]
+    shifted_norm = eh.l2h1_interp_norm(chain.values[1:], times, G, chain.delta)
+    dg_norm = eh.l2h1_interp_norm(dg, times, G, chain.delta)
     assert dg_norm >= shifted_norm * (1 - 1e-12)
