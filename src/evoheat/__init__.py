@@ -10,8 +10,9 @@ from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGrap
                        build_scenario, dirichlet_energy, edge_conductances,
                        tabulated_graph, vertex_weights, volume_decay_rate,
                        volume_growth_bound)
-from .linalg import (SolverError, SpdOperator, banded_solve, cg_solve, dense_solve,
-                     rcm_ordering, spd_solve, stiffness_apply)
+from .linalg import (SolverError, SpdOperator, StencilOperator, banded_solve, cg_solve,
+                     dense_solve, half_edge_layout, rcm_ordering, spd_solve,
+                     stiffness_apply)
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, DiscreteFunction, degiorgi_interpolate, euler_step,
                      operator_at, run_discrete, run_families, run_interpolated,

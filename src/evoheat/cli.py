@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -194,7 +195,7 @@ def cmd_run(cfg: RunConfig) -> int:
     chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
     c0 = _chain_c0(cfg, G, chain)
     energy = energy_estimate(chain, G, u0, c0, cfg.slack)
-    extremum = extremum_check(chain, u0)
+    extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
     _write_run_artifacts(cfg, spec, chain, energy, extremum)
     return EXIT_OK if (energy.passed and extremum.passed) else EXIT_CHECK_FAILED
 
@@ -279,7 +280,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     c0 = _chain_c0(cfg, G, chain)
 
     energy = energy_estimate(chain, G, u0, c0, cfg.slack)
-    extremum = extremum_check(chain, u0)
+    extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
     contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack,
                                      rel_tol=cfg.rel_tol)
     del chain_v, chain_d  # not needed while the artifacts are written
@@ -295,7 +296,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     att = initial_attainment_check(chain, G, u0, chain.h)
     att_bound = chain.h * dirichlet_energy(G, chain.h, u0.values)
-    att_ok = att ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
+    # the sample at h is one solve from u0, so each entry is off by at most
+    # rel_tol * ||M u0||_2 / min w (Varah 1975) and the distance by sqrt(sum w) times that
+    w_h = vertex_weights(G, chain.h)
+    att_err = (cfg.rel_tol * float(np.linalg.norm(w_h * u0.values)) / float(w_h.min())
+               * math.sqrt(float(w_h.sum())))
+    att_ok = max(att - att_err, 0.0) ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
 
     ok = bool(energy.passed and extremum.passed and contraction.passed and att_ok)
     _write_run_artifacts(cfg, spec, chain, energy, extremum)
@@ -307,7 +313,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         "contraction": contraction.to_json_dict(),
         "weak_residuals": [r.to_json_dict() for r in weak_rows],
         "initial_attainment": {"t_small": chain.h, "distance": att,
-                               "minimality_bound_sq": att_bound, "pass": att_ok},
+                               "minimality_bound_sq": att_bound,
+                               "solver_error": att_err, "pass": att_ok},
         "pass": ok,
     })
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .linalg import BandOrdering, rcm_ordering
+from .linalg import BandOrdering, StencilLayout, half_edge_layout, rcm_ordering
 
 __all__ = [
     "ScenarioError",
@@ -89,6 +89,15 @@ class TimeWeightedGraph:
         shares it; its bandwidth decides how those operators are solved.
         """
         return rcm_ordering(self.n_vertices, self.edges)
+
+    @functools.cached_property
+    def stencil_layout(self) -> StencilLayout:
+        """Half-edge layout of the edges, computed on first use.
+
+        Shared by the step operators that ``spd_solve`` hands to CG (graphs
+        whose band is too wide for the direct path).
+        """
+        return half_edge_layout(self.n_vertices, self.edges)
 
     @classmethod
     def static(cls, weights, edges, conductances, horizon: float = 1.0,
@@ -180,9 +189,14 @@ def volume_growth_bound(G: TimeWeightedGraph, time_grid) -> float:
     dt = np.diff(grid)
     if np.any(dt <= 0):
         raise ValueError("time_grid must be strictly increasing")
-    logw = np.stack([np.log(vertex_weights(G, t)) for t in grid])
-    rates = np.diff(logw, axis=0) / dt[:, None]
-    return max(0.0, float(rates.max()))
+    # two rows alive at a time; np.maximum, unlike max(), does not skip a NaN rate
+    rate = -np.inf
+    prev = np.log(vertex_weights(G, grid[0]))
+    for t, gap in zip(grid[1:], dt):
+        cur = np.log(vertex_weights(G, t))
+        rate = np.maximum(rate, ((cur - prev) / gap).max())
+        prev = cur
+    return max(0.0, float(rate))
 
 
 def volume_decay_rate(G: TimeWeightedGraph, t: float, h: float) -> np.ndarray:

@@ -77,6 +77,14 @@ def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
     return SpdOperator(vertex_weights(G, t), G.edges, edge_conductances(G, t), h)
 
 
+def _solve(G: TimeWeightedGraph, A: SpdOperator, rhs: list[np.ndarray],
+           rel_tol: float) -> list[np.ndarray]:
+    """``spd_solve`` on the graph's cached band order and, for CG, stencil layout."""
+    ordering = G.band_ordering
+    layout = None if ordering.direct else G.stencil_layout
+    return spd_solve(A, rhs, rel_tol=rel_tol, ordering=ordering, layout=layout)
+
+
 def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: DiscreteFunction,
                rel_tol: float = 1e-10) -> DiscreteFunction:
     """One implicit step of length h, coefficients frozen at time t.
@@ -93,7 +101,7 @@ def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: DiscreteFunctio
         raise ValueError(f"u_prev has {len(u_prev.values)} entries, "
                          f"graph has {G.n_vertices} vertices")
     A = operator_at(G, t, h)
-    [x] = spd_solve(A, [A.mass * u_prev.values], rel_tol=rel_tol, ordering=G.band_ordering)
+    [x] = _solve(G, A, [A.mass * u_prev.values], rel_tol)
     return DiscreteFunction(x, t)
 
 
@@ -196,7 +204,7 @@ def run_families(G: TimeWeightedGraph, initials: list[DiscreteFunction], h: floa
     for j in range(1, N * m + 1):
         A = operator_at(G, j * delta, h)
         rhs = [A.mass * run[max(j - m, 0)] for run in runs]
-        xs = spd_solve(A, rhs, rel_tol=rel_tol, ordering=G.band_ordering)
+        xs = _solve(G, A, rhs, rel_tol)
         for run, x in zip(runs, xs):
             run[j] = x
     return [ChainFamily(h=float(h), m=int(m), horizon=N * h, values=run) for run in runs]
@@ -230,5 +238,5 @@ def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
     if isinstance(u_prev, DiscreteFunction):
         u_prev = u_prev.values
     A = operator_at(G, t, delta)
-    [x] = spd_solve(A, [A.mass * u_prev], rel_tol=rel_tol, ordering=G.band_ordering)
+    [x] = _solve(G, A, [A.mass * u_prev], rel_tol)
     return DiscreteFunction(x, t)

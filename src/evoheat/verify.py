@@ -143,13 +143,23 @@ class ExtremumReport:
                 "tol": self.tol, "pass": self.passed}
 
 
-def extremum_check(chain: ChainFamily, u0: DiscreteFunction) -> ExtremumReport:
-    """Every sample must stay inside [min u0, max u0] up to solver noise."""
+def extremum_check(chain: ChainFamily, u0: DiscreteFunction,
+                   G: Optional[TimeWeightedGraph] = None, *,
+                   rel_tol: float = 1e-10) -> ExtremumReport:
+    """Every sample must stay inside [min u0, max u0] up to solver error.
+
+    The exact steps obey the maximum principle, so a computed sample leaves the
+    range by at most its distance from the exact one.  Given the graph, the
+    tolerance is ``_solve_error_bound`` of the chain at the solver's ``rel_tol``
+    plus a rounding floor of 1e-12 * (max|u0| + 1); without it, the floor alone.
+    """
     lo = float(u0.values.min())
     hi = float(u0.values.max())
     produced = chain.values[1:]
     worst = max(float(produced.max()) - hi, lo - float(produced.min()), 0.0)
     tol = 1e-12 * (float(np.max(np.abs(u0.values))) + 1.0)
+    if G is not None:
+        tol += _solve_error_bound(G, [chain], rel_tol)
     return ExtremumReport(lo=lo, hi=hi, worst_violation=worst, tol=tol,
                           passed=worst <= tol)
 
@@ -454,34 +464,38 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
     delta = chain.delta
     T = chain.horizon
     nm = len(chain.values) - 1
-    w = [vertex_weights(G, j * delta) for j in range(nm)]
-    rate = [volume_decay_rate(G, j * delta, delta) for j in range(nm)]
-    cond = [edge_conductances(G, j * delta) for j in range(nm)]
-
-    rows = []
+    phis = []
     for fn in test_fns:
-        phis = np.array([fn.profile(j * delta) for j in range(nm)])
-        scale = float(np.max(np.abs(phis))) if nm else 0.0
+        phi = np.array([fn.profile(j * delta) for j in range(nm)])
+        scale = float(np.max(np.abs(phi))) if nm else 0.0
         for endpoint in (0.0, T):
             if abs(fn.profile(endpoint)) > 1e-12 * (scale + 1.0):
                 raise ValueError(f"test function {fn.name}: profile must vanish "
                                  f"at t={endpoint}, got {fn.profile(endpoint)}")
-        acc = 0.0
-        norm = 0.0
-        psi = fn.space
-        for j in range(nm):
-            u = chain.values[j]
-            phi = phis[j]
+        phis.append(phi)
+
+    # one grid time at a time, so each coefficient row is live for one step only;
+    # every function's sums still run over j in order
+    d_psis = [fn.space[G.edges[:, 0]] - fn.space[G.edges[:, 1]] for fn in test_fns]
+    acc = [0.0] * len(test_fns)
+    norm = [0.0] * len(test_fns)
+    for j in range(nm):
+        w = vertex_weights(G, j * delta)
+        rate = volume_decay_rate(G, j * delta, delta)
+        cond = edge_conductances(G, j * delta)
+        u = chain.values[j]
+        wu = w * u
+        wru = w * rate * u
+        d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
+        for f, fn in enumerate(test_fns):
+            phi = phis[f][j]
             dphi = fn.profile_dt(j * delta)
-            mass_term = dphi * float(np.dot(w[j] * u, psi)) \
-                - phi * float(np.dot(w[j] * rate[j] * u, psi))
-            d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
-            d_psi = psi[G.edges[:, 0]] - psi[G.edges[:, 1]]
-            energy_term = phi * float(np.dot(cond[j], d_u * d_psi))
-            acc += delta * (mass_term - energy_term)
-            norm += delta * abs(phi) * weighted_l2(psi, w[j])
-        rows.append(WeakResidualRow(name=fn.name, residual=abs(acc), normalization=norm))
-    return rows
+            mass_term = dphi * float(np.dot(wu, fn.space)) - phi * float(np.dot(wru, fn.space))
+            energy_term = phi * float(np.dot(cond, d_u * d_psis[f]))
+            acc[f] += delta * (mass_term - energy_term)
+            norm[f] += delta * abs(phi) * weighted_l2(fn.space, w)
+    return [WeakResidualRow(name=fn.name, residual=abs(a), normalization=nrm)
+            for fn, a, nrm in zip(test_fns, acc, norm)]
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,40 @@ def test_verify_linearity_tolerance_follows_tol_flag(tmp_path):
     assert 1e-7 < contraction["linearity_residual"] < contraction["linearity_tol"]
 
 
+def _tabulated_grid(k, seed):
+    """k x k periodic grid with uniform(0.5, 2) weights and conductances at t = 0, 0.5, 1."""
+    pairs = set()
+    for ix in range(k):
+        for iy in range(k):
+            v = ix * k + iy
+            pairs.add(tuple(sorted((v, ((ix + 1) % k) * k + iy))))
+            pairs.add(tuple(sorted((v, ix * k + (iy + 1) % k))))
+    rng = np.random.default_rng(seed)
+    return {"kind": "custom_tabulated", "T": 1.0,
+            "table": {"n_vertices": k * k, "edges": sorted(pairs), "times": [0.0, 0.5, 1.0],
+                      "weights": rng.uniform(0.5, 2.0, (3, k * k)).tolist(),
+                      "conductances": rng.uniform(0.5, 2.0, (3, len(pairs))).tolist()}}
+
+
+@pytest.mark.parametrize("tol", [None, "1e-6"])
+def test_verify_constant_data_on_cg_graph(tmp_path, tol):
+    # constant data is a fixed point of every step, so the CG solves' own error is
+    # all that moves the samples: the extremum and attainment tolerances must cover it
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scenario": _tabulated_grid(12, 0), "h": 0.1, "m": 4,
+                               "initial": {"profile": "constant", "value": 1.0}}))
+    out = str(tmp_path / "out")
+    argv = ["verify", "--config", str(cfg), "--out", out] + (["--tol", tol] if tol else [])
+    assert main(argv) == 0
+    doc = _read_json(out, "verify_report.json")
+    extremum, attainment = doc["extremum"], doc["initial_attainment"]
+    floor = 1e-12 * 2.0
+    assert floor < extremum["worst_violation"] <= extremum["tol"]
+    assert extremum["tol"] > floor + 10 * extremum["worst_violation"]
+    assert attainment["minimality_bound_sq"] == 0.0
+    assert 0.0 < attainment["distance"] <= attainment["solver_error"]
+
+
 def test_scenario_from_file_path(tmp_path):
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps({"kind": "static_circle", "n": 8, "T": 1.0}))

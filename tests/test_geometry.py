@@ -102,6 +102,20 @@ def test_volume_growth_bound_refinement_monotone():
     assert coarse <= fine + 1e-12
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("conformal_circle", {"n": 32, "amp": 0.5, "omega": 3.0, "k_spatial": 2, "growth": 0.4}),
+    ("product_torus", {"nx": 6, "ny": 5}),
+    ("oscillating_metric", {"n": 16}),
+])
+def test_volume_growth_bound_equals_stacked_rates(kind, params):
+    # every grid row tabulated, then one vectorized difference quotient
+    G = build(kind, **params)
+    grid = np.arange(41) * 0.025
+    logw = np.stack([np.log(eh.vertex_weights(G, t)) for t in grid])
+    rates = np.diff(logw, axis=0) / np.diff(grid)[:, None]
+    assert eh.volume_growth_bound(G, grid) == max(0.0, float(rates.max()))
+
+
 def test_volume_growth_bound_grid_validation():
     G = build("static_circle", n=4)
     with pytest.raises(ValueError):

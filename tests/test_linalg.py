@@ -181,3 +181,91 @@ def test_wide_graphs_take_cg(monkeypatch):
     torus = build("product_torus", nx=48, ny=48)
     assert torus.band_ordering.bandwidth == 95 and not torus.band_ordering.direct
     assert _cg_calls_per_step(monkeypatch, torus) == 1
+
+
+# ---------------------------------------------------------------------------
+# CG path: half-edge layout and the assembled stencil operator
+# ---------------------------------------------------------------------------
+
+def _star_ring_operator(seed):
+    """A star around vertex 0 joined to a ring on the leaves, plus random chords.
+
+    The hub's degree dwarfs the leaves', so most of its half-edges land in the
+    layout's overflow list; some conductances are zero.
+    """
+    rng = np.random.default_rng(seed)
+    leaves = int(rng.integers(5, 30))
+    n = leaves + 1
+    pairs = {(0, i) for i in range(1, n)}
+    pairs |= {tuple(sorted((i, i % leaves + 1))) for i in range(1, n)}
+    for _ in range(int(rng.integers(0, leaves // 2 + 1))):  # too few to make it regular
+        i, j = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        pairs.add((i, j))
+    label = rng.permutation(n)
+    edges = np.sort(label[np.array(sorted(pairs), dtype=np.int64)], axis=1)
+    coeffs = rng.uniform(0.1, 2.0, len(edges))
+    coeffs[rng.uniform(size=len(coeffs)) < 0.25] = 0.0
+    return eh.SpdOperator(mass=rng.uniform(0.5, 2.0, n), edges=edges, coeffs=coeffs,
+                          h=float(rng.uniform(0.01, 0.5)))
+
+
+def _layout_half_edges(layout):
+    """Every (row, neighbour, edge) triple the layout stores, sorted."""
+    K, n = layout.nbr.shape
+    rows = np.concatenate([np.repeat(np.arange(n)[None, :], K, axis=0).ravel(),
+                           layout.over_rows])
+    cols = np.concatenate([layout.nbr.ravel(), layout.over_cols])
+    eids = np.concatenate([layout.slot_edge.ravel(), layout.over_edges])
+    return sorted(zip(rows.tolist(), cols.tolist(), eids.tolist()))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_stencil_matches_operator_and_dense(seed, star):
+    A = _star_ring_operator(seed) if star else random_operator(seed)
+    layout = eh.half_edge_layout(A.n, A.edges)
+    halves = [(int(i), int(j), e) for e, (i, j) in enumerate(A.edges)]
+    assert _layout_half_edges(layout) == sorted(halves + [(j, i, e) for i, j, e in halves])
+    degree = np.bincount(A.edges.ravel(), minlength=A.n)
+    assert layout.nbr.shape == (degree.min(), A.n)
+    assert len(layout.over_rows) == 2 * len(A.edges) - A.n * degree.min()
+    if star:
+        assert len(layout.over_rows) > 0
+
+    S = eh.StencilOperator(A, layout)
+    rng = np.random.default_rng(seed + 5)
+    x = rng.standard_normal(A.n)
+    scale = np.abs(A.dense()) @ np.abs(x)
+    assert_allclose(S.apply(x, np.empty(A.n)), A.apply(x), rtol=0, atol=1e-14 * scale.max())
+    assert_allclose(S.diag, A.diagonal(), rtol=1e-14)
+
+    b = rng.standard_normal(A.n)
+    y = eh.dense_solve(A, b)
+    for op in (S, A):
+        x = eh.cg_solve(op, b, rel_tol=1e-13)
+        assert_allclose(x, y, rtol=0, atol=1e-10 * (np.abs(y).max() + 1.0))
+
+
+def test_torus_layout_has_no_overflow():
+    torus = build("product_torus", nx=8, ny=8)
+    layout = torus.stencil_layout
+    assert layout.nbr.shape == (4, 64) and len(layout.over_rows) == 0
+    assert torus.stencil_layout is layout  # built once per graph
+
+
+def test_spd_solve_assembles_once_per_operator(monkeypatch):
+    assembled = []
+    real = eh.linalg.StencilOperator
+
+    def counting(*args):
+        assembled.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eh.linalg, "StencilOperator", counting)
+    torus = build("product_torus", nx=48, ny=48)
+    A = eh.operator_at(torus, 0.1, 0.1)
+    rhs = np.random.default_rng(3).standard_normal((3, A.n))
+    xs = eh.spd_solve(A, rhs, ordering=torus.band_ordering, layout=torus.stencil_layout)
+    assert len(assembled) == 1
+    for x, b in zip(xs, rhs):
+        assert np.linalg.norm(A.apply(x) - b) <= 1e-10 * np.linalg.norm(b) * (1 + 1e-6)

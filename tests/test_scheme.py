@@ -178,14 +178,16 @@ def test_dissipation_identity():
 
 
 def test_exact_scalings_are_bitwise():
-    # doubling and negation commute with every float operation in the solve
-    u0 = _df(np.random.default_rng(6).standard_normal(MOVING.n_vertices))
-    base = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-10)
-    doubled = eh.run_interpolated(MOVING, _df(2.0 * u0.values), 0.25, m=2, rel_tol=1e-10)
-    negated = eh.run_interpolated(MOVING, _df(-u0.values), 0.25, m=2, rel_tol=1e-10)
-    for s, d, n in zip(base.values, doubled.values, negated.values):
-        assert np.array_equal(d, 2.0 * s)
-        assert np.array_equal(n, -s)
+    # doubling and negation commute with every float operation in the solve,
+    # on the direct path (MOVING) and on the CG path (the torus)
+    for G in (MOVING, build("product_torus", nx=8, ny=8)):
+        u0 = _df(np.random.default_rng(6).standard_normal(G.n_vertices))
+        base = eh.run_interpolated(G, u0, 0.25, m=2, rel_tol=1e-10)
+        doubled = eh.run_interpolated(G, _df(2.0 * u0.values), 0.25, m=2, rel_tol=1e-10)
+        negated = eh.run_interpolated(G, _df(-u0.values), 0.25, m=2, rel_tol=1e-10)
+        for s, d, n in zip(base.values, doubled.values, negated.values):
+            assert np.array_equal(d, 2.0 * s)
+            assert np.array_equal(n, -s)
 
 
 def test_linearity_within_tolerance():

@@ -231,6 +231,38 @@ def test_extremum_flags_fabricated_violation():
     assert not rep.passed
 
 
+def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
+    rng = np.random.default_rng(9)
+    u0 = _df(rng.standard_normal(12))
+    floor = 1e-12 * (np.abs(u0.values).max() + 1.0)
+    for rel_tol in (1e-12, 1e-6):
+        chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=rel_tol)
+        rep = eh.extremum_check(chain, u0, MOVING, rel_tol=rel_tol)
+        assert rep.passed
+        # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed
+        # over the steps so far; the tolerance is the largest sum plus the floor
+        sums = [0.0, 0.0]
+        for j, t in enumerate(chain.times()[1:], start=1):
+            w = eh.vertex_weights(MOVING, t)
+            sums[j % 2] += rel_tol * np.linalg.norm(w * chain.values[max(j - 2, 0)]) / w.min()
+        assert rep.tol == pytest.approx(max(sums) + floor, rel=1e-12)
+        assert eh.extremum_check(chain, u0).tol == floor
+
+
+def test_extremum_flags_sample_pushed_past_derived_bound():
+    u0 = _df(np.random.default_rng(10).standard_normal(12))
+    chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-8)
+    rep = eh.extremum_check(chain, u0, MOVING, rel_tol=1e-8)
+    assert rep.passed and rep.tol > 1e-9
+    samples = chain.values.copy()
+    samples[len(samples) // 2, 5] = u0.values.max() + 1.5 * rep.tol
+    bad = eh.ChainFamily(chain.h, chain.m, chain.horizon, samples)
+    bad_rep = eh.extremum_check(bad, u0, MOVING, rel_tol=1e-8)
+    assert bad_rep.tol < 1.1 * rep.tol  # later samples step from the pushed one
+    assert bad_rep.worst_violation > bad_rep.tol
+    assert not bad_rep.passed
+
+
 def test_contraction_identical_data():
     u0 = _df(np.random.default_rng(4).standard_normal(12))
     rep = eh.contraction_check(MOVING, u0, u0, h=0.25, m=2, c0=1.0)
@@ -363,6 +395,49 @@ def test_weak_residual_requires_vanishing_profile():
                          lambda t: -math.pi * math.sin(math.pi * t))
     with pytest.raises(ValueError, match="vanish"):
         eh.weak_residual(chain, G, [fn])
+
+
+def test_weak_residual_equals_per_function_loop():
+    # the loop over test functions outside the loop over grid times, with every
+    # coefficient row tabulated up front; the rows must agree bitwise
+    G = build("conformal_circle", n=16, amp=0.4, omega=2.0, k_spatial=1, growth=0.3)
+    chain = eh.run_interpolated(G, eh.make_initial_data(G, {"profile": "random"}), 0.1, m=3)
+    fns = eh.default_test_catalog(G, chain.horizon)
+    delta, nm = chain.delta, len(chain.values) - 1
+    w = [eh.vertex_weights(G, j * delta) for j in range(nm)]
+    rate = [eh.volume_decay_rate(G, j * delta, delta) for j in range(nm)]
+    cond = [eh.edge_conductances(G, j * delta) for j in range(nm)]
+    want = []
+    for fn in fns:
+        phis = np.array([fn.profile(j * delta) for j in range(nm)])
+        acc = norm = 0.0
+        psi = fn.space
+        for j in range(nm):
+            u = chain.values[j]
+            mass_term = fn.profile_dt(j * delta) * float(np.dot(w[j] * u, psi)) \
+                - phis[j] * float(np.dot(w[j] * rate[j] * u, psi))
+            d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
+            d_psi = psi[G.edges[:, 0]] - psi[G.edges[:, 1]]
+            acc += delta * (mass_term - phis[j] * float(np.dot(cond[j], d_u * d_psi)))
+            norm += delta * abs(phis[j]) * eh.weighted_l2(psi, w[j])
+        want.append((fn.name, abs(acc), norm))
+    got = [(r.name, r.residual, r.normalization) for r in eh.weak_residual(chain, G, fns)]
+    assert got == want
+
+
+def test_weak_residual_validates_before_evaluating_coefficients():
+    calls = []
+    base = build("static_circle", n=8)
+    G = eh.TimeWeightedGraph(8, base.edges, lambda t: calls.append(t) or np.ones(8),
+                             base.conductances_at, 1.0)
+    chain = eh.ChainFamily(0.25, 1, 1.0, np.ones((5, 8)))
+    good = eh.TestFunction("sin", np.ones(8), lambda t: math.sin(math.pi * t),
+                           lambda t: math.pi * math.cos(math.pi * t))
+    bad = eh.TestFunction("cos", np.ones(8), lambda t: math.cos(math.pi * t),
+                          lambda t: -math.pi * math.sin(math.pi * t))
+    with pytest.raises(ValueError, match="cos"):
+        eh.weak_residual(chain, G, [good, bad])
+    assert calls == []
 
 
 def test_weak_residual_shrinks_with_h():
