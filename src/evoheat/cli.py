@@ -4,7 +4,18 @@ One JSON config drives every subcommand; flags override single fields.  Exit
 codes: 0 all checks passed, 1 a check failed (reports are still written),
 2 config error, 3 solver or reference-flow (oracle) failure.  Identical configs
 produce byte-identical artifacts: the solvers are deterministic and floats are
-written with shortest round-trip formatting.
+written with shortest round-trip formatting.  Artifacts are written after the
+checks, each moved into place whole with the mode ``open`` would give it.
+
+``run`` and ``verify`` format samples.csv, the largest artifact, in a writer
+process forked before the run: the parent sends each finished sample row down
+a pipe and goes on solving while the child formats it, and after the checks
+moves the file into place once the child has exited 0.  Where ``os.fork`` is
+missing, the samples are formatted in-process after the checks.  Both paths
+use the same formatter, so the bytes are the same (see ``artifacts``).  A
+failed run or writer removes the temporary file, so samples.csv is never
+partial, and a parent killed before the file is published leaves none either;
+a failed writer raises ``OSError``.
 
 Config schema (all keys optional, defaults shown by --help):
 
@@ -28,12 +39,12 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .artifacts import SamplesWriter, write_csv, write_json
 from .geometry import (Scenario, ScenarioError, TimeWeightedGraph, build_scenario,
                        dirichlet_energy, vertex_weights, volume_growth_bound)
 from .linalg import SolverError
@@ -123,66 +134,30 @@ def _chain_c0(cfg: RunConfig, G: TimeWeightedGraph, chain: ChainFamily) -> float
 
 
 # ---------------------------------------------------------------------------
-# deterministic artifact writing
+# run artifacts
 # ---------------------------------------------------------------------------
-
-def _write_chunks(path: str, chunks) -> None:
-    d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: str, obj) -> None:
-    _write_chunks(path, [json.dumps(obj, indent=2) + "\n"])
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_chunks(path, ["\n".join(lines) + "\n"])
-
-
-def _sample_rows(chain: ChainFamily):
-    """samples.csv, one sample per chunk: a ``t,vertex,value`` row per entry."""
-    yield "t,vertex,value\n"
-    vertex = [f",{i}," for i in range(chain.values.shape[1])]
-    for t, row in zip(chain.times().tolist(), chain.values):
-        t = repr(t)
-        yield "".join([f"{t}{i}{v!r}\n" for i, v in zip(vertex, row.tolist())])
-
 
 def _echo_config(cfg: RunConfig, outdir: str) -> None:
     doc = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    _write_json(os.path.join(outdir, "run_config.json"), doc)
+    write_json(os.path.join(outdir, "run_config.json"), doc)
+
+
+def _samples_writer(cfg: RunConfig, G: TimeWeightedGraph) -> SamplesWriter:
+    """The run's samples.csv writer; start it before the run (see SamplesWriter)."""
+    return SamplesWriter(os.path.join(cfg.out, "samples.csv"), G.n_vertices,
+                         float(cfg.h) / int(cfg.m))
 
 
 def _write_run_artifacts(cfg: RunConfig, spec: Scenario, chain: ChainFamily,
-                         energy: EnergyReport, extremum: ExtremumReport) -> None:
+                         energy: EnergyReport, extremum: ExtremumReport,
+                         samples: SamplesWriter) -> None:
     """run_config.json, samples.csv, energy_report.json, extremum_report.json."""
     _echo_config(cfg, cfg.out)
-    _write_chunks(os.path.join(cfg.out, "samples.csv"), _sample_rows(chain))
-    _write_json(os.path.join(cfg.out, "energy_report.json"),
-                {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
-                 "horizon": chain.horizon, **energy.to_json_dict()})
-    _write_json(os.path.join(cfg.out, "extremum_report.json"), extremum.to_json_dict())
+    samples.publish(chain)
+    write_json(os.path.join(cfg.out, "energy_report.json"),
+               {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
+                "horizon": chain.horizon, **energy.to_json_dict()})
+    write_json(os.path.join(cfg.out, "extremum_report.json"), extremum.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +167,13 @@ def _write_run_artifacts(cfg: RunConfig, spec: Scenario, chain: ChainFamily,
 def cmd_run(cfg: RunConfig) -> int:
     """Run the scheme, write samples + energy and extremum reports."""
     spec, G, u0 = _prepare(cfg)
-    chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
-    c0 = _chain_c0(cfg, G, chain)
-    energy = energy_estimate(chain, G, u0, c0, cfg.slack)
-    extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
-    _write_run_artifacts(cfg, spec, chain, energy, extremum)
+    with _samples_writer(cfg, G) as samples:
+        [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol,
+                               on_row=samples.on_row)
+        c0 = _chain_c0(cfg, G, chain)
+        energy = energy_estimate(chain, G, u0, c0, cfg.slack)
+        extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
+        _write_run_artifacts(cfg, spec, chain, energy, extremum, samples)
     return EXIT_OK if (energy.passed and extremum.passed) else EXIT_CHECK_FAILED
 
 
@@ -206,9 +183,9 @@ def cmd_converge(cfg: RunConfig) -> int:
     rows = convergence_table(spec, cfg.initial, cfg.h_list, cfg.m,
                              oracle_steps=cfg.oracle_steps, rel_tol=cfg.rel_tol)
     _echo_config(cfg, cfg.out)
-    _write_csv(os.path.join(cfg.out, "convergence_table.csv"),
-               ["h", "m", "error", "observed_order"],
-               [(r.h, r.m, r.error, r.observed_order) for r in rows])
+    write_csv(os.path.join(cfg.out, "convergence_table.csv"),
+              ["h", "m", "error", "observed_order"],
+              [(r.h, r.m, r.error, r.observed_order) for r in rows])
     if all(r.error <= 1e-10 for r in rows):
         return EXIT_OK  # flat at rounding level (constant data); nothing to fit
     order = fit_order(rows)
@@ -226,7 +203,7 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
     resolvent = l2h1_interp_norm(dg, chain.times()[1:], G, dt=chain.delta)
     ratio = None if shifted == 0.0 else resolvent / shifted
     _echo_config(cfg, cfg.out)
-    _write_json(os.path.join(cfg.out, "comparison.json"), {
+    write_json(os.path.join(cfg.out, "comparison.json"), {
         "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
         "shifted_l2h1": shifted, "degiorgi_l2h1": resolvent, "ratio": ratio,
         "energy_report": energy.to_json_dict(),
@@ -262,9 +239,9 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
                          "diff_sup_l2": energy.sup_l2, "diff_l2h1": energy.dissipation,
                          "bound": energy.rhs, "c0_used": c0, "pass": energy.passed})
     _echo_config(cfg, cfg.out)
-    _write_json(os.path.join(cfg.out, "truncation_report.json"),
-                {"scenario": spec.to_dict(), "m": cfg.m, "slack": cfg.slack,
-                 "rows": rows, "pass": all_ok})
+    write_json(os.path.join(cfg.out, "truncation_report.json"),
+               {"scenario": spec.to_dict(), "m": cfg.m, "slack": cfg.slack,
+                "rows": rows, "pass": all_ok})
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
@@ -275,48 +252,49 @@ def cmd_verify(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed + 1)
     v0 = DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
     d0 = DiscreteFunction(u0.values - v0.values, 0.0)
-    chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
-                                           rel_tol=cfg.rel_tol)
-    c0 = _chain_c0(cfg, G, chain)
+    with _samples_writer(cfg, G) as samples:
+        chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
+                                               rel_tol=cfg.rel_tol, on_row=samples.on_row)
+        c0 = _chain_c0(cfg, G, chain)
 
-    energy = energy_estimate(chain, G, u0, c0, cfg.slack)
-    extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
-    contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack,
-                                     rel_tol=cfg.rel_tol)
-    del chain_v, chain_d  # not needed while the artifacts are written
+        energy = energy_estimate(chain, G, u0, c0, cfg.slack)
+        extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
+        contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack,
+                                         rel_tol=cfg.rel_tol)
+        del chain_v, chain_d  # not needed while the artifacts are written
 
-    catalog = default_test_catalog(G, chain.horizon)
-    if cfg.test_functions is not None:
-        wanted = set(cfg.test_functions)
-        unknown = wanted - {fn.name for fn in catalog}
-        if unknown:
-            raise ConfigError(f"test_functions: unknown names {sorted(unknown)}")
-        catalog = [fn for fn in catalog if fn.name in wanted]
-    weak_rows = weak_residual(chain, G, catalog)
+        catalog = default_test_catalog(G, chain.horizon)
+        if cfg.test_functions is not None:
+            wanted = set(cfg.test_functions)
+            unknown = wanted - {fn.name for fn in catalog}
+            if unknown:
+                raise ConfigError(f"test_functions: unknown names {sorted(unknown)}")
+            catalog = [fn for fn in catalog if fn.name in wanted]
+        weak_rows = weak_residual(chain, G, catalog)
 
-    att = initial_attainment_check(chain, G, u0, chain.h)
-    att_bound = chain.h * dirichlet_energy(G, chain.h, u0.values)
-    # the sample at h is one solve from u0, so each entry is off by at most
-    # rel_tol * ||M u0||_2 / min w (Varah 1975) and the distance by sqrt(sum w) times that
-    w_h = vertex_weights(G, chain.h)
-    att_err = (cfg.rel_tol * float(np.linalg.norm(w_h * u0.values)) / float(w_h.min())
-               * math.sqrt(float(w_h.sum())))
-    att_ok = max(att - att_err, 0.0) ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
+        att = initial_attainment_check(chain, G, u0, chain.h)
+        att_bound = chain.h * dirichlet_energy(G, chain.h, u0.values)
+        # the sample at h is one solve from u0, so each entry is off by at most
+        # rel_tol * ||M u0||_2 / min w (Varah 1975) and the distance by sqrt(sum w) times that
+        w_h = vertex_weights(G, chain.h)
+        att_err = (cfg.rel_tol * float(np.linalg.norm(w_h * u0.values)) / float(w_h.min())
+                   * math.sqrt(float(w_h.sum())))
+        att_ok = max(att - att_err, 0.0) ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
 
-    ok = bool(energy.passed and extremum.passed and contraction.passed and att_ok)
-    _write_run_artifacts(cfg, spec, chain, energy, extremum)
-    _write_json(os.path.join(cfg.out, "verify_report.json"), {
-        "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
-        "horizon": chain.horizon, "c0_used": c0,
-        "energy": energy.to_json_dict(),
-        "extremum": extremum.to_json_dict(),
-        "contraction": contraction.to_json_dict(),
-        "weak_residuals": [r.to_json_dict() for r in weak_rows],
-        "initial_attainment": {"t_small": chain.h, "distance": att,
-                               "minimality_bound_sq": att_bound,
-                               "solver_error": att_err, "pass": att_ok},
-        "pass": ok,
-    })
+        ok = bool(energy.passed and extremum.passed and contraction.passed and att_ok)
+        _write_run_artifacts(cfg, spec, chain, energy, extremum, samples)
+        write_json(os.path.join(cfg.out, "verify_report.json"), {
+            "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
+            "horizon": chain.horizon, "c0_used": c0,
+            "energy": energy.to_json_dict(),
+            "extremum": extremum.to_json_dict(),
+            "contraction": contraction.to_json_dict(),
+            "weak_residuals": [r.to_json_dict() for r in weak_rows],
+            "initial_attainment": {"t_small": chain.h, "distance": att,
+                                   "minimality_bound_sq": att_bound,
+                                   "solver_error": att_err, "pass": att_ok},
+            "pass": ok,
+        })
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -186,11 +187,14 @@ def run_interpolated(G: TimeWeightedGraph, u0: DiscreteFunction, h: float,
 
 
 def run_families(G: TimeWeightedGraph, initials: list[DiscreteFunction], h: float,
-                 m: int = 4, rel_tol: float = 1e-10) -> list[ChainFamily]:
+                 m: int = 4, rel_tol: float = 1e-10,
+                 on_row: Optional[Callable[[np.ndarray], None]] = None) -> list[ChainFamily]:
     """``run_interpolated`` from each initial value, sharing every operator.
 
     Each grid time's operator is assembled once and solved for all families
     together; a family's samples are bitwise those of running it alone.
+    ``on_row``, when given, is called with each finished row of the first
+    family in grid order, row 0 (its initial value) first.
     """
     for u0 in initials:
         _check_initial(u0, G)
@@ -201,12 +205,16 @@ def run_families(G: TimeWeightedGraph, initials: list[DiscreteFunction], h: floa
     runs = [np.empty((N * m + 1, G.n_vertices)) for _ in initials]
     for run, u0 in zip(runs, initials):
         run[0] = u0.values
+    if on_row is not None:
+        on_row(runs[0][0])
     for j in range(1, N * m + 1):
         A = operator_at(G, j * delta, h)
         rhs = [A.mass * run[max(j - m, 0)] for run in runs]
         xs = _solve(G, A, rhs, rel_tol)
         for run, x in zip(runs, xs):
             run[j] = x
+        if on_row is not None:
+            on_row(runs[0][j])
     return [ChainFamily(h=float(h), m=int(m), horizon=N * h, values=run) for run in runs]
 
 

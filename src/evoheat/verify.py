@@ -538,7 +538,12 @@ def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph,
         dt = float(gaps[0])
         if dt <= 0 or np.any(np.abs(gaps - dt) > _TIME_FUZZ * max(1.0, abs(dt))):
             raise ValueError("samples are not on a uniform time grid")
-    return sum(dt * dirichlet_energy(G, t, v) for t, v in zip(times, values))
+    # an explicit left-to-right loop: from Python 3.12 the builtin sum() of floats
+    # is compensated, and the artifact bytes must not depend on the interpreter
+    total = 0.0
+    for t, v in zip(times, values):
+        total += dt * dirichlet_energy(G, t, v)
+    return total
 
 
 def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,

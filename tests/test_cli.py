@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import evoheat as eh
+import evoheat.artifacts as artifacts
 from evoheat.cli import main
 from evoheat.geometry import Scenario
+from evoheat.scheme import ChainFamily
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -359,11 +362,150 @@ def test_oracle_failure_exits_three(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_cli_imports_numpy_only():
-    code = "import sys, evoheat.cli; print('scipy' in sys.modules)"
+def _python(code, **kwargs):
+    """Run ``code`` in a new interpreter that imports evoheat from this tree."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, **kwargs)
+
+
+def test_cli_imports_numpy_only():
+    code = "import sys, evoheat.cli; print('scipy' in sys.modules)"
+    done = _python(code, check=True)
     assert done.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# samples.csv writer: streamed through a forked child or formatted in-process
+# ---------------------------------------------------------------------------
+
+def _stream(monkeypatch, on):
+    if on and not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(artifacts, "_can_stream", lambda: on)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _read_all(outdir):
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+def test_streamed_samples_equal_in_process_on_extreme_floats(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((61, 6))
+    values[1] = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0]
+    chain = ChainFamily(h=0.1, m=3, horizon=2.0, values=values)  # delta = 0.1/3
+    written = {}
+    for on in (True, False):
+        _stream(monkeypatch, on)
+        path = tmp_path / str(on) / "samples.csv"
+        with artifacts.SamplesWriter(str(path), 6, chain.delta) as samples:
+            assert (samples.on_row is not None) == on
+            for row in chain.values if on else ():
+                samples.on_row(row)
+            samples.publish(chain)
+        written[on] = path.read_bytes()
+    _no_child_left()
+    assert written[True] == written[False]
+    lines = written[True].decode().splitlines()
+    assert lines[0] == "t,vertex,value"
+    assert [line.split(",")[2] for line in lines[7:13]] == [
+        "-0.0", "5e-324", "1e+308", "0.3333333333333333", "2.0", "-7.0"]
+    assert [float(line.split(",")[0]) for line in lines[1::6]] == chain.times().tolist()
+
+
+def test_streamed_torus_run_equals_in_process(tmp_path, monkeypatch):
+    scenario = {"kind": "product_torus", "nx": 8, "ny": 8, "T": 1.0}
+    assert not eh.build_scenario(Scenario.from_dict(scenario)).band_ordering.direct  # CG
+    cfg = _write_config(tmp_path, scenario=scenario, initial={"profile": "random"},
+                        h=0.1, m=4)
+    out = tmp_path / "out"  # one directory: run_config.json echoes it
+    written = {}
+    for on in (True, False):
+        _stream(monkeypatch, on)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        written[on] = _read_all(out)
+    assert written[True] == written[False]
+    assert len(written[True]) == 4
+
+
+@pytest.mark.parametrize("streamed", [True, False])
+def test_artifacts_are_readable_under_umask_022(tmp_path, monkeypatch, streamed):
+    _stream(monkeypatch, streamed)
+    cfg = _write_config(tmp_path)
+    old = os.umask(0o022)
+    try:
+        for command in ("run", "verify"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", cfg, "--out", out]) == 0
+            modes = {n: oct(stat.S_IMODE(os.stat(os.path.join(out, n)).st_mode))
+                     for n in os.listdir(out)}
+            assert "samples.csv" in modes
+            assert set(modes.values()) == {"0o644"}, modes
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_solver_failure_leaves_no_samples_and_no_child(tmp_path, monkeypatch, command):
+    _stream(monkeypatch, True)
+    cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 4},
+                        rel_tol=0.0)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()  # the writer made it for its temporary file, then removed it
+    assert not list(tmp_path.rglob("*.tmp"))
+    _no_child_left()
+
+
+def _broken_formatter(*args):
+    raise RuntimeError("formatter broke")
+
+
+def _drain_then_break(rows_fd, out_fd, n, delta):
+    with os.fdopen(rows_fd, "rb") as rows:
+        rows.read()  # every row and the end arrive; the parent learns of it when reaping
+    os.close(out_fd)
+    _broken_formatter()
+
+
+@pytest.mark.parametrize("name, broken", [("_format_sample", _broken_formatter),
+                                          ("_format_stream", _drain_then_break)])
+def test_failing_writer_child_fails_the_command(tmp_path, monkeypatch, capfd, name, broken):
+    _stream(monkeypatch, True)
+    monkeypatch.setattr(artifacts, name, broken)  # the fork inherits it
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="samples.csv writer failed"):
+        main(["run", "--config", cfg, "--out", str(out)])
+    assert not (out / "samples.csv").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+    _no_child_left()
+    assert "formatter broke" in capfd.readouterr().err
+
+
+def test_killed_parent_leaves_no_partial_samples(tmp_path):
+    # The parent dies after 3 of its rows, as if killed during the run or the
+    # checks; the child sees the pipe close without the end marker.
+    path = tmp_path / "out" / "samples.csv"
+    code = f"""if True:
+        import os, signal
+        import numpy as np
+        from evoheat import artifacts
+        artifacts._can_stream = lambda: True
+        samples = artifacts.SamplesWriter({str(path)!r}, 6, 0.1)
+        for row in np.ones((3, 6)):
+            samples.on_row(row)
+        os.kill(os.getpid(), signal.SIGKILL)
+        """
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    done = _python(code)  # returns once the child exits too: it shares stderr
+    assert done.returncode == -9
+    assert list(path.parent.iterdir()) == []  # the child removed its temporary file

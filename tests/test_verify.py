@@ -497,6 +497,16 @@ def test_l2h1_norm_hand_value():
     assert eh.l2h1_interp_norm(np.empty((0, 2)), [], TWO_VERTEX) == 0.0
 
 
+def test_l2h1_norm_sums_plainly_left_to_right():
+    # each 1e-16 term is below half an ulp of 1.0, so a plain running sum never
+    # moves while a compensated one (Python >= 3.12's sum()) ends near 1 + 1e-14
+    rows = np.array([[1.0, 0.0]] + [[1e-8, 0.0]] * 100)
+    times = np.linspace(0.0, 4.0, len(rows))
+    terms = [eh.dirichlet_energy(TWO_VERTEX, t, v) for t, v in zip(times, rows)]
+    assert terms[0] == 1.0 and math.fsum(terms) > 1.0
+    assert eh.l2h1_interp_norm(rows, times, TWO_VERTEX, dt=1.0) == 1.0
+
+
 def test_degiorgi_family_grid_and_static_ratio():
     G = build("static_circle", n=16)
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 2})
