@@ -2,7 +2,8 @@
 
 One JSON config drives every subcommand; flags override single fields.  Exit
 codes: 0 all checks passed, 1 a check failed (reports are still written),
-2 config error, 3 solver or reference-flow (oracle) failure.  Identical configs
+2 config error, 3 solver or reference-flow (oracle) failure, 4 an artifact
+could not be written (``I/O error:``).  Identical configs
 produce byte-identical artifacts: the solvers are deterministic and floats are
 written with shortest round-trip formatting.  Artifacts are written after the
 checks, each moved into place whole with the mode ``open`` would give it.
@@ -15,7 +16,7 @@ missing, the samples are formatted in-process after the checks.  Both paths
 use the same formatter, so the bytes are the same (see ``artifacts``).  A
 failed run or writer removes the temporary file, so samples.csv is never
 partial, and a parent killed before the file is published leaves none either;
-a failed writer raises ``OSError``.
+a failed writer exits 4.
 
 Config schema (all keys optional, defaults shown by --help):
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -50,11 +50,12 @@ from .geometry import (Scenario, ScenarioError, TimeWeightedGraph, build_scenari
 from .linalg import SolverError
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, DiscreteFunction, run_families, run_interpolated,
-                     truncate)
-from .verify import (EnergyReport, ExtremumReport, OracleError, contraction_report,
-                     default_test_catalog, degiorgi_family, energy_estimate,
-                     extremum_check, fit_order, initial_attainment_check,
-                     l2h1_interp_norm, convergence_table, weak_residual, weighted_l2_sq)
+                     steps_within_horizon, truncate)
+from .verify import (EnergyReport, ExtremumReport, OracleError, attainment_solve_error,
+                     contraction_report, default_test_catalog, degiorgi_family,
+                     energy_estimate, extremum_check, fit_order, initial_attainment_check,
+                     l2h1_interp_norm, convergence_table, solve_error_bounds,
+                     weak_residual, weighted_l2_sq)
 
 __all__ = ["RunConfig", "ConfigError", "main",
            "cmd_run", "cmd_converge", "cmd_compare_interp", "cmd_l2_limit", "cmd_verify"]
@@ -63,6 +64,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+EXIT_IO = 4
 
 
 class ConfigError(ValueError):
@@ -171,8 +173,9 @@ def cmd_run(cfg: RunConfig) -> int:
         [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol,
                                on_row=samples.on_row)
         c0 = _chain_c0(cfg, G, chain)
-        energy = energy_estimate(chain, G, u0, c0, cfg.slack)
-        extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
+        [run_error] = solve_error_bounds(G, [chain], cfg.rel_tol)
+        energy = energy_estimate(chain, G, c0, cfg.slack)
+        extremum = extremum_check(chain, solve_error=run_error)
         _write_run_artifacts(cfg, spec, chain, energy, extremum, samples)
     return EXIT_OK if (energy.passed and extremum.passed) else EXIT_CHECK_FAILED
 
@@ -197,7 +200,7 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
     spec, G, u0 = _prepare(cfg)
     chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
     c0 = _chain_c0(cfg, G, chain)
-    energy = energy_estimate(chain, G, u0, c0, cfg.slack)
+    energy = energy_estimate(chain, G, c0, cfg.slack)
     dg = degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m, rel_tol=cfg.rel_tol)
     shifted = energy.dissipation  # the l2h1 norm of the produced samples
     resolvent = l2h1_interp_norm(dg, chain.times()[1:], G, dt=chain.delta)
@@ -228,14 +231,13 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
         chain_full, *chains_n = run_families(G, [u0, *truncated], float(h), cfg.m,
                                              rel_tol=cfg.rel_tol)
         c0 = _chain_c0(cfg, G, chain_full)
-        for level, u0n, chain_n in zip(cfg.truncation_levels, truncated, chains_n):
+        for level, chain_n in zip(cfg.truncation_levels, chains_n):
             diff = ChainFamily(chain_full.h, chain_full.m, chain_full.horizon,
                                chain_full.values - chain_n.values)
-            d0 = DiscreteFunction(diff.values[0], 0.0)
-            energy = energy_estimate(diff, G, d0, c0, cfg.slack)
+            energy = energy_estimate(diff, G, c0, cfg.slack)
             all_ok = all_ok and energy.passed
             rows.append({"h": float(h), "level": float(level),
-                         "truncation_error": weighted_l2_sq(d0.values, w0),
+                         "truncation_error": weighted_l2_sq(diff.values[0], w0),
                          "diff_sup_l2": energy.sup_l2, "diff_l2h1": energy.dissipation,
                          "bound": energy.rhs, "c0_used": c0, "pass": energy.passed})
     _echo_config(cfg, cfg.out)
@@ -248,6 +250,13 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Full battery: run artifacts plus every check on one configuration."""
     spec, G, u0 = _prepare(cfg)
+    # the test functions need only the graph and the horizon: check the names before the run
+    catalog = default_test_catalog(G, steps_within_horizon(G.horizon, cfg.h) * cfg.h)
+    if cfg.test_functions is not None:
+        unknown = set(cfg.test_functions) - {fn.name for fn in catalog}
+        if unknown:
+            raise ConfigError(f"test_functions: unknown names {sorted(unknown)}")
+        catalog = [fn for fn in catalog if fn.name in cfg.test_functions]
     # the contraction check's chains from v0 and u0 - v0 share the run's operators
     rng = np.random.default_rng(cfg.seed + 1)
     v0 = DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
@@ -256,29 +265,19 @@ def cmd_verify(cfg: RunConfig) -> int:
         chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
                                                rel_tol=cfg.rel_tol, on_row=samples.on_row)
         c0 = _chain_c0(cfg, G, chain)
+        run_error, _, all_error = solve_error_bounds(G, [chain, chain_v, chain_d], cfg.rel_tol)
 
-        energy = energy_estimate(chain, G, u0, c0, cfg.slack)
-        extremum = extremum_check(chain, u0, G, rel_tol=cfg.rel_tol)
+        energy = energy_estimate(chain, G, c0, cfg.slack)
+        extremum = extremum_check(chain, solve_error=run_error)
         contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack,
-                                         rel_tol=cfg.rel_tol)
+                                         solve_error=all_error)
         del chain_v, chain_d  # not needed while the artifacts are written
 
-        catalog = default_test_catalog(G, chain.horizon)
-        if cfg.test_functions is not None:
-            wanted = set(cfg.test_functions)
-            unknown = wanted - {fn.name for fn in catalog}
-            if unknown:
-                raise ConfigError(f"test_functions: unknown names {sorted(unknown)}")
-            catalog = [fn for fn in catalog if fn.name in wanted]
         weak_rows = weak_residual(chain, G, catalog)
 
-        att = initial_attainment_check(chain, G, u0, chain.h)
+        att = initial_attainment_check(chain, G, chain.h)
         att_bound = chain.h * dirichlet_energy(G, chain.h, u0.values)
-        # the sample at h is one solve from u0, so each entry is off by at most
-        # rel_tol * ||M u0||_2 / min w (Varah 1975) and the distance by sqrt(sum w) times that
-        w_h = vertex_weights(G, chain.h)
-        att_err = (cfg.rel_tol * float(np.linalg.norm(w_h * u0.values)) / float(w_h.min())
-                   * math.sqrt(float(w_h.sum())))
+        att_err = attainment_solve_error(G, chain, cfg.rel_tol)
         att_ok = max(att - att_err, 0.0) ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
 
         ok = bool(energy.passed and extremum.passed and contraction.passed and att_ok)
@@ -371,6 +370,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -222,8 +222,8 @@ def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
                          rel_tol: float = 1e-10) -> DiscreteFunction:
     """Resolvent interpolation of a step sequence at an intermediate time.
 
-    ``seq`` is the full sequence u_0, u_1, ..., u_N (initial value included),
-    as array rows (``chain.values[::m]``) or as DiscreteFunctions.
+    ``seq`` holds the full sequence u_0, u_1, ..., u_N (initial value included)
+    as array rows, e.g. ``chain.values[::m]``.
     For t = (k-1)*h + delta with delta in (0, h], solves the shortened step
 
         (M_t + delta * S_t) u = M_t u_{k-1}
@@ -242,9 +242,6 @@ def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
     k = int(math.ceil(t / h - _TIME_FUZZ))
     k = min(max(k, 1), N)
     delta = t - (k - 1) * h
-    u_prev = seq[k - 1]
-    if isinstance(u_prev, DiscreteFunction):
-        u_prev = u_prev.values
     A = operator_at(G, t, delta)
-    [x] = _solve(G, A, [A.mass * u_prev], rel_tol)
+    [x] = _solve(G, A, [A.mass * seq[k - 1]], rel_tol)
     return DiscreteFunction(x, t)

@@ -18,6 +18,10 @@ The dissipation quadrature runs over the produced samples j = 1..N*m, which for
 m = 1 is exactly the step-sequence sum sum_k h * energy(u_k, kh); including the
 j = 0 sample would charge the scheme for the raw initial datum's Dirichlet
 energy, which it does not control.  It is ``l2h1_interp_norm`` of those rows.
+
+Every check reads the initial value from the chain's row 0 and takes its solver
+error as a plain number, computed once per run by ``solve_error_bounds`` (extremum,
+linearity) and ``attainment_solve_error`` (initial attainment).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .geometry import (_TIME_FUZZ, Scenario, TimeWeightedGraph, build_scenario,
 from .linalg import stiffness_apply
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, DiscreteFunction, degiorgi_interpolate,
-                     run_families, run_interpolated)
+                     run_interpolated)
 
 __all__ = [
     "weighted_l2_sq",
@@ -44,8 +48,9 @@ __all__ = [
     "ExtremumReport",
     "extremum_check",
     "ContractionReport",
-    "contraction_check",
     "contraction_report",
+    "solve_error_bounds",
+    "attainment_solve_error",
     "OracleError",
     "OracleResult",
     "semidiscrete_oracle",
@@ -102,19 +107,17 @@ class EnergyReport:
                 "pass": self.passed, "margin": self.margin}
 
 
-def energy_estimate(chain: ChainFamily, G: TimeWeightedGraph, u0: DiscreteFunction,
-                    c0: float, slack: float = 1e-8) -> EnergyReport:
+def energy_estimate(chain: ChainFamily, G: TimeWeightedGraph, c0: float,
+                    slack: float = 1e-8) -> EnergyReport:
     """Evaluate both sides of the energy estimate for a chain family.
 
-    ``c0`` must dominate the weight growth on the chain's own delta-grid
-    (``volume_growth_bound`` over that grid certifies it); a larger value only
-    slackens the bound.
+    The initial value is the chain's own row 0.  ``c0`` must dominate the weight
+    growth on the chain's own delta-grid (``volume_growth_bound`` over that grid
+    certifies it); a larger value only slackens the bound.
     """
-    if not np.array_equal(chain.values[0], u0.values):
-        raise ValueError("chain was not produced from the given initial value")
     if c0 < 0:
         raise ValueError(f"c0 must be nonnegative, got {c0}")
-    rhs = math.exp(c0 * chain.horizon) * weighted_l2_sq(u0.values, vertex_weights(G, 0.0))
+    rhs = math.exp(c0 * chain.horizon) * weighted_l2_sq(chain.values[0], vertex_weights(G, 0.0))
     times = chain.times()
     sup_l2 = max(weighted_l2_sq(v, vertex_weights(G, t)) for t, v in zip(times, chain.values))
     dissipation = l2h1_interp_norm(chain.values[1:], times[1:], G, dt=chain.delta)
@@ -143,23 +146,20 @@ class ExtremumReport:
                 "tol": self.tol, "pass": self.passed}
 
 
-def extremum_check(chain: ChainFamily, u0: DiscreteFunction,
-                   G: Optional[TimeWeightedGraph] = None, *,
-                   rel_tol: float = 1e-10) -> ExtremumReport:
+def extremum_check(chain: ChainFamily, *, solve_error: float) -> ExtremumReport:
     """Every sample must stay inside [min u0, max u0] up to solver error.
 
-    The exact steps obey the maximum principle, so a computed sample leaves the
-    range by at most its distance from the exact one.  Given the graph, the
-    tolerance is ``_solve_error_bound`` of the chain at the solver's ``rel_tol``
-    plus a rounding floor of 1e-12 * (max|u0| + 1); without it, the floor alone.
+    u0 is the chain's row 0.  The exact steps obey the maximum principle, so a
+    computed sample leaves the range by at most its distance from the exact one.
+    The tolerance is ``solve_error``, the chain's entry of ``solve_error_bounds``
+    (0 for exact solves), plus a rounding floor of 1e-12 * (max|u0| + 1).
     """
-    lo = float(u0.values.min())
-    hi = float(u0.values.max())
+    u0 = chain.values[0]
+    lo = float(u0.min())
+    hi = float(u0.max())
     produced = chain.values[1:]
     worst = max(float(produced.max()) - hi, lo - float(produced.min()), 0.0)
-    tol = 1e-12 * (float(np.max(np.abs(u0.values))) + 1.0)
-    if G is not None:
-        tol += _solve_error_bound(G, [chain], rel_tol)
+    tol = 1e-12 * (float(np.max(np.abs(u0))) + 1.0) + solve_error
     return ExtremumReport(lo=lo, hi=hi, worst_violation=worst, tol=tol,
                           passed=worst <= tol)
 
@@ -182,64 +182,63 @@ class ContractionReport:
                 "pass": self.passed}
 
 
-def contraction_check(G: TimeWeightedGraph, u0: DiscreteFunction, v0: DiscreteFunction,
-                      h: float, m: int, c0: float, slack: float = 1e-8,
-                      rel_tol: float = 1e-10) -> ContractionReport:
-    """Linearity of the scheme plus the energy estimate on the difference run.
+def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: ChainFamily,
+                       chain_d: ChainFamily, c0: float, slack: float = 1e-8, *,
+                       solve_error: float) -> ContractionReport:
+    """Judge chains run from u0, v0 and u0 - v0 on the same grid.
 
-    Runs chains from u0, v0 and u0 - v0 together and judges them with
-    ``contraction_report``.
+    The sample-wise difference of the first two must match the third (the scheme
+    is a fixed linear solve per step), and the difference run must satisfy the
+    energy estimate with the same c0, which is the contraction bound between the
+    two solutions.  The linearity tolerance is ``solve_error``, the three chains'
+    summed entry of ``solve_error_bounds``, plus a rounding floor of 1e-9 times
+    the data norms.
     """
-    d0 = DiscreteFunction(u0.values - v0.values, 0.0)
-    chain_u, chain_v, chain_d = run_families(G, [u0, v0, d0], h, m, rel_tol=rel_tol)
-    return contraction_report(G, chain_u, chain_v, chain_d, c0, slack, rel_tol=rel_tol)
+    gap = chain_u.values - chain_v.values
+    gap -= chain_d.values
+    residual = float(np.abs(gap, out=gap).max())
+    w0 = vertex_weights(G, 0.0)
+    tol = solve_error + 1e-9 * (weighted_l2(chain_u.values[0], w0)
+                                + weighted_l2(chain_v.values[0], w0))
+    energy = energy_estimate(chain_d, G, c0, slack)
+    return ContractionReport(linearity_residual=residual, linearity_tol=tol,
+                             difference_energy=energy,
+                             passed=bool(energy.passed and residual <= tol))
 
 
-def _solve_error_bound(G: TimeWeightedGraph, chains: list[ChainFamily],
-                       rel_tol: float) -> float:
-    """Sup-norm bound on how far the chains' samples, summed, lie from exact ones.
+# ---------------------------------------------------------------------------
+# solver error certificate
+# ---------------------------------------------------------------------------
+
+def solve_error_bounds(G: TimeWeightedGraph, families: list[ChainFamily],
+                       rel_tol: float) -> list[float]:
+    """Sup-norm bounds on how far the samples of one run's families lie from exact ones.
 
     Each sample solves (M_t + h S_t) x = M_t x_prev to a residual of at most
     rel_tol * ||M_t x_prev||_2.  The matrix is strictly diagonally dominant by
     the weights w_i(t), so the solve misses the exact x by at most that residual
     over min_i w_i(t) in the sup norm (Varah 1975).  The exact step is a
     sup-norm contraction, so these per-step errors add up along each chain.
-    Returns the largest per-sample sum over the given families.
+    Entry k is the largest per-sample sum over families[:k + 1], their errors
+    added sample by sample; one weight evaluation per grid time serves them all.
     """
-    m = chains[0].m
-    times = chains[0].times()
-    bound = np.zeros(len(times))
-    for j in range(1, len(bound)):
+    m = families[0].m
+    times = families[0].times()
+    bound = np.zeros((len(families), len(times)))
+    for j in range(1, len(times)):
         w = vertex_weights(G, times[j])
         prev = max(j - m, 0)
-        rhs = w * np.stack([chain.values[prev] for chain in chains])
-        error = rel_tol * float(np.linalg.norm(rhs, axis=1).sum()) / float(w.min())
-        bound[j] = bound[prev] + error
-    return float(bound.max())
+        norms = np.linalg.norm(w * np.stack([f.values[prev] for f in families]), axis=1)
+        bound[:, j] = bound[:, prev] + rel_tol * np.cumsum(norms) / float(w.min())
+    return [float(b) for b in bound.max(axis=1)]
 
 
-def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: ChainFamily,
-                       chain_d: ChainFamily, c0: float, slack: float = 1e-8, *,
-                       rel_tol: float = 1e-10) -> ContractionReport:
-    """Judge chains run from u0, v0 and u0 - v0 on the same grid.
-
-    The sample-wise difference of the first two must match the third (the scheme
-    is a fixed linear solve per step), and the difference run must satisfy the
-    energy estimate with the same c0, which is the contraction bound between the
-    two solutions.  The linearity tolerance is ``_solve_error_bound`` of the three
-    chains at the solver's ``rel_tol`` plus a rounding floor of 1e-9 times the
-    data norms.
-    """
-    gap = chain_u.values - chain_v.values
-    gap -= chain_d.values
-    residual = float(np.abs(gap, out=gap).max())
-    w0 = vertex_weights(G, 0.0)
-    tol = (_solve_error_bound(G, [chain_u, chain_v, chain_d], rel_tol)
-           + 1e-9 * (weighted_l2(chain_u.values[0], w0) + weighted_l2(chain_v.values[0], w0)))
-    energy = energy_estimate(chain_d, G, DiscreteFunction(chain_d.values[0], 0.0), c0, slack)
-    return ContractionReport(linearity_residual=residual, linearity_tol=tol,
-                             difference_energy=energy,
-                             passed=bool(energy.passed and residual <= tol))
+def attainment_solve_error(G: TimeWeightedGraph, chain: ChainFamily, rel_tol: float) -> float:
+    """Varah's bound, as in ``solve_error_bounds``, for the one solve from u0 (row 0)
+    to the sample at h, in the weighted l2 norm: sqrt(sum w) times the sup-norm bound."""
+    w = vertex_weights(G, chain.h)
+    return (rel_tol * float(np.linalg.norm(w * chain.values[0])) / float(w.min())
+            * math.sqrt(float(w.sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +502,8 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
 # ---------------------------------------------------------------------------
 
 def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
-                             u0: DiscreteFunction, t_small: float) -> float:
-    """Weighted l2 distance of the sample at t_small from the initial value.
+                             t_small: float) -> float:
+    """Weighted l2 distance of the sample at t_small from the initial value (row 0).
 
     t_small must lie on the chain's delta-grid (within 1e-9).  Useful facts: the
     distance at fixed ratio t_small/h shrinks like sqrt(h) or better as h -> 0,
@@ -519,7 +518,7 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
                          f"(delta = {delta})")
     if not (1 <= j < len(chain.values)):
         raise ValueError(f"t_small = {t_small} outside the run (0, {chain.horizon}]")
-    return weighted_l2(chain.values[j] - u0.values, vertex_weights(G, j * delta))
+    return weighted_l2(chain.values[j] - chain.values[0], vertex_weights(G, j * delta))
 
 
 def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph,

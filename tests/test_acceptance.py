@@ -47,7 +47,7 @@ def matrix_runs():
 def test_criterion_01_energy_estimate(matrix_runs, criterion_line):
     failures = []
     for spec, G, u0, chain, c0 in matrix_runs:
-        rep = eh.energy_estimate(chain, G, u0, c0, slack=SLACK)
+        rep = eh.energy_estimate(chain, G, c0, slack=SLACK)
         if not rep.passed:
             failures.append((spec.kind, chain.h, chain.m, rep))
     ok = criterion_line(
@@ -79,7 +79,7 @@ def test_criterion_02_pinching_stress(criterion_line):
         u0 = eh.DiscreteFunction(np.random.default_rng(42).standard_normal(n), 0.0)
         chain = eh.run_interpolated(G, u0, 0.05, m=2, rel_tol=MATRIX_REL_TOL)
         c0 = eh.volume_growth_bound(G, chain.times())
-        rep = eh.energy_estimate(chain, G, u0, c0, slack=SLACK)
+        rep = eh.energy_estimate(chain, G, c0, slack=SLACK)
         if not (rate_ok and c0 == 0.0 and rep.passed and rep.margin >= 0.0):
             failures.append((speed, realized, c0, rep))
     ok = criterion_line(
@@ -92,7 +92,7 @@ def test_criterion_02_pinching_stress(criterion_line):
 def test_criterion_03_maximum_principle(matrix_runs, criterion_line):
     failures = []
     for spec, G, u0, chain, c0 in matrix_runs:
-        rep = eh.extremum_check(chain, u0)
+        rep = eh.extremum_check(chain, solve_error=0.0)
         if not rep.passed:
             failures.append((spec.kind, chain.h, chain.m, rep))
     ok = criterion_line(
@@ -112,8 +112,10 @@ def test_criterion_04_contraction_pairs(criterion_line):
         for pair in range(10):
             u0 = eh.DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
             v0 = eh.DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
-            rep = eh.contraction_check(G, u0, v0, h, m, c0,
-                                       slack=SLACK, rel_tol=MATRIX_REL_TOL)
+            d0 = eh.DiscreteFunction(u0.values - v0.values, 0.0)
+            chains = eh.run_families(G, [u0, v0, d0], h, m, rel_tol=MATRIX_REL_TOL)
+            *_, solve_error = eh.solve_error_bounds(G, chains, MATRIX_REL_TOL)
+            rep = eh.contraction_report(G, *chains, c0, slack=SLACK, solve_error=solve_error)
             if not rep.passed:
                 failures.append((spec.kind, pair, rep))
     ok = criterion_line(
@@ -172,7 +174,7 @@ def test_criterion_07_initial_attainment(criterion_line):
     dists = []
     for h in (0.1, 0.05, 0.025, 0.0125):
         chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=MATRIX_REL_TOL)
-        dists.append(eh.initial_attainment_check(chain, G, u0, h))
+        dists.append(eh.initial_attainment_check(chain, G, h))
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
 
     h = 0.1
@@ -193,7 +195,7 @@ def test_criterion_08_interpolation_norms(criterion_line):
     u0 = eh.DiscreteFunction(np.random.default_rng(8).standard_normal(64), 0.0)
     chain = eh.run_interpolated(G, u0, 0.05, m=4, rel_tol=MATRIX_REL_TOL)
     c0 = eh.volume_growth_bound(G, chain.times())
-    rep = eh.energy_estimate(chain, G, u0, c0, slack=SLACK)
+    rep = eh.energy_estimate(chain, G, c0, slack=SLACK)
     shifted = eh.l2h1_interp_norm(chain.values[1:], chain.times()[1:], G, dt=chain.delta)
     dg = eh.degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m,
                             rel_tol=MATRIX_REL_TOL)

@@ -12,6 +12,7 @@ import pytest
 
 import evoheat as eh
 import evoheat.artifacts as artifacts
+import evoheat.cli as cli
 from evoheat.cli import main
 from evoheat.geometry import Scenario
 from evoheat.scheme import ChainFamily
@@ -296,6 +297,29 @@ def test_verify_test_function_filter(tmp_path):
     assert main(["verify", "--config", bad, "--out", out]) == 2
 
 
+def test_verify_rejects_unknown_test_function_before_the_run(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "run_families", lambda *args, **kwargs: runs.append(args))
+    cfg = _write_config(tmp_path, test_functions=["k1_sin", "k9_sin"])
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown names ['k9_sin']" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
+def test_verify_computes_the_solve_error_bounds_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(G, families, rel_tol):
+        calls.append(len(families))
+        return eh.solve_error_bounds(G, families, rel_tol)
+
+    monkeypatch.setattr(cli, "solve_error_bounds", counting)
+    cfg = _write_config(tmp_path)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [3]  # the run and the contraction check's two families, one pass
+
+
 def test_verify_linearity_tolerance_follows_tol_flag(tmp_path):
     # the 16x16 torus solves by Jacobi-CG, whose linearity residual at --tol 1e-6
     # sits far above a fixed 1e-9 * (data norms) tolerance
@@ -482,12 +506,13 @@ def test_failing_writer_child_fails_the_command(tmp_path, monkeypatch, capfd, na
     monkeypatch.setattr(artifacts, name, broken)  # the fork inherits it
     cfg = _write_config(tmp_path)
     out = tmp_path / "out"
-    with pytest.raises(OSError, match="samples.csv writer failed"):
-        main(["run", "--config", cfg, "--out", str(out)])
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
     assert not (out / "samples.csv").exists()
     assert not list(tmp_path.rglob("*.tmp"))
     _no_child_left()
-    assert "formatter broke" in capfd.readouterr().err
+    err = capfd.readouterr().err
+    assert "formatter broke" in err
+    assert "I/O error: samples.csv writer failed" in err
 
 
 def test_killed_parent_leaves_no_partial_samples(tmp_path):

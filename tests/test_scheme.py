@@ -85,7 +85,8 @@ def test_shifted_sample_differs_from_shortened_step():
     u0 = _df(np.cos(MOVING.coords[:, 0]))
     h, m = 0.25, 4
     chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
-    seq = [u0] + eh.run_discrete(MOVING, u0, h, 4, rel_tol=1e-12)
+    steps = eh.run_discrete(MOVING, u0, h, 4, rel_tol=1e-12)
+    seq = np.array([u0.values] + [u.values for u in steps])
     short = eh.degiorgi_interpolate(MOVING, seq, h, h / m, rel_tol=1e-12)
     assert np.abs(chain.values[1] - short.values).max() > 1e-3
 
@@ -104,13 +105,14 @@ def test_chains_are_independent_of_evaluation_order():
 
 def test_degiorgi_limits():
     h = 0.25
-    seq = [TWO_VERTEX_U0] + eh.run_discrete(TWO_VERTEX, TWO_VERTEX_U0, h, 4, rel_tol=1e-13)
+    steps = eh.run_discrete(TWO_VERTEX, TWO_VERTEX_U0, h, 4, rel_tol=1e-13)
+    seq = np.array([TWO_VERTEX_U0.values] + [u.values for u in steps])
     # delta -> 0 collapses onto the left endpoint of the step interval
     near = eh.degiorgi_interpolate(TWO_VERTEX, seq, h, h + 1e-8, rel_tol=1e-13)
-    assert np.abs(near.values - seq[1].values).max() < 1e-6
+    assert np.abs(near.values - seq[1]).max() < 1e-6
     # delta = h reproduces the defining system of the next step value
     att = eh.degiorgi_interpolate(TWO_VERTEX, seq, h, 2 * h, rel_tol=1e-13)
-    assert_allclose(att.values, seq[2].values, rtol=0, atol=1e-10)
+    assert_allclose(att.values, seq[2], rtol=0, atol=1e-10)
 
 
 def test_truncate_clamps_and_is_idempotent():
@@ -139,7 +141,7 @@ def test_truncation_never_raises_energy(seed, level):
 def test_maximum_principle(seed):
     u0 = _df(np.random.default_rng(seed).standard_normal(MOVING.n_vertices))
     chain = eh.run_interpolated(MOVING, u0, 0.2, m=2, rel_tol=1e-12)
-    rep = eh.extremum_check(chain, u0)
+    rep = eh.extremum_check(chain, solve_error=0.0)
     assert rep.passed, rep
 
 

@@ -164,7 +164,7 @@ def test_energy_estimate_static_constant():
     G = build("static_circle", n=8)
     u0 = _df(np.full(8, 2.0))
     chain = eh.run_interpolated(G, u0, 0.2, m=2, rel_tol=1e-13)
-    rep = eh.energy_estimate(chain, G, u0, c0=0.0)
+    rep = eh.energy_estimate(chain, G, c0=0.0)
     # ||u0||^2 = 4 * 2*pi both sides; dissipation is solver noise only
     assert_allclose(rep.rhs, 8 * math.pi, rtol=1e-13)
     assert_allclose(rep.sup_l2, rep.rhs, rtol=1e-10)
@@ -177,7 +177,7 @@ def test_energy_estimate_zero_data():
     G = build("static_circle", n=8)
     u0 = _df(np.zeros(8))
     chain = eh.run_interpolated(G, u0, 0.2, m=2)
-    rep = eh.energy_estimate(chain, G, u0, c0=0.0)
+    rep = eh.energy_estimate(chain, G, c0=0.0)
     assert rep.rhs == 0.0 and rep.sup_l2 == 0.0 and rep.margin == 0.0
     assert rep.passed
 
@@ -186,7 +186,7 @@ def test_energy_estimate_moving_metric_has_margin():
     u0 = _df(np.random.default_rng(3).standard_normal(12))
     chain = eh.run_interpolated(MOVING, u0, 0.1, m=2, rel_tol=1e-12)
     c0 = eh.volume_growth_bound(MOVING, chain.times())
-    rep = eh.energy_estimate(chain, MOVING, u0, c0)
+    rep = eh.energy_estimate(chain, MOVING, c0)
     assert c0 > 0
     assert rep.passed
     assert 0.0 < rep.margin < 1.0
@@ -197,7 +197,7 @@ def test_energy_estimate_detects_uncovered_growth():
     G = build("conformal_circle", n=8, amp=0.0, growth=4.0)
     u0 = _df(np.full(8, 2.5))
     chain = eh.run_interpolated(G, u0, 0.25, m=1, rel_tol=1e-12)
-    rep = eh.energy_estimate(chain, G, u0, c0=0.0)
+    rep = eh.energy_estimate(chain, G, c0=0.0)
     assert not rep.passed
     assert rep.margin < -1.0
 
@@ -206,10 +206,8 @@ def test_energy_estimate_input_validation():
     G = build("static_circle", n=8)
     u0 = _df(np.ones(8))
     chain = eh.run_interpolated(G, u0, 0.25, m=1)
-    with pytest.raises(ValueError, match="initial value"):
-        eh.energy_estimate(chain, G, _df(2 * np.ones(8)), c0=0.0)
     with pytest.raises(ValueError):
-        eh.energy_estimate(chain, G, u0, c0=-0.5)
+        eh.energy_estimate(chain, G, c0=-0.5)
 
 
 def test_energy_report_json_uses_pass_key():
@@ -225,7 +223,7 @@ def test_extremum_flags_fabricated_violation():
     u0 = _df([0.0, 1.0])
     bad = eh.ChainFamily(h=0.1, m=1, horizon=0.1,
                          values=np.array([u0.values, [0.2, 1.5]]))
-    rep = eh.extremum_check(bad, u0)
+    rep = eh.extremum_check(bad, solve_error=0.0)
     assert rep.lo == 0.0 and rep.hi == 1.0
     assert rep.worst_violation == pytest.approx(0.5)
     assert not rep.passed
@@ -237,7 +235,8 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
     floor = 1e-12 * (np.abs(u0.values).max() + 1.0)
     for rel_tol in (1e-12, 1e-6):
         chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=rel_tol)
-        rep = eh.extremum_check(chain, u0, MOVING, rel_tol=rel_tol)
+        [solve_error] = eh.solve_error_bounds(MOVING, [chain], rel_tol)
+        rep = eh.extremum_check(chain, solve_error=solve_error)
         assert rep.passed
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed
         # over the steps so far; the tolerance is the largest sum plus the floor
@@ -245,27 +244,36 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
         for j, t in enumerate(chain.times()[1:], start=1):
             w = eh.vertex_weights(MOVING, t)
             sums[j % 2] += rel_tol * np.linalg.norm(w * chain.values[max(j - 2, 0)]) / w.min()
-        assert rep.tol == pytest.approx(max(sums) + floor, rel=1e-12)
-        assert eh.extremum_check(chain, u0).tol == floor
+        assert solve_error == pytest.approx(max(sums), rel=1e-12)
+        assert rep.tol == floor + solve_error
+        assert eh.extremum_check(chain, solve_error=0.0).tol == floor
 
 
 def test_extremum_flags_sample_pushed_past_derived_bound():
     u0 = _df(np.random.default_rng(10).standard_normal(12))
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-8)
-    rep = eh.extremum_check(chain, u0, MOVING, rel_tol=1e-8)
+    [solve_error] = eh.solve_error_bounds(MOVING, [chain], 1e-8)
+    rep = eh.extremum_check(chain, solve_error=solve_error)
     assert rep.passed and rep.tol > 1e-9
     samples = chain.values.copy()
     samples[len(samples) // 2, 5] = u0.values.max() + 1.5 * rep.tol
     bad = eh.ChainFamily(chain.h, chain.m, chain.horizon, samples)
-    bad_rep = eh.extremum_check(bad, u0, MOVING, rel_tol=1e-8)
+    bad_rep = eh.extremum_check(bad, solve_error=solve_error)
     assert bad_rep.tol < 1.1 * rep.tol  # later samples step from the pushed one
     assert bad_rep.worst_violation > bad_rep.tol
     assert not bad_rep.passed
 
 
+def _contraction(u0, v0, c0):
+    """contraction_report on chains from u0, v0 and u0 - v0 over MOVING, h=0.25, m=2."""
+    chains = eh.run_families(MOVING, [u0, v0, _df(u0.values - v0.values)], 0.25, m=2)
+    *_, solve_error = eh.solve_error_bounds(MOVING, chains, 1e-10)
+    return eh.contraction_report(MOVING, *chains, c0, solve_error=solve_error)
+
+
 def test_contraction_identical_data():
     u0 = _df(np.random.default_rng(4).standard_normal(12))
-    rep = eh.contraction_check(MOVING, u0, u0, h=0.25, m=2, c0=1.0)
+    rep = _contraction(u0, u0, c0=1.0)
     assert rep.linearity_residual == 0.0
     assert rep.difference_energy.rhs == 0.0
     assert rep.passed
@@ -276,7 +284,7 @@ def test_contraction_exact_scaling():
     u0 = _df(np.random.default_rng(5).standard_normal(12))
     v0 = _df(2.0 * u0.values)
     c0 = eh.volume_growth_bound(MOVING, np.linspace(0, 1, 9))
-    rep = eh.contraction_check(MOVING, u0, v0, h=0.25, m=2, c0=c0)
+    rep = _contraction(u0, v0, c0)
     assert rep.linearity_residual == 0.0
     assert rep.passed
 
@@ -291,7 +299,8 @@ def test_contraction_tolerance_follows_solver_tolerance():
     tols = []
     for rel_tol in (1e-12, 1e-6):
         chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=rel_tol)
-        rep = eh.contraction_report(MOVING, *chains, c0, rel_tol=rel_tol)
+        *_, solve_error = eh.solve_error_bounds(MOVING, chains, rel_tol)
+        rep = eh.contraction_report(MOVING, *chains, c0, solve_error=solve_error)
         assert rep.passed
         tols.append(rep.linearity_tol)
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed over
@@ -302,9 +311,28 @@ def test_contraction_tolerance_follows_solver_tolerance():
             prev = max(j - 2, 0)
             sums[j % 2] += sum(rel_tol * np.linalg.norm(w * c.values[prev]) / w.min()
                                for c in chains)
-        assert rep.linearity_tol == pytest.approx(max(sums) + floor, rel=1e-12)
+        assert solve_error == pytest.approx(max(sums), rel=1e-12)
+        assert rep.linearity_tol == solve_error + floor
     assert floor < tols[0] < 2 * floor
     assert tols[1] > 1e3 * tols[0]
+
+
+@pytest.mark.parametrize("n_families", [1, 3])
+def test_solve_error_bounds_weigh_each_produced_sample_once(n_families):
+    rng = np.random.default_rng(8)
+    initials = [_df(rng.standard_normal(12)) for _ in range(n_families)]
+    chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=1e-8)
+    times = []
+    G = eh.TimeWeightedGraph(MOVING.n_vertices, MOVING.edges,
+                             lambda t: times.append(t) or MOVING.weights_at(t),
+                             MOVING.conductances_at, MOVING.horizon, MOVING.coords)
+    bounds = eh.solve_error_bounds(G, chains, 1e-8)
+    assert times == chains[0].times()[1:].tolist()
+    # entry k covers families[:k + 1]: each prefix gives its own call's bound bitwise
+    assert len(bounds) == n_families
+    for k in range(n_families):
+        assert eh.solve_error_bounds(MOVING, chains[:k + 1], 1e-8)[-1] == bounds[k]
+    assert bounds == sorted(bounds) and bounds[0] > 0.0
 
 
 def test_contraction_catches_difference_chain_off_by_tenfold_bound():
@@ -313,16 +341,17 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     chain_u, chain_v, chain_d = eh.run_families(
         MOVING, [u0, v0, _df(u0.values - v0.values)], 0.25, m=2, rel_tol=1e-8)
     c0 = eh.volume_growth_bound(MOVING, chain_u.times())
-    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, c0, rel_tol=1e-8)
+    *_, solve_error = eh.solve_error_bounds(MOVING, [chain_u, chain_v, chain_d], 1e-8)
+    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, c0, solve_error=solve_error)
     assert rep.passed
 
     j = len(chain_d.values) // 2
     samples = chain_d.values.copy()
     samples[j, 3] += 10.0 * rep.linearity_tol
     bad_d = eh.ChainFamily(chain_d.h, chain_d.m, chain_d.horizon, samples)
-    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0, rel_tol=1e-8)
+    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0, solve_error=solve_error)
     assert bad.difference_energy.passed
-    assert bad.linearity_tol == pytest.approx(rep.linearity_tol, rel=1e-3)
+    assert bad.linearity_tol == rep.linearity_tol
     assert bad.linearity_residual > 9.0 * bad.linearity_tol
     assert not bad.passed
 
@@ -459,9 +488,9 @@ def test_attainment_grid_validation():
     G = build("static_circle", n=8)
     chain = eh.run_interpolated(G, _df(np.ones(8)), 0.1, m=4)
     with pytest.raises(ValueError, match="grid"):
-        eh.initial_attainment_check(chain, G, _df(np.ones(8)), 0.03)
+        eh.initial_attainment_check(chain, G, 0.03)
     with pytest.raises(ValueError, match="outside"):
-        eh.initial_attainment_check(chain, G, _df(np.ones(8)), 0.0)
+        eh.initial_attainment_check(chain, G, 0.0)
 
 
 def test_attainment_minimality_bound():
@@ -471,7 +500,7 @@ def test_attainment_minimality_bound():
     delta = h / 4
     for j in (1, 2, 4):  # first-chain samples take one full step from u0
         t = j * delta
-        dist = eh.initial_attainment_check(chain, MOVING, u0, t)
+        dist = eh.initial_attainment_check(chain, MOVING, t)
         bound = h * eh.dirichlet_energy(MOVING, t, u0.values)
         assert dist ** 2 <= bound * (1 + 1e-8)
 
@@ -482,7 +511,7 @@ def test_attainment_shrinks_with_h():
     dists = []
     for h in (0.2, 0.1, 0.05):
         chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=1e-12)
-        dists.append(eh.initial_attainment_check(chain, G, u0, h))
+        dists.append(eh.initial_attainment_check(chain, G, h))
     assert dists[0] > dists[1] > dists[2]
 
 
