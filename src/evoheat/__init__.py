@@ -14,9 +14,9 @@ from .linalg import (SolverError, SpdOperator, StencilOperator, banded_solve, cg
                      dense_solve, half_edge_layout, rcm_ordering, spd_solve,
                      stiffness_apply)
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, DiscreteFunction, degiorgi_interpolate, euler_step,
-                     operator_at, run_discrete, run_families, run_interpolated,
-                     steps_within_horizon, truncate)
+from .scheme import (ChainFamily, degiorgi_interpolate, euler_step, operator_at,
+                     run_discrete, run_families, run_interpolated, steps_within_horizon,
+                     truncate)
 from .verify import (ContractionReport, ConvergenceRow, EnergyReport, ExtremumReport,
                      OracleError, OracleResult, TestFunction, WeakResidualRow,
                      attainment_solve_error, chain_error_vs_oracle, contraction_report,

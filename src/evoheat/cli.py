@@ -49,8 +49,8 @@ from .geometry import (Scenario, ScenarioError, TimeWeightedGraph, build_scenari
                        dirichlet_energy, vertex_weights, volume_growth_bound)
 from .linalg import SolverError
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, DiscreteFunction, run_families, run_interpolated,
-                     steps_within_horizon, truncate)
+from .scheme import (ChainFamily, run_families, run_interpolated, steps_within_horizon,
+                     truncate)
 from .verify import (EnergyReport, ExtremumReport, OracleError, attainment_solve_error,
                      contraction_report, default_test_catalog, degiorgi_family,
                      energy_estimate, extremum_check, fit_order, initial_attainment_check,
@@ -112,18 +112,14 @@ class RunConfig:
         return cfg
 
 
-def _resolve_scenario(cfg: RunConfig) -> Scenario:
+def _prepare(cfg: RunConfig):
     sc = cfg.scenario
     if isinstance(sc, str):
         with open(sc) as f:
             sc = json.load(f)
     if not isinstance(sc, dict):
         raise ConfigError(f"scenario: expected an object or a path, got {type(sc).__name__}")
-    return Scenario.from_dict(sc)
-
-
-def _prepare(cfg: RunConfig):
-    spec = _resolve_scenario(cfg)
+    spec = Scenario.from_dict(sc)
     G = build_scenario(spec)
     u0 = make_initial_data(G, cfg.initial, default_seed=cfg.seed)
     return spec, G, u0
@@ -182,8 +178,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_converge(cfg: RunConfig) -> int:
     """Error-vs-oracle table over h_list; exit 0 iff the fitted order is >= 0.8."""
-    spec = _resolve_scenario(cfg)
-    rows = convergence_table(spec, cfg.initial, cfg.h_list, cfg.m,
+    _, G, u0 = _prepare(cfg)
+    rows = convergence_table(G, u0, cfg.h_list, cfg.m,
                              oracle_steps=cfg.oracle_steps, rel_tol=cfg.rel_tol)
     _echo_config(cfg, cfg.out)
     write_csv(os.path.join(cfg.out, "convergence_table.csv"),
@@ -259,8 +255,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         catalog = [fn for fn in catalog if fn.name in cfg.test_functions]
     # the contraction check's chains from v0 and u0 - v0 share the run's operators
     rng = np.random.default_rng(cfg.seed + 1)
-    v0 = DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
-    d0 = DiscreteFunction(u0.values - v0.values, 0.0)
+    v0 = rng.standard_normal(G.n_vertices)
+    d0 = u0 - v0
     with _samples_writer(cfg, G) as samples:
         chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
                                                rel_tol=cfg.rel_tol, on_row=samples.on_row)
@@ -276,7 +272,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         weak_rows = weak_residual(chain, G, catalog)
 
         att = initial_attainment_check(chain, G, chain.h)
-        att_bound = chain.h * dirichlet_energy(G, chain.h, u0.values)
+        att_bound = chain.h * dirichlet_energy(G, chain.h, u0)
         att_err = attainment_solve_error(G, chain, cfg.rel_tol)
         att_ok = max(att - att_err, 0.0) ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
 

@@ -298,13 +298,6 @@ def _circle_graph(n: int, T: float, a_fn: Callable[[float, np.ndarray], np.ndarr
                              coords=x[:, None])
 
 
-def _check_conformal_positive(a_fn, T: float, x: np.ndarray, kind: str) -> None:
-    for t in np.linspace(0.0, T, 65):
-        a = np.asarray(a_fn(float(t), x), dtype=float)
-        if not np.all(a > 0):
-            raise ScenarioError(f"{kind}: conformal factor nonpositive at t={float(t):.6g}")
-
-
 def build_scenario(spec: Scenario) -> TimeWeightedGraph:
     """Construct the graph for a scenario, validating it on a fine time sample."""
     if spec.kind not in SCENARIO_KINDS:

@@ -373,7 +373,8 @@ def cg_solve(A: SpdOperator | StencilOperator, b: np.ndarray, rel_tol: float = 1
     ``SpdOperator``, assembled here.  When the recurrence residual meets the
     target, the true residual is recomputed; if drift has spoiled it the
     iteration restarts from the current iterate.  Raises SolverError (reporting
-    the relative residual achieved) if max_iter (default 50 n) is exhausted.
+    the relative residual achieved) if max_iter (default 50 n) is exhausted or
+    the search direction vanishes first (p.Ap = 0, as once the residual underflows).
     """
     if isinstance(A, SpdOperator):
         A = StencilOperator(A, half_edge_layout(A.n, A.edges))
@@ -416,10 +417,14 @@ def cg_solve(A: SpdOperator | StencilOperator, b: np.ndarray, rel_tol: float = 1
             r_norm = true_norm
         A.apply(p, out=Ap)
         pAp = float(np.dot(p, Ap))
-        if pAp <= 0.0:
+        if pAp < 0.0:
             raise SolverError(
                 f"cg_solve: breakdown (p.Ap = {pAp:.3e}); operator not positive definite?",
                 r_norm / b_norm)
+        if pAp == 0.0:  # p underflowed with the residual: say how far the solve got
+            raise SolverError(
+                f"cg_solve: search direction vanished (p.Ap = 0) at relative residual "
+                f"{r_norm / b_norm:.3e} (target {rel_tol:.3e})", r_norm / b_norm)
         alpha = rz / pAp
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)

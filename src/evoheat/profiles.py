@@ -14,7 +14,6 @@ import numpy as np
 
 from .geometry import TimeWeightedGraph, edge_conductances, vertex_weights
 from .linalg import SpdOperator
-from .scheme import DiscreteFunction
 
 __all__ = ["make_initial_data", "PROFILES"]
 
@@ -46,15 +45,15 @@ def _bump(G: TimeWeightedGraph, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * (d / width) ** 2)
 
 
-def make_initial_data(G: TimeWeightedGraph, spec: dict, default_seed: int = 0) -> DiscreteFunction:
-    """Build initial data from a profile spec like {"profile": "harmonic", "k": 1}.
+def make_initial_data(G: TimeWeightedGraph, spec: dict, default_seed: int = 0) -> np.ndarray:
+    """Initial data, one float per vertex, from a spec like {"profile": "harmonic", "k": 1}.
 
     Profiles:
       constant: {"value": c}                      all entries c (default 1.0)
       harmonic: {"k": int}                        cos(k x) on the first coordinate
       bump:     {"center": x0, "width": s}        periodic Gaussian bump in [0, 1]
       random:   {"seed": int, "dist": "normal"|"cauchy", "scale": s}
-      file:     {"path": p}                       JSON list of n values
+      file:     {"path": p}                       JSON list of n finite values
     """
     spec = dict(spec)
     profile = spec.pop("profile", None)
@@ -82,9 +81,11 @@ def make_initial_data(G: TimeWeightedGraph, spec: dict, default_seed: int = 0) -
         if values.shape != (G.n_vertices,):
             raise ValueError(f"file profile: expected {G.n_vertices} values, "
                              f"got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("file profile: values must be finite")
     else:
         raise ValueError(f"unknown initial-data profile {profile!r}, "
                          f"expected one of {', '.join(PROFILES)}")
     if spec:
         raise ValueError(f"initial-data profile {profile}: unknown keys {sorted(spec)}")
-    return DiscreteFunction(values, 0.0)
+    return values

@@ -23,6 +23,10 @@ energy bounds, which is the point of the comparison tooling in ``verify``.
 through the same operators, building and factoring each operator once; every
 family comes out bitwise as if run alone.  A family is one (N*m + 1, n) array
 whose row j is the sample at t = j*delta.
+
+Vertex functions are plain float vectors of length n.  A value's time is its
+place on the grid, never a tag it carries: ``run_discrete`` row k - 1 is u_k at
+t = k*h, and ``ChainFamily.times()`` gives the time of each family row.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .geometry import _TIME_FUZZ, TimeWeightedGraph, edge_conductances, vertex_w
 from .linalg import SpdOperator, spd_solve
 
 __all__ = [
-    "DiscreteFunction",
     "ChainFamily",
     "operator_at",
     "euler_step",
@@ -50,27 +53,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiscreteFunction:
-    """A vertex function tagged with the time its measure refers to."""
-
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"values must be a vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", v)
+def _vertex_values(u, G: TimeWeightedGraph, name: str) -> np.ndarray:
+    """``u`` as a float vector, checked to be finite with one entry per vertex."""
+    v = np.asarray(u, dtype=float)
+    if v.shape != (G.n_vertices,):
+        raise ValueError(f"{name} has shape {v.shape}, graph has {G.n_vertices} vertices")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
-def truncate(u: DiscreteFunction, n: float) -> DiscreteFunction:
-    """Clamp values to [-n, n] entrywise.  Idempotent; keeps the time tag."""
+def truncate(u: np.ndarray, n: float) -> np.ndarray:
+    """Clamp values to [-n, n] entrywise.  Idempotent."""
     if n <= 0:
         raise ValueError(f"truncation level must be positive, got {n}")
-    return DiscreteFunction(np.clip(u.values, -n, n), u.time)
+    return np.clip(np.asarray(u, dtype=float), -n, n)
 
 
 def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
@@ -86,31 +83,22 @@ def _solve(G: TimeWeightedGraph, A: SpdOperator, rhs: list[np.ndarray],
     return spd_solve(A, rhs, rel_tol=rel_tol, ordering=ordering, layout=layout)
 
 
-def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: DiscreteFunction,
-               rel_tol: float = 1e-10) -> DiscreteFunction:
+def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: np.ndarray,
+               rel_tol: float = 1e-10) -> np.ndarray:
     """One implicit step of length h, coefficients frozen at time t.
 
-    Solves (M_t + h S_t) u = M_t u_prev and tags the result with time t.  The
-    proximal weight is always 1/h regardless of how far u_prev's own time tag
-    lies in the past; interpolation chains rely on exactly that.
+    Solves (M_t + h S_t) u = M_t u_prev.  The proximal weight is always 1/h,
+    however far in the past u_prev was computed; interpolation chains rely on
+    exactly that.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     if not (0.0 < t <= G.horizon + _TIME_FUZZ * max(1.0, G.horizon)):
         raise ValueError(f"step time {t} outside (0, {G.horizon}]")
-    if u_prev.values.shape != (G.n_vertices,):
-        raise ValueError(f"u_prev has {len(u_prev.values)} entries, "
-                         f"graph has {G.n_vertices} vertices")
+    u_prev = _vertex_values(u_prev, G, "u_prev")
     A = operator_at(G, t, h)
-    [x] = _solve(G, A, [A.mass * u_prev.values], rel_tol)
-    return DiscreteFunction(x, t)
-
-
-def _check_initial(u0: DiscreteFunction, G: TimeWeightedGraph) -> None:
-    if u0.values.shape != (G.n_vertices,):
-        raise ValueError(f"u0 has {len(u0.values)} entries, graph has {G.n_vertices}")
-    if abs(u0.time) > _TIME_FUZZ:
-        raise ValueError(f"u0 must be tagged with time 0, got {u0.time}")
+    [x] = _solve(G, A, [A.mass * u_prev], rel_tol)
+    return x
 
 
 def steps_within_horizon(T: float, h: float) -> int:
@@ -125,19 +113,17 @@ def steps_within_horizon(T: float, h: float) -> int:
     return N
 
 
-def run_discrete(G: TimeWeightedGraph, u0: DiscreteFunction, h: float, N: int,
-                 rel_tol: float = 1e-10) -> list[DiscreteFunction]:
-    """The step sequence u_1, ..., u_N with u_k computed at time k*h."""
-    _check_initial(u0, G)
+def run_discrete(G: TimeWeightedGraph, u0: np.ndarray, h: float, N: int,
+                 rel_tol: float = 1e-10) -> np.ndarray:
+    """The step sequence as an (N, n) array: row k - 1 is u_k, computed at time k*h."""
+    prev = _vertex_values(u0, G, "u0")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N * h > G.horizon + _TIME_FUZZ * max(1.0, G.horizon):
         raise ValueError(f"N*h = {N * h} beyond graph horizon {G.horizon}")
-    out = []
-    prev = u0
+    out = np.empty((N, G.n_vertices))
     for k in range(1, N + 1):
-        prev = euler_step(G, k * h, h, prev, rel_tol=rel_tol)
-        out.append(prev)
+        prev = out[k - 1] = euler_step(G, k * h, h, prev, rel_tol=rel_tol)
     return out
 
 
@@ -174,7 +160,7 @@ class ChainFamily:
         return np.arange(len(self.values)) * self.delta
 
 
-def run_interpolated(G: TimeWeightedGraph, u0: DiscreteFunction, h: float,
+def run_interpolated(G: TimeWeightedGraph, u0: np.ndarray, h: float,
                      m: int = 4, rel_tol: float = 1e-10) -> ChainFamily:
     """Run all m chains of the shifted interpolation up to the horizon.
 
@@ -186,7 +172,7 @@ def run_interpolated(G: TimeWeightedGraph, u0: DiscreteFunction, h: float,
     return run_families(G, [u0], h, m, rel_tol=rel_tol)[0]
 
 
-def run_families(G: TimeWeightedGraph, initials: list[DiscreteFunction], h: float,
+def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
                  m: int = 4, rel_tol: float = 1e-10,
                  on_row: Optional[Callable[[np.ndarray], None]] = None) -> list[ChainFamily]:
     """``run_interpolated`` from each initial value, sharing every operator.
@@ -196,15 +182,14 @@ def run_families(G: TimeWeightedGraph, initials: list[DiscreteFunction], h: floa
     ``on_row``, when given, is called with each finished row of the first
     family in grid order, row 0 (its initial value) first.
     """
-    for u0 in initials:
-        _check_initial(u0, G)
+    initials = [_vertex_values(u0, G, "u0") for u0 in initials]
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     N = steps_within_horizon(G.horizon, h)
     delta = h / m
     runs = [np.empty((N * m + 1, G.n_vertices)) for _ in initials]
     for run, u0 in zip(runs, initials):
-        run[0] = u0.values
+        run[0] = u0
     if on_row is not None:
         on_row(runs[0][0])
     for j in range(1, N * m + 1):
@@ -219,7 +204,7 @@ def run_families(G: TimeWeightedGraph, initials: list[DiscreteFunction], h: floa
 
 
 def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
-                         rel_tol: float = 1e-10) -> DiscreteFunction:
+                         rel_tol: float = 1e-10) -> np.ndarray:
     """Resolvent interpolation of a step sequence at an intermediate time.
 
     ``seq`` holds the full sequence u_0, u_1, ..., u_N (initial value included)
@@ -244,4 +229,4 @@ def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
     delta = t - (k - 1) * h
     A = operator_at(G, t, delta)
     [x] = _solve(G, A, [A.mass * seq[k - 1]], rel_tol)
-    return DiscreteFunction(x, t)
+    return x

@@ -32,13 +32,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (_TIME_FUZZ, Scenario, TimeWeightedGraph, build_scenario,
-                       dirichlet_energy, edge_conductances, vertex_weights,
-                       volume_decay_rate)
+from .geometry import (_TIME_FUZZ, TimeWeightedGraph, dirichlet_energy, edge_conductances,
+                       vertex_weights, volume_decay_rate)
 from .linalg import stiffness_apply
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, DiscreteFunction, degiorgi_interpolate,
-                     run_interpolated)
+from .scheme import ChainFamily, _vertex_values, degiorgi_interpolate, run_interpolated
 
 __all__ = [
     "weighted_l2_sq",
@@ -269,7 +267,7 @@ class OracleResult:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
+def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
                         n_steps: int = 4096, self_check_tol: float = 1e-10) -> OracleResult:
     """Classical RK4 integration of the exact-in-time flow u' = -M_t^{-1} S_t u.
 
@@ -286,8 +284,7 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
     the exact float each run computes; the coefficient callables are pure, so
     the result is bitwise that of two separate runs.
     """
-    if u0.values.shape != (G.n_vertices,):
-        raise ValueError(f"u0 has {len(u0.values)} entries, graph has {G.n_vertices}")
+    u0 = _vertex_values(u0, G, "u0")
     if not (0 < T <= G.horizon + _TIME_FUZZ * max(1.0, G.horizon)):
         raise ValueError(f"T = {T} outside (0, {G.horizon}]")
     if n_steps < 2 or n_steps % 2:
@@ -315,8 +312,8 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: DiscreteFunction, T: float,
     dt = T / n_steps
     dt_half = T / half
     fine = np.empty((n_steps + 1, G.n_vertices))
-    fine[0] = u0.values
-    y_half = u0.values.copy()
+    fine[0] = u0
+    y_half = u0.copy()
     self_check = 0.0
     for i in range(half):
         # no stage time of this window lies below its two starting times
@@ -357,10 +354,6 @@ class ConvergenceRow:
     error: float
     observed_order: Optional[float]
 
-    def to_json_dict(self) -> dict:
-        return {"h": self.h, "m": self.m, "error": self.error,
-                "observed_order": self.observed_order}
-
 
 def chain_error_vs_oracle(chain: ChainFamily, G: TimeWeightedGraph,
                           oracle: OracleResult) -> float:
@@ -371,16 +364,14 @@ def chain_error_vs_oracle(chain: ChainFamily, G: TimeWeightedGraph,
     return err
 
 
-def convergence_table(spec: Scenario, u0_spec: dict, h_list, m: int = 1,
+def convergence_table(G: TimeWeightedGraph, u0: np.ndarray, h_list, m: int = 1,
                       oracle_steps: int = 4096, rel_tol: float = 1e-10) -> list[ConvergenceRow]:
-    """Errors of chain runs against the semi-discrete oracle for each h.
+    """Errors of chain runs from u0 against the semi-discrete oracle for each h.
 
     observed_order between consecutive rows is log(err ratio)/log(h ratio); it is
     None on the first row and whenever an error sits at rounding level (below
     1e-13), where the quotient measures noise.
     """
-    G = build_scenario(spec)
-    u0 = make_initial_data(G, u0_spec)
     oracle = semidiscrete_oracle(G, u0, G.horizon, oracle_steps)
     rows: list[ConvergenceRow] = []
     prev: Optional[ConvergenceRow] = None
@@ -425,7 +416,7 @@ def default_test_catalog(G: TimeWeightedGraph, T: float, ks=(1, 2)) -> list[Test
     """Low spatial harmonics times {sin(pi t/T), t(T-t)/T^2}, both vanishing at 0 and T."""
     catalog = []
     for k in ks:
-        psi = make_initial_data(G, {"profile": "harmonic", "k": int(k)}).values
+        psi = make_initial_data(G, {"profile": "harmonic", "k": int(k)})
         catalog.append(TestFunction(
             name=f"k{k}_sin", space=psi,
             profile=lambda t, T=T: math.sin(math.pi * t / T),
@@ -521,22 +512,8 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
     return weighted_l2(chain.values[j] - chain.values[0], vertex_weights(G, j * delta))
 
 
-def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph,
-                     dt: Optional[float] = None) -> float:
-    """sum_j dt * energy(values[j], times[j]) over the rows of ``values``.
-
-    dt is inferred from the (uniform) times when not given; a single sample
-    needs it explicitly.
-    """
-    if len(values) == 0:
-        return 0.0
-    if dt is None:
-        if len(values) < 2:
-            raise ValueError("dt is required for a single sample")
-        gaps = np.diff(times)
-        dt = float(gaps[0])
-        if dt <= 0 or np.any(np.abs(gaps - dt) > _TIME_FUZZ * max(1.0, abs(dt))):
-            raise ValueError("samples are not on a uniform time grid")
+def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph, dt: float) -> float:
+    """sum_j dt * energy(values[j], times[j]) over the rows of ``values``."""
     # an explicit left-to-right loop: from Python 3.12 the builtin sum() of floats
     # is compensated, and the artifact bytes must not depend on the interpreter
     total = 0.0
@@ -551,5 +528,5 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     delta-grid: row j - 1 is the value at t = j*delta, j = 1..N*m."""
     N = len(seq) - 1
     delta = h / m
-    return np.array([degiorgi_interpolate(G, seq, h, j * delta, rel_tol=rel_tol).values
+    return np.array([degiorgi_interpolate(G, seq, h, j * delta, rel_tol=rel_tol)
                      for j in range(1, N * m + 1)])

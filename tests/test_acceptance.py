@@ -36,7 +36,7 @@ def matrix_runs():
     for idx, spec in enumerate(CATALOG):
         G = eh.build_scenario(spec)
         rng = np.random.default_rng(100 + idx)
-        u0 = eh.DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
+        u0 = rng.standard_normal(G.n_vertices)
         for h, m in H_M:
             chain = eh.run_interpolated(G, u0, h, m, rel_tol=MATRIX_REL_TOL)
             c0 = eh.volume_growth_bound(G, chain.times())
@@ -76,7 +76,7 @@ def test_criterion_02_pinching_stress(criterion_line):
         realized = float(np.max(np.diff(logc, axis=0) / np.diff(grid)[:, None]))
         rate_ok = 0.8 * speed <= realized <= speed * (1 + 1e-6)
 
-        u0 = eh.DiscreteFunction(np.random.default_rng(42).standard_normal(n), 0.0)
+        u0 = np.random.default_rng(42).standard_normal(n)
         chain = eh.run_interpolated(G, u0, 0.05, m=2, rel_tol=MATRIX_REL_TOL)
         c0 = eh.volume_growth_bound(G, chain.times())
         rep = eh.energy_estimate(chain, G, c0, slack=SLACK)
@@ -110,9 +110,9 @@ def test_criterion_04_contraction_pairs(criterion_line):
         c0 = eh.volume_growth_bound(G, times)
         rng = np.random.default_rng(500 + idx)
         for pair in range(10):
-            u0 = eh.DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
-            v0 = eh.DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
-            d0 = eh.DiscreteFunction(u0.values - v0.values, 0.0)
+            u0 = rng.standard_normal(G.n_vertices)
+            v0 = rng.standard_normal(G.n_vertices)
+            d0 = u0 - v0
             chains = eh.run_families(G, [u0, v0, d0], h, m, rel_tol=MATRIX_REL_TOL)
             *_, solve_error = eh.solve_error_bounds(G, chains, MATRIX_REL_TOL)
             rep = eh.contraction_report(G, *chains, c0, slack=SLACK, solve_error=solve_error)
@@ -179,8 +179,8 @@ def test_criterion_07_initial_attainment(criterion_line):
 
     h = 0.1
     A = eh.operator_at(G, h, h)
-    x = eh.dense_solve(A, A.mass * u0.values)
-    dense_dist = eh.weighted_l2(x - u0.values, eh.vertex_weights(G, h))
+    x = eh.dense_solve(A, A.mass * u0)
+    dense_dist = eh.weighted_l2(x - u0, eh.vertex_weights(G, h))
     agree = abs(dists[0] - dense_dist) <= 1e-9
     ok = criterion_line(
         7, decreasing and agree,
@@ -192,7 +192,7 @@ def test_criterion_07_initial_attainment(criterion_line):
 def test_criterion_08_interpolation_norms(criterion_line):
     spec = Scenario(kind="oscillating_metric", T=1.0, params={"n": 64})
     G = eh.build_scenario(spec)
-    u0 = eh.DiscreteFunction(np.random.default_rng(8).standard_normal(64), 0.0)
+    u0 = np.random.default_rng(8).standard_normal(64)
     chain = eh.run_interpolated(G, u0, 0.05, m=4, rel_tol=MATRIX_REL_TOL)
     c0 = eh.volume_growth_bound(G, chain.times())
     rep = eh.energy_estimate(chain, G, c0, slack=SLACK)
@@ -213,12 +213,12 @@ def test_criterion_09_dense_agreement(criterion_line):
     for seed in range(20):
         G = random_static_graph(seed)
         rng = np.random.default_rng(seed + 900)
-        u0 = eh.DiscreteFunction(rng.standard_normal(G.n_vertices), 0.0)
+        u0 = rng.standard_normal(G.n_vertices)
         h = float(rng.uniform(0.05, 0.5))
         step = eh.euler_step(G, h, h, u0, rel_tol=1e-14)
         A = eh.operator_at(G, h, h)
-        dense = eh.dense_solve(A, A.mass * u0.values)
-        rel = np.linalg.norm(step.values - dense) / np.linalg.norm(dense)
+        dense = eh.dense_solve(A, A.mass * u0)
+        rel = np.linalg.norm(step - dense) / np.linalg.norm(dense)
         worst = max(worst, rel)
     ok = criterion_line(
         9, worst <= 1e-12,
@@ -230,7 +230,7 @@ def test_criterion_09_dense_agreement(criterion_line):
 def test_criterion_10_truncation_contraction(criterion_line):
     spec = Scenario(kind="conformal_circle", T=1.0, params={"n": 64})
     G = eh.build_scenario(spec)
-    u0 = eh.DiscreteFunction(np.random.default_rng(11).standard_cauchy(64), 0.0)
+    u0 = np.random.default_rng(11).standard_cauchy(64)
     w0 = eh.vertex_weights(G, 0.0)
     failures = []
     for h in (0.1, 0.02):
@@ -239,7 +239,7 @@ def test_criterion_10_truncation_contraction(criterion_line):
         bound_factor = math.exp(c0 * chain_full.horizon)
         for level in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
             u0n = eh.truncate(u0, level)
-            trunc_err = eh.weighted_l2_sq(u0.values - u0n.values, w0)
+            trunc_err = eh.weighted_l2_sq(u0 - u0n, w0)
             chain_n = eh.run_interpolated(G, u0n, h, m=1, rel_tol=MATRIX_REL_TOL)
             times = chain_full.times()
             diff_sup = max(

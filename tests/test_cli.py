@@ -129,6 +129,29 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert not os.path.exists(out)  # config errors must not leave artifacts
 
 
+@pytest.mark.parametrize("values", [[0.0] * 15 + [float("nan")], [1.0] * 15],
+                         ids=["nan", "short"])
+def test_bad_initial_file_exits_two_before_any_solve(tmp_path, monkeypatch, capsys, values):
+    data = tmp_path / "u0.json"
+    data.write_text(json.dumps(values))  # json writes nan as NaN, which it reads back
+    cfg = _write_config(tmp_path, initial={"profile": "file", "path": str(data)})
+    monkeypatch.setattr(cli, "run_families", lambda *a, **k: pytest.fail("solved"))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 2
+    assert "file profile" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_zero_tolerance_on_cg_graph_reports_the_residual(tmp_path, capsys):
+    cfg = _write_config(tmp_path, scenario={"kind": "product_torus", "nx": 12, "ny": 12},
+                        initial={"profile": "random"})
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out, "--tol", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "relative residual" in err and "target 0.000e+00" in err
+    assert "positive definite" not in err
+
+
 def test_solver_failure_exits_three(tmp_path, capsys):
     cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 4},
                         rel_tol=0.0)
@@ -154,6 +177,23 @@ def test_converge_command(tmp_path):
     assert lines[1].endswith(",")  # first row has no observed order
     for line in lines[2:]:
         assert 0.7 < float(line.rsplit(",", 1)[1]) < 1.3
+
+
+def test_converge_draws_random_data_from_the_seed_flag(tmp_path):
+    cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 8, "T": 1.0},
+                        initial={"profile": "random"}, h_list=[0.1, 0.05], m=1,
+                        rel_tol=1e-10)
+    tables = {}
+    for seed in (0, 7):
+        out = str(tmp_path / f"out{seed}")
+        assert main(["converge", "--config", cfg, "--out", out, "--seed", str(seed)]) == 0
+        tables[seed] = open(os.path.join(out, "convergence_table.csv")).read()
+    assert tables[0] != tables[7]
+    G = eh.build_scenario(Scenario.from_dict({"kind": "static_circle", "n": 8, "T": 1.0}))
+    u0 = eh.make_initial_data(G, {"profile": "random"}, default_seed=7)
+    rows = eh.convergence_table(G, u0, [0.1, 0.05], m=1)
+    assert [line.split(",")[2] for line in tables[7].splitlines()[1:]] == \
+        [repr(r.error) for r in rows]
 
 
 def test_converge_constant_data_is_flat_and_ok(tmp_path):
@@ -229,7 +269,7 @@ def test_l2_limit_report_equals_hand_loop(tmp_path):
         times = chain_full.times()
         for level in levels:
             u0n = eh.truncate(u0, float(level))
-            trunc_err = eh.weighted_l2_sq(u0.values - u0n.values, w0)
+            trunc_err = eh.weighted_l2_sq(u0 - u0n, w0)
             chain_n = eh.run_interpolated(G, u0n, h, m=2, rel_tol=1e-12)
             diff_sup = max(
                 eh.weighted_l2_sq(sf - sn, eh.vertex_weights(G, t))

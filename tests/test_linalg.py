@@ -70,6 +70,24 @@ def test_cg_reports_failure():
     assert "3" in str(excinfo.value)
 
 
+def test_cg_reports_underflowed_residual_and_target_not_indefiniteness():
+    # rel_tol 0 drives the residual to underflow, where p.Ap becomes exactly 0
+    A = random_operator(7)
+    b = np.random.default_rng(8).standard_normal(A.n)
+    with pytest.raises(eh.SolverError) as excinfo:
+        eh.cg_solve(A, b, rel_tol=0.0)
+    message = str(excinfo.value)
+    assert 0.0 < excinfo.value.relative_residual < 1e-100
+    assert f"relative residual {excinfo.value.relative_residual:.3e}" in message
+    assert "target 0.000e+00" in message
+    assert "positive definite" not in message
+    # a negative curvature still names the operator
+    negative = eh.SpdOperator(mass=-np.ones(2), edges=np.empty((0, 2), dtype=int),
+                              coeffs=np.empty(0), h=1.0)
+    with pytest.raises(eh.SolverError, match="not positive definite"):
+        eh.cg_solve(negative, np.ones(2))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000))
 def test_operator_symmetry_and_positivity(seed):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import evoheat as eh
+import evoheat.scheme as scheme
 
 from helpers import build
 
@@ -19,80 +20,73 @@ TWO_VERTEX = eh.TimeWeightedGraph.static(np.ones(2), np.array([[0, 1]]), np.ones
 # a moving metric with spatial variation, reused all over this module
 MOVING = build("conformal_circle", n=12, amp=0.4, omega=2.0, k_spatial=1)
 
-
-def _df(values, t=0.0):
-    return eh.DiscreteFunction(np.asarray(values, dtype=float), t)
-
-
-TWO_VERTEX_U0 = _df([1.0, -1.0])
+TWO_VERTEX_U0 = np.array([1.0, -1.0])
 
 
 def test_euler_step_hand_value():
-    u1 = eh.euler_step(TWO_VERTEX, 1.0, 1.0, _df([1.0, 0.0]), rel_tol=1e-14)
-    assert_allclose(u1.values, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
-    assert u1.time == 1.0
+    u1 = eh.euler_step(TWO_VERTEX, 1.0, 1.0, [1.0, 0.0], rel_tol=1e-14)
+    assert_allclose(u1, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
 
 
 def test_run_discrete_eigen_decay():
-    seq = eh.run_discrete(TWO_VERTEX, _df([1.0, -1.0]), 1.0, 3, rel_tol=1e-14)
-    assert_allclose(seq[0].values, [1.0 / 3.0, -1.0 / 3.0], rtol=1e-12)
-    assert_allclose(seq[2].values, [1.0 / 27.0, -1.0 / 27.0], rtol=1e-11)
-    assert [s.time for s in seq] == [1.0, 2.0, 3.0]
+    seq = eh.run_discrete(TWO_VERTEX, [1.0, -1.0], 1.0, 3, rel_tol=1e-14)
+    assert seq.shape == (3, 2)
+    assert_allclose(seq[0], [1.0 / 3.0, -1.0 / 3.0], rtol=1e-12)
+    assert_allclose(seq[2], [1.0 / 27.0, -1.0 / 27.0], rtol=1e-11)
 
 
 def test_constants_are_fixed_points():
-    u0 = _df(np.full(MOVING.n_vertices, 2.5))
+    u0 = np.full(MOVING.n_vertices, 2.5)
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=3, rel_tol=1e-13)
     for s in chain.values:
         assert_allclose(s, 2.5, rtol=1e-11)
 
 
 def test_interpolation_with_m1_is_the_step_sequence():
-    u0 = _df(np.random.default_rng(0).standard_normal(MOVING.n_vertices))
+    u0 = np.random.default_rng(0).standard_normal(MOVING.n_vertices)
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=1, rel_tol=1e-12)
     seq = eh.run_discrete(MOVING, u0, 0.25, 4, rel_tol=1e-12)
     assert chain.n_steps == 4
-    for got, t, want in zip(chain.values[1:], chain.times()[1:], seq):
-        assert np.array_equal(got, want.values)
-        assert t == want.time
+    for k, (got, t, want) in enumerate(zip(chain.values[1:], chain.times()[1:], seq), start=1):
+        assert np.array_equal(got, want)
+        assert t == k * 0.25  # the time run_discrete stepped row k - 1 at
 
 
 def test_chain_samples_at_step_multiples_match_step_sequence():
-    u0 = _df(np.random.default_rng(1).standard_normal(MOVING.n_vertices))
+    u0 = np.random.default_rng(1).standard_normal(MOVING.n_vertices)
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-12)
     seq = eh.run_discrete(MOVING, u0, 0.25, 4, rel_tol=1e-12)
     for k in range(1, 5):
         # with m a power of two the grid times coincide bitwise, so the solves do too
-        assert chain.times()[2 * k] == seq[k - 1].time
-        assert np.array_equal(chain.values[2 * k], seq[k - 1].values)
+        assert chain.times()[2 * k] == k * 0.25
+        assert np.array_equal(chain.values[2 * k], seq[k - 1])
     disc = chain.values[::chain.m]
-    assert np.array_equal(disc[0], u0.values)
-    assert np.array_equal(disc[3], seq[2].values)
+    assert np.array_equal(disc[0], u0)
+    assert np.array_equal(disc[3], seq[2])
 
 
 def test_early_samples_step_from_initial_value():
-    u0 = _df(np.cos(MOVING.coords[:, 0]))
+    u0 = np.cos(MOVING.coords[:, 0])
     h, m = 0.25, 4
     chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
     delta = h / m
     for j in (1, 2, 3):
         want = eh.euler_step(MOVING, j * delta, h, u0, rel_tol=1e-12)
-        assert np.array_equal(chain.values[j], want.values)
+        assert np.array_equal(chain.values[j], want)
 
 
 def test_shifted_sample_differs_from_shortened_step():
     # both live at t = delta, but the chain keeps the full proximal weight 1/h
-    u0 = _df(np.cos(MOVING.coords[:, 0]))
+    u0 = np.cos(MOVING.coords[:, 0])
     h, m = 0.25, 4
     chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
-    steps = eh.run_discrete(MOVING, u0, h, 4, rel_tol=1e-12)
-    seq = np.array([u0.values] + [u.values for u in steps])
+    seq = np.vstack([u0, eh.run_discrete(MOVING, u0, h, 4, rel_tol=1e-12)])
     short = eh.degiorgi_interpolate(MOVING, seq, h, h / m, rel_tol=1e-12)
-    assert np.abs(chain.values[1] - short.values).max() > 1e-3
+    assert np.abs(chain.values[1] - short).max() > 1e-3
 
 
 def test_chains_are_independent_of_evaluation_order():
-    u0 = _df(np.random.default_rng(2).standard_normal(MOVING.n_vertices))
+    u0 = np.random.default_rng(2).standard_normal(MOVING.n_vertices)
     h, m = 0.25, 3
     chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-10)
     delta = h / m
@@ -100,27 +94,26 @@ def test_chains_are_independent_of_evaluation_order():
         prev = u0
         for j in range(r if r else m, chain.n_steps * m + 1, m):
             prev = eh.euler_step(MOVING, j * delta, h, prev, rel_tol=1e-10)
-            assert np.array_equal(chain.values[j], prev.values)
+            assert np.array_equal(chain.values[j], prev)
 
 
 def test_degiorgi_limits():
     h = 0.25
-    steps = eh.run_discrete(TWO_VERTEX, TWO_VERTEX_U0, h, 4, rel_tol=1e-13)
-    seq = np.array([TWO_VERTEX_U0.values] + [u.values for u in steps])
+    seq = np.vstack([TWO_VERTEX_U0,
+                     eh.run_discrete(TWO_VERTEX, TWO_VERTEX_U0, h, 4, rel_tol=1e-13)])
     # delta -> 0 collapses onto the left endpoint of the step interval
     near = eh.degiorgi_interpolate(TWO_VERTEX, seq, h, h + 1e-8, rel_tol=1e-13)
-    assert np.abs(near.values - seq[1]).max() < 1e-6
+    assert np.abs(near - seq[1]).max() < 1e-6
     # delta = h reproduces the defining system of the next step value
     att = eh.degiorgi_interpolate(TWO_VERTEX, seq, h, 2 * h, rel_tol=1e-13)
-    assert_allclose(att.values, seq[2], rtol=0, atol=1e-10)
+    assert_allclose(att, seq[2], rtol=0, atol=1e-10)
 
 
 def test_truncate_clamps_and_is_idempotent():
-    u = _df([-5.0, 0.25, 7.0], t=0.5)
+    u = np.array([-5.0, 0.25, 7.0])
     v = eh.truncate(u, 2.0)
-    assert np.array_equal(v.values, [-2.0, 0.25, 2.0])
-    assert v.time == 0.5
-    assert np.array_equal(eh.truncate(v, 2.0).values, v.values)
+    assert np.array_equal(v, [-2.0, 0.25, 2.0])
+    assert np.array_equal(eh.truncate(v, 2.0), v)
     with pytest.raises(ValueError):
         eh.truncate(u, 0.0)
 
@@ -129,17 +122,17 @@ def test_truncate_clamps_and_is_idempotent():
 @given(st.integers(0, 10_000), st.floats(0.1, 10.0))
 def test_truncation_never_raises_energy(seed, level):
     rng = np.random.default_rng(seed)
-    u = _df(3.0 * rng.standard_normal(MOVING.n_vertices))
+    u = 3.0 * rng.standard_normal(MOVING.n_vertices)
     t = float(rng.uniform(0.0, 1.0))
-    before = eh.dirichlet_energy(MOVING, t, u.values)
-    after = eh.dirichlet_energy(MOVING, t, eh.truncate(u, level).values)
+    before = eh.dirichlet_energy(MOVING, t, u)
+    after = eh.dirichlet_energy(MOVING, t, eh.truncate(u, level))
     assert after <= before * (1 + 1e-12) + 1e-15
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_maximum_principle(seed):
-    u0 = _df(np.random.default_rng(seed).standard_normal(MOVING.n_vertices))
+    u0 = np.random.default_rng(seed).standard_normal(MOVING.n_vertices)
     chain = eh.run_interpolated(MOVING, u0, 0.2, m=2, rel_tol=1e-12)
     rep = eh.extremum_check(chain, solve_error=0.0)
     assert rep.passed, rep
@@ -149,32 +142,31 @@ def test_maximum_principle(seed):
 @given(st.integers(0, 10_000))
 def test_comparison_monotone(seed):
     rng = np.random.default_rng(seed)
-    u0 = _df(rng.standard_normal(MOVING.n_vertices))
-    v0 = _df(u0.values + np.abs(rng.standard_normal(MOVING.n_vertices)))
-    tol = 1e-12 * (np.abs(v0.values).max() + 1.0)
+    u0 = rng.standard_normal(MOVING.n_vertices)
+    v0 = u0 + np.abs(rng.standard_normal(MOVING.n_vertices))
+    tol = 1e-12 * (np.abs(v0).max() + 1.0)
     us = eh.run_discrete(MOVING, u0, 0.2, 5, rel_tol=1e-13)
     vs = eh.run_discrete(MOVING, v0, 0.2, 5, rel_tol=1e-13)
-    for uk, vk in zip(us, vs):
-        assert np.min(vk.values - uk.values) >= -tol
+    assert np.min(vs - us) >= -tol
 
 
 def test_mass_conserved_against_current_measure():
     u0 = eh.make_initial_data(MOVING, {"profile": "bump", "width": 0.5})
     prev = u0
-    for uk in eh.run_discrete(MOVING, u0, 0.1, 10, rel_tol=1e-12):
-        w = eh.vertex_weights(MOVING, uk.time)
-        drift = abs(np.dot(w, uk.values) - np.dot(w, prev.values))
-        assert drift <= 1e-10 * np.dot(w, np.abs(prev.values))
+    for k, uk in enumerate(eh.run_discrete(MOVING, u0, 0.1, 10, rel_tol=1e-12), start=1):
+        w = eh.vertex_weights(MOVING, k * 0.1)
+        drift = abs(np.dot(w, uk) - np.dot(w, prev))
+        assert drift <= 1e-10 * np.dot(w, np.abs(prev))
         prev = uk
 
 
 def test_dissipation_identity():
-    u0 = _df(np.random.default_rng(5).standard_normal(MOVING.n_vertices))
+    u0 = np.random.default_rng(5).standard_normal(MOVING.n_vertices)
     prev = u0
-    for uk in eh.run_discrete(MOVING, u0, 0.1, 10, rel_tol=1e-13):
-        w = eh.vertex_weights(MOVING, uk.time)
-        lhs = 2 * 0.1 * eh.dirichlet_energy(MOVING, uk.time, uk.values)
-        rhs = -2 * np.dot(w * (uk.values - prev.values), uk.values)
+    for k, uk in enumerate(eh.run_discrete(MOVING, u0, 0.1, 10, rel_tol=1e-13), start=1):
+        w = eh.vertex_weights(MOVING, k * 0.1)
+        lhs = 2 * 0.1 * eh.dirichlet_energy(MOVING, k * 0.1, uk)
+        rhs = -2 * np.dot(w * (uk - prev), uk)
         assert_allclose(lhs, rhs, rtol=1e-7, atol=1e-13)
         prev = uk
 
@@ -183,10 +175,10 @@ def test_exact_scalings_are_bitwise():
     # doubling and negation commute with every float operation in the solve,
     # on the direct path (MOVING) and on the CG path (the torus)
     for G in (MOVING, build("product_torus", nx=8, ny=8)):
-        u0 = _df(np.random.default_rng(6).standard_normal(G.n_vertices))
+        u0 = np.random.default_rng(6).standard_normal(G.n_vertices)
         base = eh.run_interpolated(G, u0, 0.25, m=2, rel_tol=1e-10)
-        doubled = eh.run_interpolated(G, _df(2.0 * u0.values), 0.25, m=2, rel_tol=1e-10)
-        negated = eh.run_interpolated(G, _df(-u0.values), 0.25, m=2, rel_tol=1e-10)
+        doubled = eh.run_interpolated(G, 2.0 * u0, 0.25, m=2, rel_tol=1e-10)
+        negated = eh.run_interpolated(G, -u0, 0.25, m=2, rel_tol=1e-10)
         for s, d, n in zip(base.values, doubled.values, negated.values):
             assert np.array_equal(d, 2.0 * s)
             assert np.array_equal(n, -s)
@@ -194,15 +186,15 @@ def test_exact_scalings_are_bitwise():
 
 def test_linearity_within_tolerance():
     rng = np.random.default_rng(7)
-    u0 = _df(rng.standard_normal(MOVING.n_vertices))
-    v0 = _df(rng.standard_normal(MOVING.n_vertices))
+    u0 = rng.standard_normal(MOVING.n_vertices)
+    v0 = rng.standard_normal(MOVING.n_vertices)
     a, b = 0.3, -1.7
-    w0 = _df(a * u0.values + b * v0.values)
+    w0 = a * u0 + b * v0
     cu = eh.run_interpolated(MOVING, u0, 0.2, m=2, rel_tol=1e-12)
     cv = eh.run_interpolated(MOVING, v0, 0.2, m=2, rel_tol=1e-12)
     cw = eh.run_interpolated(MOVING, w0, 0.2, m=2, rel_tol=1e-12)
     w_init = eh.vertex_weights(MOVING, 0.0)
-    scale = eh.weighted_l2(u0.values, w_init) + eh.weighted_l2(v0.values, w_init)
+    scale = eh.weighted_l2(u0, w_init) + eh.weighted_l2(v0, w_init)
     for su, sv, sw in zip(cu.values, cv.values, cw.values):
         gap = np.abs(sw - (a * su + b * sv)).max()
         assert gap <= 1e-9 * scale
@@ -217,7 +209,7 @@ def test_steps_within_horizon():
 
 
 def test_step_rejects_bad_arguments():
-    u = _df([1.0, 0.0])
+    u = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
         eh.euler_step(TWO_VERTEX, 0.0, 1.0, u)
     with pytest.raises(ValueError):
@@ -225,28 +217,35 @@ def test_step_rejects_bad_arguments():
     with pytest.raises(ValueError):
         eh.euler_step(TWO_VERTEX, 1.0, -1.0, u)
     with pytest.raises(ValueError):
-        eh.euler_step(TWO_VERTEX, 1.0, 1.0, _df([1.0, 0.0, 0.0]))
+        eh.euler_step(TWO_VERTEX, 1.0, 1.0, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        eh.euler_step(TWO_VERTEX, 1.0, 1.0, [1.0, np.inf])
 
 
-def test_runs_reject_bad_initial_tag():
+def test_runs_reject_bad_initial_value():
     with pytest.raises(ValueError):
-        eh.run_discrete(TWO_VERTEX, _df([1.0, 0.0], t=0.5), 1.0, 2)
+        eh.run_discrete(TWO_VERTEX, [1.0, 0.0, 0.0], 1.0, 2)
     with pytest.raises(ValueError):
-        eh.run_interpolated(TWO_VERTEX, _df([1.0, 0.0]), 1.0, m=0)
+        eh.run_interpolated(TWO_VERTEX, [1.0, 0.0], 1.0, m=0)
 
 
-def test_discrete_function_validation():
-    with pytest.raises(ValueError):
-        eh.DiscreteFunction(np.array([1.0, np.nan]), 0.0)
-    with pytest.raises(ValueError):
-        eh.DiscreteFunction(np.ones((2, 2)), 0.0)
+@pytest.mark.parametrize("bad, message", [
+    ([1.0, np.nan], "finite"), ([np.inf, 0.0], "finite"), ([[1.0, 0.0]], "shape"), ([1.0], "shape"),
+], ids=["nan", "inf", "matrix", "short"])
+def test_run_families_rejects_bad_initial_value_before_any_solve(bad, message, monkeypatch):
+    built = []
+    monkeypatch.setattr(scheme, "operator_at", lambda *args: built.append(args))
+    rows = []
+    with pytest.raises(ValueError, match=message):
+        eh.run_families(TWO_VERTEX, [[1.0, 0.0], bad], 1.0, m=1, on_row=rows.append)
+    assert built == [] and rows == []
 
 
 @pytest.mark.parametrize("G", [MOVING, build("product_torus", nx=8, ny=8, T=0.5)],
                          ids=["direct", "cg"])
 def test_families_stepped_together_match_each_run_alone(G):
     rng = np.random.default_rng(8)
-    initials = [_df(rng.standard_normal(G.n_vertices)) for _ in range(3)]
+    initials = [rng.standard_normal(G.n_vertices) for _ in range(3)]
     together = eh.run_families(G, initials, 0.1, m=2, rel_tol=1e-10)
     for u0, family in zip(initials, together):
         alone = eh.run_interpolated(G, u0, 0.1, m=2, rel_tol=1e-10)
