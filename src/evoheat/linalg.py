@@ -6,19 +6,25 @@ so A applied to a constant vector returns M times it.
 
 Which solver runs is decided by the graph, never by the caller.  The vertices are
 put in reverse Cuthill-McKee order (Cuthill & McKee 1969), which the edge set alone
-determines, so a graph computes it once for all times.  When the bandwidth b of A
-in that order is at most DIRECT_MAX_BANDWIDTH (cycles have b = 2, paths b = 1),
-A is factored as L D L^T in band form with plain scalar loops, n*b^2 work, and the
-factors serve every right-hand side of the step.  Wider graphs (a k x k torus has
-b ~ 2k) use conjugate gradients with Jacobi preconditioning on an assembled
-stencil: the graph's half-edges are laid out once as a (K, n) neighbour table,
-K the least degree, plus a coordinate list for the rest (Bell & Garland's HYB
-layout), and each step's A is assembled on it once for all right-hand sides, so
-a mat-vec is one gather, one product and one column sum.  Both solvers are
-written out by hand so the operation order is fixed and runs are
-bit-reproducible, and both keep one residual contract: the true residual
-||A x - b||_2 must reach rel_tol * ||b||_2 or SolverError is raised.  A dense
-direct path is provided as an internal oracle for small systems.
+determines, so a graph computes it once for all times.  ``spd_solve`` takes a
+round: T operators on one graph and k right-hand sides for each.  When the
+bandwidth b of A in that order is at most DIRECT_MAX_BANDWIDTH (cycles have
+b = 2, paths b = 1), the band is cut into b x b blocks, which makes A block
+tridiagonal, and all T operators are factored together by block cyclic
+reduction (Heller 1976; stable for block diagonally dominant matrices such as
+M + h*S): each of the ceil(log2(n/b)) levels eliminates every other block with a
+few batched numpy calls, and every column of the round is then solved in one
+pass over the levels.  Wider graphs (a k x k torus has b ~ 2k) use conjugate
+gradients with Jacobi preconditioning on an assembled stencil: the graph's
+half-edges are laid out once as a (K, n) neighbour table, K the least degree,
+plus a coordinate list for the rest (Bell & Garland's HYB layout), and each
+operator is assembled on it once for all its right-hand sides, so a mat-vec is
+one gather, one product and one column sum.  Both solvers fix the order of
+every floating-point operation, so runs are bit-reproducible and a column
+solved alongside others is bitwise the column solved alone, and both keep one
+residual contract: the true residual ||A x - b||_2 must reach rel_tol * ||b||_2
+or SolverError is raised.  A dense direct path is provided as an internal
+oracle for small systems.
 """
 
 from __future__ import annotations
@@ -34,15 +40,21 @@ __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Stenc
            "spd_solve", "banded_solve", "cg_solve", "dense_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
-# assembly included, against Jacobi-CG at rel_tol 1e-10, in ms (best of 3 x 40 on
-# a 2-CPU VM, Python 3.11, numpy 2.4; step operators at h = 0.1 of conformal_circle
-# and product_torus, the ring grid scaled like a 2 x k torus):
-#   b = 2   cycle n=64 0.17 vs 0.51, n=1024 1.8 vs 9.6
-#   b = 5   2 x 32 ring grid 0.34 vs 0.39, 2 x 512 3.8 vs 10.7
-#   b = 8   3 x 64 torus 1.1 vs 0.70, 3 x 342 6.4 vs 6.5
-#   b = 10  4 x 256 torus 8.1 vs 5.1;  b = 95 (48 x 48 torus) 843 vs 2.3
-# The factorization costs n*b^2 and CG about n per iteration, so the band wins
-# everywhere up to b = 5 and ties or loses from b = 8 on.
+# assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
+# in ms (best of 3 x 40, best of three such runs, on a 2-CPU VM, Python 3.11,
+# numpy 2.4; step operators at h = 0.1 of conformal_circle and product_torus,
+# the ring grid scaled like a 2 x k torus):
+#   b = 2   cycle n=64 0.52 vs 0.41, n=1024 1.25 vs 10.5
+#   b = 5   2 x 32 ring grid 0.92 vs 0.40, 2 x 512 2.42 vs 12.0
+#   b = 8   3 x 64 torus 2.30 vs 1.40, 3 x 342 5.56 vs 11.2
+#   b = 10  4 x 256 torus 6.06 vs 7.56;  b = 95 (48 x 48 torus) 580 vs 2.7
+# A lone solve pays about 0.1 ms per reduction level whatever n, so CG wins it
+# on small graphs at every b, and the band wins from n ~ 1000 up to b = 8,
+# about ties at b = 10 and loses far beyond.  Lone solves no longer separate
+# b <= 5 from b = 8, so the table gives no reason to move the cutoff, which
+# stays at 5 until a graph with 5 < b <= 10 is measured end to end.  A round of
+# 4 operators x 3 columns, as ``run_families`` solves it, favours the band at
+# every b up to 10: 1.2 vs 5.2 ms at n=64, b = 2; 16 vs 109 ms at b = 10.
 DIRECT_MAX_BANDWIDTH = 5
 
 # Refinement sweeps the direct path may spend on a residual that misses rel_tol.
@@ -109,24 +121,33 @@ class SpdOperator:
 
 
 class BandOrdering(NamedTuple):
-    """A vertex order and where each edge's matrix entry falls in band storage.
+    """A vertex order and where each entry of A falls in block tridiagonal storage.
 
-    perm[p] is the vertex at band position p.  Edge e contributes the entry in
-    band row edge_rows[e] (the later of its endpoints' positions) and column slot
-    edge_slots[e] = bandwidth - (row - earlier position); slot k of row p holds
-    column p - bandwidth + k.  A NamedTuple because a frozen dataclass costs
-    about 1.5 ms more to create at import.
+    perm[p] is the vertex at band position p.  Positions are cut into blocks of
+    s = ``block_size`` = max(bandwidth, 1), the last one padded to s with unit
+    diagonal rows, so that A is block tridiagonal.  An operator's diagonal blocks
+    and the blocks left of them are stored as one (2, blocks, s, s) array: flat
+    index entry_index[k] receives the entry -h*c of edge entry_edges[k] (an edge
+    inside a block fills both of its symmetric entries, one across blocks only
+    the one below the diagonal) and diag_index[p] the diagonal at position p.
+    A NamedTuple because a frozen dataclass costs about 1.5 ms more to create
+    at import.
     """
 
     perm: np.ndarray
     bandwidth: int
-    edge_rows: np.ndarray
-    edge_slots: np.ndarray
+    entry_index: np.ndarray
+    entry_edges: np.ndarray
+    diag_index: np.ndarray
 
     @property
     def direct(self) -> bool:
         """Whether ``spd_solve`` factors operators on this order (else CG)."""
         return self.bandwidth <= DIRECT_MAX_BANDWIDTH
+
+    @property
+    def block_size(self) -> int:
+        return max(self.bandwidth, 1)
 
 
 def rcm_ordering(n: int, edges: np.ndarray) -> BandOrdering:
@@ -164,97 +185,209 @@ def rcm_ordering(n: int, edges: np.ndarray) -> BandOrdering:
     p = pos[edges]
     rows, cols = p.max(axis=1), p.min(axis=1)
     bandwidth = int((rows - cols).max(initial=0))
-    return BandOrdering(perm, bandwidth, rows, bandwidth - (rows - cols))
+    # entry (r, c), c in r's block or the one before, sits at r*s + c mod s in
+    # the diagonal blocks or the same offset in the blocks left of them
+    s = max(bandwidth, 1)
+    padded = -(-n // s) * s
+    same_block = rows // s == cols // s
+    inside = np.flatnonzero(same_block)
+    lower = rows * s + cols % s + np.where(same_block, 0, padded * s)
+    entry_index = np.concatenate([lower, cols[inside] * s + rows[inside] % s])
+    entry_edges = np.concatenate([np.arange(len(edges)), inside])
+    positions = np.arange(padded)
+    return BandOrdering(perm, bandwidth, entry_index, entry_edges, positions * s + positions % s)
 
 
-def _band_ldl(diag: list, band: list, b: int) -> list:
-    """L D L^T of a banded SPD matrix, in place: band[p] becomes row p of L.
+# Block storage puts the two block-entry axes first and the block index last:
+# matrices are (s, s, T, 1, blocks) and block vectors (s, T, k, blocks) for T
+# operators and k columns, so each block entry is one contiguous slab and every
+# block operation below is a few elementwise calls over all blocks, operators
+# and columns at once.
 
-    ``band[p][k]`` holds A[p, p - b + k], zero left of column 0; returns D.
-    Plain scalar loops, which beat any numpy call for small b.
+def _t(X: np.ndarray) -> np.ndarray:
+    """The blocks of X transposed (a view)."""
+    return X.swapaxes(0, 1)
+
+
+def _block_mul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Blockwise X @ Y: one elementwise product per inner index, added in order."""
+    out = X[:, 0, None] * Y[None, 0]
+    for j in range(1, len(Y)):
+        out += X[:, j, None] * Y[None, j]
+    return out
+
+
+def _block_apply(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Blockwise X v for block vectors v, as in ``_block_mul``."""
+    out = X[:, 0] * v[0]
+    for j in range(1, len(v)):
+        out += X[:, j] * v[j]
+    return out
+
+
+def _gauss_jordan(aug: np.ndarray) -> None:
+    """Reduce the leading (s, s) blocks of aug (s, w, ...) to I in place, without pivoting.
+
+    The pivots are those of L D L^T, so an operator that is not positive
+    definite shows a nonpositive one at some level of the reduction.
     """
-    rows = [[0.0] * b] * b + band  # rows[p + b] is row p; the zero rows pad columns < 0
-    D = [1.0] * b
-    for p, row in enumerate(band):
-        # w_k = L[p, c_k] * D[c_k] for the columns c_k = p - b + k, left to right
-        for k in range(1, b):
-            above = rows[p + k]
-            shift = b - k
-            s = row[k]
-            for c in range(k):
-                s -= row[c] * above[c + shift]
-            row[k] = s
-        d = diag[p]
-        for k, w in enumerate(row):
-            row[k] = w / D[p + k]
-            d -= w * row[k]
-        if not d > 0.0:
+    for j in range(len(aug)):
+        pivot = aug[j, j]
+        if not (pivot > 0.0).all():
             raise SolverError(
-                f"banded_solve: pivot {d:.3e} at position {p}; "
+                f"banded_solve: pivot {pivot.min():.3e} in block elimination; "
                 "operator not positive definite?", float("nan"))
-        D.append(d)
-    return D[b:]
+        row = aug[j] / pivot
+        aug -= aug[:, j, None] * row[None]
+        aug[j] = row
 
 
-def _band_substitute(L: list, D: list, b: int, rhs: list) -> list:
-    """Solve L D L^T x = rhs on the band factors."""
-    y = [0.0] * b + rhs  # y[p + b] is entry p
-    for p, row in enumerate(L):
-        s = y[p + b]
-        for k, lk in enumerate(row, p):
-            s -= lk * y[k]
-        y[p + b] = s
-    y[b:] = [z / d for z, d in zip(y[b:], D)]
-    for p in range(len(D) - 1, -1, -1):
-        xp = y[p + b]
-        for k, lk in enumerate(L[p], p):
-            y[k] -= lk * xp
-    return y[b:]
+def _band_blocks(ops: Sequence[SpdOperator], ordering: BandOrdering):
+    """Each operator's diagonal blocks D and the blocks B left of them.
 
-
-def banded_solve(A: SpdOperator, rhs: Sequence[np.ndarray], rel_tol: float = 1e-10,
-                 ordering: Optional[BandOrdering] = None) -> list[np.ndarray]:
-    """Solve A x = b for each b in rhs with one band L D L^T factorization.
-
-    A is assembled in the band storage of ``ordering`` (reverse Cuthill-McKee of
-    A's edges when None) and factored once.  Each solution's true residual is
-    then held to ||A x - b||_2 <= rel_tol * ||b||_2; a miss is refined with the
-    same factors up to _REFINEMENTS times before SolverError is raised.  Every
-    column goes through the same scalar operations whatever the others are, so
-    a column solved alongside others is bitwise the column solved alone.
+    Both are (s, s, T, 1, blocks); B[..., 0] is zero, and the axis of length 1
+    broadcasts over columns.
     """
+    s = ordering.block_size
+    padded = len(ordering.diag_index)
+    store = np.zeros((len(ops), 2 * padded * s))
+    diag = np.ones((len(ops), padded))
+    diag[:, :ordering.perm.size] = [A.diagonal()[ordering.perm] for A in ops]
+    store[:, ordering.diag_index] = diag
+    store[:, ordering.entry_index] = [(-A.h * A.coeffs)[ordering.entry_edges] for A in ops]
+    store = store.reshape(len(ops), 2, padded // s, s, s).transpose(1, 3, 4, 0, 2)
+    store = np.ascontiguousarray(store)[:, :, :, :, None, :]
+    return store[0], store[1]
+
+
+def _bcr_factor(D: np.ndarray, B: np.ndarray):
+    """Block cyclic reduction of the block tridiagonal SPD matrices with blocks (D, B).
+
+    Each level eliminates the odd blocks: Dinv inverts them, P = Dinv B_odd and
+    Q = Dinv C_odd (C the blocks right of the diagonal, B's transposes) couple
+    them to their even neighbours, whose Schur complement, again block
+    tridiagonal, is the next level's matrix.  ceil(log2(blocks)) levels leave
+    one block; returns the levels' (Dinv, P, Q) and that block's inverse.
+    """
+    s = len(D)
+    eye = np.eye(s)[:, :, None, None, None]
+    levels = []
+    while D.shape[-1] > 1:
+        n_even, n_odd = (D.shape[-1] + 1) // 2, D.shape[-1] // 2
+        B_even, B_odd = B[..., 0::2], B[..., 1::2]
+        aug = np.zeros((s, 4 * s) + D.shape[2:-1] + (n_odd,))
+        aug[:, :s] = D[..., 1::2]
+        aug[:, s:2 * s] = eye
+        aug[:, 2 * s:3 * s] = B_odd
+        # the block right of odd block q is B_{2q+2}^T; the last one may have none
+        aug[:, 3 * s:, ..., :n_even - 1] = _t(B_even[..., 1:])
+        _gauss_jordan(aug)
+        Dinv, P, Q = aug[:, s:2 * s], aug[:, 2 * s:3 * s], aug[:, 3 * s:, ..., :n_even - 1]
+        D = D[..., 0::2].copy()
+        D[..., :n_odd] -= _block_mul(_t(B_odd), P)
+        D[..., 1:] -= _block_mul(B_even[..., 1:], Q)
+        B = np.zeros_like(D)
+        B[..., 1:] = -_block_mul(B_even[..., 1:], P[..., :n_even - 1])
+        levels.append((Dinv, P, Q))
+    aug = np.zeros((s, 2 * s) + D.shape[2:])
+    aug[:, :s] = D
+    aug[:, s:] = eye
+    _gauss_jordan(aug)
+    return levels, aug[:, s:]
+
+
+def _bcr_solve(factors, f: np.ndarray) -> np.ndarray:
+    """Solve on ``_bcr_factor``'s factors for the block vectors f."""
+    levels, top = factors
+    odd_rhs = []
+    for Dinv, P, Q in levels:
+        f_odd = f[..., 1::2]
+        f_even = f[..., 0::2].copy()
+        f_even[..., :f_odd.shape[-1]] -= _block_apply(_t(P), f_odd)
+        f_even[..., 1:] -= _block_apply(_t(Q), f_odd[..., :Q.shape[-1]])
+        odd_rhs.append(f_odd)
+        f = f_even
+    x = _block_apply(top, f)
+    for (Dinv, P, Q), f_odd in zip(reversed(levels), reversed(odd_rhs)):
+        x_odd = _block_apply(Dinv, f_odd)
+        x_odd -= _block_apply(P, x[..., :f_odd.shape[-1]])
+        x_odd[..., :Q.shape[-1]] -= _block_apply(Q, x[..., 1:])
+        full = np.empty(x_odd.shape[:-1] + (x.shape[-1] + f_odd.shape[-1],))
+        full[..., 0::2] = x
+        full[..., 1::2] = x_odd
+        x = full
+    return x
+
+
+def _block_residual(D: np.ndarray, B: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """f - A x on the assembled blocks."""
+    r = f - _block_apply(D, x)
+    r[..., 1:] -= _block_apply(B[..., 1:], x[..., :-1])
+    r[..., :-1] -= _block_apply(_t(B[..., 1:]), x[..., 1:])
+    return r
+
+
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    """2-norm of each column of the block vectors v, summed along its own contiguous row."""
+    sq = np.moveaxis(np.square(v), 0, -1)
+    return np.sqrt(np.add.reduce(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1))
+
+
+def _round_rhs(ops: Sequence[SpdOperator], rhs) -> np.ndarray:
+    """``rhs`` as a float (T, k, n) array for the T operators of ``ops``."""
+    rhs = np.asarray(rhs, dtype=float)
+    if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({len(ops)}, k, "
+                         f"{ops[0].n if ops else 'n'})")
+    return rhs
+
+
+def banded_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
+                 ordering: Optional[BandOrdering] = None) -> np.ndarray:
+    """Solve ops[t] x = rhs[t, c] for each of T operators on one graph and k columns.
+
+    The operators are assembled as block tridiagonal matrices on ``ordering``
+    (reverse Cuthill-McKee of their edges when None) and factored together by
+    block cyclic reduction; every column is solved on its operator's factors
+    in one pass.  Each solution's true residual, computed on the assembled
+    blocks, is then held to ||A x - b||_2 <= rel_tol * ||b||_2; the columns
+    that miss are refined with the same factors up to _REFINEMENTS times
+    before SolverError is raised.  Every operation is elementwise in a fixed
+    order, and each norm is summed along its own column, so a column (and an
+    operator) solved alongside others is bitwise the one solved alone.
+    """
+    rhs = _round_rhs(ops, rhs)
     if ordering is None:
-        ordering = rcm_ordering(A.n, A.edges)
-    bw, perm = ordering.bandwidth, ordering.perm
-    band = np.zeros((A.n, bw))
-    band[ordering.edge_rows, ordering.edge_slots] = -A.h * A.coeffs
-    L = band.tolist()
-    D = _band_ldl(A.diagonal()[perm].tolist(), L, bw)
-
-    def solve(v: np.ndarray) -> np.ndarray:
-        x = np.empty(A.n)
-        x[perm] = _band_substitute(L, D, bw, v[perm].tolist())
-        return x
-
-    out = []
-    for b in rhs:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (A.n,):
-            raise ValueError(f"b has shape {b.shape}, expected ({A.n},)")
-        b_norm = float(np.linalg.norm(b))
-        x = solve(b)
-        for sweep in range(_REFINEMENTS + 1):
-            r = b - A.apply(x)
-            r_norm = float(np.linalg.norm(r))
-            if r_norm <= rel_tol * b_norm:
-                break
-            if sweep == _REFINEMENTS:
-                raise SolverError(
-                    f"banded_solve: relative residual {r_norm / b_norm:.3e} after "
-                    f"{_REFINEMENTS} refinements (target {rel_tol:.3e})",
-                    r_norm / b_norm)
-            x = x + solve(r)
-        out.append(x)
+        ordering = rcm_ordering(ops[0].n, ops[0].edges)
+    T, k, n = rhs.shape
+    s, padded = ordering.block_size, len(ordering.diag_index)
+    D, B = _band_blocks(ops, ordering)
+    f = np.zeros((T, k, padded))
+    f[..., :n] = rhs[..., ordering.perm]
+    f = np.ascontiguousarray(f.reshape(T, k, padded // s, s).transpose(3, 0, 1, 2))
+    factors = _bcr_factor(D, B)
+    x = _bcr_solve(factors, f)
+    r = _block_residual(D, B, f, x)
+    b_norm = _column_norms(f)
+    r_norm = _column_norms(r)
+    for _ in range(_REFINEMENTS):
+        t, c = np.nonzero(~(r_norm <= rel_tol * b_norm))  # a NaN residual misses too
+        if not len(t):
+            break
+        # only the columns that miss, each on its own operator's factors
+        sub = ([tuple(a[:, :, t] for a in level) for level in factors[0]], factors[1][:, :, t])
+        x[:, t, c] += _bcr_solve(sub, r[:, t, c, None])[:, :, 0]
+        r[:, t, c] = _block_residual(D[:, :, t], B[:, :, t], f[:, t, c, None],
+                                     x[:, t, c, None])[:, :, 0]
+        r_norm[t, c] = _column_norms(r[:, t, c])
+    miss = ~(r_norm <= rel_tol * b_norm)
+    if miss.any():
+        worst = float((r_norm[miss] / b_norm[miss]).max())
+        raise SolverError(
+            f"banded_solve: relative residual {worst:.3e} after "
+            f"{_REFINEMENTS} refinements (target {rel_tol:.3e})", worst)
+    out = np.empty((T, k, n))
+    out[..., ordering.perm] = x.transpose(1, 2, 3, 0).reshape(T, k, padded)[..., :n]
     return out
 
 
@@ -341,26 +474,33 @@ class StencilOperator:
         return out
 
 
-def spd_solve(A: SpdOperator, rhs: Sequence[np.ndarray], rel_tol: float = 1e-10,
+def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
               ordering: Optional[BandOrdering] = None,
-              layout: Optional[StencilLayout] = None) -> list[np.ndarray]:
-    """Solve A x = b for each b in rhs, to ||A x - b||_2 <= rel_tol * ||b||_2.
+              layout: Optional[StencilLayout] = None) -> np.ndarray:
+    """Solve ops[t] x = rhs[t, c] to ||A x - b||_2 <= rel_tol * ||b||_2 for every column.
 
-    The single solve entry point.  ``ordering`` is the reverse Cuthill-McKee
-    order of A's edges and ``layout`` their half-edge layout (each computed
-    here when None; graphs cache theirs).  Narrow bands factor A once for all
-    of rhs (``banded_solve``); wide ones assemble A once on the layout and run
-    ``cg_solve`` per column with its default iteration cap.  Raises SolverError
-    when the residual target is missed.
+    The single solve entry point, for a round of T operators on one graph and
+    a (T, k, n) array of right-hand sides; returns the (T, k, n) solutions.
+    ``ordering`` is the reverse Cuthill-McKee order of the edges and
+    ``layout`` their half-edge layout (each computed here when None; graphs
+    cache theirs).  Narrow bands factor all T operators at once and solve
+    every column in one pass (``banded_solve``); wide ones assemble each
+    operator once on the layout and run ``cg_solve`` per column with its
+    default iteration cap.  Raises SolverError when a residual target is missed.
     """
+    rhs = _round_rhs(ops, rhs)
     if ordering is None:
-        ordering = rcm_ordering(A.n, A.edges)
+        ordering = rcm_ordering(ops[0].n, ops[0].edges)
     if ordering.direct:
-        return banded_solve(A, rhs, rel_tol=rel_tol, ordering=ordering)
+        return banded_solve(ops, rhs, rel_tol=rel_tol, ordering=ordering)
     if layout is None:
-        layout = half_edge_layout(A.n, A.edges)
-    stencil = StencilOperator(A, layout)
-    return [cg_solve(stencil, b, rel_tol=rel_tol) for b in rhs]
+        layout = half_edge_layout(ops[0].n, ops[0].edges)
+    out = np.empty_like(rhs)
+    for A, columns, xs in zip(ops, rhs, out):
+        stencil = StencilOperator(A, layout)
+        for b, x in zip(columns, xs):
+            x[:] = cg_solve(stencil, b, rel_tol=rel_tol)
+    return out
 
 
 def cg_solve(A: SpdOperator | StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,

@@ -20,8 +20,8 @@ intermediate times; with moving coefficients the shortened step loses the unifor
 energy bounds, which is the point of the comparison tooling in ``verify``.
 
 ``run_families`` steps several chain families from different initial values
-through the same operators, building and factoring each operator once; every
-family comes out bitwise as if run alone.  A family is one (N*m + 1, n) array
+through the same operators, a round of m grid times at a time, building and
+factoring each operator once; every family comes out bitwise as if run alone.  A family is one (N*m + 1, n) array
 whose row j is the sample at t = j*delta.
 
 Vertex functions are plain float vectors of length n.  A value's time is its
@@ -75,12 +75,12 @@ def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
     return SpdOperator(vertex_weights(G, t), G.edges, edge_conductances(G, t), h)
 
 
-def _solve(G: TimeWeightedGraph, A: SpdOperator, rhs: list[np.ndarray],
-           rel_tol: float) -> list[np.ndarray]:
+def _solve(G: TimeWeightedGraph, ops: list[SpdOperator], rhs: np.ndarray,
+           rel_tol: float) -> np.ndarray:
     """``spd_solve`` on the graph's cached band order and, for CG, stencil layout."""
     ordering = G.band_ordering
     layout = None if ordering.direct else G.stencil_layout
-    return spd_solve(A, rhs, rel_tol=rel_tol, ordering=ordering, layout=layout)
+    return spd_solve(ops, rhs, rel_tol=rel_tol, ordering=ordering, layout=layout)
 
 
 def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: np.ndarray,
@@ -97,8 +97,7 @@ def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: np.ndarray,
         raise ValueError(f"step time {t} outside (0, {G.horizon}]")
     u_prev = _vertex_values(u_prev, G, "u_prev")
     A = operator_at(G, t, h)
-    [x] = _solve(G, A, [A.mass * u_prev], rel_tol)
-    return x
+    return _solve(G, [A], (A.mass * u_prev)[None, None], rel_tol)[0, 0]
 
 
 def steps_within_horizon(T: float, h: float) -> int:
@@ -177,8 +176,9 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
                  on_row: Optional[Callable[[np.ndarray], None]] = None) -> list[ChainFamily]:
     """``run_interpolated`` from each initial value, sharing every operator.
 
-    Each grid time's operator is assembled once and solved for all families
-    together; a family's samples are bitwise those of running it alone.
+    Row j reads only row j - m, so the grid times run in rounds of m: each
+    round's m operators are assembled once and solved together for all
+    families; a family's samples are bitwise those of running it alone.
     ``on_row``, when given, is called with each finished row of the first
     family in grid order, row 0 (its initial value) first.
     """
@@ -187,20 +187,37 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
         raise ValueError(f"m must be >= 1, got {m}")
     N = steps_within_horizon(G.horizon, h)
     delta = h / m
-    runs = [np.empty((N * m + 1, G.n_vertices)) for _ in initials]
-    for run, u0 in zip(runs, initials):
-        run[0] = u0
+    values = np.empty((len(initials), N * m + 1, G.n_vertices))
+    values[:, 0] = initials
     if on_row is not None:
-        on_row(runs[0][0])
-    for j in range(1, N * m + 1):
-        A = operator_at(G, j * delta, h)
-        rhs = [A.mass * run[max(j - m, 0)] for run in runs]
-        xs = _solve(G, A, rhs, rel_tol)
-        for run, x in zip(runs, xs):
-            run[j] = x
+        on_row(values[0, 0])
+    for start in range(1, N * m + 1, m):
+        rows = list(range(start, start + m))
+        ops = [operator_at(G, j * delta, h) for j in rows]
+        prev = values[:, [max(j - m, 0) for j in rows]].swapaxes(0, 1)
+        rhs = np.array([A.mass for A in ops])[:, None, :] * prev
+        values[:, rows] = _solve(G, ops, rhs, rel_tol).swapaxes(0, 1)
         if on_row is not None:
-            on_row(runs[0][j])
-    return [ChainFamily(h=float(h), m=int(m), horizon=N * h, values=run) for run in runs]
+            for j in rows:
+                on_row(values[0, j])
+    return [ChainFamily(h=float(h), m=int(m), horizon=N * h, values=run) for run in values]
+
+
+def _resolvent_system(G: TimeWeightedGraph, seq, h: float,
+                      t: float) -> tuple[SpdOperator, np.ndarray]:
+    """The operator and right-hand side ``degiorgi_interpolate`` solves at t."""
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
+    N = len(seq) - 1
+    if N < 1:
+        raise ValueError("seq must contain the initial value and at least one step")
+    if not (0.0 < t <= N * h + _TIME_FUZZ * max(1.0, N * h)):
+        raise ValueError(f"t = {t} outside (0, {N * h}]")
+    k = int(math.ceil(t / h - _TIME_FUZZ))
+    k = min(max(k, 1), N)
+    delta = t - (k - 1) * h
+    A = operator_at(G, t, delta)
+    return A, A.mass * seq[k - 1]
 
 
 def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
@@ -217,16 +234,5 @@ def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
     but never the shifted chains' intermediate samples, whose proximal weight
     stays 1/h.
     """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    N = len(seq) - 1
-    if N < 1:
-        raise ValueError("seq must contain the initial value and at least one step")
-    if not (0.0 < t <= N * h + _TIME_FUZZ * max(1.0, N * h)):
-        raise ValueError(f"t = {t} outside (0, {N * h}]")
-    k = int(math.ceil(t / h - _TIME_FUZZ))
-    k = min(max(k, 1), N)
-    delta = t - (k - 1) * h
-    A = operator_at(G, t, delta)
-    [x] = _solve(G, A, [A.mass * seq[k - 1]], rel_tol)
-    return x
+    A, rhs = _resolvent_system(G, seq, h, t)
+    return _solve(G, [A], rhs[None, None], rel_tol)[0, 0]

@@ -36,7 +36,7 @@ from .geometry import (_TIME_FUZZ, TimeWeightedGraph, dirichlet_energy, edge_con
                        vertex_weights, volume_decay_rate)
 from .linalg import stiffness_apply
 from .profiles import make_initial_data
-from .scheme import ChainFamily, _vertex_values, degiorgi_interpolate, run_interpolated
+from .scheme import ChainFamily, _resolvent_system, _solve, _vertex_values, run_interpolated
 
 __all__ = [
     "weighted_l2_sq",
@@ -525,8 +525,16 @@ def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph, dt: float)
 def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
                     rel_tol: float = 1e-10) -> np.ndarray:
     """Resolvent interpolation of the step sequence ``seq`` (rows u_0..u_N) on the
-    delta-grid: row j - 1 is the value at t = j*delta, j = 1..N*m."""
+    delta-grid: row j - 1 is the value at t = j*delta, j = 1..N*m.
+
+    The m grid times of each step interval are solved as one round; every row
+    is bitwise ``degiorgi_interpolate`` at its time.
+    """
     N = len(seq) - 1
     delta = h / m
-    return np.array([degiorgi_interpolate(G, seq, h, j * delta, rel_tol=rel_tol)
-                     for j in range(1, N * m + 1)])
+    out = np.empty((N * m, G.n_vertices))
+    for start in range(1, N * m + 1, m):
+        systems = [_resolvent_system(G, seq, h, j * delta) for j in range(start, start + m)]
+        rhs = np.array([b for _, b in systems])[:, None]
+        out[start - 1:start - 1 + m] = _solve(G, [A for A, _ in systems], rhs, rel_tol)[:, 0]
+    return out

@@ -150,21 +150,52 @@ def test_criterion_05_convergence_order(criterion_line):
     assert ok, rows
 
 
+def _solver_floor(G, chain, fn, solve_error):
+    """How far fn's weak residual can move when every sample is off by solve_error.
+
+    The residual is linear in the samples, and ``solve_error`` (from
+    ``solve_error_bounds``) bounds each produced sample's sup-norm error; row 0 is
+    the exact initial value.  So the floor is solve_error times the l1 norm of the
+    quadrature weights on rows 1.., term by term as in ``weak_residual``: the
+    time-derivative and decay-rate terms weigh u_i by w_i |psi_i|, the energy
+    term each edge difference by c_e |psi_i - psi_i'|, which counts each end once.
+    """
+    d_psi = np.abs(fn.space[G.edges[:, 0]] - fn.space[G.edges[:, 1]])
+    abs_psi = np.abs(fn.space)
+    gain = 0.0
+    for j in range(1, len(chain.values) - 1):
+        t = j * chain.delta
+        w = eh.vertex_weights(G, t)
+        rate = eh.volume_decay_rate(G, t, chain.delta)
+        gain += chain.delta * (
+            abs(fn.profile_dt(t)) * float(np.dot(w, abs_psi))
+            + abs(fn.profile(t)) * (float(np.dot(w * np.abs(rate), abs_psi))
+                                    + 2.0 * float(np.dot(eh.edge_conductances(G, t), d_psi))))
+    return solve_error * gain
+
+
 def test_criterion_06_weak_residual_shrinks(criterion_line):
+    # The metric is uniform in space, so the k = 2 functions' exact residuals
+    # vanish: theirs are rounding, judged against the solver floor, not each other.
     spec = Scenario(kind="conformal_circle", T=1.0, params={"n": 64})
     G = eh.build_scenario(spec)
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     fns = eh.default_test_catalog(G, 1.0)
-    res = {}
+    res, floor = {}, {}
     for h in (0.1, 0.0125):
         chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=MATRIX_REL_TOL)
+        [solve_error] = eh.solve_error_bounds(G, [chain], MATRIX_REL_TOL)
         res[h] = {r.name: r.residual for r in eh.weak_residual(chain, G, fns)}
-    shrunk = {name: res[0.0125][name] < res[0.1][name] for name in res[0.1]}
+        floor[h] = {fn.name: _solver_floor(G, chain, fn, solve_error) for fn in fns}
+    above = [fn.name for fn in fns if res[0.1][fn.name] > floor[0.1][fn.name]]
+    below = [fn.name for fn in fns if fn.name not in above]
     ok = criterion_line(
-        6, all(shrunk.values()),
-        "weak-form residual shrinks from h = 0.1 to h = 0.0125 "
-        "on all 4 catalog test functions")
-    assert ok, res
+        6, all(res[0.0125][f] < res[0.1][f] for f in above)
+        and all(res[0.0125][f] <= floor[0.0125][f] for f in below),
+        "weak-form residual shrinks from h = 0.1 to h = 0.0125 on "
+        f"{', '.join(above) or 'none'}; stays below the solver floor on "
+        f"{', '.join(below) or 'none'}")
+    assert ok, (res, floor)
 
 
 def test_criterion_07_initial_attainment(criterion_line):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -123,17 +123,23 @@ def test_apply_matches_dense(seed):
 
 
 # ---------------------------------------------------------------------------
-# direct path: reverse Cuthill-McKee order and band L D L^T
+# direct path: reverse Cuthill-McKee order and block cyclic reduction
 # ---------------------------------------------------------------------------
 
-def _ring_operator(seed, n, closed):
-    """Cycle (closed) or path on n relabelled vertices, some conductances zero."""
+def _ring_operator(seed, n, closed, offsets=(1,)):
+    """Vertex i joined to i + o for each offset o, wrapping round when closed (a
+    circulant), on n relabelled vertices, some conductances zero.  With offset 1
+    alone this is a cycle or a path."""
     rng = np.random.default_rng(seed)
     label = rng.permutation(n)
-    pairs = [(label[i], label[i + 1]) for i in range(n - 1)]
-    if closed and n >= 3:
-        pairs.append((label[n - 1], label[0]))
-    edges = np.sort(np.array(pairs, dtype=np.int64), axis=1)
+    pairs = [(label[i], label[i + o]) for o in offsets for i in range(n - o)]
+    if closed:
+        pairs += [(label[i], label[(i + o) % n]) for o in offsets for i in range(max(n - o, 0), n)]
+    edges = []
+    for i, j in pairs:  # first occurrence of each pair, no loops
+        if i != j and (min(i, j), max(i, j)) not in edges:
+            edges.append((min(i, j), max(i, j)))
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
     coeffs = rng.uniform(0.1, 2.0, len(edges))
     coeffs[rng.uniform(size=len(coeffs)) < 0.25] = 0.0
     return eh.SpdOperator(mass=rng.uniform(0.5, 2.0, n), edges=edges, coeffs=coeffs,
@@ -141,22 +147,73 @@ def _ring_operator(seed, n, closed):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10_000), st.integers(2, 40), st.booleans())
-def test_banded_matches_dense_on_cycles_and_paths(seed, n, closed):
-    A = _ring_operator(seed, n, closed)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.booleans(),
+       st.sampled_from([(1,), (1, 2), (1, 3)]))
+@example(seed=0, n=1, closed=False, offsets=(1,))  # one vertex, no edges: b = 0
+@example(seed=0, n=4, closed=True, offsets=(1, 2))  # K4: b = 3, n = b + 1
+@example(seed=0, n=5, closed=True, offsets=(1, 2))  # K5: b = 4, n = b + 1
+@example(seed=0, n=7, closed=True, offsets=(1, 2))  # b = 4, one full block and a padded one
+@example(seed=1, n=23, closed=True, offsets=(1, 2))  # b = 5, n not a multiple of b
+def test_banded_matches_dense_on_cycles_and_paths(seed, n, closed, offsets):
+    A = _ring_operator(seed, n, closed, offsets)
     ordering = eh.rcm_ordering(A.n, A.edges)
-    assert ordering.bandwidth == (2 if closed and n >= 3 else 1)
+    if offsets == (1,):
+        assert ordering.bandwidth == (2 if closed and n >= 3 else min(n - 1, 1))
+    assert ordering.bandwidth <= max(n - 1, 0)
     b = np.random.default_rng(seed + 4).standard_normal(n)
-    [x] = eh.banded_solve(A, [b], rel_tol=1e-13, ordering=ordering)
+    [[x]] = eh.banded_solve([A], b[None, None], rel_tol=1e-13, ordering=ordering)
     y = eh.dense_solve(A, b)
     assert_allclose(x, y, rtol=0, atol=1e-12 * (np.abs(y).max() + 1.0))
+
+
+def test_operators_and_columns_solved_together_match_each_alone(monkeypatch):
+    # three stiff operators on one graph of bandwidth 5, 8 columns each: at rel_tol
+    # 1.6e-13 some columns pass at once and others need refinement
+    base = _ring_operator(0, 200, True, (1, 2))
+    rng = np.random.default_rng(4)
+    ops = [eh.SpdOperator(mass=base.mass * rng.uniform(0.5, 2.0, base.n), edges=base.edges,
+                          coeffs=1e4 * base.coeffs * rng.uniform(0.5, 2.0, len(base.coeffs)),
+                          h=base.h) for _ in range(3)]
+    ordering = eh.rcm_ordering(base.n, base.edges)
+    assert ordering.bandwidth == 5 and ordering.direct
+    rhs = rng.standard_normal((3, 8, base.n))
+    together = eh.spd_solve(ops, rhs, rel_tol=1.6e-13, ordering=ordering)
+
+    passes = []
+    real = eh.linalg._bcr_solve
+
+    def counting(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eh.linalg, "_bcr_solve", counting)
+    refined = []
+    for t, A in enumerate(ops):
+        for c in range(rhs.shape[1]):
+            passes.clear()
+            [[alone]] = eh.spd_solve([A], rhs[t, c][None, None], rel_tol=1.6e-13,
+                                     ordering=ordering)
+            assert np.array_equal(together[t, c], alone)
+            refined.append(len(passes) > 1)
+    assert any(refined) and not all(refined)
+
+
+def test_direct_path_rejects_an_operator_that_is_not_positive_definite():
+    A = _ring_operator(5, 30, True)
+    mass = A.mass.copy()
+    mass[7] = -3.0  # e_7^T A e_7 = -3 + h * (at most two conductances of 2) < 0
+    bad = eh.SpdOperator(mass=mass, edges=A.edges, coeffs=A.coeffs, h=A.h)
+    ordering = eh.rcm_ordering(A.n, A.edges)
+    assert ordering.direct
+    with pytest.raises(eh.SolverError, match="not positive definite"):
+        eh.spd_solve([bad], np.ones((1, 1, A.n)), ordering=ordering)
 
 
 def test_banded_residual_contract():
     for seed, rel_tol in [(0, 1e-8), (1, 1e-12), (2, 1e-12)]:
         A = _ring_operator(seed, 64, closed=True)
         rhs = np.random.default_rng(seed + 50).standard_normal((3, A.n))
-        for x, b in zip(eh.banded_solve(A, rhs, rel_tol=rel_tol), rhs):
+        for x, b in zip(eh.banded_solve([A], rhs[None], rel_tol=rel_tol)[0], rhs):
             res = np.linalg.norm(A.apply(x) - b)
             assert res <= rel_tol * np.linalg.norm(b)
 
@@ -165,13 +222,22 @@ def test_banded_reports_failure():
     A = _ring_operator(7, 16, closed=True)
     b = np.random.default_rng(8).standard_normal(A.n)
     with pytest.raises(eh.SolverError) as excinfo:
-        eh.banded_solve(A, [b], rel_tol=0.0)
+        eh.banded_solve([A], b[None, None], rel_tol=0.0)
     assert excinfo.value.relative_residual > 0.0
     assert "refinements" in str(excinfo.value)
 
 
+def test_banded_reports_a_nan_column():
+    A = _ring_operator(7, 16, closed=True)
+    rhs = np.random.default_rng(8).standard_normal((1, 2, A.n))
+    rhs[0, 1, 3] = np.nan
+    with pytest.raises(eh.SolverError, match="refinements") as excinfo:
+        eh.banded_solve([A], rhs)
+    assert np.isnan(excinfo.value.relative_residual)
+
+
 def test_banded_zero_rhs():
-    [x] = eh.banded_solve(_single_edge_operator(), [np.zeros(2)], rel_tol=0.0)
+    [[x]] = eh.banded_solve([_single_edge_operator()], np.zeros((1, 1, 2)), rel_tol=0.0)
     assert np.array_equal(x, np.zeros(2))
 
 
@@ -283,7 +349,8 @@ def test_spd_solve_assembles_once_per_operator(monkeypatch):
     torus = build("product_torus", nx=48, ny=48)
     A = eh.operator_at(torus, 0.1, 0.1)
     rhs = np.random.default_rng(3).standard_normal((3, A.n))
-    xs = eh.spd_solve(A, rhs, ordering=torus.band_ordering, layout=torus.stencil_layout)
+    [xs] = eh.spd_solve([A], rhs[None], ordering=torus.band_ordering,
+                        layout=torus.stencil_layout)
     assert len(assembled) == 1
     for x, b in zip(xs, rhs):
         assert np.linalg.norm(A.apply(x) - b) <= 1e-10 * np.linalg.norm(b) * (1 + 1e-6)
