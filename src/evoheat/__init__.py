@@ -10,9 +10,8 @@ from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGrap
                        build_scenario, dirichlet_energy, edge_conductances,
                        tabulated_graph, vertex_weights, volume_decay_rate,
                        volume_growth_bound)
-from .linalg import (SolverError, SpdOperator, StencilOperator, banded_solve, cg_solve,
-                     dense_solve, half_edge_layout, rcm_ordering, spd_solve,
-                     stiffness_apply)
+from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, dense_solve,
+                     half_edge_layout, rcm_ordering, solve_plan, spd_solve, stiffness_apply)
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, degiorgi_interpolate, euler_step, operator_at,
                      run_discrete, run_families, run_interpolated, steps_within_horizon,

@@ -228,8 +228,7 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
                                              rel_tol=cfg.rel_tol)
         c0 = _chain_c0(cfg, G, chain_full)
         for level, chain_n in zip(cfg.truncation_levels, chains_n):
-            diff = ChainFamily(chain_full.h, chain_full.m, chain_full.horizon,
-                               chain_full.values - chain_n.values)
+            diff = ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values)
             energy = energy_estimate(diff, G, c0, cfg.slack)
             all_ok = all_ok and energy.passed
             rows.append({"h": float(h), "level": float(level),

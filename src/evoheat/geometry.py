@@ -31,7 +31,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .linalg import BandOrdering, StencilLayout, half_edge_layout, rcm_ordering
+from .linalg import SolvePlan, solve_plan
 
 __all__ = [
     "ScenarioError",
@@ -60,11 +60,13 @@ class TimeWeightedGraph:
     """A finite graph with time-dependent vertex weights and edge conductances.
 
     ``edges`` is an (E, 2) int array of unordered pairs i < j, no self loops or
-    duplicates, and the edge set must be connected.  ``weights_at(t)`` returns the
-    vertex weight vector (all entries positive), ``conductances_at(t)`` the edge
-    coefficient vector (entries >= 0).  Callables must accept any t in [0, horizon];
-    negative times are clamped to 0 by the module-level accessors, so the callables
-    themselves are only ever queried inside [0, horizon].
+    duplicates, and the edge set must be connected.  The edges never change in
+    time, so one ``plan`` serves every step operator of the graph.
+    ``weights_at(t)`` returns the vertex weight vector (all entries positive),
+    ``conductances_at(t)`` the edge coefficient vector (entries >= 0).  Callables
+    must accept any t in [0, horizon]; negative times are clamped to 0 by the
+    module-level accessors, so the callables themselves are only ever queried
+    inside [0, horizon].
 
     ``coords`` optionally holds vertex coordinates (angles or positions) used by
     initial-data profiles; graphs without natural coordinates leave it None.
@@ -82,22 +84,12 @@ class TimeWeightedGraph:
         return len(self.edges)
 
     @functools.cached_property
-    def band_ordering(self) -> BandOrdering:
-        """Reverse Cuthill-McKee order of the vertices, computed on first use.
+    def plan(self) -> SolvePlan:
+        """The ``solve_plan`` that ``spd_solve`` takes for the graph's operators.
 
-        The edge set never changes in time, so every step operator of the graph
-        shares it; its bandwidth decides how those operators are solved.
+        Built on first use, which for a validated graph is its connectivity check.
         """
-        return rcm_ordering(self.n_vertices, self.edges)
-
-    @functools.cached_property
-    def stencil_layout(self) -> StencilLayout:
-        """Half-edge layout of the edges, computed on first use.
-
-        Shared by the step operators that ``spd_solve`` hands to CG (graphs
-        whose band is too wide for the direct path).
-        """
-        return half_edge_layout(self.n_vertices, self.edges)
+        return solve_plan(self.n_vertices, self.edges)
 
     @classmethod
     def static(cls, weights, edges, conductances, horizon: float = 1.0,
@@ -120,28 +112,10 @@ def _normalize_edges(edges, n: int) -> np.ndarray:
     if np.any(e[:, 0] == e[:, 1]):
         raise ScenarioError("edges: self loops are not allowed")
     e = np.sort(e, axis=1)
-    if len({(int(i), int(j)) for i, j in e}) != len(e):
+    ranked = e[np.lexsort((e[:, 1], e[:, 0]))]
+    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
         raise ScenarioError("edges: duplicate edge")
     return e
-
-
-def _is_connected(n: int, edges: np.ndarray) -> bool:
-    if n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adj[int(i)].append(int(j))
-        adj[int(j)].append(int(i))
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return bool(seen.all())
 
 
 def _clamp_time(G: TimeWeightedGraph, t: float) -> float:
@@ -353,7 +327,7 @@ def build_scenario(spec: Scenario) -> TimeWeightedGraph:
             doc = p["table"]
         else:
             raise ScenarioError("custom_tabulated: needs 'path' or an inline 'table'")
-        G = tabulated_graph(doc)
+        G = _table_graph(doc)  # validated once, below, on [0, T]
         if G.horizon < T - _TIME_FUZZ:
             raise ScenarioError(
                 f"custom_tabulated: table covers [0, {G.horizon}], horizon T={T} not reached")
@@ -453,6 +427,13 @@ def tabulated_graph(doc: dict) -> TimeWeightedGraph:
     growth rate on the knot grid is exact for every intermediate pair), conductances
     linearly.  The horizon is the last tabulated time.
     """
+    G = _table_graph(doc)
+    _validate_graph(G, "custom_tabulated")
+    return G
+
+
+def _table_graph(doc: dict) -> TimeWeightedGraph:
+    """``tabulated_graph`` before its validation."""
     for key in ("n_vertices", "edges", "times", "weights", "conductances"):
         if key not in doc:
             raise ScenarioError(f"{key}: missing from tabulated scenario")
@@ -503,14 +484,15 @@ def tabulated_graph(doc: dict) -> TimeWeightedGraph:
         k, theta = _locate(t)
         return (1.0 - theta) * C[k] + theta * C[k + 1]
 
-    G = TimeWeightedGraph(n, edges, weights_at, conductances_at, t1)
-    _validate_graph(G, "custom_tabulated")
-    return G
+    return TimeWeightedGraph(n, edges, weights_at, conductances_at, t1)
 
 
 def _validate_graph(G: TimeWeightedGraph, kind: str) -> None:
-    """Positivity on a fine time sample, connectivity, negative-time freeze."""
-    if not _is_connected(G.n_vertices, G.edges):
+    """Positivity on a fine time sample, connectivity, negative-time freeze.
+
+    Connectivity is read from the graph's solve plan, which this builds.
+    """
+    if G.plan.components > 1:
         raise ScenarioError(f"{kind}: graph is not connected")
     for t in np.linspace(0.0, G.horizon, 33):
         w = vertex_weights(G, float(t))

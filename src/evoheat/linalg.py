@@ -4,27 +4,27 @@ M is a positive diagonal (vertex weights), S the conductance Laplacian of an edg
 list: (S u)_i = sum_{j ~ i} c_ij (u_i - u_j).  Constants are in the kernel of S,
 so A applied to a constant vector returns M times it.
 
-Which solver runs is decided by the graph, never by the caller.  The vertices are
-put in reverse Cuthill-McKee order (Cuthill & McKee 1969), which the edge set alone
-determines, so a graph computes it once for all times.  ``spd_solve`` takes a
-round: T operators on one graph and k right-hand sides for each.  When the
-bandwidth b of A in that order is at most DIRECT_MAX_BANDWIDTH (cycles have
-b = 2, paths b = 1), the band is cut into b x b blocks, which makes A block
-tridiagonal, and all T operators are factored together by block cyclic
+Which solver runs is decided by the graph, never by the caller, and only here.
+``solve_plan`` walks the edge set once: a breadth-first search gives the reverse
+Cuthill-McKee order (Cuthill & McKee 1969) and counts the components.  A graph
+caches the plan for all times, and ``spd_solve`` takes it with a round: T
+operators on that graph and k right-hand sides for each.  When the bandwidth b
+of A in that order is at most DIRECT_MAX_BANDWIDTH (cycles have b = 2, paths
+b = 1), the plan keeps the order; the band is cut into b x b blocks, which makes
+A block tridiagonal, and all T operators are factored together by block cyclic
 reduction (Heller 1976; stable for block diagonally dominant matrices such as
 M + h*S): each of the ceil(log2(n/b)) levels eliminates every other block with a
 few batched numpy calls, and every column of the round is then solved in one
-pass over the levels.  Wider graphs (a k x k torus has b ~ 2k) use conjugate
-gradients with Jacobi preconditioning on an assembled stencil: the graph's
-half-edges are laid out once as a (K, n) neighbour table, K the least degree,
-plus a coordinate list for the rest (Bell & Garland's HYB layout), and each
-operator is assembled on it once for all its right-hand sides, so a mat-vec is
-one gather, one product and one column sum.  Both solvers fix the order of
-every floating-point operation, so runs are bit-reproducible and a column
-solved alongside others is bitwise the column solved alone, and both keep one
-residual contract: the true residual ||A x - b||_2 must reach rel_tol * ||b||_2
-or SolverError is raised.  A dense direct path is provided as an internal
-oracle for small systems.
+pass over the levels.  For wider graphs (a k x k torus has b ~ 2k) the plan
+holds the half-edge layout instead: a (K, n) neighbour table, K the least
+degree, plus a coordinate list for the rest (Bell & Garland's HYB layout).
+Each operator is assembled on it once for all its right-hand sides, so a
+Jacobi-preconditioned CG mat-vec is one gather, one product and one column sum.
+Both solvers fix the order of every floating-point operation, so runs are
+bit-reproducible and a column solved alongside others is bitwise the column
+solved alone, and both keep one residual contract: the true residual
+||A x - b||_2 must reach rel_tol * ||b||_2 or SolverError is raised.  A dense
+direct path is provided as an internal oracle for small systems.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "StencilOperator",
-           "DIRECT_MAX_BANDWIDTH", "stiffness_apply", "rcm_ordering", "half_edge_layout",
-           "spd_solve", "banded_solve", "cg_solve", "dense_solve"]
+           "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply", "rcm_ordering",
+           "half_edge_layout", "solve_plan", "spd_solve", "cg_solve", "dense_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
 # assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
@@ -130,8 +130,9 @@ class BandOrdering(NamedTuple):
     index entry_index[k] receives the entry -h*c of edge entry_edges[k] (an edge
     inside a block fills both of its symmetric entries, one across blocks only
     the one below the diagonal) and diag_index[p] the diagonal at position p.
-    A NamedTuple because a frozen dataclass costs about 1.5 ms more to create
-    at import.
+    ``components`` counts the connected components the search walked.  A
+    NamedTuple because a frozen dataclass costs about 1.5 ms more to create at
+    import.
     """
 
     perm: np.ndarray
@@ -139,11 +140,7 @@ class BandOrdering(NamedTuple):
     entry_index: np.ndarray
     entry_edges: np.ndarray
     diag_index: np.ndarray
-
-    @property
-    def direct(self) -> bool:
-        """Whether ``spd_solve`` factors operators on this order (else CG)."""
-        return self.bandwidth <= DIRECT_MAX_BANDWIDTH
+    components: int
 
     @property
     def block_size(self) -> int:
@@ -167,10 +164,12 @@ def rcm_ordering(n: int, edges: np.ndarray) -> BandOrdering:
         a.sort(key=lambda v: (degree[v], v))
     seen = [False] * n
     order: list[int] = []
+    components = 0
     for start in sorted(range(n), key=lambda v: (degree[v], v)):
         if seen[start]:
             continue
         seen[start] = True
+        components += 1
         head = len(order)
         order.append(start)
         while head < len(order):
@@ -195,7 +194,8 @@ def rcm_ordering(n: int, edges: np.ndarray) -> BandOrdering:
     entry_index = np.concatenate([lower, cols[inside] * s + rows[inside] % s])
     entry_edges = np.concatenate([np.arange(len(edges)), inside])
     positions = np.arange(padded)
-    return BandOrdering(perm, bandwidth, entry_index, entry_edges, positions * s + positions % s)
+    return BandOrdering(perm, bandwidth, entry_index, entry_edges, positions * s + positions % s,
+                        components)
 
 
 # Block storage puts the two block-entry axes first and the block index last:
@@ -333,22 +333,13 @@ def _column_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1))
 
 
-def _round_rhs(ops: Sequence[SpdOperator], rhs) -> np.ndarray:
-    """``rhs`` as a float (T, k, n) array for the T operators of ``ops``."""
-    rhs = np.asarray(rhs, dtype=float)
-    if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({len(ops)}, k, "
-                         f"{ops[0].n if ops else 'n'})")
-    return rhs
-
-
-def banded_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
-                 ordering: Optional[BandOrdering] = None) -> np.ndarray:
+def _banded_solve(ops: Sequence[SpdOperator], rhs: np.ndarray, rel_tol: float,
+                  ordering: BandOrdering) -> np.ndarray:
     """Solve ops[t] x = rhs[t, c] for each of T operators on one graph and k columns.
 
-    The operators are assembled as block tridiagonal matrices on ``ordering``
-    (reverse Cuthill-McKee of their edges when None) and factored together by
-    block cyclic reduction; every column is solved on its operator's factors
+    The operators are assembled as block tridiagonal matrices on ``ordering``,
+    their graph's reverse Cuthill-McKee order, and factored together by block
+    cyclic reduction; every column is solved on its operator's factors
     in one pass.  Each solution's true residual, computed on the assembled
     blocks, is then held to ||A x - b||_2 <= rel_tol * ||b||_2; the columns
     that miss are refined with the same factors up to _REFINEMENTS times
@@ -356,9 +347,6 @@ def banded_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
     order, and each norm is summed along its own column, so a column (and an
     operator) solved alongside others is bitwise the one solved alone.
     """
-    rhs = _round_rhs(ops, rhs)
-    if ordering is None:
-        ordering = rcm_ordering(ops[0].n, ops[0].edges)
     T, k, n = rhs.shape
     s, padded = ordering.block_size, len(ordering.diag_index)
     D, B = _band_blocks(ops, ordering)
@@ -474,50 +462,72 @@ class StencilOperator:
         return out
 
 
+class SolvePlan(NamedTuple):
+    """How ``spd_solve`` solves every operator on one graph.
+
+    ``ordering`` is the band order when the direct path takes the graph, else
+    None and ``layout`` holds the half-edge layout for CG; ``components``
+    counts the graph's connected components.
+    """
+
+    components: int
+    ordering: Optional[BandOrdering]
+    layout: Optional[StencilLayout]
+
+
+def solve_plan(n: int, edges: np.ndarray) -> SolvePlan:
+    """The ``SolvePlan`` of a graph with n vertices, from one ``rcm_ordering`` search.
+
+    The order is kept when its bandwidth is at most DIRECT_MAX_BANDWIDTH; only
+    otherwise is the half-edge layout built.
+    """
+    ordering = rcm_ordering(n, edges)
+    if ordering.bandwidth <= DIRECT_MAX_BANDWIDTH:
+        return SolvePlan(ordering.components, ordering, None)
+    return SolvePlan(ordering.components, None, half_edge_layout(n, edges))
+
+
 def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
-              ordering: Optional[BandOrdering] = None,
-              layout: Optional[StencilLayout] = None) -> np.ndarray:
+              plan: Optional[SolvePlan] = None) -> np.ndarray:
     """Solve ops[t] x = rhs[t, c] to ||A x - b||_2 <= rel_tol * ||b||_2 for every column.
 
     The single solve entry point, for a round of T operators on one graph and
     a (T, k, n) array of right-hand sides; returns the (T, k, n) solutions.
-    ``ordering`` is the reverse Cuthill-McKee order of the edges and
-    ``layout`` their half-edge layout (each computed here when None; graphs
-    cache theirs).  Narrow bands factor all T operators at once and solve
-    every column in one pass (``banded_solve``); wide ones assemble each
-    operator once on the layout and run ``cg_solve`` per column with its
-    default iteration cap.  Raises SolverError when a residual target is missed.
+    ``plan`` is the graph's ``solve_plan`` (built here when None; graphs cache
+    theirs).  Narrow bands factor all T operators at once and solve every
+    column in one pass; wide ones assemble each operator once on the layout
+    and run ``cg_solve`` per column with its default iteration cap.  Raises
+    SolverError when a residual target is missed.
     """
-    rhs = _round_rhs(ops, rhs)
-    if ordering is None:
-        ordering = rcm_ordering(ops[0].n, ops[0].edges)
-    if ordering.direct:
-        return banded_solve(ops, rhs, rel_tol=rel_tol, ordering=ordering)
-    if layout is None:
-        layout = half_edge_layout(ops[0].n, ops[0].edges)
+    rhs = np.asarray(rhs, dtype=float)
+    if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({len(ops)}, k, "
+                         f"{ops[0].n if ops else 'n'})")
+    if plan is None:
+        plan = solve_plan(ops[0].n, ops[0].edges)
+    if plan.ordering is not None:
+        return _banded_solve(ops, rhs, rel_tol, plan.ordering)
     out = np.empty_like(rhs)
     for A, columns, xs in zip(ops, rhs, out):
-        stencil = StencilOperator(A, layout)
+        stencil = StencilOperator(A, plan.layout)
         for b, x in zip(columns, xs):
             x[:] = cg_solve(stencil, b, rel_tol=rel_tol)
     return out
 
 
-def cg_solve(A: SpdOperator | StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,
+def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,
              max_iter: int | None = None) -> np.ndarray:
     """Solve A x = b to ||A x - b||_2 <= rel_tol * ||b||_2.
 
     Jacobi-preconditioned CG from x = 0 with a fixed iteration order, run in
-    place on buffers allocated once per solve.  A is a ``StencilOperator``
-    (``spd_solve`` assembles one per step for all right-hand sides) or an
-    ``SpdOperator``, assembled here.  When the recurrence residual meets the
-    target, the true residual is recomputed; if drift has spoiled it the
-    iteration restarts from the current iterate.  Raises SolverError (reporting
-    the relative residual achieved) if max_iter (default 50 n) is exhausted or
-    the search direction vanishes first (p.Ap = 0, as once the residual underflows).
+    place on buffers allocated once per solve, on the ``StencilOperator`` that
+    ``spd_solve`` assembles once for all its right-hand sides.  When the
+    recurrence residual meets the target, the true residual is recomputed; if
+    drift has spoiled it the iteration restarts from the current iterate.
+    Raises SolverError (reporting the relative residual achieved) if max_iter
+    (default 50 n) is exhausted or the search direction vanishes first (p.Ap =
+    0, as once the residual underflows).
     """
-    if isinstance(A, SpdOperator):
-        A = StencilOperator(A, half_edge_layout(A.n, A.edges))
     b = np.asarray(b, dtype=float)
     n = A.n
     if b.shape != (n,):

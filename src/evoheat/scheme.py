@@ -21,8 +21,10 @@ energy bounds, which is the point of the comparison tooling in ``verify``.
 
 ``run_families`` steps several chain families from different initial values
 through the same operators, a round of m grid times at a time, building and
-factoring each operator once; every family comes out bitwise as if run alone.  A family is one (N*m + 1, n) array
-whose row j is the sample at t = j*delta.
+factoring each operator once; every family comes out bitwise as if run alone.
+A family is one (N*m + 1, n) array whose row j is the sample at t = j*delta.
+Every solve is one ``spd_solve`` call with the graph's ``plan``, which alone
+decides the solver.
 
 Vertex functions are plain float vectors of length n.  A value's time is its
 place on the grid, never a tag it carries: ``run_discrete`` row k - 1 is u_k at
@@ -75,14 +77,6 @@ def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
     return SpdOperator(vertex_weights(G, t), G.edges, edge_conductances(G, t), h)
 
 
-def _solve(G: TimeWeightedGraph, ops: list[SpdOperator], rhs: np.ndarray,
-           rel_tol: float) -> np.ndarray:
-    """``spd_solve`` on the graph's cached band order and, for CG, stencil layout."""
-    ordering = G.band_ordering
-    layout = None if ordering.direct else G.stencil_layout
-    return spd_solve(ops, rhs, rel_tol=rel_tol, ordering=ordering, layout=layout)
-
-
 def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: np.ndarray,
                rel_tol: float = 1e-10) -> np.ndarray:
     """One implicit step of length h, coefficients frozen at time t.
@@ -97,7 +91,7 @@ def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: np.ndarray,
         raise ValueError(f"step time {t} outside (0, {G.horizon}]")
     u_prev = _vertex_values(u_prev, G, "u_prev")
     A = operator_at(G, t, h)
-    return _solve(G, [A], (A.mass * u_prev)[None, None], rel_tol)[0, 0]
+    return spd_solve([A], (A.mass * u_prev)[None, None], rel_tol, G.plan)[0, 0]
 
 
 def steps_within_horizon(T: float, h: float) -> int:
@@ -139,7 +133,6 @@ class ChainFamily:
 
     h: float
     m: int
-    horizon: float
     values: np.ndarray
 
     def __post_init__(self):
@@ -153,6 +146,10 @@ class ChainFamily:
     @property
     def n_steps(self) -> int:
         return (len(self.values) - 1) // self.m
+
+    @property
+    def horizon(self) -> float:
+        return self.n_steps * self.h
 
     def times(self) -> np.ndarray:
         """The grid times j*delta of the rows of ``values``."""
@@ -196,11 +193,11 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
         ops = [operator_at(G, j * delta, h) for j in rows]
         prev = values[:, [max(j - m, 0) for j in rows]].swapaxes(0, 1)
         rhs = np.array([A.mass for A in ops])[:, None, :] * prev
-        values[:, rows] = _solve(G, ops, rhs, rel_tol).swapaxes(0, 1)
+        values[:, rows] = spd_solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
         if on_row is not None:
             for j in rows:
                 on_row(values[0, j])
-    return [ChainFamily(h=float(h), m=int(m), horizon=N * h, values=run) for run in values]
+    return [ChainFamily(h=float(h), m=int(m), values=run) for run in values]
 
 
 def _resolvent_system(G: TimeWeightedGraph, seq, h: float,
@@ -235,4 +232,4 @@ def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
     stays 1/h.
     """
     A, rhs = _resolvent_system(G, seq, h, t)
-    return _solve(G, [A], rhs[None, None], rel_tol)[0, 0]
+    return spd_solve([A], rhs[None, None], rel_tol, G.plan)[0, 0]

@@ -34,9 +34,9 @@ import numpy as np
 
 from .geometry import (_TIME_FUZZ, TimeWeightedGraph, dirichlet_energy, edge_conductances,
                        vertex_weights, volume_decay_rate)
-from .linalg import stiffness_apply
+from .linalg import spd_solve, stiffness_apply
 from .profiles import make_initial_data
-from .scheme import ChainFamily, _resolvent_system, _solve, _vertex_values, run_interpolated
+from .scheme import ChainFamily, _resolvent_system, _vertex_values, run_interpolated
 
 __all__ = [
     "weighted_l2_sq",
@@ -256,8 +256,11 @@ class OracleResult:
 
     values: np.ndarray
     horizon: float
-    n_steps: int
     self_check: float
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.values) - 1
 
     @property
     def dt(self) -> float:
@@ -329,7 +332,7 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
         raise OracleError(
             f"oracle self-check failed: halving n_steps={n_steps} moves the "
             f"trajectory by {self_check:.3e} (tolerance {self_check_tol:.1e})")
-    return OracleResult(fine, float(T), n_steps, self_check)
+    return OracleResult(fine, float(T), self_check)
 
 
 def oracle_value_at(oracle: OracleResult, t: float) -> np.ndarray:
@@ -536,5 +539,6 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     for start in range(1, N * m + 1, m):
         systems = [_resolvent_system(G, seq, h, j * delta) for j in range(start, start + m)]
         rhs = np.array([b for _, b in systems])[:, None]
-        out[start - 1:start - 1 + m] = _solve(G, [A for A, _ in systems], rhs, rel_tol)[:, 0]
+        out[start - 1:start - 1 + m] = spd_solve([A for A, _ in systems], rhs, rel_tol,
+                                                 G.plan)[:, 0]
     return out

@@ -407,6 +407,33 @@ def test_verify_constant_data_on_cg_graph(tmp_path, tol):
     assert 0.0 < attainment["distance"] <= attainment["solver_error"]
 
 
+@pytest.mark.parametrize("scenario", [
+    {"kind": "conformal_circle", "n": 16, "T": 1.0},  # direct band path
+    _tabulated_grid(6, 1),  # CG, and a table the scenario build re-horizons
+])
+def test_verify_computes_rcm_once_for_its_graph(tmp_path, monkeypatch, scenario):
+    calls = []
+    real = eh.linalg.rcm_ordering
+
+    def counting(n, edges):
+        calls.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(eh.linalg, "rcm_ordering", counting)
+    cfg = _write_config(tmp_path, scenario=scenario)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_integer_h_reports_a_float_horizon(tmp_path):
+    cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 8, "T": 2.0},
+                        initial={"profile": "harmonic", "k": 1}, h=1, m=2)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "energy_report.json").read_text()
+    assert '"h": 1.0,' in report and '"horizon": 2.0,' in report
+
+
 def test_scenario_from_file_path(tmp_path):
     scen = tmp_path / "scenario.json"
     scen.write_text(json.dumps({"kind": "static_circle", "n": 8, "T": 1.0}))
@@ -464,7 +491,7 @@ def test_streamed_samples_equal_in_process_on_extreme_floats(tmp_path, monkeypat
     rng = np.random.default_rng(0)
     values = rng.standard_normal((61, 6))
     values[1] = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0]
-    chain = ChainFamily(h=0.1, m=3, horizon=2.0, values=values)  # delta = 0.1/3
+    chain = ChainFamily(h=0.1, m=3, values=values)  # delta = 0.1/3
     written = {}
     for on in (True, False):
         _stream(monkeypatch, on)
@@ -486,7 +513,7 @@ def test_streamed_samples_equal_in_process_on_extreme_floats(tmp_path, monkeypat
 
 def test_streamed_torus_run_equals_in_process(tmp_path, monkeypatch):
     scenario = {"kind": "product_torus", "nx": 8, "ny": 8, "T": 1.0}
-    assert not eh.build_scenario(Scenario.from_dict(scenario)).band_ordering.direct  # CG
+    assert eh.build_scenario(Scenario.from_dict(scenario)).plan.ordering is None  # CG
     cfg = _write_config(tmp_path, scenario=scenario, initial={"profile": "random"},
                         h=0.1, m=4)
     out = tmp_path / "out"  # one directory: run_config.json echoes it

@@ -224,6 +224,8 @@ def test_tabulated_roundtrip_through_json():
         (lambda d: d["times"].__setitem__(0, 0.5), "times"),
         (lambda d: d["edges"].__setitem__(0, [0, 0]), "edge"),
         (lambda d: d["edges"].__setitem__(0, [0, 7]), "edge"),
+        (lambda d: d["edges"].insert(1, [1, 0]), "edges: duplicate edge"),  # reverses (0, 1)
+        (lambda d: d["edges"].__setitem__(1, [1, 1]), "edges: self loops are not allowed"),
         (lambda d: d.pop("times"), "times"),
     ],
 )
@@ -239,3 +241,9 @@ def test_disconnected_graph_rejected():
         eh.TimeWeightedGraph.static(
             np.ones(4), np.array([[0, 1], [2, 3]]), np.ones(2), 1.0
         )
+
+
+@pytest.mark.parametrize("edges", [[[1, 2], [2, 3]], [[0, 1], [1, 2]]])  # 0 or 3 alone
+def test_graph_with_an_isolated_end_vertex_rejected(edges):
+    with pytest.raises(ScenarioError, match="static: graph is not connected"):
+        eh.TimeWeightedGraph.static(np.ones(4), np.array(edges), np.ones(2), 1.0)

@@ -21,6 +21,18 @@ def _single_edge_operator():
     )
 
 
+def _stencil(A):
+    """A assembled on its own half-edge layout, as ``cg_solve`` takes it."""
+    return eh.StencilOperator(A, eh.half_edge_layout(A.n, A.edges))
+
+
+def _direct_plan(A):
+    """The solve plan of A's graph, checked to take the direct band path."""
+    plan = eh.solve_plan(A.n, A.edges)
+    assert plan.ordering is not None and plan.layout is None
+    return plan
+
+
 def test_apply_hand_value():
     A = _single_edge_operator()
     assert np.array_equal(A.apply(np.array([1.0, 0.0])), [2.0, -1.0])
@@ -43,12 +55,12 @@ def test_dense_is_symmetric():
 
 
 def test_cg_hand_value():
-    x = eh.cg_solve(_single_edge_operator(), np.array([1.0, 0.0]), rel_tol=1e-14)
+    x = eh.cg_solve(_stencil(_single_edge_operator()), np.array([1.0, 0.0]), rel_tol=1e-14)
     assert_allclose(x, SOLVE_2X2, rtol=1e-12)
 
 
 def test_cg_zero_rhs():
-    x = eh.cg_solve(_single_edge_operator(), np.zeros(2))
+    x = eh.cg_solve(_stencil(_single_edge_operator()), np.zeros(2))
     assert np.array_equal(x, np.zeros(2))
 
 
@@ -56,7 +68,7 @@ def test_cg_residual_contract():
     for seed, rel_tol in [(0, 1e-8), (1, 1e-12), (2, 1e-12)]:
         A = random_operator(seed)
         b = np.random.default_rng(seed + 50).standard_normal(A.n)
-        x = eh.cg_solve(A, b, rel_tol=rel_tol)
+        x = eh.cg_solve(_stencil(A), b, rel_tol=rel_tol)
         res = np.linalg.norm(A.apply(x) - b)
         assert res <= rel_tol * np.linalg.norm(b) * (1 + 1e-12)
 
@@ -65,7 +77,7 @@ def test_cg_reports_failure():
     A = random_operator(7)
     b = np.random.default_rng(8).standard_normal(A.n)
     with pytest.raises(eh.SolverError) as excinfo:
-        eh.cg_solve(A, b, rel_tol=0.0, max_iter=3)
+        eh.cg_solve(_stencil(A), b, rel_tol=0.0, max_iter=3)
     assert excinfo.value.relative_residual > 0.0
     assert "3" in str(excinfo.value)
 
@@ -75,7 +87,7 @@ def test_cg_reports_underflowed_residual_and_target_not_indefiniteness():
     A = random_operator(7)
     b = np.random.default_rng(8).standard_normal(A.n)
     with pytest.raises(eh.SolverError) as excinfo:
-        eh.cg_solve(A, b, rel_tol=0.0)
+        eh.cg_solve(_stencil(A), b, rel_tol=0.0)
     message = str(excinfo.value)
     assert 0.0 < excinfo.value.relative_residual < 1e-100
     assert f"relative residual {excinfo.value.relative_residual:.3e}" in message
@@ -85,7 +97,7 @@ def test_cg_reports_underflowed_residual_and_target_not_indefiniteness():
     negative = eh.SpdOperator(mass=-np.ones(2), edges=np.empty((0, 2), dtype=int),
                               coeffs=np.empty(0), h=1.0)
     with pytest.raises(eh.SolverError, match="not positive definite"):
-        eh.cg_solve(negative, np.ones(2))
+        eh.cg_solve(_stencil(negative), np.ones(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -109,7 +121,7 @@ def test_operator_symmetry_and_positivity(seed):
 def test_cg_matches_dense(seed):
     A = random_operator(seed)
     b = np.random.default_rng(seed + 2).standard_normal(A.n)
-    x = eh.cg_solve(A, b, rel_tol=1e-13)
+    x = eh.cg_solve(_stencil(A), b, rel_tol=1e-13)
     y = eh.dense_solve(A, b)
     assert_allclose(x, y, rtol=0, atol=1e-10 * (np.abs(y).max() + 1.0))
 
@@ -161,7 +173,8 @@ def test_banded_matches_dense_on_cycles_and_paths(seed, n, closed, offsets):
         assert ordering.bandwidth == (2 if closed and n >= 3 else min(n - 1, 1))
     assert ordering.bandwidth <= max(n - 1, 0)
     b = np.random.default_rng(seed + 4).standard_normal(n)
-    [[x]] = eh.banded_solve([A], b[None, None], rel_tol=1e-13, ordering=ordering)
+    # the band solver itself, also on orders wider than the direct path takes
+    [[x]] = eh.linalg._banded_solve([A], b[None, None], 1e-13, ordering)
     y = eh.dense_solve(A, b)
     assert_allclose(x, y, rtol=0, atol=1e-12 * (np.abs(y).max() + 1.0))
 
@@ -174,10 +187,10 @@ def test_operators_and_columns_solved_together_match_each_alone(monkeypatch):
     ops = [eh.SpdOperator(mass=base.mass * rng.uniform(0.5, 2.0, base.n), edges=base.edges,
                           coeffs=1e4 * base.coeffs * rng.uniform(0.5, 2.0, len(base.coeffs)),
                           h=base.h) for _ in range(3)]
-    ordering = eh.rcm_ordering(base.n, base.edges)
-    assert ordering.bandwidth == 5 and ordering.direct
+    plan = _direct_plan(base)
+    assert plan.ordering.bandwidth == 5
     rhs = rng.standard_normal((3, 8, base.n))
-    together = eh.spd_solve(ops, rhs, rel_tol=1.6e-13, ordering=ordering)
+    together = eh.spd_solve(ops, rhs, rel_tol=1.6e-13, plan=plan)
 
     passes = []
     real = eh.linalg._bcr_solve
@@ -192,7 +205,7 @@ def test_operators_and_columns_solved_together_match_each_alone(monkeypatch):
         for c in range(rhs.shape[1]):
             passes.clear()
             [[alone]] = eh.spd_solve([A], rhs[t, c][None, None], rel_tol=1.6e-13,
-                                     ordering=ordering)
+                                     plan=plan)
             assert np.array_equal(together[t, c], alone)
             refined.append(len(passes) > 1)
     assert any(refined) and not all(refined)
@@ -203,17 +216,15 @@ def test_direct_path_rejects_an_operator_that_is_not_positive_definite():
     mass = A.mass.copy()
     mass[7] = -3.0  # e_7^T A e_7 = -3 + h * (at most two conductances of 2) < 0
     bad = eh.SpdOperator(mass=mass, edges=A.edges, coeffs=A.coeffs, h=A.h)
-    ordering = eh.rcm_ordering(A.n, A.edges)
-    assert ordering.direct
     with pytest.raises(eh.SolverError, match="not positive definite"):
-        eh.spd_solve([bad], np.ones((1, 1, A.n)), ordering=ordering)
+        eh.spd_solve([bad], np.ones((1, 1, A.n)), plan=_direct_plan(A))
 
 
 def test_banded_residual_contract():
     for seed, rel_tol in [(0, 1e-8), (1, 1e-12), (2, 1e-12)]:
         A = _ring_operator(seed, 64, closed=True)
         rhs = np.random.default_rng(seed + 50).standard_normal((3, A.n))
-        for x, b in zip(eh.banded_solve([A], rhs[None], rel_tol=rel_tol)[0], rhs):
+        for x, b in zip(eh.spd_solve([A], rhs[None], rel_tol, _direct_plan(A))[0], rhs):
             res = np.linalg.norm(A.apply(x) - b)
             assert res <= rel_tol * np.linalg.norm(b)
 
@@ -222,7 +233,7 @@ def test_banded_reports_failure():
     A = _ring_operator(7, 16, closed=True)
     b = np.random.default_rng(8).standard_normal(A.n)
     with pytest.raises(eh.SolverError) as excinfo:
-        eh.banded_solve([A], b[None, None], rel_tol=0.0)
+        eh.spd_solve([A], b[None, None], rel_tol=0.0, plan=_direct_plan(A))
     assert excinfo.value.relative_residual > 0.0
     assert "refinements" in str(excinfo.value)
 
@@ -232,12 +243,13 @@ def test_banded_reports_a_nan_column():
     rhs = np.random.default_rng(8).standard_normal((1, 2, A.n))
     rhs[0, 1, 3] = np.nan
     with pytest.raises(eh.SolverError, match="refinements") as excinfo:
-        eh.banded_solve([A], rhs)
+        eh.spd_solve([A], rhs, plan=_direct_plan(A))
     assert np.isnan(excinfo.value.relative_residual)
 
 
 def test_banded_zero_rhs():
-    [[x]] = eh.banded_solve([_single_edge_operator()], np.zeros((1, 1, 2)), rel_tol=0.0)
+    A = _single_edge_operator()
+    [[x]] = eh.spd_solve([A], np.zeros((1, 1, 2)), rel_tol=0.0, plan=_direct_plan(A))
     assert np.array_equal(x, np.zeros(2))
 
 
@@ -257,14 +269,25 @@ def _cg_calls_per_step(monkeypatch, G):
 
 def test_narrow_graphs_take_the_direct_path(monkeypatch):
     circle = build("conformal_circle", n=256, k_spatial=1)
-    assert circle.band_ordering.bandwidth == 2 and circle.band_ordering.direct
+    assert circle.plan.ordering.bandwidth == 2 and circle.plan.layout is None
     assert _cg_calls_per_step(monkeypatch, circle) == 0
 
 
 def test_wide_graphs_take_cg(monkeypatch):
     torus = build("product_torus", nx=48, ny=48)
-    assert torus.band_ordering.bandwidth == 95 and not torus.band_ordering.direct
+    assert eh.rcm_ordering(torus.n_vertices, torus.edges).bandwidth == 95
+    assert torus.plan.ordering is None and torus.plan.layout is not None
     assert _cg_calls_per_step(monkeypatch, torus) == 1
+
+
+@pytest.mark.parametrize("kind, params", [("conformal_circle", {"n": 256, "k_spatial": 1}),
+                                          ("product_torus", {"nx": 12, "ny": 12})])
+def test_spd_solve_without_a_plan_equals_the_graph_plan(kind, params):
+    G = build(kind, **params)
+    assert (G.plan.ordering is None) == (kind == "product_torus")
+    ops = [eh.operator_at(G, t, 0.1) for t in (0.1, 0.2)]
+    rhs = np.random.default_rng(9).standard_normal((2, 3, G.n_vertices))
+    assert np.array_equal(eh.spd_solve(ops, rhs), eh.spd_solve(ops, rhs, plan=G.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +348,15 @@ def test_stencil_matches_operator_and_dense(seed, star):
 
     b = rng.standard_normal(A.n)
     y = eh.dense_solve(A, b)
-    for op in (S, A):
-        x = eh.cg_solve(op, b, rel_tol=1e-13)
-        assert_allclose(x, y, rtol=0, atol=1e-10 * (np.abs(y).max() + 1.0))
+    x = eh.cg_solve(S, b, rel_tol=1e-13)
+    assert_allclose(x, y, rtol=0, atol=1e-10 * (np.abs(y).max() + 1.0))
 
 
 def test_torus_layout_has_no_overflow():
     torus = build("product_torus", nx=8, ny=8)
-    layout = torus.stencil_layout
+    layout = torus.plan.layout
     assert layout.nbr.shape == (4, 64) and len(layout.over_rows) == 0
-    assert torus.stencil_layout is layout  # built once per graph
+    assert torus.plan.layout is layout  # built once per graph
 
 
 def test_spd_solve_assembles_once_per_operator(monkeypatch):
@@ -349,8 +371,7 @@ def test_spd_solve_assembles_once_per_operator(monkeypatch):
     torus = build("product_torus", nx=48, ny=48)
     A = eh.operator_at(torus, 0.1, 0.1)
     rhs = np.random.default_rng(3).standard_normal((3, A.n))
-    [xs] = eh.spd_solve([A], rhs[None], ordering=torus.band_ordering,
-                        layout=torus.stencil_layout)
+    [xs] = eh.spd_solve([A], rhs[None], plan=torus.plan)
     assert len(assembled) == 1
     for x, b in zip(xs, rhs):
         assert np.linalg.norm(A.apply(x) - b) <= 1e-10 * np.linalg.norm(b) * (1 + 1e-6)

@@ -214,7 +214,7 @@ def test_energy_report_json_uses_pass_key():
 # ---------------------------------------------------------------------------
 
 def test_extremum_flags_fabricated_violation():
-    bad = eh.ChainFamily(h=0.1, m=1, horizon=0.1, values=np.array([[0.0, 1.0], [0.2, 1.5]]))
+    bad = eh.ChainFamily(h=0.1, m=1, values=np.array([[0.0, 1.0], [0.2, 1.5]]))
     rep = eh.extremum_check(bad, solve_error=0.0)
     assert rep.lo == 0.0 and rep.hi == 1.0
     assert rep.worst_violation == pytest.approx(0.5)
@@ -249,7 +249,7 @@ def test_extremum_flags_sample_pushed_past_derived_bound():
     assert rep.passed and rep.tol > 1e-9
     samples = chain.values.copy()
     samples[len(samples) // 2, 5] = u0.max() + 1.5 * rep.tol
-    bad = eh.ChainFamily(chain.h, chain.m, chain.horizon, samples)
+    bad = eh.ChainFamily(chain.h, chain.m, samples)
     bad_rep = eh.extremum_check(bad, solve_error=solve_error)
     assert bad_rep.tol < 1.1 * rep.tol  # later samples step from the pushed one
     assert bad_rep.worst_violation > bad_rep.tol
@@ -340,7 +340,7 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     j = len(chain_d.values) // 2
     samples = chain_d.values.copy()
     samples[j, 3] += 10.0 * rep.linearity_tol
-    bad_d = eh.ChainFamily(chain_d.h, chain_d.m, chain_d.horizon, samples)
+    bad_d = eh.ChainFamily(chain_d.h, chain_d.m, samples)
     bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0, solve_error=solve_error)
     assert bad.difference_energy.passed
     assert bad.linearity_tol == rep.linearity_tol
@@ -450,7 +450,7 @@ def test_weak_residual_validates_before_evaluating_coefficients():
     base = build("static_circle", n=8)
     G = eh.TimeWeightedGraph(8, base.edges, lambda t: calls.append(t) or np.ones(8),
                              base.conductances_at, 1.0)
-    chain = eh.ChainFamily(0.25, 1, 1.0, np.ones((5, 8)))
+    chain = eh.ChainFamily(0.25, 1, np.ones((5, 8)))
     good = eh.TestFunction("sin", np.ones(8), lambda t: math.sin(math.pi * t),
                            lambda t: math.pi * math.cos(math.pi * t))
     bad = eh.TestFunction("cos", np.ones(8), lambda t: math.cos(math.pi * t),
