@@ -10,12 +10,11 @@ from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGrap
                        build_scenario, dirichlet_energy, edge_conductances,
                        tabulated_graph, vertex_weights, volume_decay_rate,
                        volume_growth_bound)
-from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, dense_solve,
-                     half_edge_layout, rcm_ordering, solve_plan, spd_solve, stiffness_apply)
+from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, half_edge_layout,
+                     rcm_ordering, solve_plan, spd_solve, stiffness_apply)
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, degiorgi_interpolate, euler_step, operator_at,
-                     run_discrete, run_families, run_interpolated, steps_within_horizon,
-                     truncate)
+from .scheme import (ChainFamily, operator_at, run_families, run_interpolated,
+                     steps_within_horizon, truncate)
 from .verify import (ContractionReport, ConvergenceRow, EnergyReport, ExtremumReport,
                      OracleError, OracleResult, TestFunction, WeakResidualRow,
                      attainment_solve_error, chain_error_vs_oracle, contraction_report,

@@ -97,12 +97,12 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_types(raw)
         cfg = cls(**raw)
         if cfg.h <= 0:
             raise ConfigError(f"h: must be positive, got {cfg.h}")
-        if int(cfg.m) < 1:
+        if cfg.m < 1:
             raise ConfigError(f"m: must be >= 1, got {cfg.m}")
-        cfg.m = int(cfg.m)
         if cfg.rel_tol < 0:
             raise ConfigError(f"rel_tol: must be nonnegative, got {cfg.rel_tol}")
         if cfg.c0 is not None and cfg.c0 < 0:
@@ -110,6 +110,31 @@ class RunConfig:
         if not cfg.h_list:
             raise ConfigError("h_list: must not be empty")
         return cfg
+
+
+def _check_types(raw: dict) -> None:
+    """Raise ConfigError unless each field of ``raw`` has the JSON type it takes."""
+    def is_real(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    real = ("a real number", is_real)
+    integer = ("an integer", lambda v: is_real(v) and isinstance(v, int))
+    reals = ("a list of real numbers", lambda v: isinstance(v, list) and all(map(is_real, v)))
+    expected = {
+        "scenario": ("an object or a path", lambda v: isinstance(v, (dict, str))),
+        "initial": ("an object", lambda v: isinstance(v, dict)),
+        "h": real, "rel_tol": real, "slack": real,
+        "c0": ("a real number or null", lambda v: v is None or is_real(v)),
+        "m": integer, "seed": integer, "oracle_steps": integer,
+        "h_list": reals, "truncation_levels": reals,
+        "test_functions": ("null or a list of strings", lambda v: v is None or (
+            isinstance(v, list) and all(isinstance(name, str) for name in v))),
+        "out": ("a string", lambda v: isinstance(v, str)),
+    }
+    for key, value in raw.items():
+        what, check = expected[key]
+        if not check(value):
+            raise ConfigError(f"{key}: must be {what}, got {value!r}")
 
 
 def _prepare(cfg: RunConfig):
@@ -346,9 +371,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"config: not valid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
-    for flag, key in (("out", "out"), ("h", "h"), ("m", "m"),
-                      ("rel_tol", "rel_tol"), ("seed", "seed")):
-        value = getattr(args, flag, None)
+    for key in ("out", "h", "m", "rel_tol", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
     return RunConfig.from_dict(raw)
@@ -359,10 +383,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, ScenarioError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, ScenarioError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

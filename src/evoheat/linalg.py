@@ -23,8 +23,7 @@ Jacobi-preconditioned CG mat-vec is one gather, one product and one column sum.
 Both solvers fix the order of every floating-point operation, so runs are
 bit-reproducible and a column solved alongside others is bitwise the column
 solved alone, and both keep one residual contract: the true residual
-||A x - b||_2 must reach rel_tol * ||b||_2 or SolverError is raised.  A dense
-direct path is provided as an internal oracle for small systems.
+||A x - b||_2 must reach rel_tol * ||b||_2 or SolverError is raised.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "StencilOperator",
            "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply", "rcm_ordering",
-           "half_edge_layout", "solve_plan", "spd_solve", "cg_solve", "dense_solve"]
+           "half_edge_layout", "solve_plan", "spd_solve", "cg_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
 # assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
@@ -130,29 +129,24 @@ class BandOrdering(NamedTuple):
     index entry_index[k] receives the entry -h*c of edge entry_edges[k] (an edge
     inside a block fills both of its symmetric entries, one across blocks only
     the one below the diagonal) and diag_index[p] the diagonal at position p.
-    ``components`` counts the connected components the search walked.  A
-    NamedTuple because a frozen dataclass costs about 1.5 ms more to create at
-    import.
+    A NamedTuple because a frozen dataclass costs about 1.5 ms more to create
+    at import.
     """
 
     perm: np.ndarray
     bandwidth: int
+    block_size: int
     entry_index: np.ndarray
     entry_edges: np.ndarray
     diag_index: np.ndarray
-    components: int
-
-    @property
-    def block_size(self) -> int:
-        return max(self.bandwidth, 1)
 
 
-def rcm_ordering(n: int, edges: np.ndarray) -> BandOrdering:
+def rcm_ordering(n: int, edges: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Reverse Cuthill-McKee order of a graph with n vertices.
 
     Breadth-first search from a vertex of least degree, neighbours visited by
-    increasing degree (ties by index), one component after another; the visit
-    order reversed.
+    increasing degree (ties by index), one component after another.  Returns
+    perm, the visit order reversed, its bandwidth and the component count.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -162,40 +156,44 @@ def rcm_ordering(n: int, edges: np.ndarray) -> BandOrdering:
     degree = [len(a) for a in adj]
     for a in adj:
         a.sort(key=lambda v: (degree[v], v))
-    seen = [False] * n
+    visit = [-1] * n  # each vertex's place in the search, -1 until it is reached
     order: list[int] = []
     components = 0
     for start in sorted(range(n), key=lambda v: (degree[v], v)):
-        if seen[start]:
+        if visit[start] >= 0:
             continue
-        seen[start] = True
+        visit[start] = len(order)
         components += 1
         head = len(order)
         order.append(start)
         while head < len(order):
             for w in adj[order[head]]:
-                if not seen[w]:
-                    seen[w] = True
+                if visit[w] < 0:
+                    visit[w] = len(order)
                     order.append(w)
             head += 1
-    perm = np.array(order[::-1], dtype=np.int64)
-    pos = np.empty(n, dtype=np.int64)
-    pos[perm] = np.arange(n)
-    p = pos[edges]
+    p = np.array(visit, dtype=np.int64)[edges]
+    bandwidth = int(np.abs(p[:, 0] - p[:, 1]).max(initial=0))
+    return np.array(order[::-1], dtype=np.int64), bandwidth, components
+
+
+def _band_ordering(edges: np.ndarray, perm: np.ndarray, bandwidth: int) -> BandOrdering:
+    """The ``BandOrdering`` of a graph's edges in the order perm, of that bandwidth."""
+    pos = np.empty(len(perm), dtype=np.int64)
+    pos[perm] = np.arange(len(perm))
+    p = pos[np.asarray(edges, dtype=np.int64).reshape(-1, 2)]
     rows, cols = p.max(axis=1), p.min(axis=1)
-    bandwidth = int((rows - cols).max(initial=0))
     # entry (r, c), c in r's block or the one before, sits at r*s + c mod s in
     # the diagonal blocks or the same offset in the blocks left of them
     s = max(bandwidth, 1)
-    padded = -(-n // s) * s
+    padded = -(-len(perm) // s) * s
     same_block = rows // s == cols // s
     inside = np.flatnonzero(same_block)
     lower = rows * s + cols % s + np.where(same_block, 0, padded * s)
     entry_index = np.concatenate([lower, cols[inside] * s + rows[inside] % s])
-    entry_edges = np.concatenate([np.arange(len(edges)), inside])
-    positions = np.arange(padded)
-    return BandOrdering(perm, bandwidth, entry_index, entry_edges, positions * s + positions % s,
-                        components)
+    entry_edges = np.concatenate([np.arange(len(p)), inside])
+    slots = np.arange(padded)  # band positions, padding included
+    return BandOrdering(perm, bandwidth, s, entry_index, entry_edges, slots * s + slots % s)
 
 
 # Block storage puts the two block-entry axes first and the block index last:
@@ -478,13 +476,13 @@ class SolvePlan(NamedTuple):
 def solve_plan(n: int, edges: np.ndarray) -> SolvePlan:
     """The ``SolvePlan`` of a graph with n vertices, from one ``rcm_ordering`` search.
 
-    The order is kept when its bandwidth is at most DIRECT_MAX_BANDWIDTH; only
-    otherwise is the half-edge layout built.
+    When the bandwidth is at most DIRECT_MAX_BANDWIDTH, the block storage of
+    the order is built; otherwise only the half-edge layout is.
     """
-    ordering = rcm_ordering(n, edges)
-    if ordering.bandwidth <= DIRECT_MAX_BANDWIDTH:
-        return SolvePlan(ordering.components, ordering, None)
-    return SolvePlan(ordering.components, None, half_edge_layout(n, edges))
+    perm, bandwidth, components = rcm_ordering(n, edges)
+    if bandwidth <= DIRECT_MAX_BANDWIDTH:
+        return SolvePlan(components, _band_ordering(edges, perm, bandwidth), None)
+    return SolvePlan(components, None, half_edge_layout(n, edges))
 
 
 def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
@@ -496,8 +494,8 @@ def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
     ``plan`` is the graph's ``solve_plan`` (built here when None; graphs cache
     theirs).  Narrow bands factor all T operators at once and solve every
     column in one pass; wide ones assemble each operator once on the layout
-    and run ``cg_solve`` per column with its default iteration cap.  Raises
-    SolverError when a residual target is missed.
+    and run ``cg_solve`` per column.  Raises SolverError when a residual
+    target is missed.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
@@ -515,8 +513,7 @@ def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
     return out
 
 
-def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,
-             max_iter: int | None = None) -> np.ndarray:
+def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     """Solve A x = b to ||A x - b||_2 <= rel_tol * ||b||_2.
 
     Jacobi-preconditioned CG from x = 0 with a fixed iteration order, run in
@@ -524,9 +521,9 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,
     ``spd_solve`` assembles once for all its right-hand sides.  When the
     recurrence residual meets the target, the true residual is recomputed; if
     drift has spoiled it the iteration restarts from the current iterate.
-    Raises SolverError (reporting the relative residual achieved) if max_iter
-    (default 50 n) is exhausted or the search direction vanishes first (p.Ap =
-    0, as once the residual underflows).
+    Raises SolverError (reporting the relative residual achieved) if the
+    target is missed after 50 n iterations, or the search direction vanishes
+    first (p.Ap = 0, as once the residual underflows).
     """
     b = np.asarray(b, dtype=float)
     n = A.n
@@ -535,8 +532,7 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,
     b_norm = math.sqrt(float(np.dot(b, b)))
     if b_norm == 0.0:
         return np.zeros(n)
-    if max_iter is None:
-        max_iter = 50 * n
+    cap = 50 * n
     target = rel_tol * b_norm
 
     inv_diag = A.inv_diag
@@ -554,7 +550,7 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,
         np.subtract(b, A.apply(x, out=Ap), out=Ap)
         return math.sqrt(float(np.dot(Ap, Ap)))
 
-    for _ in range(max_iter):
+    for _ in range(cap):
         if r_norm <= target:
             true_norm = true_residual()
             if true_norm <= target:
@@ -588,11 +584,7 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10,
     if r_norm <= target and true_residual() <= target:
         return x
     raise SolverError(
-        f"cg_solve: no convergence in {max_iter} iterations "
+        f"cg_solve: no convergence in {cap} iterations "
         f"(relative residual {r_norm / b_norm:.3e}, target {rel_tol:.3e})",
         r_norm / b_norm)
 
-
-def dense_solve(A: SpdOperator, b: np.ndarray) -> np.ndarray:
-    """Direct solve through the dense assembly (the small-system oracle)."""
-    return np.linalg.solve(A.dense(), np.asarray(b, dtype=float))

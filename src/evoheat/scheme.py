@@ -15,7 +15,7 @@ step of length h taken at time t from the sample at t - h, with the convention
 that times below zero hold the initial value.  Chain j mod m never reads another
 chain, so evaluation order cannot change results.  Samples at multiples of h
 reproduce the plain step sequence.  This differs from resolvent-style
-interpolation (``degiorgi_interpolate``), which shortens the step to reach
+interpolation (``verify.degiorgi_family``), which shortens the step to reach
 intermediate times; with moving coefficients the shortened step loses the uniform
 energy bounds, which is the point of the comparison tooling in ``verify``.
 
@@ -23,17 +23,16 @@ energy bounds, which is the point of the comparison tooling in ``verify``.
 through the same operators, a round of m grid times at a time, building and
 factoring each operator once; every family comes out bitwise as if run alone.
 A family is one (N*m + 1, n) array whose row j is the sample at t = j*delta.
-Every solve is one ``spd_solve`` call with the graph's ``plan``, which alone
-decides the solver.
+The package steps only in such rounds: every solve is one ``spd_solve`` call
+with the graph's ``plan``, which alone decides the solver.
 
 Vertex functions are plain float vectors of length n.  A value's time is its
-place on the grid, never a tag it carries: ``run_discrete`` row k - 1 is u_k at
-t = k*h, and ``ChainFamily.times()`` gives the time of each family row.
+place on the grid, never a tag it carries: ``ChainFamily.times()`` gives the
+time of each family row, and with m = 1 row k is u_k at t = k*h.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -45,11 +44,8 @@ from .linalg import SpdOperator, spd_solve
 __all__ = [
     "ChainFamily",
     "operator_at",
-    "euler_step",
-    "run_discrete",
     "run_interpolated",
     "run_families",
-    "degiorgi_interpolate",
     "steps_within_horizon",
     "truncate",
 ]
@@ -77,23 +73,6 @@ def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
     return SpdOperator(vertex_weights(G, t), G.edges, edge_conductances(G, t), h)
 
 
-def euler_step(G: TimeWeightedGraph, t: float, h: float, u_prev: np.ndarray,
-               rel_tol: float = 1e-10) -> np.ndarray:
-    """One implicit step of length h, coefficients frozen at time t.
-
-    Solves (M_t + h S_t) u = M_t u_prev.  The proximal weight is always 1/h,
-    however far in the past u_prev was computed; interpolation chains rely on
-    exactly that.
-    """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    if not (0.0 < t <= G.horizon + _TIME_FUZZ * max(1.0, G.horizon)):
-        raise ValueError(f"step time {t} outside (0, {G.horizon}]")
-    u_prev = _vertex_values(u_prev, G, "u_prev")
-    A = operator_at(G, t, h)
-    return spd_solve([A], (A.mass * u_prev)[None, None], rel_tol, G.plan)[0, 0]
-
-
 def steps_within_horizon(T: float, h: float) -> int:
     """N = round(T/h), reduced if rounding would step past the horizon."""
     if h <= 0:
@@ -104,20 +83,6 @@ def steps_within_horizon(T: float, h: float) -> int:
     if N < 1:
         raise ValueError(f"step h={h} does not fit the horizon T={T}")
     return N
-
-
-def run_discrete(G: TimeWeightedGraph, u0: np.ndarray, h: float, N: int,
-                 rel_tol: float = 1e-10) -> np.ndarray:
-    """The step sequence as an (N, n) array: row k - 1 is u_k, computed at time k*h."""
-    prev = _vertex_values(u0, G, "u0")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if N * h > G.horizon + _TIME_FUZZ * max(1.0, G.horizon):
-        raise ValueError(f"N*h = {N * h} beyond graph horizon {G.horizon}")
-    out = np.empty((N, G.n_vertices))
-    for k in range(1, N + 1):
-        prev = out[k - 1] = euler_step(G, k * h, h, prev, rel_tol=rel_tol)
-    return out
 
 
 @dataclass(frozen=True)
@@ -198,38 +163,3 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
             for j in rows:
                 on_row(values[0, j])
     return [ChainFamily(h=float(h), m=int(m), values=run) for run in values]
-
-
-def _resolvent_system(G: TimeWeightedGraph, seq, h: float,
-                      t: float) -> tuple[SpdOperator, np.ndarray]:
-    """The operator and right-hand side ``degiorgi_interpolate`` solves at t."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    N = len(seq) - 1
-    if N < 1:
-        raise ValueError("seq must contain the initial value and at least one step")
-    if not (0.0 < t <= N * h + _TIME_FUZZ * max(1.0, N * h)):
-        raise ValueError(f"t = {t} outside (0, {N * h}]")
-    k = int(math.ceil(t / h - _TIME_FUZZ))
-    k = min(max(k, 1), N)
-    delta = t - (k - 1) * h
-    A = operator_at(G, t, delta)
-    return A, A.mass * seq[k - 1]
-
-
-def degiorgi_interpolate(G: TimeWeightedGraph, seq, h: float, t: float,
-                         rel_tol: float = 1e-10) -> np.ndarray:
-    """Resolvent interpolation of a step sequence at an intermediate time.
-
-    ``seq`` holds the full sequence u_0, u_1, ..., u_N (initial value included)
-    as array rows, e.g. ``chain.values[::m]``.
-    For t = (k-1)*h + delta with delta in (0, h], solves the shortened step
-
-        (M_t + delta * S_t) u = M_t u_{k-1}
-
-    so delta -> 0 returns u_{k-1} and delta = h reproduces u_k's defining system
-    but never the shifted chains' intermediate samples, whose proximal weight
-    stays 1/h.
-    """
-    A, rhs = _resolvent_system(G, seq, h, t)
-    return spd_solve([A], rhs[None, None], rel_tol, G.plan)[0, 0]

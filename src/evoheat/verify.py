@@ -36,7 +36,7 @@ from .geometry import (_TIME_FUZZ, TimeWeightedGraph, dirichlet_energy, edge_con
                        vertex_weights, volume_decay_rate)
 from .linalg import spd_solve, stiffness_apply
 from .profiles import make_initial_data
-from .scheme import ChainFamily, _resolvent_system, _vertex_values, run_interpolated
+from .scheme import ChainFamily, _vertex_values, operator_at, run_interpolated
 
 __all__ = [
     "weighted_l2_sq",
@@ -530,15 +530,21 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     """Resolvent interpolation of the step sequence ``seq`` (rows u_0..u_N) on the
     delta-grid: row j - 1 is the value at t = j*delta, j = 1..N*m.
 
-    The m grid times of each step interval are solved as one round; every row
-    is bitwise ``degiorgi_interpolate`` at its time.
+    At t = (k-1)*h + s, s in (0, h], it solves (M_t + s S_t) u = M_t u_{k-1}:
+    s -> 0 returns u_{k-1} and s = h reproduces u_k's defining system, but never
+    the shifted chains' intermediate samples, whose proximal weight stays 1/h.
+    The m grid times of each step interval are solved as one round.
     """
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
     N = len(seq) - 1
+    if N < 1:
+        raise ValueError("seq must contain the initial value and at least one step")
     delta = h / m
     out = np.empty((N * m, G.n_vertices))
-    for start in range(1, N * m + 1, m):
-        systems = [_resolvent_system(G, seq, h, j * delta) for j in range(start, start + m)]
-        rhs = np.array([b for _, b in systems])[:, None]
-        out[start - 1:start - 1 + m] = spd_solve([A for A, _ in systems], rhs, rel_tol,
-                                                 G.plan)[:, 0]
+    for k in range(1, N + 1):
+        times = [j * delta for j in range((k - 1) * m + 1, k * m + 1)]
+        ops = [operator_at(G, t, t - (k - 1) * h) for t in times]
+        rhs = np.array([A.mass * seq[k - 1] for A in ops])[:, None]
+        out[(k - 1) * m:k * m] = spd_solve(ops, rhs, rel_tol, G.plan)[:, 0]
     return out

@@ -1,4 +1,4 @@
-"""Shared test fixtures: seeded random graphs and scenario shortcuts."""
+"""Shared test fixtures: seeded random graphs, scenario shortcuts and solve references."""
 
 import numpy as np
 
@@ -32,3 +32,19 @@ def random_operator(seed):
     rng = np.random.default_rng(seed + 10_000)
     h = float(rng.uniform(0.01, 0.5))
     return eh.operator_at(G, 0.0, h)
+
+
+def lone_step(G, t, h, u_prev, rel_tol=1e-10):
+    """One implicit step of length h at time t, solved alone: (M_t + h S_t) u = M_t u_prev.
+
+    The operator and the solve are the ones a chain's round uses, so a chain
+    sample must equal this bitwise.
+    """
+    A = eh.operator_at(G, t, h)
+    rhs = A.mass * np.asarray(u_prev, dtype=float)
+    return eh.spd_solve([A], rhs[None, None], rel_tol, G.plan)[0, 0]
+
+
+def dense_solve(A, b):
+    """Direct solve through the dense assembly of A: the small-system reference."""
+    return np.linalg.solve(A.dense(), np.asarray(b, dtype=float))

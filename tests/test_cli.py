@@ -129,6 +129,23 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert not os.path.exists(out)  # config errors must not leave artifacts
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("verify", "h", "0.1"), ("verify", "h", None), ("verify", "h", True),
+    ("verify", "rel_tol", "1e-8"), ("verify", "slack", [1e-8]), ("verify", "c0", "1"),
+    ("verify", "m", 2.5), ("verify", "seed", 1.5), ("converge", "oracle_steps", "8"),
+    ("converge", "h_list", 0.1), ("l2-limit", "h_list", 0.1),
+    ("l2-limit", "truncation_levels", ["1"]), ("verify", "test_functions", "k1_sin"),
+    ("verify", "initial", "harmonic"), ("verify", "scenario", 5), ("verify", "out", 3),
+])
+def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                 command, key, value):
+    cfg = _write_config(tmp_path, **{key: value})
+    monkeypatch.chdir(tmp_path)  # the default out directory, which must stay absent
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: must be ")
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("values", [[0.0] * 15 + [float("nan")], [1.0] * 15],
                          ids=["nan", "short"])
 def test_bad_initial_file_exits_two_before_any_solve(tmp_path, monkeypatch, capsys, values):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import evoheat as eh
 
-from helpers import build, random_operator
+from helpers import build, dense_solve, lone_step, random_operator
 
 # (mass + h*stiffness) on the single-edge graph, h = 1, unit coefficients:
 # A = [[2, -1], [-1, 2]], so A @ (1, 0) = (2, -1) and A^-1 (1, 0) = (2/3, 1/3).
@@ -74,12 +74,15 @@ def test_cg_residual_contract():
 
 
 def test_cg_reports_failure():
+    # 1e-18 is below what the 8-vertex solve can reach, so it runs into the
+    # cap of 50 n iterations, with the residual still far from underflow
     A = random_operator(7)
+    assert A.n == 8
     b = np.random.default_rng(8).standard_normal(A.n)
     with pytest.raises(eh.SolverError) as excinfo:
-        eh.cg_solve(_stencil(A), b, rel_tol=0.0, max_iter=3)
+        eh.cg_solve(_stencil(A), b, rel_tol=1e-18)
     assert excinfo.value.relative_residual > 0.0
-    assert "3" in str(excinfo.value)
+    assert "no convergence in 400 iterations" in str(excinfo.value)
 
 
 def test_cg_reports_underflowed_residual_and_target_not_indefiniteness():
@@ -122,7 +125,7 @@ def test_cg_matches_dense(seed):
     A = random_operator(seed)
     b = np.random.default_rng(seed + 2).standard_normal(A.n)
     x = eh.cg_solve(_stencil(A), b, rel_tol=1e-13)
-    y = eh.dense_solve(A, b)
+    y = dense_solve(A, b)
     assert_allclose(x, y, rtol=0, atol=1e-10 * (np.abs(y).max() + 1.0))
 
 
@@ -168,14 +171,16 @@ def _ring_operator(seed, n, closed, offsets=(1,)):
 @example(seed=1, n=23, closed=True, offsets=(1, 2))  # b = 5, n not a multiple of b
 def test_banded_matches_dense_on_cycles_and_paths(seed, n, closed, offsets):
     A = _ring_operator(seed, n, closed, offsets)
-    ordering = eh.rcm_ordering(A.n, A.edges)
+    perm, bandwidth, components = eh.rcm_ordering(A.n, A.edges)
+    assert sorted(perm.tolist()) == list(range(n)) and components == 1
     if offsets == (1,):
-        assert ordering.bandwidth == (2 if closed and n >= 3 else min(n - 1, 1))
-    assert ordering.bandwidth <= max(n - 1, 0)
+        assert bandwidth == (2 if closed and n >= 3 else min(n - 1, 1))
+    assert bandwidth <= max(n - 1, 0)
+    ordering = eh.linalg._band_ordering(A.edges, perm, bandwidth)
     b = np.random.default_rng(seed + 4).standard_normal(n)
     # the band solver itself, also on orders wider than the direct path takes
     [[x]] = eh.linalg._banded_solve([A], b[None, None], 1e-13, ordering)
-    y = eh.dense_solve(A, b)
+    y = dense_solve(A, b)
     assert_allclose(x, y, rtol=0, atol=1e-12 * (np.abs(y).max() + 1.0))
 
 
@@ -263,7 +268,7 @@ def _cg_calls_per_step(monkeypatch, G):
 
     monkeypatch.setattr(eh.linalg, "cg_solve", counting)
     u0 = eh.make_initial_data(G, {"profile": "random", "seed": 1})
-    eh.euler_step(G, 0.1, 0.1, u0)
+    lone_step(G, 0.1, 0.1, u0)
     return len(calls)
 
 
@@ -275,9 +280,28 @@ def test_narrow_graphs_take_the_direct_path(monkeypatch):
 
 def test_wide_graphs_take_cg(monkeypatch):
     torus = build("product_torus", nx=48, ny=48)
-    assert eh.rcm_ordering(torus.n_vertices, torus.edges).bandwidth == 95
+    assert eh.rcm_ordering(torus.n_vertices, torus.edges)[1] == 95
     assert torus.plan.ordering is None and torus.plan.layout is not None
     assert _cg_calls_per_step(monkeypatch, torus) == 1
+
+
+def test_only_band_plans_build_block_indices(monkeypatch):
+    torus = build("product_torus", nx=12, ny=12)
+    circle = build("conformal_circle", n=64)
+    built = []
+    real = eh.linalg._band_ordering
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eh.linalg, "_band_ordering", counting)
+    plan = eh.solve_plan(torus.n_vertices, torus.edges)
+    assert plan.ordering is None and plan.layout is not None and plan.components == 1
+    assert built == []  # a CG plan carries no block indices and builds none
+    plan = eh.solve_plan(circle.n_vertices, circle.edges)
+    assert len(built) == 1 and plan.ordering is not None and plan.layout is None
+    assert len(plan.ordering.diag_index) == 64 and plan.ordering.block_size == 2
 
 
 @pytest.mark.parametrize("kind, params", [("conformal_circle", {"n": 256, "k_spatial": 1}),
@@ -347,7 +371,7 @@ def test_stencil_matches_operator_and_dense(seed, star):
     assert_allclose(S.diag, A.diagonal(), rtol=1e-14)
 
     b = rng.standard_normal(A.n)
-    y = eh.dense_solve(A, b)
+    y = dense_solve(A, b)
     x = eh.cg_solve(S, b, rel_tol=1e-13)
     assert_allclose(x, y, rtol=0, atol=1e-10 * (np.abs(y).max() + 1.0))
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import evoheat as eh
 import evoheat.scheme as scheme
 
-from helpers import build
+from helpers import build, lone_step
 
 # Single-edge graph, unit weights and conductance, h = 1.  The step system is
 # [[2, -1], [-1, 2]] u = u_prev, worked out by hand:
@@ -24,13 +24,14 @@ TWO_VERTEX_U0 = np.array([1.0, -1.0])
 
 
 def test_euler_step_hand_value():
-    u1 = eh.euler_step(TWO_VERTEX, 1.0, 1.0, [1.0, 0.0], rel_tol=1e-14)
-    assert_allclose(u1, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
+    [chain] = eh.run_families(TWO_VERTEX, [[1.0, 0.0]], 1.0, m=1, rel_tol=1e-14)
+    assert_allclose(chain.values[1], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
 
 
-def test_run_discrete_eigen_decay():
-    seq = eh.run_discrete(TWO_VERTEX, [1.0, -1.0], 1.0, 3, rel_tol=1e-14)
-    assert seq.shape == (3, 2)
+def test_step_sequence_eigen_decay():
+    [chain] = eh.run_families(TWO_VERTEX, [[1.0, -1.0]], 1.0, m=1, rel_tol=1e-14)
+    seq = chain.values[1:]
+    assert seq.shape == (4, 2)
     assert_allclose(seq[0], [1.0 / 3.0, -1.0 / 3.0], rtol=1e-12)
     assert_allclose(seq[2], [1.0 / 27.0, -1.0 / 27.0], rtol=1e-11)
 
@@ -45,17 +46,18 @@ def test_constants_are_fixed_points():
 def test_interpolation_with_m1_is_the_step_sequence():
     u0 = np.random.default_rng(0).standard_normal(MOVING.n_vertices)
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=1, rel_tol=1e-12)
-    seq = eh.run_discrete(MOVING, u0, 0.25, 4, rel_tol=1e-12)
     assert chain.n_steps == 4
-    for k, (got, t, want) in enumerate(zip(chain.values[1:], chain.times()[1:], seq), start=1):
+    want = u0
+    for k, (got, t) in enumerate(zip(chain.values[1:], chain.times()[1:]), start=1):
+        want = lone_step(MOVING, k * 0.25, 0.25, want, rel_tol=1e-12)
         assert np.array_equal(got, want)
-        assert t == k * 0.25  # the time run_discrete stepped row k - 1 at
+        assert t == k * 0.25  # the time the step was taken at
 
 
 def test_chain_samples_at_step_multiples_match_step_sequence():
     u0 = np.random.default_rng(1).standard_normal(MOVING.n_vertices)
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-12)
-    seq = eh.run_discrete(MOVING, u0, 0.25, 4, rel_tol=1e-12)
+    seq = eh.run_interpolated(MOVING, u0, 0.25, m=1, rel_tol=1e-12).values[1:]
     for k in range(1, 5):
         # with m a power of two the grid times coincide bitwise, so the solves do too
         assert chain.times()[2 * k] == k * 0.25
@@ -71,7 +73,7 @@ def test_early_samples_step_from_initial_value():
     chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
     delta = h / m
     for j in (1, 2, 3):
-        want = eh.euler_step(MOVING, j * delta, h, u0, rel_tol=1e-12)
+        want = lone_step(MOVING, j * delta, h, u0, rel_tol=1e-12)
         assert np.array_equal(chain.values[j], want)
 
 
@@ -80,8 +82,7 @@ def test_shifted_sample_differs_from_shortened_step():
     u0 = np.cos(MOVING.coords[:, 0])
     h, m = 0.25, 4
     chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
-    seq = np.vstack([u0, eh.run_discrete(MOVING, u0, h, 4, rel_tol=1e-12)])
-    short = eh.degiorgi_interpolate(MOVING, seq, h, h / m, rel_tol=1e-12)
+    short = eh.degiorgi_family(MOVING, chain.values[::m], h, m, rel_tol=1e-12)[0]
     assert np.abs(chain.values[1] - short).max() > 1e-3
 
 
@@ -93,19 +94,20 @@ def test_chains_are_independent_of_evaluation_order():
     for r in reversed(range(m)):  # walk the chains backwards, one at a time
         prev = u0
         for j in range(r if r else m, chain.n_steps * m + 1, m):
-            prev = eh.euler_step(MOVING, j * delta, h, prev, rel_tol=1e-10)
+            prev = lone_step(MOVING, j * delta, h, prev, rel_tol=1e-10)
             assert np.array_equal(chain.values[j], prev)
 
 
 def test_degiorgi_limits():
-    h = 0.25
-    seq = np.vstack([TWO_VERTEX_U0,
-                     eh.run_discrete(TWO_VERTEX, TWO_VERTEX_U0, h, 4, rel_tol=1e-13)])
-    # delta -> 0 collapses onto the left endpoint of the step interval
-    near = eh.degiorgi_interpolate(TWO_VERTEX, seq, h, h + 1e-8, rel_tol=1e-13)
-    assert np.abs(near - seq[1]).max() < 1e-6
+    h, m = 0.25, 1000
+    seq = eh.run_interpolated(TWO_VERTEX, TWO_VERTEX_U0, h, m=1, rel_tol=1e-13).values
+    dg = eh.degiorgi_family(TWO_VERTEX, seq[:3], h, m, rel_tol=1e-13)
+    # delta -> 0 collapses onto the left endpoint of the step interval: on the odd
+    # eigenvector the step of length delta = h/m divides u_1 by 1 + 2*delta
+    near = dg[m]  # t = h + h/m
+    assert np.abs(near - seq[1]).max() <= 2 * (h / m) * np.abs(seq[1]).max()
     # delta = h reproduces the defining system of the next step value
-    att = eh.degiorgi_interpolate(TWO_VERTEX, seq, h, 2 * h, rel_tol=1e-13)
+    att = dg[2 * m - 1]  # t = 2h
     assert_allclose(att, seq[2], rtol=0, atol=1e-10)
 
 
@@ -145,15 +147,16 @@ def test_comparison_monotone(seed):
     u0 = rng.standard_normal(MOVING.n_vertices)
     v0 = u0 + np.abs(rng.standard_normal(MOVING.n_vertices))
     tol = 1e-12 * (np.abs(v0).max() + 1.0)
-    us = eh.run_discrete(MOVING, u0, 0.2, 5, rel_tol=1e-13)
-    vs = eh.run_discrete(MOVING, v0, 0.2, 5, rel_tol=1e-13)
-    assert np.min(vs - us) >= -tol
+    cu, cv = eh.run_families(MOVING, [u0, v0], 0.2, m=1, rel_tol=1e-13)
+    assert cu.n_steps == 5
+    assert np.min(cv.values[1:] - cu.values[1:]) >= -tol
 
 
 def test_mass_conserved_against_current_measure():
     u0 = eh.make_initial_data(MOVING, {"profile": "bump", "width": 0.5})
     prev = u0
-    for k, uk in enumerate(eh.run_discrete(MOVING, u0, 0.1, 10, rel_tol=1e-12), start=1):
+    chain = eh.run_interpolated(MOVING, u0, 0.1, m=1, rel_tol=1e-12)
+    for k, uk in enumerate(chain.values[1:], start=1):
         w = eh.vertex_weights(MOVING, k * 0.1)
         drift = abs(np.dot(w, uk) - np.dot(w, prev))
         assert drift <= 1e-10 * np.dot(w, np.abs(prev))
@@ -163,7 +166,8 @@ def test_mass_conserved_against_current_measure():
 def test_dissipation_identity():
     u0 = np.random.default_rng(5).standard_normal(MOVING.n_vertices)
     prev = u0
-    for k, uk in enumerate(eh.run_discrete(MOVING, u0, 0.1, 10, rel_tol=1e-13), start=1):
+    chain = eh.run_interpolated(MOVING, u0, 0.1, m=1, rel_tol=1e-13)
+    for k, uk in enumerate(chain.values[1:], start=1):
         w = eh.vertex_weights(MOVING, k * 0.1)
         lhs = 2 * 0.1 * eh.dirichlet_energy(MOVING, k * 0.1, uk)
         rhs = -2 * np.dot(w * (uk - prev), uk)
@@ -208,23 +212,9 @@ def test_steps_within_horizon():
         eh.steps_within_horizon(1.0, 2.0)
 
 
-def test_step_rejects_bad_arguments():
-    u = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        eh.euler_step(TWO_VERTEX, 0.0, 1.0, u)
-    with pytest.raises(ValueError):
-        eh.euler_step(TWO_VERTEX, 5.0, 1.0, u)  # past the horizon
-    with pytest.raises(ValueError):
-        eh.euler_step(TWO_VERTEX, 1.0, -1.0, u)
-    with pytest.raises(ValueError):
-        eh.euler_step(TWO_VERTEX, 1.0, 1.0, [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="finite"):
-        eh.euler_step(TWO_VERTEX, 1.0, 1.0, [1.0, np.inf])
-
-
 def test_runs_reject_bad_initial_value():
-    with pytest.raises(ValueError):
-        eh.run_discrete(TWO_VERTEX, [1.0, 0.0, 0.0], 1.0, 2)
+    with pytest.raises(ValueError, match="shape"):
+        eh.run_interpolated(TWO_VERTEX, [1.0, 0.0, 0.0], 1.0, m=2)
     with pytest.raises(ValueError):
         eh.run_interpolated(TWO_VERTEX, [1.0, 0.0], 1.0, m=0)
 
@@ -239,6 +229,15 @@ def test_run_families_rejects_bad_initial_value_before_any_solve(bad, message, m
     with pytest.raises(ValueError, match=message):
         eh.run_families(TWO_VERTEX, [[1.0, 0.0], bad], 1.0, m=1, on_row=rows.append)
     assert built == [] and rows == []
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0])
+def test_run_families_rejects_nonpositive_step_before_any_solve(h, monkeypatch):
+    built = []
+    monkeypatch.setattr(scheme, "operator_at", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="h must be positive"):
+        eh.run_families(TWO_VERTEX, [[1.0, 0.0]], h, m=1)
+    assert built == []
 
 
 @pytest.mark.parametrize("G", [MOVING, build("product_torus", nx=8, ny=8, T=0.5)],

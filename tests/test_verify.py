@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import evoheat as eh
-from helpers import build
+from helpers import build, lone_step
 
 # exp(-2), the exact decay of the odd mode on the unit two-vertex graph over T = 1
 E_MINUS_2 = 0.1353352832366127
@@ -530,9 +530,11 @@ def test_degiorgi_family_grid_and_static_ratio():
     seq = chain.values[::m]
     dg = eh.degiorgi_family(G, seq, h, m, rel_tol=1e-12)
     assert len(dg) == len(chain.values[1:])
-    # row j - 1 is the resolvent value at the grid time j*delta
-    for j in (1, m + 1, len(dg)):
-        want = eh.degiorgi_interpolate(G, seq, h, chain.times()[j], rel_tol=1e-12)
+    # row j - 1 is the resolvent value at the grid time t = j*delta: a step of the
+    # shortened length t - (k-1)*h from u_{k-1}, k the step interval holding t
+    for j, t in enumerate(chain.times()[1:], start=1):
+        k = (j - 1) // m + 1
+        want = lone_step(G, t, t - (k - 1) * h, seq[k - 1], rel_tol=1e-12)
         assert np.array_equal(dg[j - 1], want)
     # at step multiples the resolvent solves the stepping system itself
     assert_allclose(dg[m - 1], seq[1], atol=1e-9)
@@ -541,3 +543,7 @@ def test_degiorgi_family_grid_and_static_ratio():
     shifted_norm = eh.l2h1_interp_norm(chain.values[1:], times, G, chain.delta)
     dg_norm = eh.l2h1_interp_norm(dg, times, G, chain.delta)
     assert dg_norm >= shifted_norm * (1 - 1e-12)
+    with pytest.raises(ValueError, match="at least one step"):
+        eh.degiorgi_family(G, seq[:1], h, m)
+    with pytest.raises(ValueError, match="h must be positive"):
+        eh.degiorgi_family(G, seq, 0.0, m)
