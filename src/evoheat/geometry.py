@@ -252,21 +252,29 @@ def _merged_params(spec: Scenario) -> dict:
     return out
 
 
-def _circle_graph(n: int, T: float, a_fn: Callable[[float, np.ndarray], np.ndarray]) -> TimeWeightedGraph:
+def _circle_graph(n: int, T: float,
+                  a_at: Callable[[np.ndarray], Callable[[float], np.ndarray]]) -> TimeWeightedGraph:
+    """The circle graph of the metric a(t, x)^2 dx^2.
+
+    ``a_at(x)`` returns t -> a(t, x) at the fixed points x, so a factor that
+    does not depend on t is computed once per graph, at the vertices and at
+    the half-edges.
+    """
     n = int(n)
     if n < 3:
         raise ScenarioError(f"n: circle needs at least 3 vertices, got {n}")
     dx = 2.0 * math.pi / n
     x = dx * np.arange(n)
-    x_half = x + 0.5 * dx
+    a_vertex = a_at(x)
+    a_half = a_at(x + 0.5 * dx)
     idx = np.arange(n)
     edges = _normalize_edges(np.column_stack([idx, (idx + 1) % n]), n)
 
     def weights_at(t: float) -> np.ndarray:
-        return np.asarray(a_fn(t, x), dtype=float) * dx
+        return a_vertex(t) * dx
 
     def conductances_at(t: float) -> np.ndarray:
-        return 1.0 / (dx * np.asarray(a_fn(t, x_half), dtype=float))
+        return 1.0 / (dx * a_half(t))
 
     return TimeWeightedGraph(n, edges, weights_at, conductances_at, float(T),
                              coords=x[:, None])
@@ -282,7 +290,7 @@ def build_scenario(spec: Scenario) -> TimeWeightedGraph:
     T = float(spec.T)
 
     if spec.kind == "static_circle":
-        G = _circle_graph(p["n"], T, lambda t, x: np.ones_like(x))
+        G = _circle_graph(p["n"], T, lambda x: lambda t: np.ones_like(x))
 
     elif spec.kind in ("conformal_circle", "oscillating_metric"):
         amp, omega = float(p["amp"]), float(p["omega"])
@@ -291,12 +299,15 @@ def build_scenario(spec: Scenario) -> TimeWeightedGraph:
         if abs(amp) >= 1.0:
             raise ScenarioError(f"{spec.kind}: |amp| must be < 1, got {amp}")
 
-        def a_fn(t, x, amp=amp, omega=omega, k=k, growth=growth):
-            osc = amp * math.sin(omega * t)
+        def a_at(x):
             spatial = np.cos(k * x) if k else np.ones_like(x)
-            return math.exp(growth * t) * (1.0 + osc * spatial)
 
-        G = _circle_graph(p["n"], T, a_fn)
+            def a(t):
+                osc = amp * math.sin(omega * t)
+                return math.exp(growth * t) * (1.0 + osc * spatial)
+            return a
+
+        G = _circle_graph(p["n"], T, a_at)
 
     elif spec.kind == "pinching_circle":
         amp = float(p["amplitude"])
@@ -307,11 +318,11 @@ def build_scenario(spec: Scenario) -> TimeWeightedGraph:
             raise ScenarioError(
                 f"pinching_circle: pinch time {1.0 / amp:.6g} is within the horizon T={T}")
 
-        def a_fn(t, x, amp=amp, q=q):
+        def a_at(x):
             rho = amp * ((1.0 + np.cos(x - math.pi)) / 2.0) ** q
-            return 1.0 - t * rho
+            return lambda t: 1.0 - t * rho
 
-        G = _circle_graph(p["n"], T, a_fn)
+        G = _circle_graph(p["n"], T, a_at)
 
     elif spec.kind == "product_torus":
         G = _torus_graph(p, T)

@@ -33,6 +33,33 @@ def test_static_circle_conventions():
     assert_allclose(eh.vertex_weights(G, 0.3).sum(), 2 * math.pi, rtol=1e-14)
 
 
+def _conformal_a(amp, omega, k, growth):
+    return lambda t, x: math.exp(growth * t) * (1.0 + amp * math.sin(omega * t) * np.cos(k * x))
+
+
+def _pinching_a(amplitude, sharpness):
+    return lambda t, x: 1.0 - t * (amplitude * ((1.0 + np.cos(x - math.pi)) / 2.0) ** sharpness)
+
+
+@pytest.mark.parametrize("kind, params, a", [
+    ("conformal_circle", dict(n=24, amp=0.3, omega=2.0, k_spatial=0, growth=-0.7),
+     _conformal_a(0.3, 2.0, 0, -0.7)),
+    ("conformal_circle", dict(n=24, amp=0.3, omega=2.0, k_spatial=2, growth=0.4),
+     _conformal_a(0.3, 2.0, 2, 0.4)),
+    ("oscillating_metric", dict(n=24), _conformal_a(0.5, 4.0 * math.pi, 1, 0.0)),
+    ("pinching_circle", dict(n=24, amplitude=0.8, sharpness=3.0), _pinching_a(0.8, 3.0)),
+], ids=["conformal_k0", "conformal_k2", "oscillating", "pinching"])
+def test_circle_coefficients_equal_the_documented_formula(kind, params, a):
+    # the time-independent factors are computed once per graph; the
+    # coefficients keep the bits of a(t, x) evaluated afresh
+    G = build(kind, **params)
+    dx = 2.0 * math.pi / params["n"]
+    x = dx * np.arange(params["n"])
+    for t in (0.0, 0.125, 0.3, 0.77, 1.0):
+        assert np.array_equal(eh.vertex_weights(G, t), a(t, x) * dx)
+        assert np.array_equal(eh.edge_conductances(G, t), 1.0 / (dx * a(t, x + dx / 2)))
+
+
 def test_conformal_exponential_weights():
     # a(t, x) = exp(t), so at t = 1 every weight is e * 2*pi/4
     G = build("conformal_circle", n=4, amp=0.0, growth=1.0)

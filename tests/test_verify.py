@@ -1,6 +1,7 @@
 """Energy/extremum/contraction checks, reference flow, weak residual, attainment."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,26 @@ E_MINUS_2 = 0.1353352832366127
 
 TWO_VERTEX = eh.TimeWeightedGraph.static(np.ones(2), np.array([[0, 1]]), np.ones(1), 4.0)
 MOVING = build("conformal_circle", n=12, amp=0.4, omega=2.0, k_spatial=1)
+
+
+def _star_ring_table():
+    """The star ring of CI's byte-determinism step: a hub joined to 16 leaves,
+    the leaves joined in a ring, so the hub's 13 half-edges past the least
+    degree (3) overflow the half-edge layout's table."""
+    rng = random.Random(16)
+    leaves = 16
+    edges = ([[0, i] for i in range(1, leaves + 1)]
+             + [sorted([i, i % leaves + 1]) for i in range(1, leaves + 1)])
+    times = [0.0, 0.5, 1.0]
+    return eh.tabulated_graph({
+        "n_vertices": leaves + 1, "edges": edges, "times": times,
+        "weights": [[round(rng.uniform(0.5, 2.0), 3) for _ in range(leaves + 1)]
+                    for _ in times],
+        "conductances": [[round(rng.uniform(0.1, 2.0), 3) for _ in edges] for _ in times]})
+
+
+STAR_RING = _star_ring_table()
+assert len(eh.half_edge_layout(STAR_RING.n_vertices, STAR_RING.edges).over_rows) == 13
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +64,13 @@ def test_oracle_conformal_closed_form():
                     rtol=1e-9, atol=1e-14)
 
 
-def test_oracle_constant_is_exact():
-    oracle = eh.semidiscrete_oracle(MOVING, np.full(12, 3.0), 1.0, n_steps=64)
+@pytest.mark.parametrize("G", [MOVING, STAR_RING], ids=["moving", "star_ring"])
+def test_oracle_constant_is_exact(G):
+    u0 = np.full(G.n_vertices, 3.0)
+    oracle = eh.semidiscrete_oracle(G, u0, 1.0, n_steps=64)
     assert oracle.self_check == 0.0
     for s in oracle.values:
-        assert np.array_equal(s, np.full(12, 3.0))
+        assert np.array_equal(s, u0)
 
 
 def test_oracle_rejects_odd_or_unstable_steps():
@@ -76,22 +99,36 @@ def test_oracle_value_interpolates():
     assert_allclose(mid, want, rtol=1e-12)
 
 
-def _two_run_rk4(G, u0, T, n_steps):
-    """The reference flow written out plainly: a fine and a halved RK4 run, kept
-    whole and compared afterwards, every coefficient evaluated where it is used."""
-    def f(t, y):
-        return -eh.stiffness_apply(G.edges, eh.edge_conductances(G, t), y) \
-            / eh.vertex_weights(G, t)
+def _difference_rate(G, t, y):
+    """-M_t^{-1} S_t y as the oracle evaluates it, the operator built here:
+    sum over the half-edges (i, j) out of vertex i of (c / w_i) * (y_j - y_i)."""
+    layout = eh.half_edge_layout(G.n_vertices, G.edges)
+    w, c = eh.vertex_weights(G, t), eh.edge_conductances(G, t)
+    out = np.add.reduce(c[layout.slot_edge] / w * (y[layout.nbr] - y), axis=0)
+    if len(layout.over_rows):
+        rows, cols = layout.over_rows, layout.over_cols
+        out = out + np.bincount(rows, minlength=len(y), weights=c[layout.over_edges] / w[rows]
+                                * (y[cols] - y[rows]))
+    return out
 
+
+def _stiffness_rate(G, t, y):
+    """-M_t^{-1} S_t y through the edge-list Laplacian ``stiffness_apply``."""
+    return -eh.stiffness_apply(G.edges, eh.edge_conductances(G, t), y) / eh.vertex_weights(G, t)
+
+
+def _two_run_rk4(G, u0, T, n_steps, rate=_difference_rate):
+    """The reference flow written out plainly: a fine and a halved RK4 run, kept
+    whole and compared afterwards, every stage operator built where it is used."""
     def run(n):
         dt = T / n
         ys = [u0.copy()]
         for i in range(n):
             t, y = i * dt, ys[-1]
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-            k4 = f(t + dt, y + dt * k3)
+            k1 = rate(G, t, y)
+            k2 = rate(G, t + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = rate(G, t + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = rate(G, t + dt, y + dt * k3)
             ys.append(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         return ys
 
@@ -118,7 +155,8 @@ def _tabulated_square():
     (MOVING, 0.7, 1000),                                     # stage times differ by ulps
     (build("product_torus", T=1.3, nx=5, ny=6), 1.3, 1000),
     (_tabulated_square(), 1.0, 1024),
-], ids=["dyadic", "non_dyadic", "torus", "tabulated"])
+    (STAR_RING, 1.0, 1024),                                  # overflow half-edges
+], ids=["dyadic", "non_dyadic", "torus", "tabulated", "star_ring"])
 def test_oracle_bitwise_equals_two_separate_runs(G, T, n_steps):
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     values, times, gap = _two_run_rk4(G, u0, T, n_steps)
@@ -129,6 +167,21 @@ def test_oracle_bitwise_equals_two_separate_runs(G, T, n_steps):
         assert st == t
     assert oracle.self_check == gap
     assert 0.0 < gap < 1e-10
+
+
+@pytest.mark.parametrize("G, n_steps", [
+    (MOVING, 1024),
+    (build("conformal_circle", n=128, k_spatial=1), 8192),   # the converge workload's oracle
+    (STAR_RING, 1024),
+], ids=["moving", "circle128", "star_ring"])
+def test_oracle_matches_stiffness_form_within_rounding(G, n_steps):
+    # Both forms round each stage differently; the flow does not amplify those
+    # differences, so they add up to at most a few ulps of |u0| per step.
+    u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
+    values, _, _ = _two_run_rk4(G, u0, 1.0, n_steps, rate=_stiffness_rate)
+    oracle = eh.semidiscrete_oracle(G, u0, 1.0, n_steps=n_steps)
+    bound = 8 * n_steps * np.finfo(float).eps * np.abs(u0).max()
+    assert np.abs(oracle.values - np.array(values)).max() <= bound
 
 
 def test_oracle_evaluates_coefficients_once_per_stage_time():
