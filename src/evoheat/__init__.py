@@ -17,11 +17,9 @@ from .scheme import (ChainFamily, operator_at, run_families, run_interpolated,
                      steps_within_horizon, truncate)
 from .verify import (ContractionReport, ConvergenceRow, EnergyReport, ExtremumReport,
                      OracleError, OracleResult, TestFunction, WeakResidualRow,
-                     attainment_solve_error, chain_error_vs_oracle, contraction_report,
-                     convergence_table, default_test_catalog,
-                     degiorgi_family, energy_estimate, extremum_check, fit_order,
-                     initial_attainment_check, l2h1_interp_norm, oracle_value_at,
-                     semidiscrete_oracle, solve_error_bounds, weak_residual, weighted_l2,
-                     weighted_l2_sq)
+                     chain_error_vs_oracle, contraction_report, convergence_table,
+                     default_test_catalog, degiorgi_family, energy_estimate, extremum_check,
+                     fit_order, initial_attainment_check, l2h1_interp_norm, oracle_value_at,
+                     semidiscrete_oracle, weak_residual, weighted_l2, weighted_l2_sq)
 
 __version__ = "0.1.0"

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -51,11 +52,10 @@ from .linalg import SolverError
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, run_families, run_interpolated, steps_within_horizon,
                      truncate)
-from .verify import (EnergyReport, ExtremumReport, OracleError, attainment_solve_error,
-                     contraction_report, default_test_catalog, degiorgi_family,
-                     energy_estimate, extremum_check, fit_order, initial_attainment_check,
-                     l2h1_interp_norm, convergence_table, solve_error_bounds,
-                     weak_residual, weighted_l2_sq)
+from .verify import (EnergyReport, ExtremumReport, OracleError, contraction_report,
+                     default_test_catalog, degiorgi_family, energy_estimate,
+                     extremum_check, fit_order, initial_attainment_check,
+                     l2h1_interp_norm, convergence_table, weak_residual, weighted_l2_sq)
 
 __all__ = ["RunConfig", "ConfigError", "main",
            "cmd_run", "cmd_converge", "cmd_compare_interp", "cmd_l2_limit", "cmd_verify"]
@@ -194,9 +194,8 @@ def cmd_run(cfg: RunConfig) -> int:
         [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol,
                                on_row=samples.on_row)
         c0 = _chain_c0(cfg, G, chain)
-        [run_error] = solve_error_bounds(G, [chain], cfg.rel_tol)
         energy = energy_estimate(chain, G, c0, cfg.slack)
-        extremum = extremum_check(chain, solve_error=run_error)
+        extremum = extremum_check(chain)
         _write_run_artifacts(cfg, spec, chain, energy, extremum, samples)
     return EXIT_OK if (energy.passed and extremum.passed) else EXIT_CHECK_FAILED
 
@@ -253,7 +252,8 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
                                              rel_tol=cfg.rel_tol)
         c0 = _chain_c0(cfg, G, chain_full)
         for level, chain_n in zip(cfg.truncation_levels, chains_n):
-            diff = ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values)
+            diff = ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values,
+                               chain_full.solve_error + chain_n.solve_error)
             energy = energy_estimate(diff, G, c0, cfg.slack)
             all_ok = all_ok and energy.passed
             rows.append({"h": float(h), "level": float(level),
@@ -285,19 +285,18 @@ def cmd_verify(cfg: RunConfig) -> int:
         chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
                                                rel_tol=cfg.rel_tol, on_row=samples.on_row)
         c0 = _chain_c0(cfg, G, chain)
-        run_error, _, all_error = solve_error_bounds(G, [chain, chain_v, chain_d], cfg.rel_tol)
 
         energy = energy_estimate(chain, G, c0, cfg.slack)
-        extremum = extremum_check(chain, solve_error=run_error)
-        contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack,
-                                         solve_error=all_error)
-        del chain_v, chain_d  # not needed while the artifacts are written
+        extremum = extremum_check(chain)
+        contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack)
 
         weak_rows = weak_residual(chain, G, catalog)
 
         att = initial_attainment_check(chain, G, chain.h)
         att_bound = chain.h * dirichlet_energy(G, chain.h, u0)
-        att_err = attainment_solve_error(G, chain, cfg.rel_tol)
+        # row m's sup-norm bound in the weighted l2 norm of the weights it was solved with
+        att_err = float(chain.solve_error[chain.m]) * math.sqrt(
+            float(vertex_weights(G, chain.m * chain.delta).sum()))
         att_ok = max(att - att_err, 0.0) ** 2 <= att_bound * (1.0 + cfg.slack) + 1e-30
 
         ok = bool(energy.passed and extremum.passed and contraction.passed and att_ok)

@@ -499,7 +499,7 @@ def _table_graph(doc: dict) -> TimeWeightedGraph:
 
 
 def _validate_graph(G: TimeWeightedGraph, kind: str) -> None:
-    """Positivity on a fine time sample, connectivity, negative-time freeze.
+    """Shapes and positivity on a fine time sample, and connectivity.
 
     Connectivity is read from the graph's solve plan, which this builds.
     """
@@ -516,5 +516,3 @@ def _validate_graph(G: TimeWeightedGraph, kind: str) -> None:
             raise ScenarioError(f"{kind}: nonpositive vertex weight at t={float(t):.6g}")
         if not np.all(c >= 0):
             raise ScenarioError(f"{kind}: negative conductance at t={float(t):.6g}")
-    if not np.array_equal(vertex_weights(G, -0.5), vertex_weights(G, 0.0)):
-        raise ScenarioError(f"{kind}: negative times must return the t=0 weights")

@@ -485,24 +485,21 @@ def solve_plan(n: int, edges: np.ndarray) -> SolvePlan:
     return SolvePlan(components, None, half_edge_layout(n, edges))
 
 
-def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float = 1e-10,
-              plan: Optional[SolvePlan] = None) -> np.ndarray:
+def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float,
+              plan: SolvePlan) -> np.ndarray:
     """Solve ops[t] x = rhs[t, c] to ||A x - b||_2 <= rel_tol * ||b||_2 for every column.
 
     The single solve entry point, for a round of T operators on one graph and
     a (T, k, n) array of right-hand sides; returns the (T, k, n) solutions.
-    ``plan`` is the graph's ``solve_plan`` (built here when None; graphs cache
-    theirs).  Narrow bands factor all T operators at once and solve every
-    column in one pass; wide ones assemble each operator once on the layout
-    and run ``cg_solve`` per column.  Raises SolverError when a residual
-    target is missed.
+    ``plan`` is the graph's ``solve_plan`` (graphs cache theirs).  Narrow
+    bands factor all T operators at once and solve every column in one pass;
+    wide ones assemble each operator once on the layout and run ``cg_solve``
+    per column.  Raises SolverError when a residual target is missed.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({len(ops)}, k, "
                          f"{ops[0].n if ops else 'n'})")
-    if plan is None:
-        plan = solve_plan(ops[0].n, ops[0].edges)
     if plan.ordering is not None:
         return _banded_solve(ops, rhs, rel_tol, plan.ordering)
     out = np.empty_like(rhs)

@@ -24,7 +24,9 @@ through the same operators, a round of m grid times at a time, building and
 factoring each operator once; every family comes out bitwise as if run alone.
 A family is one (N*m + 1, n) array whose row j is the sample at t = j*delta.
 The package steps only in such rounds: every solve is one ``spd_solve`` call
-with the graph's ``plan``, which alone decides the solver.
+with the graph's ``plan``, which alone decides the solver.  Each family also
+carries its solver-error certificate, built from the same right-hand sides and
+weights the round solved with (see ``ChainFamily.solve_error``).
 
 Vertex functions are plain float vectors of length n.  A value's time is its
 place on the grid, never a tag it carries: ``ChainFamily.times()`` gives the
@@ -94,15 +96,28 @@ class ChainFamily:
     step sequence u_0, ..., u_N and values[1:] everything that came out of a
     minimization; row j >= 1 was produced by a full step of length h from row
     j - m (the initial value when j < m).  Chain index = j mod m.
+
+    solve_error[j] bounds how far values[j] lies from the exact step sequence in
+    the sup norm (0 at row 0).  Row j solves (M_t + h S_t) x = M_t x_prev to a
+    residual of at most rel_tol * ||M_t x_prev||_2; the matrix is strictly
+    diagonally dominant by the weights w_i(t), so the solve misses the exact x
+    by at most that residual over min_i w_i(t) (Varah 1975).  The exact step is
+    a sup-norm contraction, so these per-step errors add up along each chain.
     """
 
     h: float
     m: int
     values: np.ndarray
+    solve_error: np.ndarray
 
     def __post_init__(self):
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
+        if np.shape(self.solve_error) != (len(self.values),):
+            raise ValueError(f"solve_error has shape {np.shape(self.solve_error)}, "
+                             f"expected ({len(self.values)},)")
+        if not (np.isfinite(self.solve_error).all() and (self.solve_error >= 0).all()):
+            raise ValueError("solve_error must be finite and nonnegative")
 
     @property
     def delta(self) -> float:
@@ -140,7 +155,9 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
 
     Row j reads only row j - m, so the grid times run in rounds of m: each
     round's m operators are assembled once and solved together for all
-    families; a family's samples are bitwise those of running it alone.
+    families; a family's samples are bitwise those of running it alone, and so
+    is its ``solve_error``: row j adds rel_tol * ||rhs_j||_2 / min(mass_j) to
+    row j - m's bound, from the right-hand side and weights it was solved with.
     ``on_row``, when given, is called with each finished row of the first
     family in grid order, row 0 (its initial value) first.
     """
@@ -151,15 +168,20 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
     delta = h / m
     values = np.empty((len(initials), N * m + 1, G.n_vertices))
     values[:, 0] = initials
+    bound = np.zeros(values.shape[:2])
     if on_row is not None:
         on_row(values[0, 0])
     for start in range(1, N * m + 1, m):
         rows = list(range(start, start + m))
+        prevs = [max(j - m, 0) for j in rows]
         ops = [operator_at(G, j * delta, h) for j in rows]
-        prev = values[:, [max(j - m, 0) for j in rows]].swapaxes(0, 1)
-        rhs = np.array([A.mass for A in ops])[:, None, :] * prev
+        mass = np.array([A.mass for A in ops])
+        rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
+        bound[:, rows] = (bound[:, prevs]
+                          + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
         values[:, rows] = spd_solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
         if on_row is not None:
             for j in rows:
                 on_row(values[0, j])
-    return [ChainFamily(h=float(h), m=int(m), values=run) for run in values]
+    return [ChainFamily(h=float(h), m=int(m), values=run, solve_error=err)
+            for run, err in zip(values, bound)]

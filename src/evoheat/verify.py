@@ -19,9 +19,9 @@ m = 1 is exactly the step-sequence sum sum_k h * energy(u_k, kh); including the
 j = 0 sample would charge the scheme for the raw initial datum's Dirichlet
 energy, which it does not control.  It is ``l2h1_interp_norm`` of those rows.
 
-Every check reads the initial value from the chain's row 0 and takes its solver
-error as a plain number, computed once per run by ``solve_error_bounds`` (extremum,
-linearity) and ``attainment_solve_error`` (initial attainment).
+Every check reads the initial value from the chain's row 0 and its solver error
+from the chain's own ``solve_error``, the per-row certificate that
+``run_families`` builds from the right-hand sides and weights it solved with.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "extremum_check",
     "ContractionReport",
     "contraction_report",
-    "solve_error_bounds",
-    "attainment_solve_error",
     "OracleError",
     "OracleResult",
     "semidiscrete_oracle",
@@ -144,20 +142,20 @@ class ExtremumReport:
                 "tol": self.tol, "pass": self.passed}
 
 
-def extremum_check(chain: ChainFamily, *, solve_error: float) -> ExtremumReport:
+def extremum_check(chain: ChainFamily) -> ExtremumReport:
     """Every sample must stay inside [min u0, max u0] up to solver error.
 
     u0 is the chain's row 0.  The exact steps obey the maximum principle, so a
     computed sample leaves the range by at most its distance from the exact one.
-    The tolerance is ``solve_error``, the chain's entry of ``solve_error_bounds``
-    (0 for exact solves), plus a rounding floor of 1e-12 * (max|u0| + 1).
+    The tolerance is the largest entry of the chain's ``solve_error`` (0 for
+    exact solves), plus a rounding floor of 1e-12 * (max|u0| + 1).
     """
     u0 = chain.values[0]
     lo = float(u0.min())
     hi = float(u0.max())
     produced = chain.values[1:]
     worst = max(float(produced.max()) - hi, lo - float(produced.min()), 0.0)
-    tol = 1e-12 * (float(np.max(np.abs(u0))) + 1.0) + solve_error
+    tol = 1e-12 * (float(np.max(np.abs(u0))) + 1.0) + float(chain.solve_error.max())
     return ExtremumReport(lo=lo, hi=hi, worst_violation=worst, tol=tol,
                           passed=worst <= tol)
 
@@ -181,20 +179,21 @@ class ContractionReport:
 
 
 def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: ChainFamily,
-                       chain_d: ChainFamily, c0: float, slack: float = 1e-8, *,
-                       solve_error: float) -> ContractionReport:
+                       chain_d: ChainFamily, c0: float,
+                       slack: float = 1e-8) -> ContractionReport:
     """Judge chains run from u0, v0 and u0 - v0 on the same grid.
 
     The sample-wise difference of the first two must match the third (the scheme
     is a fixed linear solve per step), and the difference run must satisfy the
     energy estimate with the same c0, which is the contraction bound between the
-    two solutions.  The linearity tolerance is ``solve_error``, the three chains'
-    summed entry of ``solve_error_bounds``, plus a rounding floor of 1e-9 times
-    the data norms.
+    two solutions.  The linearity tolerance is the largest row-wise sum of the
+    three chains' ``solve_error``, plus a rounding floor of 1e-9 times the data
+    norms.
     """
     gap = chain_u.values - chain_v.values
     gap -= chain_d.values
     residual = float(np.abs(gap, out=gap).max())
+    solve_error = float((chain_u.solve_error + chain_v.solve_error + chain_d.solve_error).max())
     w0 = vertex_weights(G, 0.0)
     tol = solve_error + 1e-9 * (weighted_l2(chain_u.values[0], w0)
                                 + weighted_l2(chain_v.values[0], w0))
@@ -202,41 +201,6 @@ def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: Chai
     return ContractionReport(linearity_residual=residual, linearity_tol=tol,
                              difference_energy=energy,
                              passed=bool(energy.passed and residual <= tol))
-
-
-# ---------------------------------------------------------------------------
-# solver error certificate
-# ---------------------------------------------------------------------------
-
-def solve_error_bounds(G: TimeWeightedGraph, families: list[ChainFamily],
-                       rel_tol: float) -> list[float]:
-    """Sup-norm bounds on how far the samples of one run's families lie from exact ones.
-
-    Each sample solves (M_t + h S_t) x = M_t x_prev to a residual of at most
-    rel_tol * ||M_t x_prev||_2.  The matrix is strictly diagonally dominant by
-    the weights w_i(t), so the solve misses the exact x by at most that residual
-    over min_i w_i(t) in the sup norm (Varah 1975).  The exact step is a
-    sup-norm contraction, so these per-step errors add up along each chain.
-    Entry k is the largest per-sample sum over families[:k + 1], their errors
-    added sample by sample; one weight evaluation per grid time serves them all.
-    """
-    m = families[0].m
-    times = families[0].times()
-    bound = np.zeros((len(families), len(times)))
-    for j in range(1, len(times)):
-        w = vertex_weights(G, times[j])
-        prev = max(j - m, 0)
-        norms = np.linalg.norm(w * np.stack([f.values[prev] for f in families]), axis=1)
-        bound[:, j] = bound[:, prev] + rel_tol * np.cumsum(norms) / float(w.min())
-    return [float(b) for b in bound.max(axis=1)]
-
-
-def attainment_solve_error(G: TimeWeightedGraph, chain: ChainFamily, rel_tol: float) -> float:
-    """Varah's bound, as in ``solve_error_bounds``, for the one solve from u0 (row 0)
-    to the sample at h, in the weighted l2 norm: sqrt(sum w) times the sup-norm bound."""
-    w = vertex_weights(G, chain.h)
-    return (rel_tol * float(np.linalg.norm(w * chain.values[0])) / float(w.min())
-            * math.sqrt(float(w.sum())))
 
 
 # ---------------------------------------------------------------------------

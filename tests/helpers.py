@@ -1,5 +1,7 @@
 """Shared test fixtures: seeded random graphs, scenario shortcuts and solve references."""
 
+import dataclasses
+
 import numpy as np
 
 import evoheat as eh
@@ -48,3 +50,27 @@ def lone_step(G, t, h, u_prev, rel_tol=1e-10):
 def dense_solve(A, b):
     """Direct solve through the dense assembly of A: the small-system reference."""
     return np.linalg.solve(A.dense(), np.asarray(b, dtype=float))
+
+
+def varah_bounds(G, families, rel_tol):
+    """Reference solver-error bounds of a run's families, one row per family.
+
+    Row j adds rel_tol * ||M_t x_prev||_2 / min_i w_i(t), t = j*delta, to row
+    j - m's bound, with the weights evaluated afresh at every grid time.  The
+    arithmetic is the order ``run_families`` uses, so its ``solve_error`` must
+    equal this bitwise.
+    """
+    m = families[0].m
+    times = families[0].times()
+    bound = np.zeros((len(families), len(times)))
+    for j in range(1, len(times)):
+        w = eh.vertex_weights(G, times[j])
+        prev = max(j - m, 0)
+        norms = np.linalg.norm(w * np.stack([f.values[prev] for f in families]), axis=1)
+        bound[:, j] = bound[:, prev] + rel_tol * norms / float(w.min())
+    return bound
+
+
+def exact_solves(chain):
+    """``chain`` with a zero solver-error bound, so checks judge it by their rounding floors."""
+    return dataclasses.replace(chain, solve_error=np.zeros(len(chain.values)))

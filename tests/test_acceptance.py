@@ -13,7 +13,7 @@ import pytest
 import evoheat as eh
 from evoheat.geometry import Scenario
 
-from helpers import dense_solve, random_static_graph
+from helpers import dense_solve, exact_solves, random_static_graph
 
 MATRIX_REL_TOL = 1e-12
 SLACK = 1e-8
@@ -92,7 +92,7 @@ def test_criterion_02_pinching_stress(criterion_line):
 def test_criterion_03_maximum_principle(matrix_runs, criterion_line):
     failures = []
     for spec, G, u0, chain, c0 in matrix_runs:
-        rep = eh.extremum_check(chain, solve_error=0.0)
+        rep = eh.extremum_check(exact_solves(chain))
         if not rep.passed:
             failures.append((spec.kind, chain.h, chain.m, rep))
     ok = criterion_line(
@@ -114,8 +114,7 @@ def test_criterion_04_contraction_pairs(criterion_line):
             v0 = rng.standard_normal(G.n_vertices)
             d0 = u0 - v0
             chains = eh.run_families(G, [u0, v0, d0], h, m, rel_tol=MATRIX_REL_TOL)
-            *_, solve_error = eh.solve_error_bounds(G, chains, MATRIX_REL_TOL)
-            rep = eh.contraction_report(G, *chains, c0, slack=SLACK, solve_error=solve_error)
+            rep = eh.contraction_report(G, *chains, c0, slack=SLACK)
             if not rep.passed:
                 failures.append((spec.kind, pair, rep))
     ok = criterion_line(
@@ -150,12 +149,12 @@ def test_criterion_05_convergence_order(criterion_line):
     assert ok, rows
 
 
-def _solver_floor(G, chain, fn, solve_error):
+def _solver_floor(G, chain, fn):
     """How far fn's weak residual can move when every sample is off by solve_error.
 
-    The residual is linear in the samples, and ``solve_error`` (from
-    ``solve_error_bounds``) bounds each produced sample's sup-norm error; row 0 is
-    the exact initial value.  So the floor is solve_error times the l1 norm of the
+    The residual is linear in the samples, and solve_error, the largest entry of
+    the chain's ``solve_error``, bounds each produced sample's sup-norm error; row 0
+    is the exact initial value.  So the floor is solve_error times the l1 norm of the
     quadrature weights on rows 1.., term by term as in ``weak_residual``: the
     time-derivative and decay-rate terms weigh u_i by w_i |psi_i|, the energy
     term each edge difference by c_e |psi_i - psi_i'|, which counts each end once.
@@ -171,7 +170,7 @@ def _solver_floor(G, chain, fn, solve_error):
             abs(fn.profile_dt(t)) * float(np.dot(w, abs_psi))
             + abs(fn.profile(t)) * (float(np.dot(w * np.abs(rate), abs_psi))
                                     + 2.0 * float(np.dot(eh.edge_conductances(G, t), d_psi))))
-    return solve_error * gain
+    return float(chain.solve_error.max()) * gain
 
 
 def test_criterion_06_weak_residual_shrinks(criterion_line):
@@ -184,9 +183,8 @@ def test_criterion_06_weak_residual_shrinks(criterion_line):
     res, floor = {}, {}
     for h in (0.1, 0.0125):
         chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=MATRIX_REL_TOL)
-        [solve_error] = eh.solve_error_bounds(G, [chain], MATRIX_REL_TOL)
         res[h] = {r.name: r.residual for r in eh.weak_residual(chain, G, fns)}
-        floor[h] = {fn.name: _solver_floor(G, chain, fn, solve_error) for fn in fns}
+        floor[h] = {fn.name: _solver_floor(G, chain, fn) for fn in fns}
     above = [fn.name for fn in fns if res[0.1][fn.name] > floor[0.1][fn.name]]
     below = [fn.name for fn in fns if fn.name not in above]
     ok = criterion_line(

@@ -364,17 +364,29 @@ def test_verify_rejects_unknown_test_function_before_the_run(tmp_path, monkeypat
     assert runs == [] and not out.exists()
 
 
-def test_verify_computes_the_solve_error_bounds_once(tmp_path, monkeypatch):
-    calls = []
+@pytest.mark.parametrize("h, m", [(0.2, 2), (0.22, 10)])
+def test_verify_tolerances_come_from_the_run_bounds(tmp_path, h, m):
+    # at h = 0.22, m = 10 the grid time m * (h/m) is not the float h
+    cfg_path = _write_config(tmp_path, h=h, m=m)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
+    doc = _read_json(out, "verify_report.json")
 
-    def counting(G, families, rel_tol):
-        calls.append(len(families))
-        return eh.solve_error_bounds(G, families, rel_tol)
-
-    monkeypatch.setattr(cli, "solve_error_bounds", counting)
-    cfg = _write_config(tmp_path)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert calls == [3]  # the run and the contraction check's two families, one pass
+    cfg = cli.RunConfig.from_dict(_read_json(str(tmp_path), "config.json"))
+    _, G, u0 = cli._prepare(cfg)
+    v0 = np.random.default_rng(cfg.seed + 1).standard_normal(G.n_vertices)
+    chains = eh.run_families(G, [u0, v0, u0 - v0], h, m, rel_tol=cfg.rel_tol)
+    chain = chains[0]
+    w0 = eh.vertex_weights(G, 0.0)
+    assert doc["extremum"]["tol"] == (1e-12 * (float(np.abs(u0).max()) + 1.0)
+                                      + float(chain.solve_error.max()))
+    assert doc["contraction"]["linearity_tol"] == (
+        float((chains[0].solve_error + chains[1].solve_error + chains[2].solve_error).max())
+        + 1e-9 * (eh.weighted_l2(u0, w0) + eh.weighted_l2(v0, w0)))
+    w_m = eh.vertex_weights(G, m * chain.delta)  # the weights row m was solved with
+    assert doc["initial_attainment"]["solver_error"] == (
+        float(chain.solve_error[m]) * math.sqrt(float(w_m.sum())))
+    assert doc["initial_attainment"]["solver_error"] > 0.0
 
 
 def test_verify_linearity_tolerance_follows_tol_flag(tmp_path):
@@ -508,7 +520,7 @@ def test_streamed_samples_equal_in_process_on_extreme_floats(tmp_path, monkeypat
     rng = np.random.default_rng(0)
     values = rng.standard_normal((61, 6))
     values[1] = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0]
-    chain = ChainFamily(h=0.1, m=3, values=values)  # delta = 0.1/3
+    chain = ChainFamily(h=0.1, m=3, values=values, solve_error=np.zeros(61))  # delta = 0.1/3
     written = {}
     for on in (True, False):
         _stream(monkeypatch, on)

@@ -67,10 +67,13 @@ def test_conformal_exponential_weights():
     assert_allclose(eh.edge_conductances(G, 1.0), QUARTER_COND / math.e, rtol=1e-14)
 
 
-def test_negative_time_frozen():
-    G = build("conformal_circle", n=8, amp=0.4, omega=2.0)
-    assert np.array_equal(eh.vertex_weights(G, -0.3), eh.vertex_weights(G, 0.0))
-    assert np.array_equal(eh.edge_conductances(G, -1.0), eh.edge_conductances(G, 0.0))
+@pytest.mark.parametrize("coefficient", [eh.vertex_weights, eh.edge_conductances],
+                         ids=["vertex_weights", "edge_conductances"])
+@pytest.mark.parametrize("kind", eh.SCENARIO_KINDS)
+def test_negative_time_frozen(kind, coefficient):
+    G = build(kind, table=_table_doc()) if kind == "custom_tabulated" else build(kind)
+    for t in (-1e-12, -0.3, -1.0):
+        assert np.array_equal(coefficient(G, t), coefficient(G, 0.0))
 
 
 def test_time_beyond_horizon_rejected():

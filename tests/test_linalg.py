@@ -222,7 +222,7 @@ def test_direct_path_rejects_an_operator_that_is_not_positive_definite():
     mass[7] = -3.0  # e_7^T A e_7 = -3 + h * (at most two conductances of 2) < 0
     bad = eh.SpdOperator(mass=mass, edges=A.edges, coeffs=A.coeffs, h=A.h)
     with pytest.raises(eh.SolverError, match="not positive definite"):
-        eh.spd_solve([bad], np.ones((1, 1, A.n)), plan=_direct_plan(A))
+        eh.spd_solve([bad], np.ones((1, 1, A.n)), 1e-10, _direct_plan(A))
 
 
 def test_banded_residual_contract():
@@ -248,7 +248,7 @@ def test_banded_reports_a_nan_column():
     rhs = np.random.default_rng(8).standard_normal((1, 2, A.n))
     rhs[0, 1, 3] = np.nan
     with pytest.raises(eh.SolverError, match="refinements") as excinfo:
-        eh.spd_solve([A], rhs, plan=_direct_plan(A))
+        eh.spd_solve([A], rhs, 1e-10, _direct_plan(A))
     assert np.isnan(excinfo.value.relative_residual)
 
 
@@ -302,16 +302,6 @@ def test_only_band_plans_build_block_indices(monkeypatch):
     plan = eh.solve_plan(circle.n_vertices, circle.edges)
     assert len(built) == 1 and plan.ordering is not None and plan.layout is None
     assert len(plan.ordering.diag_index) == 64 and plan.ordering.block_size == 2
-
-
-@pytest.mark.parametrize("kind, params", [("conformal_circle", {"n": 256, "k_spatial": 1}),
-                                          ("product_torus", {"nx": 12, "ny": 12})])
-def test_spd_solve_without_a_plan_equals_the_graph_plan(kind, params):
-    G = build(kind, **params)
-    assert (G.plan.ordering is None) == (kind == "product_torus")
-    ops = [eh.operator_at(G, t, 0.1) for t in (0.1, 0.2)]
-    rhs = np.random.default_rng(9).standard_normal((2, 3, G.n_vertices))
-    assert np.array_equal(eh.spd_solve(ops, rhs), eh.spd_solve(ops, rhs, plan=G.plan))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +385,7 @@ def test_spd_solve_assembles_once_per_operator(monkeypatch):
     torus = build("product_torus", nx=48, ny=48)
     A = eh.operator_at(torus, 0.1, 0.1)
     rhs = np.random.default_rng(3).standard_normal((3, A.n))
-    [xs] = eh.spd_solve([A], rhs[None], plan=torus.plan)
+    [xs] = eh.spd_solve([A], rhs[None], 1e-10, torus.plan)
     assert len(assembled) == 1
     for x, b in zip(xs, rhs):
         assert np.linalg.norm(A.apply(x) - b) <= 1e-10 * np.linalg.norm(b) * (1 + 1e-6)

@@ -1,5 +1,6 @@
 """Energy/extremum/contraction checks, reference flow, weak residual, attainment."""
 
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import evoheat as eh
-from helpers import build, lone_step
+from helpers import build, exact_solves, lone_step, varah_bounds
 
 # exp(-2), the exact decay of the odd mode on the unit two-vertex graph over T = 1
 E_MINUS_2 = 0.1353352832366127
@@ -267,8 +268,9 @@ def test_energy_report_json_uses_pass_key():
 # ---------------------------------------------------------------------------
 
 def test_extremum_flags_fabricated_violation():
-    bad = eh.ChainFamily(h=0.1, m=1, values=np.array([[0.0, 1.0], [0.2, 1.5]]))
-    rep = eh.extremum_check(bad, solve_error=0.0)
+    bad = eh.ChainFamily(h=0.1, m=1, values=np.array([[0.0, 1.0], [0.2, 1.5]]),
+                         solve_error=np.zeros(2))
+    rep = eh.extremum_check(bad)
     assert rep.lo == 0.0 and rep.hi == 1.0
     assert rep.worst_violation == pytest.approx(0.5)
     assert not rep.passed
@@ -280,8 +282,8 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
     floor = 1e-12 * (np.abs(u0).max() + 1.0)
     for rel_tol in (1e-12, 1e-6):
         chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=rel_tol)
-        [solve_error] = eh.solve_error_bounds(MOVING, [chain], rel_tol)
-        rep = eh.extremum_check(chain, solve_error=solve_error)
+        solve_error = float(chain.solve_error.max())
+        rep = eh.extremum_check(chain)
         assert rep.passed
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed
         # over the steps so far; the tolerance is the largest sum plus the floor
@@ -291,19 +293,18 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
             sums[j % 2] += rel_tol * np.linalg.norm(w * chain.values[max(j - 2, 0)]) / w.min()
         assert solve_error == pytest.approx(max(sums), rel=1e-12)
         assert rep.tol == floor + solve_error
-        assert eh.extremum_check(chain, solve_error=0.0).tol == floor
+        assert eh.extremum_check(exact_solves(chain)).tol == floor
 
 
 def test_extremum_flags_sample_pushed_past_derived_bound():
     u0 = np.random.default_rng(10).standard_normal(12)
     chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-8)
-    [solve_error] = eh.solve_error_bounds(MOVING, [chain], 1e-8)
-    rep = eh.extremum_check(chain, solve_error=solve_error)
+    rep = eh.extremum_check(chain)
     assert rep.passed and rep.tol > 1e-9
     samples = chain.values.copy()
     samples[len(samples) // 2, 5] = u0.max() + 1.5 * rep.tol
-    bad = eh.ChainFamily(chain.h, chain.m, samples)
-    bad_rep = eh.extremum_check(bad, solve_error=solve_error)
+    bad = dataclasses.replace(chain, values=samples)  # the run's own bound
+    bad_rep = eh.extremum_check(bad)
     assert bad_rep.tol < 1.1 * rep.tol  # later samples step from the pushed one
     assert bad_rep.worst_violation > bad_rep.tol
     assert not bad_rep.passed
@@ -312,8 +313,7 @@ def test_extremum_flags_sample_pushed_past_derived_bound():
 def _contraction(u0, v0, c0):
     """contraction_report on chains from u0, v0 and u0 - v0 over MOVING, h=0.25, m=2."""
     chains = eh.run_families(MOVING, [u0, v0, u0 - v0], 0.25, m=2)
-    *_, solve_error = eh.solve_error_bounds(MOVING, chains, 1e-10)
-    return eh.contraction_report(MOVING, *chains, c0, solve_error=solve_error)
+    return eh.contraction_report(MOVING, *chains, c0)
 
 
 def test_contraction_identical_data():
@@ -344,8 +344,8 @@ def test_contraction_tolerance_follows_solver_tolerance():
     tols = []
     for rel_tol in (1e-12, 1e-6):
         chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=rel_tol)
-        *_, solve_error = eh.solve_error_bounds(MOVING, chains, rel_tol)
-        rep = eh.contraction_report(MOVING, *chains, c0, solve_error=solve_error)
+        solve_error = float(sum(c.solve_error for c in chains).max())
+        rep = eh.contraction_report(MOVING, *chains, c0)
         assert rep.passed
         tols.append(rep.linearity_tol)
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed over
@@ -362,22 +362,28 @@ def test_contraction_tolerance_follows_solver_tolerance():
     assert tols[1] > 1e3 * tols[0]
 
 
-@pytest.mark.parametrize("n_families", [1, 3])
-def test_solve_error_bounds_weigh_each_produced_sample_once(n_families):
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("graph", [build("conformal_circle", n=256, k_spatial=1),
+                                   build("product_torus", nx=12, ny=12), STAR_RING],
+                         ids=["circle256_band", "torus12_cg", "star_ring"])
+def test_run_solve_error_equals_the_varah_reference(graph, m):
     rng = np.random.default_rng(8)
-    initials = [rng.standard_normal(12) for _ in range(n_families)]
-    chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=1e-8)
-    times = []
-    G = eh.TimeWeightedGraph(MOVING.n_vertices, MOVING.edges,
-                             lambda t: times.append(t) or MOVING.weights_at(t),
-                             MOVING.conductances_at, MOVING.horizon, MOVING.coords)
-    bounds = eh.solve_error_bounds(G, chains, 1e-8)
-    assert times == chains[0].times()[1:].tolist()
-    # entry k covers families[:k + 1]: each prefix gives its own call's bound bitwise
-    assert len(bounds) == n_families
-    for k in range(n_families):
-        assert eh.solve_error_bounds(MOVING, chains[:k + 1], 1e-8)[-1] == bounds[k]
-    assert bounds == sorted(bounds) and bounds[0] > 0.0
+    initials = [rng.standard_normal(graph.n_vertices) for _ in range(3)]
+    chains = eh.run_families(graph, initials, 0.1, m=m, rel_tol=1e-8)
+    reference = varah_bounds(graph, chains, 1e-8)
+    for chain, want in zip(chains, reference):
+        assert np.array_equal(chain.solve_error, want)
+        assert chain.solve_error[0] == 0.0 and chain.solve_error[-1] > 0.0
+    # each family's bound is its own: alone it is the same, bitwise
+    [alone] = eh.run_families(graph, initials[1:2], 0.1, m=m, rel_tol=1e-8)
+    assert np.array_equal(alone.solve_error, chains[1].solve_error)
+
+
+def test_chain_rejects_a_bad_solve_error():
+    values = np.zeros((3, 2))
+    for bad in (np.zeros(2), np.array([0.0, -1e-20, 0.0]), np.array([0.0, np.inf, 0.0])):
+        with pytest.raises(ValueError, match="solve_error"):
+            eh.ChainFamily(0.1, 1, values, bad)
 
 
 def test_contraction_catches_difference_chain_off_by_tenfold_bound():
@@ -386,15 +392,14 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     chain_u, chain_v, chain_d = eh.run_families(
         MOVING, [u0, v0, u0 - v0], 0.25, m=2, rel_tol=1e-8)
     c0 = eh.volume_growth_bound(MOVING, chain_u.times())
-    *_, solve_error = eh.solve_error_bounds(MOVING, [chain_u, chain_v, chain_d], 1e-8)
-    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, c0, solve_error=solve_error)
+    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, c0)
     assert rep.passed
 
     j = len(chain_d.values) // 2
     samples = chain_d.values.copy()
     samples[j, 3] += 10.0 * rep.linearity_tol
-    bad_d = eh.ChainFamily(chain_d.h, chain_d.m, samples)
-    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0, solve_error=solve_error)
+    bad_d = dataclasses.replace(chain_d, values=samples)  # the run's own bound
+    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0)
     assert bad.difference_energy.passed
     assert bad.linearity_tol == rep.linearity_tol
     assert bad.linearity_residual > 9.0 * bad.linearity_tol
@@ -503,7 +508,7 @@ def test_weak_residual_validates_before_evaluating_coefficients():
     base = build("static_circle", n=8)
     G = eh.TimeWeightedGraph(8, base.edges, lambda t: calls.append(t) or np.ones(8),
                              base.conductances_at, 1.0)
-    chain = eh.ChainFamily(0.25, 1, np.ones((5, 8)))
+    chain = eh.ChainFamily(0.25, 1, np.ones((5, 8)), np.zeros(5))
     good = eh.TestFunction("sin", np.ones(8), lambda t: math.sin(math.pi * t),
                            lambda t: math.pi * math.cos(math.pi * t))
     bad = eh.TestFunction("cos", np.ones(8), lambda t: math.cos(math.pi * t),
