@@ -8,8 +8,7 @@ attainment of the initial value.
 
 from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGraph,
                        build_scenario, dirichlet_energy, edge_conductances,
-                       tabulated_graph, vertex_weights, volume_decay_rate,
-                       volume_growth_bound)
+                       tabulated_graph, vertex_weights, volume_growth_bound)
 from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, half_edge_layout,
                      rcm_ordering, solve_plan, spd_solve, stiffness_apply)
 from .profiles import make_initial_data
@@ -20,6 +19,7 @@ from .verify import (ContractionReport, ConvergenceRow, EnergyReport, ExtremumRe
                      chain_error_vs_oracle, contraction_report, convergence_table,
                      default_test_catalog, degiorgi_family, energy_estimate, extremum_check,
                      fit_order, initial_attainment_check, l2h1_interp_norm, oracle_value_at,
-                     semidiscrete_oracle, weak_residual, weighted_l2, weighted_l2_sq)
+                     report_json, semidiscrete_oracle, weak_residual, weighted_l2,
+                     weighted_l2_sq)
 
 __version__ = "0.1.0"

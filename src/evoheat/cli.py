@@ -55,7 +55,8 @@ from .scheme import (ChainFamily, run_families, run_interpolated, steps_within_h
 from .verify import (EnergyReport, ExtremumReport, OracleError, contraction_report,
                      default_test_catalog, degiorgi_family, energy_estimate,
                      extremum_check, fit_order, initial_attainment_check,
-                     l2h1_interp_norm, convergence_table, weak_residual, weighted_l2_sq)
+                     l2h1_interp_norm, convergence_table, report_json, weak_residual,
+                     weighted_l2_sq)
 
 __all__ = ["RunConfig", "ConfigError", "main",
            "cmd_run", "cmd_converge", "cmd_compare_interp", "cmd_l2_limit", "cmd_verify"]
@@ -109,6 +110,8 @@ class RunConfig:
             raise ConfigError(f"c0: must be nonnegative, got {cfg.c0}")
         if not cfg.h_list:
             raise ConfigError("h_list: must not be empty")
+        if not cfg.truncation_levels:
+            raise ConfigError("truncation_levels: must not be empty")
         return cfg
 
 
@@ -179,8 +182,8 @@ def _write_run_artifacts(cfg: RunConfig, spec: Scenario, chain: ChainFamily,
     samples.publish(chain)
     write_json(os.path.join(cfg.out, "energy_report.json"),
                {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
-                "horizon": chain.horizon, **energy.to_json_dict()})
-    write_json(os.path.join(cfg.out, "extremum_report.json"), extremum.to_json_dict())
+                "horizon": chain.horizon, **report_json(energy)})
+    write_json(os.path.join(cfg.out, "extremum_report.json"), report_json(extremum))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,7 @@ def cmd_run(cfg: RunConfig) -> int:
         [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol,
                                on_row=samples.on_row)
         c0 = _chain_c0(cfg, G, chain)
-        energy = energy_estimate(chain, G, c0, cfg.slack)
+        [energy] = energy_estimate([chain], G, c0, cfg.slack)
         extremum = extremum_check(chain)
         _write_run_artifacts(cfg, spec, chain, energy, extremum, samples)
     return EXIT_OK if (energy.passed and extremum.passed) else EXIT_CHECK_FAILED
@@ -220,7 +223,7 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
     spec, G, u0 = _prepare(cfg)
     chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
     c0 = _chain_c0(cfg, G, chain)
-    energy = energy_estimate(chain, G, c0, cfg.slack)
+    [energy] = energy_estimate([chain], G, c0, cfg.slack)
     dg = degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m, rel_tol=cfg.rel_tol)
     shifted = energy.dissipation  # the l2h1 norm of the produced samples
     resolvent = l2h1_interp_norm(dg, chain.times()[1:], G, dt=chain.delta)
@@ -229,7 +232,7 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
     write_json(os.path.join(cfg.out, "comparison.json"), {
         "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
         "shifted_l2h1": shifted, "degiorgi_l2h1": resolvent, "ratio": ratio,
-        "energy_report": energy.to_json_dict(),
+        "energy_report": report_json(energy),
         "note": "samples at multiples of h coincide by construction; "
                 "the ratio is driven by the intermediate samples",
     })
@@ -251,10 +254,10 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
         chain_full, *chains_n = run_families(G, [u0, *truncated], float(h), cfg.m,
                                              rel_tol=cfg.rel_tol)
         c0 = _chain_c0(cfg, G, chain_full)
-        for level, chain_n in zip(cfg.truncation_levels, chains_n):
-            diff = ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values,
-                               chain_full.solve_error + chain_n.solve_error)
-            energy = energy_estimate(diff, G, c0, cfg.slack)
+        diffs = [ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values,
+                             chain_full.solve_error + chain_n.solve_error) for chain_n in chains_n]
+        energies = energy_estimate(diffs, G, c0, cfg.slack)
+        for level, diff, energy in zip(cfg.truncation_levels, diffs, energies):
             all_ok = all_ok and energy.passed
             rows.append({"h": float(h), "level": float(level),
                          "truncation_error": weighted_l2_sq(diff.values[0], w0),
@@ -286,9 +289,9 @@ def cmd_verify(cfg: RunConfig) -> int:
                                                rel_tol=cfg.rel_tol, on_row=samples.on_row)
         c0 = _chain_c0(cfg, G, chain)
 
-        energy = energy_estimate(chain, G, c0, cfg.slack)
+        energy, energy_d = energy_estimate([chain, chain_d], G, c0, cfg.slack)
         extremum = extremum_check(chain)
-        contraction = contraction_report(G, chain, chain_v, chain_d, c0, cfg.slack)
+        contraction = contraction_report(G, chain, chain_v, chain_d, energy_d)
 
         weak_rows = weak_residual(chain, G, catalog)
 
@@ -304,10 +307,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         write_json(os.path.join(cfg.out, "verify_report.json"), {
             "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
             "horizon": chain.horizon, "c0_used": c0,
-            "energy": energy.to_json_dict(),
-            "extremum": extremum.to_json_dict(),
-            "contraction": contraction.to_json_dict(),
-            "weak_residuals": [r.to_json_dict() for r in weak_rows],
+            "energy": report_json(energy),
+            "extremum": report_json(extremum),
+            "contraction": report_json(contraction),
+            "weak_residuals": [report_json(r) for r in weak_rows],
             "initial_attainment": {"t_small": chain.h, "distance": att,
                                    "minimality_bound_sq": att_bound,
                                    "solver_error": att_err, "pass": att_ok},

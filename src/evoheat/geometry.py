@@ -44,7 +44,6 @@ __all__ = [
     "edge_conductances",
     "dirichlet_energy",
     "volume_growth_bound",
-    "volume_decay_rate",
 ]
 
 # Queries may overshoot the horizon by accumulated float noise from j*delta grids.
@@ -142,7 +141,11 @@ def dirichlet_energy(G: TimeWeightedGraph, t: float, values: np.ndarray) -> floa
         raise ValueError(f"values has shape {u.shape}, expected ({G.n_vertices},)")
     if G.n_edges == 0:
         return 0.0
-    c = edge_conductances(G, t)
+    return _dirichlet_form(G, edge_conductances(G, t), u)
+
+
+def _dirichlet_form(G: TimeWeightedGraph, c: np.ndarray, u: np.ndarray) -> float:
+    """sum_e c_e * (u_i - u_j)**2 with the conductance row ``c`` already read."""
     d = u[G.edges[:, 0]] - u[G.edges[:, 1]]
     return float(np.dot(c, d * d))
 
@@ -171,24 +174,6 @@ def volume_growth_bound(G: TimeWeightedGraph, time_grid) -> float:
         rate = np.maximum(rate, ((cur - prev) / gap).max())
         prev = cur
     return max(0.0, float(rate))
-
-
-def volume_decay_rate(G: TimeWeightedGraph, t: float, h: float) -> np.ndarray:
-    """Forward-difference rate of relative volume loss per vertex.
-
-    Entry i is (1/h) * (1 - w_i(t+h)/w_i(t)): positive where the measure shrinks
-    over [t, t+h], negative where it grows.  Satisfies the summation-by-parts
-    identity sum_i rate_i * w_i(t) * h = sum_i (w_i(t) - w_i(t+h)) exactly.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if t < -_TIME_FUZZ:
-        raise ValueError("t must be nonnegative")
-    if t + h > G.horizon + _TIME_FUZZ * max(1.0, G.horizon):
-        raise ValueError(f"t + h = {t + h} beyond graph horizon {G.horizon}")
-    w_now = vertex_weights(G, t)
-    w_next = vertex_weights(G, t + h)
-    return (1.0 - w_next / w_now) / h
 
 
 # ---------------------------------------------------------------------------

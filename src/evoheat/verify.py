@@ -17,7 +17,9 @@ EnergyReport.passed is the conjunction of the two; margin measures the worse one
 The dissipation quadrature runs over the produced samples j = 1..N*m, which for
 m = 1 is exactly the step-sequence sum sum_k h * energy(u_k, kh); including the
 j = 0 sample would charge the scheme for the raw initial datum's Dirichlet
-energy, which it does not control.  It is ``l2h1_interp_norm`` of those rows.
+energy, which it does not control.  It is ``l2h1_interp_norm`` of those rows,
+which ``energy_estimate`` sums for all chain families of one grid in one sweep
+that reads each coefficient row once.
 
 Every check reads the initial value from the chain's row 0 and its solver error
 from the chain's own ``solve_error``, the per-row certificate that
@@ -27,20 +29,22 @@ from the chain's own ``solve_error``, the per-row certificate that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (_TIME_FUZZ, TimeWeightedGraph, dirichlet_energy, edge_conductances,
-                       vertex_weights, volume_decay_rate)
+from .geometry import (_TIME_FUZZ, TimeWeightedGraph, _dirichlet_form, dirichlet_energy,
+                       edge_conductances, vertex_weights)
 from .linalg import half_edge_layout, spd_solve
 from .profiles import make_initial_data
-from .scheme import ChainFamily, _vertex_values, operator_at, run_interpolated
+from .scheme import (ChainFamily, _vertex_values, operator_at, run_interpolated,
+                     steps_within_horizon)
 
 __all__ = [
     "weighted_l2_sq",
     "weighted_l2",
+    "report_json",
     "EnergyReport",
     "energy_estimate",
     "ExtremumReport",
@@ -74,6 +78,12 @@ def weighted_l2(values: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(weighted_l2_sq(values, weights))
 
 
+def report_json(report) -> dict:
+    """A report dataclass as a JSON object: its fields in order, ``passed`` as "pass"."""
+    return asdict(report, dict_factory=lambda items: {
+        ("pass" if key == "passed" else key): value for key, value in items})
+
+
 # ---------------------------------------------------------------------------
 # energy estimate
 # ---------------------------------------------------------------------------
@@ -97,32 +107,41 @@ class EnergyReport:
     passed: bool
     margin: float
 
-    def to_json_dict(self) -> dict:
-        return {"sup_l2": self.sup_l2, "dissipation": self.dissipation,
-                "rhs": self.rhs, "c0_used": self.c0_used, "slack": self.slack,
-                "pass": self.passed, "margin": self.margin}
 
+def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph, c0: float,
+                    slack: float = 1e-8) -> list[EnergyReport]:
+    """Both sides of the energy estimate, one report per chain family of one grid.
 
-def energy_estimate(chain: ChainFamily, G: TimeWeightedGraph, c0: float,
-                    slack: float = 1e-8) -> EnergyReport:
-    """Evaluate both sides of the energy estimate for a chain family.
-
-    The initial value is the chain's own row 0.  ``c0`` must dominate the weight
-    growth on the chain's own delta-grid (``volume_growth_bound`` over that grid
-    certifies it); a larger value only slackens the bound.
+    The families must share h, m and row count; each one's initial value is its
+    row 0.  Each grid row's coefficients are read once for all of them, and each
+    report is bitwise the family's report alone.  ``c0`` must dominate the weight
+    growth on that delta-grid (``volume_growth_bound`` over it certifies it); a
+    larger value only slackens the bound.
     """
     if c0 < 0:
         raise ValueError(f"c0 must be nonnegative, got {c0}")
-    rhs = math.exp(c0 * chain.horizon) * weighted_l2_sq(chain.values[0], vertex_weights(G, 0.0))
-    times = chain.times()
-    sup_l2 = max(weighted_l2_sq(v, vertex_weights(G, t)) for t, v in zip(times, chain.values))
-    dissipation = l2h1_interp_norm(chain.values[1:], times[1:], G, dt=chain.delta)
-    lhs = max(sup_l2, dissipation)
-    passed = lhs <= rhs * (1.0 + slack)
-    margin = 0.0 if rhs == 0.0 else (rhs - lhs) / rhs
-    return EnergyReport(sup_l2=sup_l2, dissipation=dissipation, rhs=rhs,
-                        c0_used=float(c0), slack=float(slack), passed=bool(passed),
-                        margin=margin)
+    if not chains:
+        raise ValueError("energy_estimate needs at least one chain family")
+    first = chains[0]
+    if any((c.h, c.m, len(c.values)) != (first.h, first.m, len(first.values)) for c in chains):
+        raise ValueError("chain families must share h, m and row count")
+    times = first.times()
+    delta = first.delta
+    w = vertex_weights(G, times[0])
+    sup_l2 = [weighted_l2_sq(c.values[0], w) for c in chains]
+    rhs = [math.exp(c0 * first.horizon) * a0 for a0 in sup_l2]
+    # left-to-right sums, as in l2h1_interp_norm (Python 3.12's sum() is compensated)
+    dissipation = [0.0] * len(chains)
+    for j in range(1, len(times)):
+        w = vertex_weights(G, times[j])
+        cond = edge_conductances(G, times[j])
+        for f, c in enumerate(chains):
+            sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))
+            dissipation[f] += delta * _dirichlet_form(G, cond, c.values[j])
+    return [EnergyReport(sup_l2=sup, dissipation=diss, rhs=bound, c0_used=float(c0),
+                         slack=float(slack), passed=bool(max(sup, diss) <= bound * (1.0 + slack)),
+                         margin=0.0 if bound == 0.0 else (bound - max(sup, diss)) / bound)
+            for sup, diss, bound in zip(sup_l2, dissipation, rhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +155,6 @@ class ExtremumReport:
     worst_violation: float
     tol: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "worst_violation": self.worst_violation,
-                "tol": self.tol, "pass": self.passed}
 
 
 def extremum_check(chain: ChainFamily) -> ExtremumReport:
@@ -171,24 +186,18 @@ class ContractionReport:
     difference_energy: EnergyReport
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {"linearity_residual": self.linearity_residual,
-                "linearity_tol": self.linearity_tol,
-                "difference_energy": self.difference_energy.to_json_dict(),
-                "pass": self.passed}
-
 
 def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: ChainFamily,
-                       chain_d: ChainFamily, c0: float,
-                       slack: float = 1e-8) -> ContractionReport:
+                       chain_d: ChainFamily,
+                       difference_energy: EnergyReport) -> ContractionReport:
     """Judge chains run from u0, v0 and u0 - v0 on the same grid.
 
     The sample-wise difference of the first two must match the third (the scheme
-    is a fixed linear solve per step), and the difference run must satisfy the
-    energy estimate with the same c0, which is the contraction bound between the
-    two solutions.  The linearity tolerance is the largest row-wise sum of the
-    three chains' ``solve_error``, plus a rounding floor of 1e-9 times the data
-    norms.
+    is a fixed linear solve per step), and ``difference_energy``, chain_d's
+    ``energy_estimate`` report with the c0 of the other checks, must pass: that
+    is the contraction bound between the two solutions.  The linearity
+    tolerance is the largest row-wise sum of the three chains' ``solve_error``,
+    plus a rounding floor of 1e-9 times the data norms.
     """
     gap = chain_u.values - chain_v.values
     gap -= chain_d.values
@@ -197,10 +206,9 @@ def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: Chai
     w0 = vertex_weights(G, 0.0)
     tol = solve_error + 1e-9 * (weighted_l2(chain_u.values[0], w0)
                                 + weighted_l2(chain_v.values[0], w0))
-    energy = energy_estimate(chain_d, G, c0, slack)
     return ContractionReport(linearity_residual=residual, linearity_tol=tol,
-                             difference_energy=energy,
-                             passed=bool(energy.passed and residual <= tol))
+                             difference_energy=difference_energy,
+                             passed=bool(difference_energy.passed and residual <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +384,11 @@ def convergence_table(G: TimeWeightedGraph, u0: np.ndarray, h_list, m: int = 1,
 
     observed_order between consecutive rows is log(err ratio)/log(h ratio); it is
     None on the first row and whenever an error sits at rounding level (below
-    1e-13), where the quotient measures noise.
+    1e-13), where the quotient measures noise.  Every h is checked against the
+    horizon before the oracle runs.
     """
+    for h in h_list:
+        steps_within_horizon(G.horizon, float(h))
     oracle = semidiscrete_oracle(G, u0, G.horizon, oracle_steps)
     rows: list[ConvergenceRow] = []
     prev: Optional[ConvergenceRow] = None
@@ -440,10 +451,6 @@ class WeakResidualRow:
     residual: float
     normalization: float
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual,
-                "normalization": self.normalization}
-
 
 def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
                   test_fns: list[TestFunction]) -> list[WeakResidualRow]:
@@ -454,8 +461,9 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
         sum_i w_i(t_j) u_j,i (psi_i phi'(t_j) - psi_i phi(t_j) rate_j,i)
       - sum_e c_e(t_j) (u_j,i - u_j,i') (psi_i - psi_i') phi(t_j)
 
-    where rate is the forward volume decay rate over one delta.  Shrinks like
-    O(h) as the chain refines.  Profiles must vanish at t = 0 and the horizon.
+    where rate_j = (1 - w(t_j + delta) / w(t_j)) / delta is the forward volume
+    decay rate over one delta.  Shrinks like O(h) as the chain refines.
+    Profiles must vanish at t = 0 and the horizon.
     """
     delta = chain.delta
     T = chain.horizon
@@ -477,7 +485,7 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
     norm = [0.0] * len(test_fns)
     for j in range(nm):
         w = vertex_weights(G, j * delta)
-        rate = volume_decay_rate(G, j * delta, delta)
+        rate = (1.0 - vertex_weights(G, j * delta + delta) / w) / delta
         cond = edge_conductances(G, j * delta)
         u = chain.values[j]
         wu = w * u

@@ -126,6 +126,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--config", pinched, "--out", out]) == 2
     assert "pinch" in capsys.readouterr().err
 
+    # no truncation level would leave l2-limit nothing to check, and pass
+    no_levels = _write_config(tmp_path, "levels.json", truncation_levels=[])
+    assert main(["l2-limit", "--config", no_levels, "--out", out]) == 2
+    assert "truncation_levels: must not be empty" in capsys.readouterr().err
+
     assert not os.path.exists(out)  # config errors must not leave artifacts
 
 
@@ -194,6 +199,23 @@ def test_converge_command(tmp_path):
     assert lines[1].endswith(",")  # first row has no observed order
     for line in lines[2:]:
         assert 0.7 < float(line.rsplit(",", 1)[1]) < 1.3
+
+
+@pytest.mark.parametrize("h_list, message", [
+    ([0.1, -0.05], "h must be positive, got -0.05"),
+    ([0.1, 2.0], "step h=2.0 does not fit the horizon T=1.0"),
+])
+def test_converge_rejects_a_bad_h_before_the_oracle(tmp_path, monkeypatch, capsys,
+                                                    h_list, message):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("semidiscrete_oracle ran before h_list was checked")
+
+    monkeypatch.setattr(eh.verify, "semidiscrete_oracle", no_oracle)
+    cfg = _write_config(tmp_path, h_list=h_list)
+    out = str(tmp_path / "out")
+    assert main(["converge", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
 
 
 def test_converge_draws_random_data_from_the_seed_flag(tmp_path):

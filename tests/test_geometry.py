@@ -1,12 +1,10 @@
-"""Graph construction conventions, growth bounds, decay rates, tabulated input."""
+"""Graph construction conventions, growth bounds, tabulated input."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import evoheat as eh
@@ -18,9 +16,6 @@ from helpers import build
 # vertex weight a*dx with a = 1, conductance 1/(dx*a) with dx = pi/2.
 QUARTER_WEIGHT = 1.5707963267948966  # 2*pi/4
 QUARTER_COND = 0.6366197723675814  # 4/(2*pi)
-# Relative one-step volume decay of w(t) = exp(-2t)*w(0) at h = 0.1:
-# (1 - exp(-0.2)) / 0.1, worked out by hand.
-DECAY_RATE_EXP2 = 1.8126924692201818
 
 
 def test_static_circle_conventions():
@@ -152,25 +147,6 @@ def test_volume_growth_bound_grid_validation():
         eh.volume_growth_bound(G, np.array([0.0]))
     with pytest.raises(ValueError):
         eh.volume_growth_bound(G, np.array([0.0, 0.5, 0.5]))
-
-
-def test_volume_decay_rate_hand_value():
-    G = build("conformal_circle", n=8, amp=0.0, growth=-2.0)
-    rate = eh.volume_decay_rate(G, 0.3, 0.1)
-    assert_allclose(rate, DECAY_RATE_EXP2, rtol=1e-12)
-
-
-_G_DECAY = build("conformal_circle", n=12, amp=0.4, omega=2.0, k_spatial=1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.0, 0.8), st.floats(0.01, 0.2))
-def test_volume_decay_mass_identity(t, h):
-    rate = eh.volume_decay_rate(_G_DECAY, t, h)
-    w_now = eh.vertex_weights(_G_DECAY, t)
-    w_next = eh.vertex_weights(_G_DECAY, t + h)
-    assert_allclose(rate * w_now * h, w_now - w_next, rtol=1e-12, atol=1e-15)
-    assert_allclose(np.sum(rate * w_now * h), np.sum(w_now - w_next), rtol=1e-12, atol=1e-14)
 
 
 def test_scenario_roundtrip():

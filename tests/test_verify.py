@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import evoheat as eh
+import evoheat.verify
 from helpers import build, exact_solves, lone_step, varah_bounds
 
 # exp(-2), the exact decay of the odd mode on the unit two-vertex graph over T = 1
@@ -212,7 +213,7 @@ def test_energy_estimate_static_constant():
     G = build("static_circle", n=8)
     u0 = np.full(8, 2.0)
     chain = eh.run_interpolated(G, u0, 0.2, m=2, rel_tol=1e-13)
-    rep = eh.energy_estimate(chain, G, c0=0.0)
+    [rep] = eh.energy_estimate([chain], G, c0=0.0)
     # ||u0||^2 = 4 * 2*pi both sides; dissipation is solver noise only
     assert_allclose(rep.rhs, 8 * math.pi, rtol=1e-13)
     assert_allclose(rep.sup_l2, rep.rhs, rtol=1e-10)
@@ -225,7 +226,7 @@ def test_energy_estimate_zero_data():
     G = build("static_circle", n=8)
     u0 = np.zeros(8)
     chain = eh.run_interpolated(G, u0, 0.2, m=2)
-    rep = eh.energy_estimate(chain, G, c0=0.0)
+    [rep] = eh.energy_estimate([chain], G, c0=0.0)
     assert rep.rhs == 0.0 and rep.sup_l2 == 0.0 and rep.margin == 0.0
     assert rep.passed
 
@@ -234,7 +235,7 @@ def test_energy_estimate_moving_metric_has_margin():
     u0 = np.random.default_rng(3).standard_normal(12)
     chain = eh.run_interpolated(MOVING, u0, 0.1, m=2, rel_tol=1e-12)
     c0 = eh.volume_growth_bound(MOVING, chain.times())
-    rep = eh.energy_estimate(chain, MOVING, c0)
+    [rep] = eh.energy_estimate([chain], MOVING, c0)
     assert c0 > 0
     assert rep.passed
     assert 0.0 < rep.margin < 1.0
@@ -245,7 +246,7 @@ def test_energy_estimate_detects_uncovered_growth():
     G = build("conformal_circle", n=8, amp=0.0, growth=4.0)
     u0 = np.full(8, 2.5)
     chain = eh.run_interpolated(G, u0, 0.25, m=1, rel_tol=1e-12)
-    rep = eh.energy_estimate(chain, G, c0=0.0)
+    [rep] = eh.energy_estimate([chain], G, c0=0.0)
     assert not rep.passed
     assert rep.margin < -1.0
 
@@ -255,12 +256,112 @@ def test_energy_estimate_input_validation():
     u0 = np.ones(8)
     chain = eh.run_interpolated(G, u0, 0.25, m=1)
     with pytest.raises(ValueError):
-        eh.energy_estimate(chain, G, c0=-0.5)
+        eh.energy_estimate([chain], G, c0=-0.5)
+
+
+def test_energy_estimate_rejects_empty_or_mismatched_families():
+    G = build("static_circle", n=8)
+    chain = eh.run_interpolated(G, np.ones(8), 0.25, m=2)
+    with pytest.raises(ValueError, match="at least one"):
+        eh.energy_estimate([], G, c0=0.0)
+    other_h = dataclasses.replace(chain, h=0.125)
+    other_m = dataclasses.replace(chain, m=1)
+    fewer_rows = dataclasses.replace(chain, values=chain.values[:-2],
+                                     solve_error=chain.solve_error[:-2])
+    for other in (other_h, other_m, fewer_rows):
+        for chains in ([chain, other], [other, chain, chain]):
+            with pytest.raises(ValueError, match="share h, m and row count"):
+                eh.energy_estimate(chains, G, c0=0.0)
+
+
+def _energy_alone(chain, G, c0, slack=1e-8):
+    """The energy estimate of one family written out plainly: every coefficient
+    row read where it is used, the dissipation through ``l2h1_interp_norm``."""
+    rhs = math.exp(c0 * chain.horizon) * eh.weighted_l2_sq(chain.values[0],
+                                                           eh.vertex_weights(G, 0.0))
+    times = chain.times()
+    sup_l2 = max(eh.weighted_l2_sq(v, eh.vertex_weights(G, t))
+                 for t, v in zip(times, chain.values))
+    dissipation = eh.l2h1_interp_norm(chain.values[1:], times[1:], G, dt=chain.delta)
+    lhs = max(sup_l2, dissipation)
+    return eh.EnergyReport(sup_l2, dissipation, rhs, float(c0), float(slack),
+                           bool(lhs <= rhs * (1.0 + slack)),
+                           0.0 if rhs == 0.0 else (rhs - lhs) / rhs)
+
+
+def _bits(report):
+    return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("families", [1, 2, 5])
+@pytest.mark.parametrize("graph", [build("conformal_circle", n=256, k_spatial=1),
+                                   build("product_torus", nx=12, ny=12)],
+                         ids=["circle256_band", "torus12_cg"])
+def test_energy_estimate_families_together_equal_each_alone(graph, families):
+    rng = np.random.default_rng(12)
+    initials = [rng.standard_normal(graph.n_vertices) for _ in range(families)]
+    chains = eh.run_families(graph, initials, 0.1, m=3)
+    c0 = eh.volume_growth_bound(graph, chains[0].times())
+    reports = eh.energy_estimate(chains, graph, c0)
+    assert len(reports) == families
+    for chain, report in zip(chains, reports):
+        [alone] = eh.energy_estimate([chain], graph, c0)
+        assert _bits(report) == _bits(alone) == _bits(_energy_alone(chain, graph, c0))
+
+
+def _counted(fn, calls, key):
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+    return counted
+
+
+def _count_coefficient_reads(monkeypatch, G):
+    """A copy of G whose coefficient callables count their calls, and counted
+    weight and conductance accessors in ``evoheat.verify``.  Returns the copy,
+    the callables' counts (reads by any path) and the accessors' counts."""
+    at_graph = {"weights": 0, "conductances": 0}
+    in_verify = {"weights": 0, "conductances": 0}
+    counting = eh.TimeWeightedGraph(
+        G.n_vertices, G.edges, _counted(G.weights_at, at_graph, "weights"),
+        _counted(G.conductances_at, at_graph, "conductances"), G.horizon, G.coords)
+    for name, key in (("vertex_weights", "weights"), ("edge_conductances", "conductances")):
+        monkeypatch.setattr(evoheat.verify, name,
+                            _counted(getattr(evoheat.verify, name), in_verify, key))
+    return counting, at_graph, in_verify
+
+
+@pytest.mark.parametrize("families", [1, 5])
+def test_energy_estimate_reads_each_grid_row_once(monkeypatch, families):
+    rng = np.random.default_rng(13)
+    chains = eh.run_families(MOVING, [rng.standard_normal(12) for _ in range(families)],
+                             0.25, m=2)
+    nm = len(chains[0].values) - 1
+    G, at_graph, in_verify = _count_coefficient_reads(monkeypatch, MOVING)
+    eh.energy_estimate(chains, G, c0=1.0)
+    assert at_graph == in_verify == {"weights": nm + 1, "conductances": nm}
+
+
+def test_weak_residual_reads_two_weight_rows_per_grid_time(monkeypatch):
+    chain = eh.run_interpolated(MOVING, np.random.default_rng(14).standard_normal(12),
+                                0.25, m=2)
+    nm = len(chain.values) - 1
+    catalog = eh.default_test_catalog(MOVING, chain.horizon)
+    G, at_graph, in_verify = _count_coefficient_reads(monkeypatch, MOVING)
+    eh.weak_residual(chain, G, catalog)
+    assert at_graph == in_verify == {"weights": 2 * nm, "conductances": nm}
 
 
 def test_energy_report_json_uses_pass_key():
-    d = eh.EnergyReport(1.0, 0.5, 2.0, 0.0, 1e-8, True, 0.5).to_json_dict()
-    assert d["pass"] is True and "passed" not in d
+    d = eh.report_json(eh.EnergyReport(1.0, 0.5, 2.0, 0.0, 1e-8, True, 0.5))
+    assert d == {"sup_l2": 1.0, "dissipation": 0.5, "rhs": 2.0, "c0_used": 0.0,
+                 "slack": 1e-8, "pass": True, "margin": 0.5}
+    assert list(d) == ["sup_l2", "dissipation", "rhs", "c0_used", "slack", "pass", "margin"]
+    # a nested report is written the same way
+    energy = eh.EnergyReport(1.0, 0.5, 2.0, 0.0, 1e-8, False, 0.5)
+    nested = eh.report_json(eh.ContractionReport(0.0, 1e-9, energy, True))
+    assert list(nested) == ["linearity_residual", "linearity_tol", "difference_energy", "pass"]
+    assert nested["difference_energy"] == {**d, "pass": False} and nested["pass"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +414,8 @@ def test_extremum_flags_sample_pushed_past_derived_bound():
 def _contraction(u0, v0, c0):
     """contraction_report on chains from u0, v0 and u0 - v0 over MOVING, h=0.25, m=2."""
     chains = eh.run_families(MOVING, [u0, v0, u0 - v0], 0.25, m=2)
-    return eh.contraction_report(MOVING, *chains, c0)
+    [energy_d] = eh.energy_estimate(chains[2:], MOVING, c0)
+    return eh.contraction_report(MOVING, *chains, energy_d)
 
 
 def test_contraction_identical_data():
@@ -345,7 +447,8 @@ def test_contraction_tolerance_follows_solver_tolerance():
     for rel_tol in (1e-12, 1e-6):
         chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=rel_tol)
         solve_error = float(sum(c.solve_error for c in chains).max())
-        rep = eh.contraction_report(MOVING, *chains, c0)
+        [energy_d] = eh.energy_estimate(chains[2:], MOVING, c0)
+        rep = eh.contraction_report(MOVING, *chains, energy_d)
         assert rep.passed
         tols.append(rep.linearity_tol)
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed over
@@ -392,14 +495,16 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     chain_u, chain_v, chain_d = eh.run_families(
         MOVING, [u0, v0, u0 - v0], 0.25, m=2, rel_tol=1e-8)
     c0 = eh.volume_growth_bound(MOVING, chain_u.times())
-    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, c0)
+    [energy_d] = eh.energy_estimate([chain_d], MOVING, c0)
+    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, energy_d)
     assert rep.passed
 
     j = len(chain_d.values) // 2
     samples = chain_d.values.copy()
     samples[j, 3] += 10.0 * rep.linearity_tol
     bad_d = dataclasses.replace(chain_d, values=samples)  # the run's own bound
-    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, c0)
+    [bad_energy] = eh.energy_estimate([bad_d], MOVING, c0)
+    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, bad_energy)
     assert bad.difference_energy.passed
     assert bad.linearity_tol == rep.linearity_tol
     assert bad.linearity_residual > 9.0 * bad.linearity_tol
@@ -483,7 +588,7 @@ def test_weak_residual_equals_per_function_loop():
     fns = eh.default_test_catalog(G, chain.horizon)
     delta, nm = chain.delta, len(chain.values) - 1
     w = [eh.vertex_weights(G, j * delta) for j in range(nm)]
-    rate = [eh.volume_decay_rate(G, j * delta, delta) for j in range(nm)]
+    rate = [(1.0 - eh.vertex_weights(G, j * delta + delta) / w[j]) / delta for j in range(nm)]
     cond = [eh.edge_conductances(G, j * delta) for j in range(nm)]
     want = []
     for fn in fns:
