@@ -8,14 +8,14 @@ attainment of the initial value.
 
 from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGraph,
                        build_scenario, dirichlet_energy, edge_conductances,
-                       tabulated_graph, vertex_weights, volume_growth_bound)
+                       tabulated_graph, vertex_weights)
 from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, half_edge_layout,
                      rcm_ordering, solve_plan, spd_solve, stiffness_apply)
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, operator_at, run_families, run_interpolated,
                      steps_within_horizon, truncate)
-from .verify import (ContractionReport, ConvergenceRow, EnergyReport, ExtremumReport,
-                     OracleError, OracleResult, TestFunction, WeakResidualRow,
+from .verify import (AttainmentReport, ContractionReport, ConvergenceRow, EnergyReport,
+                     ExtremumReport, OracleError, OracleResult, TestFunction, WeakResidualRow,
                      chain_error_vs_oracle, contraction_report, convergence_table,
                      default_test_catalog, degiorgi_family, energy_estimate, extremum_check,
                      fit_order, initial_attainment_check, l2h1_interp_norm, oracle_value_at,

@@ -43,7 +43,6 @@ __all__ = [
     "vertex_weights",
     "edge_conductances",
     "dirichlet_energy",
-    "volume_growth_bound",
 ]
 
 # Queries may overshoot the horizon by accumulated float noise from j*delta grids.
@@ -148,32 +147,6 @@ def _dirichlet_form(G: TimeWeightedGraph, c: np.ndarray, u: np.ndarray) -> float
     """sum_e c_e * (u_i - u_j)**2 with the conductance row ``c`` already read."""
     d = u[G.edges[:, 0]] - u[G.edges[:, 1]]
     return float(np.dot(c, d * d))
-
-
-def volume_growth_bound(G: TimeWeightedGraph, time_grid) -> float:
-    """Certified exponential growth rate of the vertex weights on a time grid.
-
-    Returns the max over adjacent grid pairs (t1, t2) and vertices of
-    max(0, log(w_i(t2)/w_i(t1)) / (t2 - t1)).  By construction
-    w_i(t2) <= exp(bound * (t2 - t1)) * w_i(t1) holds exactly for every adjacent
-    pair of the grid, and telescopes multiplicatively across any sub-span of it,
-    which is all the discrete estimates consume.  The certificate is only about
-    this grid; off-grid behavior is the scenario's business.
-    """
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise ValueError("time_grid must be a 1d grid with at least two points")
-    dt = np.diff(grid)
-    if np.any(dt <= 0):
-        raise ValueError("time_grid must be strictly increasing")
-    # two rows alive at a time; np.maximum, unlike max(), does not skip a NaN rate
-    rate = -np.inf
-    prev = np.log(vertex_weights(G, grid[0]))
-    for t, gap in zip(grid[1:], dt):
-        cur = np.log(vertex_weights(G, t))
-        rate = np.maximum(rate, ((cur - prev) / gap).max())
-        prev = cur
-    return max(0.0, float(rate))
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +392,10 @@ def tabulated_graph(doc: dict) -> TimeWeightedGraph:
     Expected keys: ``n_vertices`` (int), ``edges`` ([[i, j], ...]), ``times``
     (strictly increasing, starting at 0), ``weights`` (one positive row of length
     n_vertices per time), ``conductances`` (one nonnegative row of length n_edges
-    per time).  Weights interpolate log-linearly between samples (so the certified
-    growth rate on the knot grid is exact for every intermediate pair), conductances
-    linearly.  The horizon is the last tabulated time.
+    per time).  Weights interpolate log-linearly between samples, so the growth
+    rate ``energy_estimate`` certifies on any run grid is at most the steepest
+    knot-to-knot slope of log w; conductances interpolate linearly.  The horizon
+    is the last tabulated time.
     """
     G = _table_graph(doc)
     _validate_graph(G, "custom_tabulated")

@@ -1,7 +1,7 @@
 """Checks for the discrete estimates: energy, extremum, contraction, weak form.
 
-The central bound: a chain family run from u0 with certified volume growth rate
-c0 (so that vertex weights grow at most like exp(c0 * dt) along the run's grid)
+The central bound: a chain family run from u0 with volume growth rate c0 (so
+that vertex weights grow at most like exp(c0 * dt) along the run's grid)
 satisfies, with a0 = ||u0||^2 weighted by the t=0 measure,
 
     max_j ||sample_j||^2_{m_{t_j}}              <= exp(c0 * horizon) * a0
@@ -19,7 +19,8 @@ m = 1 is exactly the step-sequence sum sum_k h * energy(u_k, kh); including the
 j = 0 sample would charge the scheme for the raw initial datum's Dirichlet
 energy, which it does not control.  It is ``l2h1_interp_norm`` of those rows,
 which ``energy_estimate`` sums for all chain families of one grid in one sweep
-that reads each coefficient row once.
+that reads each coefficient row once.  Unless a c0 is given, the same sweep
+certifies it from the weight rows it reads, so no caller needs to know how.
 
 Every check reads the initial value from the chain's row 0 and its solver error
 from the chain's own ``solve_error``, the per-row certificate that
@@ -63,6 +64,7 @@ __all__ = [
     "default_test_catalog",
     "WeakResidualRow",
     "weak_residual",
+    "AttainmentReport",
     "initial_attainment_check",
     "l2h1_interp_norm",
     "degiorgi_family",
@@ -108,17 +110,19 @@ class EnergyReport:
     margin: float
 
 
-def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph, c0: float,
-                    slack: float = 1e-8) -> list[EnergyReport]:
+def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
+                    c0: Optional[float] = None, slack: float = 1e-8) -> list[EnergyReport]:
     """Both sides of the energy estimate, one report per chain family of one grid.
 
     The families must share h, m and row count; each one's initial value is its
     row 0.  Each grid row's coefficients are read once for all of them, and each
-    report is bitwise the family's report alone.  ``c0`` must dominate the weight
-    growth on that delta-grid (``volume_growth_bound`` over it certifies it); a
-    larger value only slackens the bound.
+    report is bitwise the family's report alone.  With ``c0`` None the sweep
+    certifies it from the weight rows it reads: the largest rate (log w_i(t_j) -
+    log w_i(t_{j-1})) / (t_j - t_{j-1}), clamped at 0, bounds the growth over
+    every grid pair and so over the grid, which is all the estimate consumes.  A
+    given ``c0`` must dominate that growth; a larger value only slackens the bound.
     """
-    if c0 < 0:
+    if c0 is not None and not c0 >= 0:
         raise ValueError(f"c0 must be nonnegative, got {c0}")
     if not chains:
         raise ValueError("energy_estimate needs at least one chain family")
@@ -128,17 +132,25 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph, c0: float,
     times = first.times()
     delta = first.delta
     w = vertex_weights(G, times[0])
-    sup_l2 = [weighted_l2_sq(c.values[0], w) for c in chains]
-    rhs = [math.exp(c0 * first.horizon) * a0 for a0 in sup_l2]
+    a0 = [weighted_l2_sq(c.values[0], w) for c in chains]
+    sup_l2 = list(a0)
+    # np.maximum, unlike max(), does not skip a NaN rate; the clamp at 0 below does
+    rate = -np.inf
+    log_w = np.log(w) if c0 is None else None
     # left-to-right sums, as in l2h1_interp_norm (Python 3.12's sum() is compensated)
     dissipation = [0.0] * len(chains)
     for j in range(1, len(times)):
         w = vertex_weights(G, times[j])
+        if c0 is None:
+            log_prev, log_w = log_w, np.log(w)
+            rate = np.maximum(rate, ((log_w - log_prev) / (times[j] - times[j - 1])).max())
         cond = edge_conductances(G, times[j])
         for f, c in enumerate(chains):
             sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))
             dissipation[f] += delta * _dirichlet_form(G, cond, c.values[j])
-    return [EnergyReport(sup_l2=sup, dissipation=diss, rhs=bound, c0_used=float(c0),
+    c0 = max(0.0, float(rate)) if c0 is None else float(c0)
+    rhs = [math.exp(c0 * first.horizon) * a for a in a0]
+    return [EnergyReport(sup_l2=sup, dissipation=diss, rhs=bound, c0_used=c0,
                          slack=float(slack), passed=bool(max(sup, diss) <= bound * (1.0 + slack)),
                          margin=0.0 if bound == 0.0 else (bound - max(sup, diss)) / bound)
             for sup, diss, bound in zip(sup_l2, dissipation, rhs)]
@@ -461,7 +473,7 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
         sum_i w_i(t_j) u_j,i (psi_i phi'(t_j) - psi_i phi(t_j) rate_j,i)
       - sum_e c_e(t_j) (u_j,i - u_j,i') (psi_i - psi_i') phi(t_j)
 
-    where rate_j = (1 - w(t_j + delta) / w(t_j)) / delta is the forward volume
+    where rate_j = (1 - w(t_{j+1}) / w(t_j)) / delta is the forward volume
     decay rate over one delta.  Shrinks like O(h) as the chain refines.
     Profiles must vanish at t = 0 and the horizon.
     """
@@ -478,14 +490,15 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
                                  f"at t={endpoint}, got {fn.profile(endpoint)}")
         phis.append(phi)
 
-    # one grid time at a time, so each coefficient row is live for one step only;
-    # every function's sums still run over j in order
+    # one grid time at a time, each weight row read once and carried into the next
+    # step's rate; every function's sums still run over j in order
     d_psis = [fn.space[G.edges[:, 0]] - fn.space[G.edges[:, 1]] for fn in test_fns]
     acc = [0.0] * len(test_fns)
     norm = [0.0] * len(test_fns)
+    w_next = vertex_weights(G, 0.0)
     for j in range(nm):
-        w = vertex_weights(G, j * delta)
-        rate = (1.0 - vertex_weights(G, j * delta + delta) / w) / delta
+        w, w_next = w_next, vertex_weights(G, (j + 1) * delta)
+        rate = (1.0 - w_next / w) / delta
         cond = edge_conductances(G, j * delta)
         u = chain.values[j]
         wu = w * u
@@ -506,24 +519,44 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
 # attainment of the initial value, interpolation norms
 # ---------------------------------------------------------------------------
 
-def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
-                             t_small: float) -> float:
-    """Weighted l2 distance of the sample at t_small from the initial value (row 0).
+@dataclass(frozen=True)
+class AttainmentReport:
+    """Outcome of ``initial_attainment_check`` at one grid time t_small."""
 
-    t_small must lie on the chain's delta-grid (within 1e-9).  Useful facts: the
-    distance at fixed ratio t_small/h shrinks like sqrt(h) or better as h -> 0,
-    and every first-chain sample obeys the minimality bound
-    dist^2 <= h * energy(u0, t_small); for fixed h the distance does NOT tend to
-    0 with t_small (samples near 0 are full steps from u0).
+    t_small: float
+    distance: float
+    minimality_bound_sq: float
+    solver_error: float
+    passed: bool
+
+
+def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph, t_small: float,
+                             slack: float = 1e-8) -> AttainmentReport:
+    """Weighted l2 distance of the sample at t_small from u0 (row 0), less its solver
+    error, judged by the minimality bound dist^2 <= h * energy(u0, t_small).  The
+    solver error is the row's ``solve_error`` entry times sqrt(sum w), with the
+    weights the distance uses.
+
+    t_small must be a grid time (within 1e-9) in (0, h]: the bound holds for the
+    first-chain samples, one full step from u0, and no later.  At fixed t_small/h
+    the distance shrinks like sqrt(h) or better; at fixed h it does NOT tend to 0
+    with t_small.  The 1e-30 floor admits a rounding distance where the bound is
+    0 (constant u0) and the solves were exact.
     """
     delta = chain.delta
     j = int(round(t_small / delta))
     if abs(j * delta - t_small) > _TIME_FUZZ * max(1.0, chain.horizon):
         raise ValueError(f"t_small = {t_small} is not on the delta-grid "
                          f"(delta = {delta})")
-    if not (1 <= j < len(chain.values)):
-        raise ValueError(f"t_small = {t_small} outside the run (0, {chain.horizon}]")
-    return weighted_l2(chain.values[j] - chain.values[0], vertex_weights(G, j * delta))
+    if not (1 <= j <= chain.m):
+        raise ValueError(f"t_small = {t_small} outside the first step (0, {chain.h}]")
+    w = vertex_weights(G, j * delta)
+    u0 = chain.values[0]
+    distance = weighted_l2(chain.values[j] - u0, w)
+    bound = chain.h * dirichlet_energy(G, t_small, u0)
+    solver_error = float(chain.solve_error[j]) * math.sqrt(float(w.sum()))
+    passed = max(distance - solver_error, 0.0) ** 2 <= bound * (1.0 + slack) + 1e-30
+    return AttainmentReport(float(t_small), distance, bound, solver_error, passed)
 
 
 def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph, dt: float) -> float:

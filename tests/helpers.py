@@ -74,3 +74,22 @@ def varah_bounds(G, families, rel_tol):
 def exact_solves(chain):
     """``chain`` with a zero solver-error bound, so checks judge it by their rounding floors."""
     return dataclasses.replace(chain, solve_error=np.zeros(len(chain.values)))
+
+
+def growth_reference(G, time_grid):
+    """The weight growth rate certified on a time grid, written out on its own.
+
+    The max over adjacent grid pairs (t1, t2) and vertices of
+    max(0, log(w_i(t2)/w_i(t1)) / (t2 - t1)), in the arithmetic order
+    ``energy_estimate`` uses when it certifies c0, so its ``c0_used`` must equal
+    this bitwise on the chain's grid.
+    """
+    grid = np.asarray(time_grid, dtype=float)
+    dt = np.diff(grid)
+    rate = -np.inf
+    prev = np.log(eh.vertex_weights(G, grid[0]))
+    for t, gap in zip(grid[1:], dt):
+        cur = np.log(eh.vertex_weights(G, t))
+        rate = np.maximum(rate, ((cur - prev) / gap).max())
+        prev = cur
+    return max(0.0, float(rate))

@@ -17,6 +17,8 @@ from evoheat.cli import main
 from evoheat.geometry import Scenario
 from evoheat.scheme import ChainFamily
 
+from helpers import growth_reference
+
 
 def _write_config(tmp_path, name="config.json", **overrides):
     cfg = {
@@ -141,6 +143,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ("converge", "h_list", 0.1), ("l2-limit", "h_list", 0.1),
     ("l2-limit", "truncation_levels", ["1"]), ("verify", "test_functions", "k1_sin"),
     ("verify", "initial", "harmonic"), ("verify", "scenario", 5), ("verify", "out", 3),
+    # json reads NaN and Infinity; no field takes them, and slack must not be negative
+    ("verify", "c0", math.inf), ("verify", "h", math.nan), ("verify", "rel_tol", -math.inf),
+    ("verify", "slack", math.inf), ("verify", "slack", -0.5),
+    ("converge", "h_list", [0.1, math.nan]), ("l2-limit", "truncation_levels", [1, math.inf]),
 ])
 def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                                  command, key, value):
@@ -148,6 +154,13 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
     monkeypatch.chdir(tmp_path)  # the default out directory, which must stay absent
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: must be ")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_non_finite_tol_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--tol", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("config error: rel_tol: must be ")
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -303,7 +316,7 @@ def test_l2_limit_report_equals_hand_loop(tmp_path):
     want = []
     for h in h_list:
         chain_full = eh.run_interpolated(G, u0, h, m=2, rel_tol=1e-12)
-        c0 = eh.volume_growth_bound(G, chain_full.times())
+        c0 = growth_reference(G, chain_full.times())
         bound_factor = math.exp(c0 * chain_full.horizon)
         times = chain_full.times()
         for level in levels:

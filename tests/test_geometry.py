@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import evoheat as eh
 from evoheat.geometry import Scenario, ScenarioError
 
-from helpers import build
+from helpers import build, growth_reference
 
 # Circle conventions frozen by hand for N = 4 equispaced vertices on length 2*pi:
 # vertex weight a*dx with a = 1, conductance 1/(dx*a) with dx = pi/2.
@@ -103,28 +103,38 @@ def test_dirichlet_energy_hand_value():
     assert eh.dirichlet_energy(G, 0.0, np.full(4, 3.7)) == 0.0
 
 
+def _c0_used(G, h, m):
+    """The growth rate ``energy_estimate`` certifies on the (h, m) chain grid.
+
+    c0 depends on the grid alone, so the chain's values are zeros and nothing is solved.
+    """
+    rows = eh.steps_within_horizon(G.horizon, h) * m + 1
+    chain = eh.ChainFamily(h, m, np.zeros((rows, G.n_vertices)), np.zeros(rows))
+    [report] = eh.energy_estimate([chain], G)
+    return report.c0_used
+
+
 def test_volume_growth_bound_static_is_zero():
     G = build("static_circle", n=8)
-    assert eh.volume_growth_bound(G, np.linspace(0.0, 1.0, 11)) == 0.0
+    assert _c0_used(G, 0.1, 1) == 0.0
 
 
 def test_volume_growth_bound_exponential_exact():
     # log w is linear in t with slope exactly 1, any grid recovers it
     G = build("conformal_circle", n=8, amp=0.0, growth=1.0)
-    got = eh.volume_growth_bound(G, np.array([0.0, 0.13, 0.5, 0.77, 1.0]))
-    assert_allclose(got, 1.0, rtol=1e-12)
+    for h, m in ((0.13, 1), (0.25, 2), (0.22, 10)):
+        assert_allclose(_c0_used(G, h, m), 1.0, rtol=1e-12)
 
 
 def test_volume_growth_bound_shrinking_is_zero():
     G = build("pinching_circle", n=16, amplitude=0.6)
-    assert eh.volume_growth_bound(G, np.linspace(0.0, 1.0, 21)) == 0.0
+    assert _c0_used(G, 0.05, 1) == 0.0
 
 
 def test_volume_growth_bound_refinement_monotone():
+    # the fine grid (delta = 0.125) holds every point of the coarse one (0.25)
     G = build("conformal_circle", n=16, amp=0.5, omega=3.0, k_spatial=1)
-    coarse = eh.volume_growth_bound(G, np.linspace(0.0, 1.0, 5))
-    fine = eh.volume_growth_bound(G, np.linspace(0.0, 1.0, 9))
-    assert coarse <= fine + 1e-12
+    assert _c0_used(G, 0.25, 1) <= _c0_used(G, 0.25, 2) + 1e-12
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -135,18 +145,18 @@ def test_volume_growth_bound_refinement_monotone():
 def test_volume_growth_bound_equals_stacked_rates(kind, params):
     # every grid row tabulated, then one vectorized difference quotient
     G = build(kind, **params)
-    grid = np.arange(41) * 0.025
+    grid = np.arange(41) * 0.025  # the grid of h = 0.1, m = 4
     logw = np.stack([np.log(eh.vertex_weights(G, t)) for t in grid])
     rates = np.diff(logw, axis=0) / np.diff(grid)[:, None]
-    assert eh.volume_growth_bound(G, grid) == max(0.0, float(rates.max()))
+    assert _c0_used(G, 0.1, 4) == max(0.0, float(rates.max()))
 
 
-def test_volume_growth_bound_grid_validation():
-    G = build("static_circle", n=4)
-    with pytest.raises(ValueError):
-        eh.volume_growth_bound(G, np.array([0.0]))
-    with pytest.raises(ValueError):
-        eh.volume_growth_bound(G, np.array([0.0, 0.5, 0.5]))
+@pytest.mark.parametrize("h, m", [(0.1, 4), (0.22, 10), (0.05, 1)])
+@pytest.mark.parametrize("kind", eh.SCENARIO_KINDS)
+def test_certified_c0_equals_the_growth_reference(kind, h, m):
+    G = build(kind, table=_table_doc()) if kind == "custom_tabulated" else build(kind)
+    times = np.arange(eh.steps_within_horizon(G.horizon, h) * m + 1) * (h / m)
+    assert _c0_used(G, h, m) == growth_reference(G, times)
 
 
 def test_scenario_roundtrip():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import evoheat as eh
 import evoheat.verify
-from helpers import build, exact_solves, lone_step, varah_bounds
+from helpers import build, exact_solves, growth_reference, lone_step, varah_bounds
 
 # exp(-2), the exact decay of the odd mode on the unit two-vertex graph over T = 1
 E_MINUS_2 = 0.1353352832366127
@@ -234,9 +234,8 @@ def test_energy_estimate_zero_data():
 def test_energy_estimate_moving_metric_has_margin():
     u0 = np.random.default_rng(3).standard_normal(12)
     chain = eh.run_interpolated(MOVING, u0, 0.1, m=2, rel_tol=1e-12)
-    c0 = eh.volume_growth_bound(MOVING, chain.times())
-    [rep] = eh.energy_estimate([chain], MOVING, c0)
-    assert c0 > 0
+    [rep] = eh.energy_estimate([chain], MOVING)
+    assert rep.c0_used > 0
     assert rep.passed
     assert 0.0 < rep.margin < 1.0
 
@@ -255,8 +254,9 @@ def test_energy_estimate_input_validation():
     G = build("static_circle", n=8)
     u0 = np.ones(8)
     chain = eh.run_interpolated(G, u0, 0.25, m=1)
-    with pytest.raises(ValueError):
-        eh.energy_estimate([chain], G, c0=-0.5)
+    for c0 in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match="c0 must be nonnegative"):
+            eh.energy_estimate([chain], G, c0=c0)
 
 
 def test_energy_estimate_rejects_empty_or_mismatched_families():
@@ -301,11 +301,11 @@ def test_energy_estimate_families_together_equal_each_alone(graph, families):
     rng = np.random.default_rng(12)
     initials = [rng.standard_normal(graph.n_vertices) for _ in range(families)]
     chains = eh.run_families(graph, initials, 0.1, m=3)
-    c0 = eh.volume_growth_bound(graph, chains[0].times())
-    reports = eh.energy_estimate(chains, graph, c0)
+    c0 = growth_reference(graph, chains[0].times())
+    reports = eh.energy_estimate(chains, graph)
     assert len(reports) == families
     for chain, report in zip(chains, reports):
-        [alone] = eh.energy_estimate([chain], graph, c0)
+        [alone] = eh.energy_estimate([chain], graph)
         assert _bits(report) == _bits(alone) == _bits(_energy_alone(chain, graph, c0))
 
 
@@ -337,19 +337,24 @@ def test_energy_estimate_reads_each_grid_row_once(monkeypatch, families):
     chains = eh.run_families(MOVING, [rng.standard_normal(12) for _ in range(families)],
                              0.25, m=2)
     nm = len(chains[0].values) - 1
-    G, at_graph, in_verify = _count_coefficient_reads(monkeypatch, MOVING)
-    eh.energy_estimate(chains, G, c0=1.0)
-    assert at_graph == in_verify == {"weights": nm + 1, "conductances": nm}
+    certified = growth_reference(MOVING, chains[0].times())
+    # a given c0, and one certified inside the sweep from the rows it reads anyway
+    for c0, want_c0 in ((1.0, 1.0), (None, certified)):
+        G, at_graph, in_verify = _count_coefficient_reads(monkeypatch, MOVING)
+        reports = eh.energy_estimate(chains, G, c0=c0)
+        assert at_graph == in_verify == {"weights": nm + 1, "conductances": nm}
+        assert all(r.c0_used == want_c0 for r in reports)
+    assert certified > 0.0
 
 
-def test_weak_residual_reads_two_weight_rows_per_grid_time(monkeypatch):
+def test_weak_residual_reads_each_grid_row_once(monkeypatch):
     chain = eh.run_interpolated(MOVING, np.random.default_rng(14).standard_normal(12),
                                 0.25, m=2)
     nm = len(chain.values) - 1
     catalog = eh.default_test_catalog(MOVING, chain.horizon)
     G, at_graph, in_verify = _count_coefficient_reads(monkeypatch, MOVING)
     eh.weak_residual(chain, G, catalog)
-    assert at_graph == in_verify == {"weights": 2 * nm, "conductances": nm}
+    assert at_graph == in_verify == {"weights": nm + 1, "conductances": nm}
 
 
 def test_energy_report_json_uses_pass_key():
@@ -411,7 +416,7 @@ def test_extremum_flags_sample_pushed_past_derived_bound():
     assert not bad_rep.passed
 
 
-def _contraction(u0, v0, c0):
+def _contraction(u0, v0, c0=None):
     """contraction_report on chains from u0, v0 and u0 - v0 over MOVING, h=0.25, m=2."""
     chains = eh.run_families(MOVING, [u0, v0, u0 - v0], 0.25, m=2)
     [energy_d] = eh.energy_estimate(chains[2:], MOVING, c0)
@@ -430,8 +435,7 @@ def test_contraction_exact_scaling():
     # v0 = 2 u0 makes the difference run the bitwise negation of the u0 run
     u0 = np.random.default_rng(5).standard_normal(12)
     v0 = 2.0 * u0
-    c0 = eh.volume_growth_bound(MOVING, np.linspace(0, 1, 9))
-    rep = _contraction(u0, v0, c0)
+    rep = _contraction(u0, v0)
     assert rep.linearity_residual == 0.0
     assert rep.passed
 
@@ -440,14 +444,13 @@ def test_contraction_tolerance_follows_solver_tolerance():
     rng = np.random.default_rng(6)
     u0, v0 = rng.standard_normal(12), rng.standard_normal(12)
     initials = [u0, v0, u0 - v0]
-    c0 = eh.volume_growth_bound(MOVING, np.linspace(0, 1, 9))
     w0 = eh.vertex_weights(MOVING, 0.0)
     floor = 1e-9 * (eh.weighted_l2(u0, w0) + eh.weighted_l2(v0, w0))
     tols = []
     for rel_tol in (1e-12, 1e-6):
         chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=rel_tol)
         solve_error = float(sum(c.solve_error for c in chains).max())
-        [energy_d] = eh.energy_estimate(chains[2:], MOVING, c0)
+        [energy_d] = eh.energy_estimate(chains[2:], MOVING)
         rep = eh.contraction_report(MOVING, *chains, energy_d)
         assert rep.passed
         tols.append(rep.linearity_tol)
@@ -494,8 +497,7 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     u0, v0 = rng.standard_normal(12), rng.standard_normal(12)
     chain_u, chain_v, chain_d = eh.run_families(
         MOVING, [u0, v0, u0 - v0], 0.25, m=2, rel_tol=1e-8)
-    c0 = eh.volume_growth_bound(MOVING, chain_u.times())
-    [energy_d] = eh.energy_estimate([chain_d], MOVING, c0)
+    [energy_d] = eh.energy_estimate([chain_d], MOVING)
     rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, energy_d)
     assert rep.passed
 
@@ -503,7 +505,7 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     samples = chain_d.values.copy()
     samples[j, 3] += 10.0 * rep.linearity_tol
     bad_d = dataclasses.replace(chain_d, values=samples)  # the run's own bound
-    [bad_energy] = eh.energy_estimate([bad_d], MOVING, c0)
+    [bad_energy] = eh.energy_estimate([bad_d], MOVING)
     bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, bad_energy)
     assert bad.difference_energy.passed
     assert bad.linearity_tol == rep.linearity_tol
@@ -587,8 +589,8 @@ def test_weak_residual_equals_per_function_loop():
     chain = eh.run_interpolated(G, eh.make_initial_data(G, {"profile": "random"}), 0.1, m=3)
     fns = eh.default_test_catalog(G, chain.horizon)
     delta, nm = chain.delta, len(chain.values) - 1
-    w = [eh.vertex_weights(G, j * delta) for j in range(nm)]
-    rate = [(1.0 - eh.vertex_weights(G, j * delta + delta) / w[j]) / delta for j in range(nm)]
+    w = [eh.vertex_weights(G, j * delta) for j in range(nm + 1)]
+    rate = [(1.0 - w[j + 1] / w[j]) / delta for j in range(nm)]
     cond = [eh.edge_conductances(G, j * delta) for j in range(nm)]
     want = []
     for fn in fns:
@@ -643,8 +645,10 @@ def test_attainment_grid_validation():
     chain = eh.run_interpolated(G, np.ones(8), 0.1, m=4)
     with pytest.raises(ValueError, match="grid"):
         eh.initial_attainment_check(chain, G, 0.03)
-    with pytest.raises(ValueError, match="outside"):
-        eh.initial_attainment_check(chain, G, 0.0)
+    # on the grid, but past the first step, where the minimality bound does not hold
+    for t_small in (0.0, 0.125, 1.0):
+        with pytest.raises(ValueError, match="outside"):
+            eh.initial_attainment_check(chain, G, t_small)
 
 
 def test_attainment_minimality_bound():
@@ -654,9 +658,35 @@ def test_attainment_minimality_bound():
     delta = h / 4
     for j in (1, 2, 4):  # first-chain samples take one full step from u0
         t = j * delta
-        dist = eh.initial_attainment_check(chain, MOVING, t)
+        rep = eh.initial_attainment_check(chain, MOVING, t)
         bound = h * eh.dirichlet_energy(MOVING, t, u0)
-        assert dist ** 2 <= bound * (1 + 1e-8)
+        assert rep.minimality_bound_sq == bound
+        assert rep.distance ** 2 <= bound * (1 + 1e-8)
+        assert rep.passed
+
+
+@pytest.mark.parametrize("h, m", [(0.1, 4), (0.22, 10), (0.1, 3)])
+@pytest.mark.parametrize("graph", [build("conformal_circle", n=256, k_spatial=1),
+                                   build("product_torus", nx=12, ny=12)],
+                         ids=["circle256_band", "torus12_cg"])
+def test_attainment_report_equals_the_verdict_written_out(graph, h, m):
+    # the verdict as the verify command formed it by hand.  At h = 0.22, m = 10, h
+    # itself is not m * delta; at h = 0.1, m = 3 no grid time j * delta is the
+    # decimal t_small, and the torus weights at the two times differ
+    u0 = eh.make_initial_data(graph, {"profile": "random"})
+    [chain] = eh.run_families(graph, [u0], h, m, rel_tol=1e-8)
+    delta = h / m
+    for j, t_small in [(j, round(j * delta, 12)) for j in (1, m // 2)] + [(m, h)]:
+        w = eh.vertex_weights(graph, j * delta)  # the weights row j was solved with
+        distance = eh.weighted_l2(chain.values[j] - u0, w)
+        bound = h * eh.dirichlet_energy(graph, t_small, u0)
+        solver_error = float(chain.solve_error[j]) * math.sqrt(float(w.sum()))
+        for slack in (1e-8, 0.0):
+            passed = max(distance - solver_error, 0.0) ** 2 <= bound * (1.0 + slack) + 1e-30
+            want = eh.AttainmentReport(t_small, distance, bound, solver_error, passed)
+            got = eh.initial_attainment_check(chain, graph, t_small, slack)
+            assert _bits(got) == _bits(want)
+        assert got.passed and solver_error > 0.0
 
 
 def test_attainment_shrinks_with_h():
@@ -665,7 +695,7 @@ def test_attainment_shrinks_with_h():
     dists = []
     for h in (0.2, 0.1, 0.05):
         chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=1e-12)
-        dists.append(eh.initial_attainment_check(chain, G, h))
+        dists.append(eh.initial_attainment_check(chain, G, h).distance)
     assert dists[0] > dists[1] > dists[2]
 
 
