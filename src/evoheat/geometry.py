@@ -68,6 +68,11 @@ class TimeWeightedGraph:
 
     ``coords`` optionally holds vertex coordinates (angles or positions) used by
     initial-data profiles; graphs without natural coordinates leave it None.
+
+    ``lattice`` is (nx, ny) when the builder knows the edges to be the periodic
+    nx x ny lattice with vertex ix * ny + iy (``product_torus``); the plan then
+    takes the spectral CG preconditioner, and checks the claim against the
+    edges.  Other graphs leave it None.
     """
 
     n_vertices: int
@@ -76,6 +81,7 @@ class TimeWeightedGraph:
     conductances_at: Callable[[float], np.ndarray]
     horizon: float
     coords: Optional[np.ndarray] = None
+    lattice: Optional[tuple[int, int]] = None
 
     @property
     def n_edges(self) -> int:
@@ -87,7 +93,7 @@ class TimeWeightedGraph:
 
         Built on first use, which for a validated graph is its connectivity check.
         """
-        return solve_plan(self.n_vertices, self.edges)
+        return solve_plan(self.n_vertices, self.edges, self.lattice)
 
     @classmethod
     def static(cls, weights, edges, conductances, horizon: float = 1.0,
@@ -350,7 +356,7 @@ def _torus_graph(p: dict, T: float) -> TimeWeightedGraph:
 
     ix_grid, iy_grid = np.divmod(np.arange(n), ny)
     coords = np.column_stack([ix_grid * dx, iy_grid * dy])
-    return TimeWeightedGraph(n, edges, weights_at, conductances_at, T, coords)
+    return TimeWeightedGraph(n, edges, weights_at, conductances_at, T, coords, (nx_, ny))
 
 
 def _octahedron_graph(radius0: float, T: float) -> TimeWeightedGraph:

@@ -18,8 +18,14 @@ few batched numpy calls, and every column of the round is then solved in one
 pass over the levels.  For wider graphs (a k x k torus has b ~ 2k) the plan
 holds the half-edge layout instead: a (K, n) neighbour table, K the least
 degree, plus a coordinate list for the rest (Bell & Garland's HYB layout).
-Each operator is assembled on it once for all its right-hand sides, so a
-Jacobi-preconditioned CG mat-vec is one gather, one product and one column sum.
+Each operator is assembled on it once for all its right-hand sides, so a CG
+mat-vec is one gather, one product and one column sum.  CG is preconditioned
+by the inverse diagonal (Jacobi), except on a graph its builder declares to be
+the periodic nx x ny lattice: there the plan also records each edge's axis,
+and the preconditioner is the inverse of mean(M) + h*(mean x conductance * L_x
++ mean y conductance * L_y), which the 2-d DFT diagonalises (circulant
+preconditioning, T. Chan 1988).  With weights and per-axis conductances
+uniform in space, as on ``product_torus``, it is the exact inverse of A.
 Both solvers fix the order of every floating-point operation, so runs are
 bit-reproducible and a column solved alongside others is bitwise the column
 solved alone, and both keep one residual contract: the true residual
@@ -34,9 +40,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "StencilOperator",
-           "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply", "rcm_ordering",
-           "half_edge_layout", "solve_plan", "spd_solve", "cg_solve"]
+__all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Lattice",
+           "StencilOperator", "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply",
+           "rcm_ordering", "half_edge_layout", "solve_plan", "spd_solve", "cg_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
 # assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
@@ -415,6 +421,53 @@ def half_edge_layout(n: int, edges: np.ndarray) -> StencilLayout:
     return StencilLayout(nbr, slot_edge, rows[over], cols[over], eids[over])
 
 
+class Lattice(NamedTuple):
+    """A graph's edges read as the periodic nx x ny lattice, vertex ix * ny + iy.
+
+    axis[e] is 0 when edge e joins (ix, iy) to (ix + 1 mod nx, iy) and 1 when
+    it joins (ix, iy) to (ix, iy + 1 mod ny).  eig_x, shape (nx, 1), and eig_y,
+    shape (ny // 2 + 1,), hold 2 - 2 cos(theta) at the frequencies theta of
+    ``np.fft.rfft2`` on an (nx, ny) array: the eigenvalues of the unit-conductance
+    cycle Laplacian along each axis.
+    """
+
+    shape: tuple[int, int]
+    axis: np.ndarray
+    eig_x: np.ndarray
+    eig_y: np.ndarray
+
+
+def _lattice(n: int, edges: np.ndarray, shape) -> Lattice:
+    """The ``Lattice`` of a graph declared to be the periodic ``shape`` lattice.
+
+    Raises ValueError unless the edge set is exactly that lattice's, each edge
+    once in either orientation; both sides need at least 3 vertices, so that the
+    two neighbours of a vertex along an axis differ.
+    """
+    nx, ny = (int(k) for k in shape)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if nx < 3 or ny < 3 or nx * ny != n or len(edges) != 2 * n:
+        raise ValueError(f"lattice {nx}x{ny} does not match a graph with {n} vertices "
+                         f"and {len(edges)} edges")
+    ix, iy = np.divmod(edges, ny)
+    step_x = (ix[:, 1] - ix[:, 0]) % nx
+    step_y = (iy[:, 1] - iy[:, 0]) % ny
+    along_x = (iy[:, 0] == iy[:, 1]) & ((step_x == 1) | (step_x == nx - 1))
+    along_y = (ix[:, 0] == ix[:, 1]) & ((step_y == 1) | (step_y == ny - 1))
+    # the vertex an edge leaves in the + direction of its axis: every vertex
+    # must leave exactly one edge along each axis
+    tail_x = np.where(step_x == 1, edges[:, 0], edges[:, 1])[along_x]
+    tail_y = np.where(step_y == 1, edges[:, 0], edges[:, 1])[along_y]
+    if not ((along_x | along_y).all()
+            and (np.bincount(tail_x, minlength=n) == 1).all()
+            and (np.bincount(tail_y, minlength=n) == 1).all()):
+        raise ValueError(f"lattice {nx}x{ny}: the edges are not the periodic "
+                         f"{nx}x{ny} lattice's (vertex ix*{ny} + iy)")
+    eig_x = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(nx) / nx)
+    eig_y = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(ny // 2 + 1) / ny)
+    return Lattice((nx, ny), along_y.astype(np.int64), eig_x[:, None], eig_y)
+
+
 class StencilOperator:
     """An ``SpdOperator`` assembled on a ``StencilLayout`` for repeated mat-vecs.
 
@@ -422,12 +475,19 @@ class StencilOperator:
     h * (row sums of c), so A x = diag * x - sum_k off[k] * x[nbr[k]] minus the
     overflow half-edges.  Assembled once per operator and shared by every
     right-hand side; ``apply`` works in scratch space the operator owns.
+
+    ``precondition`` applies CG's preconditioner.  Given the graph's
+    ``Lattice``, that is the inverse of the lattice operator with
+    ``symbol`` = mean(mass) + h * (cx * eig_x + cy * eig_y) on the rfft2 grid,
+    cx and cy the mean conductances along each axis; otherwise ``symbol`` is
+    None and it multiplies by ``inv_diag``, the inverse diagonal (Jacobi).
     """
 
     __slots__ = ("n", "diag", "inv_diag", "off", "nbr", "over_rows", "over_cols",
-                 "over_off", "_gathered", "_sums")
+                 "over_off", "shape", "symbol", "_gathered", "_sums")
 
-    def __init__(self, A: SpdOperator, layout: StencilLayout):
+    def __init__(self, A: SpdOperator, layout: StencilLayout,
+                 lattice: Optional[Lattice] = None):
         c = np.asarray(A.coeffs, dtype=float)
         table = c[layout.slot_edge]
         rowsum = table.sum(axis=0)
@@ -445,6 +505,12 @@ class StencilOperator:
         self.inv_diag = 1.0 / self.diag
         self._gathered = np.empty(table.shape)
         self._sums = np.empty(A.n)
+        self.shape = self.symbol = None
+        if lattice is not None:
+            cx, cy = np.bincount(lattice.axis, weights=c, minlength=2) / A.n
+            self.shape = lattice.shape
+            self.symbol = float(np.mean(A.mass)) + A.h * (cx * lattice.eig_x
+                                                           + cy * lattice.eig_y)
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A x, written to ``out``."""
@@ -459,30 +525,47 @@ class StencilOperator:
                                minlength=self.n)
         return out
 
+    def precondition(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The preconditioner applied to r, written to ``out`` (contiguous)."""
+        if self.symbol is None:
+            return np.multiply(self.inv_diag, r, out=out)
+        fft = np.fft  # attribute access: graphs without a lattice never load numpy.fft
+        spectrum = fft.rfft2(r.reshape(self.shape))
+        spectrum /= self.symbol
+        out.reshape(self.shape)[...] = fft.irfft2(spectrum, s=self.shape)
+        return out
+
 
 class SolvePlan(NamedTuple):
     """How ``spd_solve`` solves every operator on one graph.
 
     ``ordering`` is the band order when the direct path takes the graph, else
-    None and ``layout`` holds the half-edge layout for CG; ``components``
-    counts the graph's connected components.
+    None and ``layout`` holds the half-edge layout for CG; ``lattice`` is the
+    graph's ``Lattice`` when its builder declared one and CG takes it, else
+    None (Jacobi CG).  ``components`` counts the graph's connected components.
     """
 
     components: int
     ordering: Optional[BandOrdering]
     layout: Optional[StencilLayout]
+    lattice: Optional[Lattice] = None
 
 
-def solve_plan(n: int, edges: np.ndarray) -> SolvePlan:
+def solve_plan(n: int, edges: np.ndarray,
+               lattice: Optional[tuple[int, int]] = None) -> SolvePlan:
     """The ``SolvePlan`` of a graph with n vertices, from one ``rcm_ordering`` search.
 
     When the bandwidth is at most DIRECT_MAX_BANDWIDTH, the block storage of
-    the order is built; otherwise only the half-edge layout is.
+    the order is built; otherwise only the half-edge layout is, together with
+    the ``Lattice`` when ``lattice`` gives the shape (nx, ny) of a periodic
+    lattice.  A shape that does not match the edges raises ValueError, on
+    either path.
     """
+    grid = None if lattice is None else _lattice(n, edges, lattice)
     perm, bandwidth, components = rcm_ordering(n, edges)
     if bandwidth <= DIRECT_MAX_BANDWIDTH:
         return SolvePlan(components, _band_ordering(edges, perm, bandwidth), None)
-    return SolvePlan(components, None, half_edge_layout(n, edges))
+    return SolvePlan(components, None, half_edge_layout(n, edges), grid)
 
 
 def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float,
@@ -493,8 +576,9 @@ def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float,
     a (T, k, n) array of right-hand sides; returns the (T, k, n) solutions.
     ``plan`` is the graph's ``solve_plan`` (graphs cache theirs).  Narrow
     bands factor all T operators at once and solve every column in one pass;
-    wide ones assemble each operator once on the layout and run ``cg_solve``
-    per column.  Raises SolverError when a residual target is missed.
+    wide ones assemble each operator once on the layout (and the plan's
+    lattice) and run ``cg_solve`` per column.  Raises SolverError when a
+    residual target is missed.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
@@ -504,7 +588,7 @@ def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float,
         return _banded_solve(ops, rhs, rel_tol, plan.ordering)
     out = np.empty_like(rhs)
     for A, columns, xs in zip(ops, rhs, out):
-        stencil = StencilOperator(A, plan.layout)
+        stencil = StencilOperator(A, plan.layout, plan.lattice)
         for b, x in zip(columns, xs):
             x[:] = cg_solve(stencil, b, rel_tol=rel_tol)
     return out
@@ -513,11 +597,14 @@ def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float,
 def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     """Solve A x = b to ||A x - b||_2 <= rel_tol * ||b||_2.
 
-    Jacobi-preconditioned CG from x = 0 with a fixed iteration order, run in
-    place on buffers allocated once per solve, on the ``StencilOperator`` that
-    ``spd_solve`` assembles once for all its right-hand sides.  When the
-    recurrence residual meets the target, the true residual is recomputed; if
-    drift has spoiled it the iteration restarts from the current iterate.
+    Preconditioned CG from x = 0 with a fixed iteration order, run in place on
+    buffers allocated once per solve, on the ``StencilOperator`` that
+    ``spd_solve`` assembles once for all its right-hand sides; the operator's
+    ``precondition`` is Jacobi or, on a lattice, the spectral inverse, which
+    on ``product_torus`` is exact and so ends the solve after one iteration.
+    When the recurrence residual meets the target, the true residual of A is
+    recomputed; if drift has spoiled it the iteration restarts from the
+    current iterate.
     Raises SolverError (reporting the relative residual achieved) if the
     target is missed after 50 n iterations, or the search direction vanishes
     first (p.Ap = 0, as once the residual underflows).
@@ -532,15 +619,15 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
     cap = 50 * n
     target = rel_tol * b_norm
 
-    inv_diag = A.inv_diag
     x = np.zeros(n)
     r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
+    z = np.empty(n)
+    p = np.empty(n)
     Ap = np.empty(n)
     step = np.empty(n)
-    rz = float(np.dot(r, z))
+    rz = 0.0
     r_norm = math.sqrt(float(np.dot(r, r)))
+    restart = True  # p starts (again) from the preconditioned residual
 
     def true_residual() -> float:
         """||b - A x||_2, leaving b - A x in Ap."""
@@ -554,10 +641,19 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
                 return x
             # recurrence drifted: restart from the true residual
             r, Ap = Ap, r
-            np.multiply(inv_diag, r, out=z)
-            p[:] = z
-            rz = float(np.dot(r, z))
             r_norm = true_norm
+            restart = True
+        # preconditioned only once the residual has missed the target, so the
+        # iteration that meets it pays no preconditioner
+        A.precondition(r, out=z)
+        rz_next = float(np.dot(r, z))
+        if restart:
+            p[:] = z
+            restart = False
+        else:
+            p *= rz_next / rz
+            p += z
+        rz = rz_next
         A.apply(p, out=Ap)
         pAp = float(np.dot(p, Ap))
         if pAp < 0.0:
@@ -572,11 +668,6 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Ap, out=step)
         r_norm = math.sqrt(float(np.dot(r, r)))
-        np.multiply(inv_diag, r, out=z)
-        rz_next = float(np.dot(r, z))
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
 
     if r_norm <= target and true_residual() <= target:
         return x

@@ -120,7 +120,10 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
     certifies it from the weight rows it reads: the largest rate (log w_i(t_j) -
     log w_i(t_{j-1})) / (t_j - t_{j-1}), clamped at 0, bounds the growth over
     every grid pair and so over the grid, which is all the estimate consumes.  A
-    given ``c0`` must dominate that growth; a larger value only slackens the bound.
+    weight that is 0 at both ends of a pair does not grow and sets no rate; a
+    pair whose rate is NaN or +inf (a weight leaving 0, a NaN weight) admits no
+    c0, and raises ValueError naming its grid time.  A given ``c0`` must
+    dominate that growth; a larger value only slackens the bound.
     """
     if c0 is not None and not c0 >= 0:
         raise ValueError(f"c0 must be nonnegative, got {c0}")
@@ -134,7 +137,6 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
     w = vertex_weights(G, times[0])
     a0 = [weighted_l2_sq(c.values[0], w) for c in chains]
     sup_l2 = list(a0)
-    # np.maximum, unlike max(), does not skip a NaN rate; the clamp at 0 below does
     rate = -np.inf
     log_w = np.log(w) if c0 is None else None
     # left-to-right sums, as in l2h1_interp_norm (Python 3.12's sum() is compensated)
@@ -143,7 +145,14 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
         w = vertex_weights(G, times[j])
         if c0 is None:
             log_prev, log_w = log_w, np.log(w)
-            rate = np.maximum(rate, ((log_w - log_prev) / (times[j] - times[j - 1])).max())
+            pair = (log_w - log_prev) / (times[j] - times[j - 1])
+            top = pair.max()
+            if not top < np.inf:  # NaN or +inf; a weight that stays 0 (NaN) sets no rate
+                top = pair[~((log_w == -np.inf) & (log_prev == -np.inf))].max(initial=-np.inf)
+                if not top < np.inf:
+                    raise ValueError(f"energy_estimate: weight growth rate {top} at grid "
+                                     f"time t={times[j]:.6g} admits no c0")
+            rate = max(rate, top)
         cond = edge_conductances(G, times[j])
         for f, c in enumerate(chains):
             sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))

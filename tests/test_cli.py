@@ -425,10 +425,10 @@ def test_verify_tolerances_come_from_the_run_bounds(tmp_path, h, m):
 
 
 def test_verify_linearity_tolerance_follows_tol_flag(tmp_path):
-    # the 16x16 torus solves by Jacobi-CG, whose linearity residual at --tol 1e-6
-    # sits far above a fixed 1e-9 * (data norms) tolerance
-    cfg = _write_config(tmp_path,
-                        scenario={"kind": "product_torus", "nx": 16, "ny": 16, "T": 1.0},
+    # the tabulated 16x16 grid declares no lattice, so it solves by Jacobi-CG, whose
+    # linearity residual at --tol 1e-6 sits far above a fixed 1e-9 * (data norms)
+    # tolerance (the torus's spectral solves would leave a rounding-level residual)
+    cfg = _write_config(tmp_path, scenario=_tabulated_grid(16, 0),
                         initial={"profile": "random"}, h=0.1, m=4)
     out = str(tmp_path / "out")
     assert main(["verify", "--config", cfg, "--out", out, "--tol", "1e-6"]) == 0
@@ -530,6 +530,17 @@ def test_cli_imports_numpy_only():
     code = "import sys, evoheat.cli; print('scipy' in sys.modules)"
     done = _python(code, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_circle_verify_never_loads_numpy_fft(tmp_path):
+    # numpy loads numpy.fft on first attribute access; only lattice solves make one
+    code = ("import sys, numpy; eager = 'numpy.fft' in sys.modules; import evoheat.cli; "
+            f"code = evoheat.cli.main(['verify', '--out', {str(tmp_path / 'out')!r}]); "
+            "print(eager, code, 'numpy.fft' in sys.modules)")
+    eager, code, loaded = _python(code, check=True).stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.fft with numpy")
+    assert (code, loaded) == ("0", "False")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graph construction conventions, growth bounds, tabulated input."""
 
+import dataclasses
 import json
 import math
 
@@ -82,6 +83,16 @@ def test_edges_sorted_and_valid():
     assert G.n_vertices == 12
     assert G.n_edges == 24
     assert np.all(G.edges[:, 0] < G.edges[:, 1])
+
+
+def test_torus_declares_its_lattice_and_the_plan_checks_it():
+    G = build("product_torus", nx=3, ny=4)
+    assert G.lattice == (3, 4) and G.plan.lattice.shape == (3, 4)
+    # x edges (ix, iy) - (ix + 1, iy) come first, as the torus builds them
+    assert G.plan.lattice.axis.tolist() == [0] * 12 + [1] * 12
+    swapped = dataclasses.replace(G, lattice=(4, 3))
+    with pytest.raises(ValueError, match="not the periodic 4x3 lattice"):
+        swapped.plan
 
 
 def test_octahedron_shape():

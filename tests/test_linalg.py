@@ -389,3 +389,91 @@ def test_spd_solve_assembles_once_per_operator(monkeypatch):
     assert len(assembled) == 1
     for x, b in zip(xs, rhs):
         assert np.linalg.norm(A.apply(x) - b) <= 1e-10 * np.linalg.norm(b) * (1 + 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# CG path: the spectral preconditioner on periodic lattices
+# ---------------------------------------------------------------------------
+
+def _lattice_edges(nx, ny):
+    """The periodic nx x ny lattice, vertex ix * ny + iy: x edges, then y edges."""
+    v = np.arange(nx * ny).reshape(nx, ny)
+    return np.sort(np.concatenate([
+        np.column_stack([v.ravel(), np.roll(v, -1, axis=0).ravel()]),
+        np.column_stack([v.ravel(), np.roll(v, -1, axis=1).ravel()])]), axis=1)
+
+
+def _conformal_lattice_operator(k, contrast, h):
+    """M + h S on the k x k lattice of the metric e^{2u} (dx^2 + dy^2).
+
+    Weights e^{2u} dx dy, smooth, with max / min = contrast; conductances 1, as
+    the 2-d Dirichlet form does not see a conformal factor.
+    """
+    d = 2.0 * np.pi / k
+    x = d * np.arange(k)
+    s = np.sin(x)[:, None] * np.cos(x)[None, :] + 0.5 * np.sin(2.0 * x)[None, :]
+    two_u = np.log(contrast) * (s - s.min()) / (s.max() - s.min())
+    return eh.SpdOperator(mass=np.exp(two_u).ravel() * d * d, edges=_lattice_edges(k, k),
+                          coeffs=np.ones(2 * k * k), h=h)
+
+
+def _applies_per_solve(monkeypatch):
+    """A list that gets one entry per ``cg_solve`` call: its ``StencilOperator.apply`` calls."""
+    per_solve = []
+    real_apply = eh.linalg.StencilOperator.apply
+    real_cg = eh.linalg.cg_solve
+
+    def apply(self, x, out):
+        per_solve[-1] += 1
+        return real_apply(self, x, out)
+
+    def cg(*args, **kwargs):
+        per_solve.append(0)
+        return real_cg(*args, **kwargs)
+
+    monkeypatch.setattr(eh.linalg.StencilOperator, "apply", apply)
+    monkeypatch.setattr(eh.linalg, "cg_solve", cg)
+    return per_solve
+
+
+def test_product_torus_solves_take_one_cg_iteration(monkeypatch):
+    # weights and per-axis conductances are uniform in space, so the spectral
+    # preconditioner is the exact inverse: one iteration's mat-vec, then the one
+    # that checks the true residual.  On the square torus the axes' conductances
+    # b/a and a/b differ at every grid time but t = 0.
+    torus = build("product_torus", nx=12, ny=12)
+    assert torus.plan.ordering is None and torus.plan.lattice.shape == (12, 12)
+    per_solve = _applies_per_solve(monkeypatch)
+    u0 = eh.make_initial_data(torus, {"profile": "random", "seed": 3})
+    eh.run_interpolated(torus, u0, 0.1, m=4)
+    assert per_solve == [2] * 40
+
+
+def test_spectral_preconditioner_beats_jacobi_on_a_varying_lattice(monkeypatch):
+    A = _conformal_lattice_operator(128, 10.0, 0.02)
+    spectral = eh.solve_plan(A.n, A.edges, (128, 128))
+    jacobi = eh.solve_plan(A.n, A.edges)
+    assert spectral.lattice is not None and jacobi.lattice is None
+    rhs = np.random.default_rng(5).standard_normal((1, 2, A.n))
+    per_solve = _applies_per_solve(monkeypatch)
+    [xs] = eh.spd_solve([A], rhs, 1e-10, spectral)
+    [xj] = eh.spd_solve([A], rhs, 1e-10, jacobi)
+    assert max(per_solve[:2]) < min(per_solve[2:])
+    # both residuals are at most 1e-10 ||b|| and A >= min(mass) I
+    for x, y, b in zip(xs, xj, rhs[0]):
+        assert np.linalg.norm(x - y) <= 2e-10 * np.linalg.norm(b) / A.mass.min()
+    [[alone]] = eh.spd_solve([A], rhs[:, 1:], 1e-10, spectral)
+    assert np.array_equal(alone, xs[1])  # bitwise the column solved alongside another
+
+
+def test_a_lattice_hint_that_does_not_match_the_edges_raises():
+    edges = _lattice_edges(12, 16)
+    assert eh.solve_plan(192, edges, (12, 16)).lattice.shape == (12, 16)
+    assert eh.solve_plan(192, edges[:, ::-1], (12, 16)).lattice is not None  # orientation
+    for shape in [(16, 12), (8, 24), (2, 96), (12, 15)]:
+        with pytest.raises(ValueError, match="lattice"):
+            eh.solve_plan(192, edges, shape)
+    diagonal = edges.copy()
+    diagonal[0] = [0, 17]  # (0, 0) to (1, 1) in place of (0, 0) to (1, 0)
+    with pytest.raises(ValueError, match="lattice"):
+        eh.solve_plan(192, diagonal, (12, 16))

@@ -250,6 +250,41 @@ def test_energy_estimate_detects_uncovered_growth():
     assert rep.margin < -1.0
 
 
+def _two_vertex_weights(first):
+    """The unit-edge two-vertex graph with weights (first(t), e^{2t}), unvalidated."""
+    return eh.TimeWeightedGraph(2, np.array([[0, 1]]),
+                                lambda t: np.array([first(t), math.exp(2.0 * t)]),
+                                lambda t: np.ones(1), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_energy_estimate_certifies_past_a_weight_that_stays_zero():
+    # weight 0 on the rows at t = 0.5 and 0.75: that vertex does not grow, so the
+    # certified rate is the other vertex's 2, not a NaN clamped to 0
+    G = _two_vertex_weights(lambda t: 1.0 if t < 0.5 else 0.0)
+    chain = eh.ChainFamily(0.25, 1, np.zeros((5, 2)), np.zeros(5))
+    [rep] = eh.energy_estimate([chain], G)
+    assert rep.c0_used == 2.0
+    [given] = eh.energy_estimate([chain], G, c0=2.0)
+    assert given.c0_used == 2.0 and given.passed
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("first, rate, time", [
+    (lambda t: 0.0 if t < 0.5 else 1.0, "inf", "0.5"),  # stays 0, then leaves 0
+    (lambda t: float("nan") if t > 0.6 else 1.0, "nan", "0.75"),  # a NaN weight
+])
+def test_energy_estimate_rejects_a_rate_that_admits_no_c0(first, rate, time):
+    G = _two_vertex_weights(first)
+    chain = eh.ChainFamily(0.25, 1, np.zeros((5, 2)), np.zeros(5))
+    with pytest.raises(ValueError, match=f"rate {rate} at grid time t={time} "):
+        eh.energy_estimate([chain], G)
+    [given] = eh.energy_estimate([chain], G, c0=2.0)
+    assert given.c0_used == 2.0
+
+
 def test_energy_estimate_input_validation():
     G = build("static_circle", n=8)
     u0 = np.ones(8)
