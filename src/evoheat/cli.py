@@ -45,8 +45,8 @@ from typing import Optional
 import numpy as np
 
 from .artifacts import SamplesWriter, write_csv, write_json
-from .geometry import (Scenario, ScenarioError, TimeWeightedGraph, build_scenario,
-                       vertex_weights)
+from .geometry import (JSON_TYPES, Scenario, ScenarioError, TimeWeightedGraph,
+                       build_scenario, check_type, is_finite_real, vertex_weights)
 from .linalg import SolverError
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, run_families, run_interpolated, steps_within_horizon,
@@ -121,26 +121,19 @@ def _check_types(raw: dict) -> None:
 
     No field takes the NaN and Infinity that json and argparse's float accept.
     """
-    def is_real(v) -> bool:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    def is_finite(v) -> bool:
-        return is_real(v) and -np.inf < v < np.inf
-
-    real = ("a finite real number", is_finite)
-    integer = ("an integer", lambda v: is_real(v) and isinstance(v, int))
+    real, integer = JSON_TYPES[float], JSON_TYPES[int]
     reals = ("a list of finite real numbers",
-             lambda v: isinstance(v, list) and all(map(is_finite, v)))
+             lambda v: isinstance(v, list) and all(map(is_finite_real, v)))
     expected = {
         "scenario": ("an object or a path", lambda v: isinstance(v, (dict, str))),
-        "initial": ("an object", lambda v: isinstance(v, dict)),
+        "initial": JSON_TYPES[dict],
         "h": real, "rel_tol": real, "slack": real,
-        "c0": ("a finite real number or null", lambda v: v is None or is_finite(v)),
+        "c0": ("a finite real number or null", lambda v: v is None or is_finite_real(v)),
         "m": integer, "seed": integer, "oracle_steps": integer,
         "h_list": reals, "truncation_levels": reals,
         "test_functions": ("null or a list of strings", lambda v: v is None or (
             isinstance(v, list) and all(isinstance(name, str) for name in v))),
-        "out": ("a string", lambda v: isinstance(v, str)),
+        "out": JSON_TYPES[str],
     }
     for key, value in raw.items():
         what, check = expected[key]
@@ -153,8 +146,7 @@ def _prepare(cfg: RunConfig):
     if isinstance(sc, str):
         with open(sc) as f:
             sc = json.load(f)
-    if not isinstance(sc, dict):
-        raise ConfigError(f"scenario: expected an object or a path, got {type(sc).__name__}")
+    check_type("scenario", sc, {})
     spec = Scenario.from_dict(sc)
     G = build_scenario(spec)
     u0 = make_initial_data(G, cfg.initial, default_seed=cfg.seed)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -50,7 +51,40 @@ _TIME_FUZZ = 1e-9
 
 
 class ScenarioError(ValueError):
-    """Scenario parameters cannot produce a valid graph on the requested horizon."""
+    """A scenario or initial-data value is mistyped or cannot produce a valid graph."""
+
+
+def is_finite_real(v) -> bool:
+    """A JSON number a double holds: NaN, Infinity and a bool are not."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
+
+
+# The JSON type a config value must have, by the type of its default: an int
+# default takes integers, a float default finite reals (integers included).
+JSON_TYPES: dict[type, tuple[str, Callable[[Any], bool]]] = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite real number", is_finite_real),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def check_type(key: str, value, default) -> None:
+    """Raise ScenarioError unless ``value`` has the JSON type of ``default``."""
+    what, check = JSON_TYPES[type(default)]
+    if not check(value):
+        raise ScenarioError(f"{key}: must be {what}, got {value!r}")
+
+
+def typed_params(owner: str, defaults: dict, given: dict) -> dict:
+    """``defaults`` updated by ``given``, each of whose keys must be known and typed alike."""
+    unknown = set(given) - set(defaults)
+    if unknown:
+        raise ScenarioError(f"{owner}: unknown parameters {sorted(unknown)}")
+    for key, value in given.items():
+        check_type(key, value, defaults[key])
+    return {**defaults, **given}
 
 
 @dataclass(frozen=True)
@@ -159,33 +193,11 @@ def _dirichlet_form(G: TimeWeightedGraph, c: np.ndarray, u: np.ndarray) -> float
 # scenario catalog
 # ---------------------------------------------------------------------------
 
-SCENARIO_KINDS = (
-    "static_circle",
-    "conformal_circle",
-    "product_torus",
-    "shrinking_sphere_analogue",
-    "pinching_circle",
-    "oscillating_metric",
-    "custom_tabulated",
-)
-
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "static_circle": {"n": 64},
-    "conformal_circle": {"n": 64, "amp": 0.5, "omega": 1.0, "k_spatial": 0, "growth": 0.0},
-    "product_torus": {"nx": 32, "ny": 32, "ax_amp": 0.3, "ax_omega": 2.0,
-                      "by_amp": 0.2, "by_omega": 3.0},
-    "shrinking_sphere_analogue": {"radius0": 2.0},
-    "pinching_circle": {"n": 128, "amplitude": 0.9, "sharpness": 2.0},
-    "oscillating_metric": {"n": 64, "amp": 0.5, "omega": 4.0 * math.pi, "k_spatial": 1},
-    "custom_tabulated": {},
-}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A named scenario: kind, horizon, and kind-specific parameters.
 
-    Unknown parameter names are rejected at build time so config typos fail loudly.
+    Unknown or mistyped parameters are rejected at build time so config typos fail loudly.
     """
 
     kind: str
@@ -199,21 +211,24 @@ class Scenario:
         if kind not in SCENARIO_KINDS:
             raise ScenarioError(f"kind: unknown scenario kind {kind!r}, "
                                 f"expected one of {', '.join(SCENARIO_KINDS)}")
-        T = float(d.pop("T", 1.0))
-        return cls(kind=kind, T=T, params=d)
+        T = d.pop("T", 1.0)
+        check_type("T", T, 1.0)
+        return cls(kind=kind, T=float(T), params=d)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "T": self.T, **self.params}
 
 
-def _merged_params(spec: Scenario) -> dict:
-    defaults = _DEFAULTS[spec.kind]
-    unknown = set(spec.params) - set(defaults) - ({"path", "table"} if spec.kind == "custom_tabulated" else set())
-    if unknown:
-        raise ScenarioError(f"{spec.kind}: unknown parameters {sorted(unknown)}")
-    out = dict(defaults)
-    out.update(spec.params)
-    return out
+def build_scenario(spec: Scenario) -> TimeWeightedGraph:
+    """Construct the graph for a scenario, validating it on a fine time sample."""
+    if spec.kind not in SCENARIO_KINDS:
+        raise ScenarioError(f"kind: unknown scenario kind {spec.kind!r}")
+    if not (spec.T > 0 and math.isfinite(spec.T)):
+        raise ScenarioError(f"T: horizon must be positive and finite, got {spec.T}")
+    defaults, build = _KINDS[spec.kind]
+    G = build(spec.T, **typed_params(spec.kind, defaults, spec.params))
+    _validate_graph(G, spec.kind)
+    return G
 
 
 def _circle_graph(n: int, T: float,
@@ -224,13 +239,11 @@ def _circle_graph(n: int, T: float,
     does not depend on t is computed once per graph, at the vertices and at
     the half-edges.
     """
-    n = int(n)
     if n < 3:
         raise ScenarioError(f"n: circle needs at least 3 vertices, got {n}")
     dx = 2.0 * math.pi / n
     x = dx * np.arange(n)
-    a_vertex = a_at(x)
-    a_half = a_at(x + 0.5 * dx)
+    a_vertex, a_half = a_at(x), a_at(x + 0.5 * dx)
     idx = np.arange(n)
     edges = _normalize_edges(np.column_stack([idx, (idx + 1) % n]), n)
 
@@ -240,103 +253,50 @@ def _circle_graph(n: int, T: float,
     def conductances_at(t: float) -> np.ndarray:
         return 1.0 / (dx * a_half(t))
 
-    return TimeWeightedGraph(n, edges, weights_at, conductances_at, float(T),
-                             coords=x[:, None])
+    return TimeWeightedGraph(n, edges, weights_at, conductances_at, T, coords=x[:, None])
 
 
-def build_scenario(spec: Scenario) -> TimeWeightedGraph:
-    """Construct the graph for a scenario, validating it on a fine time sample."""
-    if spec.kind not in SCENARIO_KINDS:
-        raise ScenarioError(f"kind: unknown scenario kind {spec.kind!r}")
-    if not (spec.T > 0 and math.isfinite(spec.T)):
-        raise ScenarioError(f"T: horizon must be positive and finite, got {spec.T}")
-    p = _merged_params(spec)
-    T = float(spec.T)
+def _conformal_circle(T: float, n: int, amp: float, omega: float, k_spatial: int,
+                      growth: float = 0.0) -> TimeWeightedGraph:
+    if abs(amp) >= 1.0:
+        raise ScenarioError(f"amp: |amp| must be < 1, got {amp}")
 
-    if spec.kind == "static_circle":
-        G = _circle_graph(p["n"], T, lambda x: lambda t: np.ones_like(x))
+    def a_at(x):
+        spatial = np.cos(k_spatial * x) if k_spatial else np.ones_like(x)
+        return lambda t: math.exp(growth * t) * (1.0 + amp * math.sin(omega * t) * spatial)
 
-    elif spec.kind in ("conformal_circle", "oscillating_metric"):
-        amp, omega = float(p["amp"]), float(p["omega"])
-        k = int(p["k_spatial"])
-        growth = float(p.get("growth", 0.0))
+    return _circle_graph(n, T, a_at)
+
+
+def _pinching_circle(T: float, n: int, amplitude: float, sharpness: float) -> TimeWeightedGraph:
+    if not (0.0 < amplitude):
+        raise ScenarioError(f"pinching_circle: amplitude must be positive, got {amplitude}")
+    if amplitude * T >= 1.0:
+        raise ScenarioError(
+            f"pinching_circle: pinch time {1.0 / amplitude:.6g} is within the horizon T={T}")
+
+    def a_at(x):
+        rho = amplitude * ((1.0 + np.cos(x - math.pi)) / 2.0) ** sharpness
+        return lambda t: 1.0 - t * rho
+
+    return _circle_graph(n, T, a_at)
+
+
+def _torus_graph(T: float, nx: int, ny: int, ax_amp: float, ax_omega: float,
+                 by_amp: float, by_omega: float) -> TimeWeightedGraph:
+    if nx < 3 or ny < 3:
+        raise ScenarioError(f"nx/ny: torus needs at least 3 vertices per axis, got {nx}x{ny}")
+    for name, amp in (("ax_amp", ax_amp), ("by_amp", by_amp)):
         if abs(amp) >= 1.0:
-            raise ScenarioError(f"{spec.kind}: |amp| must be < 1, got {amp}")
-
-        def a_at(x):
-            spatial = np.cos(k * x) if k else np.ones_like(x)
-
-            def a(t):
-                osc = amp * math.sin(omega * t)
-                return math.exp(growth * t) * (1.0 + osc * spatial)
-            return a
-
-        G = _circle_graph(p["n"], T, a_at)
-
-    elif spec.kind == "pinching_circle":
-        amp = float(p["amplitude"])
-        q = float(p["sharpness"])
-        if not (0.0 < amp):
-            raise ScenarioError(f"pinching_circle: amplitude must be positive, got {amp}")
-        if amp * T >= 1.0:
-            raise ScenarioError(
-                f"pinching_circle: pinch time {1.0 / amp:.6g} is within the horizon T={T}")
-
-        def a_at(x):
-            rho = amp * ((1.0 + np.cos(x - math.pi)) / 2.0) ** q
-            return lambda t: 1.0 - t * rho
-
-        G = _circle_graph(p["n"], T, a_at)
-
-    elif spec.kind == "product_torus":
-        G = _torus_graph(p, T)
-
-    elif spec.kind == "shrinking_sphere_analogue":
-        G = _octahedron_graph(float(p["radius0"]), T)
-
-    else:  # custom_tabulated
-        if "path" in p:
-            with open(p["path"]) as f:
-                doc = json.load(f)
-        elif "table" in p:
-            doc = p["table"]
-        else:
-            raise ScenarioError("custom_tabulated: needs 'path' or an inline 'table'")
-        G = _table_graph(doc)  # validated once, below, on [0, T]
-        if G.horizon < T - _TIME_FUZZ:
-            raise ScenarioError(
-                f"custom_tabulated: table covers [0, {G.horizon}], horizon T={T} not reached")
-        G = TimeWeightedGraph(G.n_vertices, G.edges, G.weights_at, G.conductances_at,
-                              T, G.coords)
-
-    _validate_graph(G, spec.kind)
-    return G
-
-
-def _torus_graph(p: dict, T: float) -> TimeWeightedGraph:
-    nx_, ny = int(p["nx"]), int(p["ny"])
-    if nx_ < 3 or ny < 3:
-        raise ScenarioError(f"nx/ny: torus needs at least 3 vertices per axis, got {nx_}x{ny}")
-    for name in ("ax_amp", "by_amp"):
-        if abs(float(p[name])) >= 1.0:
-            raise ScenarioError(f"product_torus: |{name}| must be < 1, got {p[name]}")
-    dx = 2.0 * math.pi / nx_
+            raise ScenarioError(f"product_torus: |{name}| must be < 1, got {amp}")
+    dx = 2.0 * math.pi / nx
     dy = 2.0 * math.pi / ny
-    n = nx_ * ny
-
-    def vid(ix, iy):
-        return ix * ny + iy
-
-    ex, ey = [], []
-    for ix in range(nx_):
-        for iy in range(ny):
-            ex.append((vid(ix, iy), vid((ix + 1) % nx_, iy)))
-            ey.append((vid(ix, iy), vid(ix, (iy + 1) % ny)))
-    edges = _normalize_edges(np.array(ex + ey), n)
-    n_x_edges = len(ex)
-
-    ax_amp, ax_omega = float(p["ax_amp"]), float(p["ax_omega"])
-    by_amp, by_omega = float(p["by_amp"]), float(p["by_omega"])
+    n = nx * ny
+    # vertex ix * ny + iy; its x edge comes first, its y edge n edges later
+    ix, iy = np.divmod(np.arange(n), ny)
+    edges = _normalize_edges(np.concatenate([
+        np.column_stack([ix * ny + iy, (ix + 1) % nx * ny + iy]),
+        np.column_stack([ix * ny + iy, ix * ny + (iy + 1) % ny])]), n)
 
     def a_of(t):
         return 1.0 + ax_amp * math.sin(ax_omega * t)
@@ -350,16 +310,15 @@ def _torus_graph(p: dict, T: float) -> TimeWeightedGraph:
     def conductances_at(t: float) -> np.ndarray:
         a, b = a_of(t), b_of(t)
         c = np.empty(len(edges))
-        c[:n_x_edges] = (b / a) * (dy / dx)
-        c[n_x_edges:] = (a / b) * (dx / dy)
+        c[:n] = (b / a) * (dy / dx)
+        c[n:] = (a / b) * (dx / dy)
         return c
 
-    ix_grid, iy_grid = np.divmod(np.arange(n), ny)
-    coords = np.column_stack([ix_grid * dx, iy_grid * dy])
-    return TimeWeightedGraph(n, edges, weights_at, conductances_at, T, coords, (nx_, ny))
+    coords = np.column_stack([ix * dx, iy * dy])
+    return TimeWeightedGraph(n, edges, weights_at, conductances_at, T, coords, (nx, ny))
 
 
-def _octahedron_graph(radius0: float, T: float) -> TimeWeightedGraph:
+def _octahedron_graph(T: float, radius0: float) -> TimeWeightedGraph:
     """Shrinking round-sphere analogue on the octahedron graph.
 
     Vertex weights carry the sphere area split evenly and shrink by the factor
@@ -379,8 +338,7 @@ def _octahedron_graph(radius0: float, T: float) -> TimeWeightedGraph:
     # vertices: +x,-x,+y,-y,+z,-z; edges join every non-antipodal pair
     coords = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                        [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float) * radius0
-    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)
-             if not (i // 2 == j // 2)]
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if i // 2 != j // 2]
     edges = _normalize_edges(np.array(pairs), 6)
     area0 = 4.0 * math.pi * radius0 ** 2
     base_w = np.full(6, area0 / 6.0)
@@ -392,33 +350,77 @@ def _octahedron_graph(radius0: float, T: float) -> TimeWeightedGraph:
     return TimeWeightedGraph(6, edges, weights_at, lambda t: base_c, T, coords)
 
 
+def _custom_tabulated(T: float, path: str, table: dict) -> TimeWeightedGraph:
+    if path:
+        with open(path) as f:
+            table = json.load(f)
+        check_type("table", table, {})
+    elif not table:
+        raise ScenarioError("custom_tabulated: needs 'path' or an inline 'table'")
+    return _table_graph(table, T)
+
+
+# Each kind's parameters with their typed defaults, and the builder that takes
+# the horizon and every parameter by name.
+_KINDS: dict[str, tuple[dict[str, Any], Callable[..., TimeWeightedGraph]]] = {
+    "static_circle": ({"n": 64},
+                      lambda T, n: _circle_graph(n, T, lambda x: lambda t: np.ones_like(x))),
+    "conformal_circle": ({"n": 64, "amp": 0.5, "omega": 1.0, "k_spatial": 0, "growth": 0.0},
+                         _conformal_circle),
+    "product_torus": ({"nx": 32, "ny": 32, "ax_amp": 0.3, "ax_omega": 2.0,
+                       "by_amp": 0.2, "by_omega": 3.0}, _torus_graph),
+    "shrinking_sphere_analogue": ({"radius0": 2.0}, _octahedron_graph),
+    "pinching_circle": ({"n": 128, "amplitude": 0.9, "sharpness": 2.0}, _pinching_circle),
+    "oscillating_metric": ({"n": 64, "amp": 0.5, "omega": 4.0 * math.pi, "k_spatial": 1},
+                           _conformal_circle),
+    "custom_tabulated": ({"path": "", "table": {}}, _custom_tabulated),
+}
+SCENARIO_KINDS = tuple(_KINDS)
+
+
 def tabulated_graph(doc: dict) -> TimeWeightedGraph:
     """Build a graph from a tabulated-samples document.
 
-    Expected keys: ``n_vertices`` (int), ``edges`` ([[i, j], ...]), ``times``
+    Expected keys: ``n_vertices`` (int), ``edges`` ([[i, j], ...] of ints), ``times``
     (strictly increasing, starting at 0), ``weights`` (one positive row of length
     n_vertices per time), ``conductances`` (one nonnegative row of length n_edges
-    per time).  Weights interpolate log-linearly between samples, so the growth
-    rate ``energy_estimate`` certifies on any run grid is at most the steepest
-    knot-to-knot slope of log w; conductances interpolate linearly.  The horizon
-    is the last tabulated time.
+    per time); every number must be finite.  Weights interpolate log-linearly between
+    samples, so the growth rate ``energy_estimate`` certifies on any run grid is at
+    most the steepest knot-to-knot slope of log w; conductances interpolate linearly.
+    The horizon is the last tabulated time.
     """
     G = _table_graph(doc)
     _validate_graph(G, "custom_tabulated")
     return G
 
 
-def _table_graph(doc: dict) -> TimeWeightedGraph:
-    """``tabulated_graph`` before its validation."""
+def typed_array(key: str, value, like) -> np.ndarray:
+    """``value``, nested lists of entries of ``like``'s JSON type, as an array."""
+    what, check = JSON_TYPES[type(like)]
+
+    def typed(v) -> bool:
+        return all(map(typed, v)) if isinstance(v, (list, tuple)) else check(v)
+
+    if not typed(value):
+        raise ScenarioError(f"{key}: every entry must be {what}")
+    try:
+        return np.asarray(value, dtype=type(like))
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key}: malformed table ({exc})") from exc
+
+
+def _table_graph(doc: dict, T: Optional[float] = None) -> TimeWeightedGraph:
+    """``tabulated_graph`` before its validation, on the horizon T (default: the last time)."""
     for key in ("n_vertices", "edges", "times", "weights", "conductances"):
         if key not in doc:
             raise ScenarioError(f"{key}: missing from tabulated scenario")
-    n = int(doc["n_vertices"])
+    n = doc["n_vertices"]
+    check_type("n_vertices", n, 1)
     if n < 1:
         raise ScenarioError(f"n_vertices: must be >= 1, got {n}")
-    edges = _normalize_edges(doc["edges"], n)
+    edges = _normalize_edges(typed_array("edges", doc["edges"], 0), n)
 
-    times = np.asarray(doc["times"], dtype=float)
+    times = typed_array("times", doc["times"], 0.0)
     if times.ndim != 1 or len(times) < 2:
         raise ScenarioError("times: need at least two time samples")
     if abs(times[0]) > _TIME_FUZZ:
@@ -426,14 +428,10 @@ def _table_graph(doc: dict) -> TimeWeightedGraph:
     if np.any(np.diff(times) <= 0):
         raise ScenarioError("times: must be strictly increasing")
 
-    try:
-        W = np.asarray(doc["weights"], dtype=float)
-        C = np.asarray(doc["conductances"], dtype=float)
-    except ValueError as exc:
-        raise ScenarioError(f"weights/conductances: ragged table ({exc})") from exc
+    W = typed_array("weights", doc["weights"], 0.0)
+    C = typed_array("conductances", doc["conductances"], 0.0)
     if W.shape != (len(times), n):
-        raise ScenarioError(
-            f"weights: expected shape {(len(times), n)}, got {W.shape}")
+        raise ScenarioError(f"weights: expected shape {(len(times), n)}, got {W.shape}")
     if C.shape != (len(times), len(edges)):
         raise ScenarioError(
             f"conductances: expected shape {(len(times), len(edges))}, got {C.shape}")
@@ -444,6 +442,9 @@ def _table_graph(doc: dict) -> TimeWeightedGraph:
 
     logW = np.log(W)
     t0, t1 = float(times[0]), float(times[-1])
+    if T is not None and t1 < T - _TIME_FUZZ:
+        raise ScenarioError(
+            f"custom_tabulated: table covers [0, {t1}], horizon T={T} not reached")
 
     def _locate(t: float):
         t = min(max(t, t0), t1)
@@ -460,7 +461,7 @@ def _table_graph(doc: dict) -> TimeWeightedGraph:
         k, theta = _locate(t)
         return (1.0 - theta) * C[k] + theta * C[k + 1]
 
-    return TimeWeightedGraph(n, edges, weights_at, conductances_at, t1)
+    return TimeWeightedGraph(n, edges, weights_at, conductances_at, t1 if T is None else T)
 
 
 def _validate_graph(G: TimeWeightedGraph, kind: str) -> None:

@@ -9,15 +9,15 @@ deterministic.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .geometry import TimeWeightedGraph, edge_conductances, vertex_weights
+from .geometry import (TimeWeightedGraph, edge_conductances, typed_array, typed_params,
+                       vertex_weights)
 from .linalg import SpdOperator
 
 __all__ = ["make_initial_data", "PROFILES"]
-
-PROFILES = ("constant", "harmonic", "bump", "random", "file")
 
 
 def _harmonic(G: TimeWeightedGraph, k: int) -> np.ndarray:
@@ -45,6 +45,37 @@ def _bump(G: TimeWeightedGraph, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * (d / width) ** 2)
 
 
+def _random(G: TimeWeightedGraph, seed: int, dist: str, scale: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    draw = {"normal": rng.standard_normal, "cauchy": rng.standard_cauchy}.get(dist)
+    if draw is None:
+        raise ValueError(f"random profile: unknown dist {dist!r}")
+    return scale * draw(G.n_vertices)
+
+
+def _file(G: TimeWeightedGraph, path: str) -> np.ndarray:
+    if not path:
+        raise ValueError("path: the file profile needs a path")
+    with open(path) as f:
+        values = typed_array("file profile", json.load(f), 0.0)
+    if values.shape != (G.n_vertices,):
+        raise ValueError(f"file profile: expected {G.n_vertices} values, "
+                         f"got shape {values.shape}")
+    return values
+
+
+# Each profile's keys with their typed defaults, and the builder that takes the
+# graph and every key by name.  A profile's seed defaults to the run's.
+_PROFILES = {
+    "constant": ({"value": 1.0}, lambda G, value: np.full(G.n_vertices, value, dtype=float)),
+    "harmonic": ({"k": 1}, _harmonic),
+    "bump": ({"center": math.pi, "width": 0.5}, _bump),
+    "random": ({"seed": 0, "dist": "normal", "scale": 1.0}, _random),
+    "file": ({"path": ""}, _file),
+}
+PROFILES = tuple(_PROFILES)
+
+
 def make_initial_data(G: TimeWeightedGraph, spec: dict, default_seed: int = 0) -> np.ndarray:
     """Initial data, one float per vertex, from a spec like {"profile": "harmonic", "k": 1}.
 
@@ -54,38 +85,15 @@ def make_initial_data(G: TimeWeightedGraph, spec: dict, default_seed: int = 0) -
       bump:     {"center": x0, "width": s}        periodic Gaussian bump in [0, 1]
       random:   {"seed": int, "dist": "normal"|"cauchy", "scale": s}
       file:     {"path": p}                       JSON list of n finite values
+
+    Each value must have the JSON type of its default (see ``geometry.typed_params``).
     """
     spec = dict(spec)
     profile = spec.pop("profile", None)
-    if profile == "constant":
-        values = np.full(G.n_vertices, float(spec.pop("value", 1.0)))
-    elif profile == "harmonic":
-        values = _harmonic(G, int(spec.pop("k", 1)))
-    elif profile == "bump":
-        values = _bump(G, float(spec.pop("center", np.pi)), float(spec.pop("width", 0.5)))
-    elif profile == "random":
-        seed = int(spec.pop("seed", default_seed))
-        dist = spec.pop("dist", "normal")
-        scale = float(spec.pop("scale", 1.0))
-        rng = np.random.default_rng(seed)
-        if dist == "normal":
-            values = scale * rng.standard_normal(G.n_vertices)
-        elif dist == "cauchy":
-            values = scale * rng.standard_cauchy(G.n_vertices)
-        else:
-            raise ValueError(f"random profile: unknown dist {dist!r}")
-    elif profile == "file":
-        with open(spec.pop("path")) as f:
-            raw = json.load(f)
-        values = np.asarray(raw, dtype=float)
-        if values.shape != (G.n_vertices,):
-            raise ValueError(f"file profile: expected {G.n_vertices} values, "
-                             f"got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("file profile: values must be finite")
-    else:
+    if profile not in PROFILES:
         raise ValueError(f"unknown initial-data profile {profile!r}, "
                          f"expected one of {', '.join(PROFILES)}")
-    if spec:
-        raise ValueError(f"initial-data profile {profile}: unknown keys {sorted(spec)}")
-    return values
+    defaults, make = _PROFILES[profile]
+    if "seed" in defaults:
+        spec.setdefault("seed", default_seed)
+    return make(G, **typed_params(f"initial-data profile {profile}", defaults, spec))

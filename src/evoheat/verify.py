@@ -426,9 +426,9 @@ def convergence_table(G: TimeWeightedGraph, u0: np.ndarray, h_list, m: int = 1,
 
 
 def fit_order(rows: list[ConvergenceRow]) -> Optional[float]:
-    """Least-squares slope of log error against log h; None if underdetermined."""
+    """Least-squares slope of log error on log h (errors > 1e-13); None without two distinct h."""
     pts = [(math.log(r.h), math.log(r.error)) for r in rows if r.error > 1e-13]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return None
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
@@ -479,12 +479,12 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
 
     Left-endpoint quadrature over j = 0..N*m-1 of
 
-        sum_i w_i(t_j) u_j,i (psi_i phi'(t_j) - psi_i phi(t_j) rate_j,i)
+        sum_i u_j,i psi_i (w_i(t_j) phi'(t_j) - phi(t_j) loss_j,i)
       - sum_e c_e(t_j) (u_j,i - u_j,i') (psi_i - psi_i') phi(t_j)
 
-    where rate_j = (1 - w(t_{j+1}) / w(t_j)) / delta is the forward volume
-    decay rate over one delta.  Shrinks like O(h) as the chain refines.
-    Profiles must vanish at t = 0 and the horizon.
+    where loss_j = (w(t_j) - w(t_{j+1})) / delta is the forward volume loss over
+    one delta; no term divides by a weight, so a weight of 0 is harmless.  Shrinks
+    like O(h) as the chain refines.  Profiles must vanish at t = 0 and the horizon.
     """
     delta = chain.delta
     T = chain.horizon
@@ -500,23 +500,22 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
         phis.append(phi)
 
     # one grid time at a time, each weight row read once and carried into the next
-    # step's rate; every function's sums still run over j in order
+    # step's loss; every function's sums still run over j in order
     d_psis = [fn.space[G.edges[:, 0]] - fn.space[G.edges[:, 1]] for fn in test_fns]
     acc = [0.0] * len(test_fns)
     norm = [0.0] * len(test_fns)
     w_next = vertex_weights(G, 0.0)
     for j in range(nm):
         w, w_next = w_next, vertex_weights(G, (j + 1) * delta)
-        rate = (1.0 - w_next / w) / delta
         cond = edge_conductances(G, j * delta)
         u = chain.values[j]
         wu = w * u
-        wru = w * rate * u
+        loss_u = (w - w_next) / delta * u
         d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
         for f, fn in enumerate(test_fns):
             phi = phis[f][j]
             dphi = fn.profile_dt(j * delta)
-            mass_term = dphi * float(np.dot(wu, fn.space)) - phi * float(np.dot(wru, fn.space))
+            mass_term = dphi * float(np.dot(wu, fn.space)) - phi * float(np.dot(loss_u, fn.space))
             energy_term = phi * float(np.dot(cond, d_u * d_psis[f]))
             acc[f] += delta * (mass_term - energy_term)
             norm[f] += delta * abs(phi) * weighted_l2(fn.space, w)

@@ -157,6 +157,65 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert not os.path.exists(tmp_path / "out")
 
 
+def _table(**overrides):
+    table = {"n_vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]], "times": [0.0, 1.0],
+             "weights": [[1.0, 2.0, 1.0], [2.0, 1.0, 1.0]],
+             "conductances": [[1.0, 1.0, 0.5], [0.5, 1.0, 1.0]]}
+    return {"kind": "custom_tabulated", "T": 1.0, "table": {**table, **overrides}}
+
+
+_CIRCLE = {"kind": "conformal_circle", "n": 16, "T": 1.0}
+_TORUS = {"kind": "product_torus", "nx": 4, "ny": 4, "T": 1.0}
+
+
+@pytest.mark.parametrize("key, section, value", [
+    ("n", "scenario", {**_CIRCLE, "n": 64.9}),
+    ("k_spatial", "scenario", {**_CIRCLE, "k_spatial": 1.7}),
+    ("nx", "scenario", {**_TORUS, "nx": 12.5}),
+    ("ny", "scenario", {**_TORUS, "ny": "12"}),
+    ("T", "scenario", {**_CIRCLE, "T": True}),
+    ("T", "scenario", {**_CIRCLE, "T": "1"}),
+    ("n", "scenario", {**_CIRCLE, "n": True}),
+    ("k_spatial", "scenario", {**_CIRCLE, "k_spatial": True}),
+    ("n", "scenario", {**_CIRCLE, "n": "16"}),
+    ("n", "scenario", {**_CIRCLE, "n": None}),
+    ("amp", "scenario", {**_CIRCLE, "amp": False}),
+    ("amp", "scenario", {**_CIRCLE, "amp": "0.5"}),
+    ("amp", "scenario", {**_CIRCLE, "amp": None}),
+    ("omega", "scenario", {**_CIRCLE, "omega": 10 ** 400}),  # an integer no double holds
+    ("radius0", "scenario", {"kind": "shrinking_sphere_analogue", "radius0": [2.0]}),
+    ("path", "scenario", {"kind": "custom_tabulated", "path": 0}),
+    ("table", "scenario", {"kind": "custom_tabulated", "table": [1]}),
+    ("n_vertices", "scenario", _table(n_vertices=3.9)),
+    ("edges", "scenario", _table(edges=[[0.7, 1.2]])),
+    ("edges", "scenario", _table(edges=[[0, 1], [True, 2], [0, 2]])),
+    ("times", "scenario", _table(times=["0", "1"])),
+    ("times", "scenario", _table(times=[0, True])),
+    ("weights", "scenario", _table(weights=[[1.0, 2.0, 1.0], [2.0, 1.0, None]])),
+    ("weights", "scenario", _table(weights=[[1.0, 2.0, 1.0], [2.0, 1.0, "1.0"]])),
+    ("conductances", "scenario", _table(conductances=[[1, 1, "1"], [1, 1, 1]])),
+    ("k", "initial", {"profile": "harmonic", "k": 1.5}),
+    ("seed", "initial", {"profile": "random", "seed": 2.7}),
+    ("dist", "initial", {"profile": "random", "dist": 1}),
+    ("scale", "initial", {"profile": "random", "scale": True}),
+    ("value", "initial", {"profile": "constant", "value": "1"}),
+    ("center", "initial", {"profile": "bump", "center": None}),
+    ("width", "initial", {"profile": "bump", "width": None}),
+    ("path", "initial", {"profile": "file"}),
+    ("path", "initial", {"profile": "file", "path": 0}),
+])
+def test_mistyped_scenario_or_profile_value_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                              key, section, value):
+    # every scenario and initial-data value must have its default's JSON type:
+    # nothing is coerced, nothing is solved, and nothing is written
+    cfg = _write_config(tmp_path, **{section: value})
+    monkeypatch.chdir(tmp_path)  # the default out directory, which must stay absent
+    monkeypatch.setattr(cli, "run_families", lambda *a, **k: pytest.fail("solved"))
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_non_finite_tol_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--tol", "nan"]) == 2

@@ -176,6 +176,38 @@ def test_scenario_roundtrip():
     assert again == spec
 
 
+@pytest.mark.parametrize("as_int, as_float", [
+    ({"kind": "conformal_circle", "n": 16, "T": 1, "amp": 0, "omega": 2, "growth": 1},
+     {"kind": "conformal_circle", "n": 16, "T": 1.0, "amp": 0.0, "omega": 2.0, "growth": 1.0}),
+    ({"kind": "product_torus", "nx": 4, "ny": 5, "ax_amp": 0, "ax_omega": 3, "by_omega": 1},
+     {"kind": "product_torus", "nx": 4, "ny": 5, "ax_amp": 0.0, "ax_omega": 3.0,
+      "by_omega": 1.0}),
+    ({"kind": "pinching_circle", "n": 16, "T": 1, "sharpness": 3},
+     {"kind": "pinching_circle", "n": 16, "T": 1.0, "sharpness": 3.0}),
+    ({"kind": "shrinking_sphere_analogue", "T": 1, "radius0": 3},
+     {"kind": "shrinking_sphere_analogue", "T": 1.0, "radius0": 3.0}),
+], ids=["conformal", "torus", "pinching", "sphere"])
+def test_integer_spelling_of_a_real_builds_the_same_bits(as_int, as_float):
+    # an integer is a valid real, and the builders use it as the float it spells
+    G, H = (eh.build_scenario(Scenario.from_dict(d)) for d in (as_int, as_float))
+    assert type(Scenario.from_dict(as_int).T) is float and G.horizon == H.horizon
+    for t in (0.0, 0.3, 0.77, 1.0):
+        assert np.array_equal(eh.vertex_weights(G, t), eh.vertex_weights(H, t))
+        assert np.array_equal(eh.edge_conductances(G, t), eh.edge_conductances(H, t))
+
+
+@pytest.mark.parametrize("as_int, as_float", [
+    ({"profile": "constant", "value": 2}, {"profile": "constant", "value": 2.0}),
+    ({"profile": "bump", "center": 3, "width": 1},
+     {"profile": "bump", "center": 3.0, "width": 1.0}),
+    ({"profile": "random", "scale": 2}, {"profile": "random", "scale": 2.0}),
+], ids=["constant", "bump", "random"])
+def test_integer_spelling_of_a_real_makes_the_same_data(as_int, as_float):
+    G = build("static_circle", n=8)
+    u, v = eh.make_initial_data(G, as_int), eh.make_initial_data(G, as_float)
+    assert u.dtype == v.dtype == np.float64 and np.array_equal(u, v)
+
+
 @pytest.mark.parametrize(
     "kind, params",
     [

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -577,6 +578,14 @@ def test_fit_order_edge_cases():
     assert eh.fit_order(tiny) is None
 
 
+def test_fit_order_of_one_distinct_h_is_none():
+    # a repeated h leaves nothing to fit: no slope, and no 0/0 on the way
+    rows = [eh.ConvergenceRow(0.1, 1, 0.3, None), eh.ConvergenceRow(0.1, 1, 0.2, None)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eh.fit_order(rows) is None
+
+
 # ---------------------------------------------------------------------------
 # weak residual
 # ---------------------------------------------------------------------------
@@ -625,7 +634,7 @@ def test_weak_residual_equals_per_function_loop():
     fns = eh.default_test_catalog(G, chain.horizon)
     delta, nm = chain.delta, len(chain.values) - 1
     w = [eh.vertex_weights(G, j * delta) for j in range(nm + 1)]
-    rate = [(1.0 - w[j + 1] / w[j]) / delta for j in range(nm)]
+    loss = [(w[j] - w[j + 1]) / delta for j in range(nm)]
     cond = [eh.edge_conductances(G, j * delta) for j in range(nm)]
     want = []
     for fn in fns:
@@ -635,7 +644,7 @@ def test_weak_residual_equals_per_function_loop():
         for j in range(nm):
             u = chain.values[j]
             mass_term = fn.profile_dt(j * delta) * float(np.dot(w[j] * u, psi)) \
-                - phis[j] * float(np.dot(w[j] * rate[j] * u, psi))
+                - phis[j] * float(np.dot(loss[j] * u, psi))
             d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
             d_psi = psi[G.edges[:, 0]] - psi[G.edges[:, 1]]
             acc += delta * (mass_term - phis[j] * float(np.dot(cond[j], d_u * d_psi)))
@@ -643,6 +652,24 @@ def test_weak_residual_equals_per_function_loop():
         want.append((fn.name, abs(acc), norm))
     got = [(r.name, r.residual, r.normalization) for r in eh.weak_residual(chain, G, fns)]
     assert got == want
+
+
+def test_weak_residual_is_finite_where_a_weight_vanishes():
+    # unvalidated: vertex 0's weight reaches 0 at t = 0.5 and stays 0 to the last
+    # grid time, so any division by w(t_j) would give 0/0
+    base = build("static_circle", n=8)
+    G = eh.TimeWeightedGraph(
+        8, base.edges,
+        lambda t: np.concatenate([[max(1.0 - 2.0 * t, 0.0)], np.ones(7)]),
+        base.conductances_at, 1.0)
+    chain = eh.ChainFamily(0.25, 1, np.random.default_rng(0).standard_normal((5, 8)),
+                           np.zeros(5))
+    fn = eh.TestFunction("sin", np.ones(8), lambda t: math.sin(math.pi * t),
+                         lambda t: math.pi * math.cos(math.pi * t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = eh.weak_residual(chain, G, [fn])
+    assert math.isfinite(row.residual) and math.isfinite(row.normalization)
 
 
 def test_weak_residual_validates_before_evaluating_coefficients():
