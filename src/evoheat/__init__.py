@@ -7,8 +7,7 @@ attainment of the initial value.
 """
 
 from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGraph,
-                       build_scenario, dirichlet_energy, edge_conductances,
-                       tabulated_graph, vertex_weights)
+                       build_scenario, dirichlet_energy, edge_conductances, vertex_weights)
 from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, half_edge_layout,
                      rcm_ordering, solve_plan, spd_solve, stiffness_apply)
 from .profiles import make_initial_data

@@ -9,51 +9,30 @@ written with shortest round-trip formatting.  Artifacts are written after the
 checks, each moved into place whole with the mode ``open`` would give it.
 
 ``run`` and ``verify`` format samples.csv, the largest artifact, in a writer
-process forked before the run: the parent sends each finished sample row down
-a pipe and goes on solving while the child formats it, and after the checks
-moves the file into place once the child has exited 0.  Where ``os.fork`` is
-missing, the samples are formatted in-process after the checks.  Both paths
-use the same formatter, so the bytes are the same (see ``artifacts``).  A
-failed run or writer removes the temporary file, so samples.csv is never
-partial, and a parent killed before the file is published leaves none either;
-a failed writer exits 4.
+process forked before the run (``artifacts.SamplesWriter``); a failed writer
+exits 4, and samples.csv is never partial.
 
-Config schema (all keys optional, defaults shown by --help):
-
-    {
-      "scenario": {"kind": "conformal_circle", "n": 64, "T": 1.0, ...} | "path.json",
-      "initial":  {"profile": "harmonic", "k": 1},
-      "h": 0.1, "m": 4, "rel_tol": 1e-10, "slack": 1e-8,
-      "c0": null,                  # override the certified growth bound
-      "seed": 0, "out": "out",
-      "h_list": [0.1, 0.05, 0.025, 0.0125],
-      "truncation_levels": [1, 2, 4, 8, 16],
-      "test_functions": null,      # e.g. ["k1_sin", "k2_poly"]; null = full catalog
-      "oracle_steps": 4096
-    }
+The config keys are the fields of ``RunConfig``, all optional, with its
+defaults; ``scenario`` may also name a JSON file that holds the scenario.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .artifacts import SamplesWriter, write_csv, write_json
-from .geometry import (JSON_TYPES, Scenario, ScenarioError, TimeWeightedGraph,
-                       build_scenario, check_type, is_finite_real, vertex_weights)
+from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, check_type,
+                       is_finite_real, read_json, vertex_weights)
 from .linalg import SolverError
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, run_families, run_interpolated, steps_within_horizon,
-                     truncate)
-from .verify import (EnergyReport, ExtremumReport, OracleError, contraction_report,
-                     default_test_catalog, degiorgi_family, energy_estimate,
-                     extremum_check, fit_order, initial_attainment_check,
+from .scheme import ChainFamily, run_families, run_interpolated, truncate
+from .verify import (TEST_FUNCTIONS, EnergyReport, ExtremumReport, OracleError,
+                     contraction_report, default_test_catalog, degiorgi_family,
+                     energy_estimate, extremum_check, fit_order, initial_attainment_check,
                      l2h1_interp_norm, convergence_table, report_json, weak_residual,
                      weighted_l2_sq)
 
@@ -109,6 +88,8 @@ class RunConfig:
             raise ConfigError(f"slack: must be nonnegative, got {cfg.slack}")
         if cfg.c0 is not None and cfg.c0 < 0:
             raise ConfigError(f"c0: must be nonnegative, got {cfg.c0}")
+        if cfg.seed < 0:
+            raise ConfigError(f"seed: must be nonnegative, got {cfg.seed}")
         if not cfg.h_list:
             raise ConfigError("h_list: must not be empty")
         if not cfg.truncation_levels:
@@ -142,10 +123,7 @@ def _check_types(raw: dict) -> None:
 
 
 def _prepare(cfg: RunConfig):
-    sc = cfg.scenario
-    if isinstance(sc, str):
-        with open(sc) as f:
-            sc = json.load(f)
+    sc = read_json("scenario", cfg.scenario) if isinstance(cfg.scenario, str) else cfg.scenario
     check_type("scenario", sc, {})
     spec = Scenario.from_dict(sc)
     G = build_scenario(spec)
@@ -185,7 +163,7 @@ def _write_run_artifacts(cfg: RunConfig, spec: Scenario, chain: ChainFamily,
 # ---------------------------------------------------------------------------
 
 def cmd_run(cfg: RunConfig) -> int:
-    """Run the scheme, write samples + energy and extremum reports."""
+    """Run the scheme; write samples.csv, energy_report.json and extremum_report.json."""
     spec, G, u0 = _prepare(cfg)
     with _samples_writer(cfg, G) as samples:
         [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol,
@@ -197,7 +175,8 @@ def cmd_run(cfg: RunConfig) -> int:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
-    """Error-vs-oracle table over h_list; exit 0 iff the fitted order is >= 0.8."""
+    """Error table against the time-exact reference flow over h_list; write
+    convergence_table.csv.  Exit 0 iff the fitted order is >= 0.8."""
     _, G, u0 = _prepare(cfg)
     rows = convergence_table(G, u0, cfg.h_list, cfg.m,
                              oracle_steps=cfg.oracle_steps, rel_tol=cfg.rel_tol)
@@ -212,7 +191,8 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_compare_interp(cfg: RunConfig) -> int:
-    """Energy norms of shifted-chain vs resolvent interpolation on one run."""
+    """Energy norms of shifted-chain vs resolvent interpolation on one run; write
+    comparison.json."""
     spec, G, u0 = _prepare(cfg)
     chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
     [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
@@ -232,7 +212,8 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
 
 
 def cmd_l2_limit(cfg: RunConfig) -> int:
-    """Truncated-vs-full runs against the contraction bound, per level and h.
+    """Truncated-vs-full runs against the contraction bound, per level and h in
+    h_list; write truncation_report.json.
 
     The scheme is linear, so the difference of the full and a truncated run is
     the run from u0 - truncate(u0); its energy estimate is the contraction bound.
@@ -262,18 +243,15 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    """Full battery: run artifacts plus every check on one configuration."""
+    """Full battery: run artifacts plus every check on one configuration; write
+    verify_report.json too."""
     spec, G, u0 = _prepare(cfg)
-    # the test functions need only the graph and the horizon: check the names before the run
-    catalog = default_test_catalog(G, steps_within_horizon(G.horizon, cfg.h) * cfg.h)
-    if cfg.test_functions is not None:
-        unknown = set(cfg.test_functions) - {fn.name for fn in catalog}
-        if unknown:
-            raise ConfigError(f"test_functions: unknown names {sorted(unknown)}")
-        catalog = [fn for fn in catalog if fn.name in cfg.test_functions]
+    names = TEST_FUNCTIONS if cfg.test_functions is None else cfg.test_functions
+    unknown = set(names) - set(TEST_FUNCTIONS)
+    if unknown:
+        raise ConfigError(f"test_functions: unknown names {sorted(unknown)}")
     # the contraction check's chains from v0 and u0 - v0 share the run's operators
-    rng = np.random.default_rng(cfg.seed + 1)
-    v0 = rng.standard_normal(G.n_vertices)
+    v0 = make_initial_data(G, {"profile": "random", "seed": cfg.seed + 1})
     d0 = u0 - v0
     with _samples_writer(cfg, G) as samples:
         chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
@@ -281,6 +259,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         energy, energy_d = energy_estimate([chain, chain_d], G, cfg.c0, cfg.slack)
         extremum = extremum_check(chain)
         contraction = contraction_report(G, chain, chain_v, chain_d, energy_d)
+        catalog = [fn for fn in default_test_catalog(G, chain.horizon) if fn.name in names]
         weak_rows = weak_residual(chain, G, catalog)
         attainment = initial_attainment_check(chain, G, chain.h, cfg.slack)
 
@@ -303,57 +282,49 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# The run flags: config key -> flag, type and help.
+_FLAGS = {
+    "h": ("--h", float, "step size (default 0.1)"),
+    "m": ("--m", int, "chains per step (default 4)"),
+    "rel_tol": ("--tol", float, "solver relative tolerance (default 1e-10)"),
+    "seed": ("--seed", int, "seed for random profiles (default 0)"),
+}
+# Each subcommand's function and the run flags it reads: converge and l2-limit
+# step with every h in h_list, so they take no --h.
 _COMMANDS = {
-    "run": cmd_run,
-    "converge": cmd_converge,
-    "compare-interp": cmd_compare_interp,
-    "l2-limit": cmd_l2_limit,
-    "verify": cmd_verify,
+    "run": (cmd_run, tuple(_FLAGS)),
+    "converge": (cmd_converge, ("m", "rel_tol", "seed")),
+    "compare-interp": (cmd_compare_interp, tuple(_FLAGS)),
+    "l2-limit": (cmd_l2_limit, ("m", "rel_tol", "seed")),
+    "verify": (cmd_verify, tuple(_FLAGS)),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, described by the command function's docstring."""
     parser = argparse.ArgumentParser(
         prog="evoheat",
         description="Implicit-Euler heat flow on evolving weighted graphs, "
                     "with estimate checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "run": "run the scheme; writes samples.csv, energy_report.json, "
-               "extremum_report.json",
-        "converge": "error table against the time-exact reference flow over h_list; "
-                    "writes convergence_table.csv",
-        "compare-interp": "shifted-chain vs resolvent interpolation norms; "
-                          "writes comparison.json",
-        "l2-limit": "truncated initial data vs contraction bound; "
-                    "writes truncation_report.json",
-        "verify": "run plus every check; writes verify_report.json",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
+    for name, (command, keys) in _COMMANDS.items():
+        # no abbreviations: --h must not pass as --help where it is not a flag
+        p = sub.add_parser(name, help=command.__doc__.split("\n\n")[0],
+                           description=command.__doc__, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (default: built-in defaults)")
         p.add_argument("--out", metavar="DIR",
                        help="output directory (default: out)")
-        p.add_argument("--h", type=float, help="step size (default 0.1)")
-        p.add_argument("--m", type=int, help="chains per step (default 4)")
-        p.add_argument("--tol", type=float, dest="rel_tol",
-                       help="solver relative tolerance (default 1e-10)")
-        p.add_argument("--seed", type=int, help="seed for random profiles (default 0)")
+        for key in keys:
+            flag, kind, text = _FLAGS[key]
+            p.add_argument(flag, type=kind, dest=key, help=text)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    raw: dict = {}
-    if args.config is not None:
-        with open(args.config) as f:
-            try:
-                raw = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: not valid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config: top level must be a JSON object")
-    for key in ("out", "h", "m", "rel_tol", "seed"):
+    raw = {} if args.config is None else read_json("config", args.config)
+    check_type("config", raw, {})
+    for key in ("out", *_FLAGS):
         value = getattr(args, key, None)
         if value is not None:
             raw[key] = value
@@ -364,8 +335,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
-    except (ConfigError, ScenarioError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return _COMMANDS[args.command][0](cfg)
+    except OracleError as exc:  # a ValueError, but no config error
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -374,12 +348,6 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except OracleError as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

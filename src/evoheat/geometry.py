@@ -40,7 +40,6 @@ __all__ = [
     "Scenario",
     "SCENARIO_KINDS",
     "build_scenario",
-    "tabulated_graph",
     "vertex_weights",
     "edge_conductances",
     "dirichlet_energy",
@@ -51,7 +50,18 @@ _TIME_FUZZ = 1e-9
 
 
 class ScenarioError(ValueError):
-    """A scenario or initial-data value is mistyped or cannot produce a valid graph."""
+    """A scenario, initial-data or input-file value is mistyped or makes no valid graph."""
+
+
+def read_json(key: str, path: str):
+    """The JSON document at ``path``, an input file named by the config key ``key``."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError as exc:
+        raise ScenarioError(f"{key}: no such file {path!r}") from exc
+    except ValueError as exc:  # a json.JSONDecodeError, or bytes that are no UTF-8 text
+        raise ScenarioError(f"{key}: {path!r} is not valid JSON ({exc})") from exc
 
 
 def is_finite_real(v) -> bool:
@@ -128,6 +138,20 @@ class TimeWeightedGraph:
         Built on first use, which for a validated graph is its connectivity check.
         """
         return solve_plan(self.n_vertices, self.edges, self.lattice)
+
+    @functools.cached_property
+    def laplacian_modes(self) -> np.ndarray:
+        """Column k is d * v_k for v_k the k-th eigenvector, by ascending eigenvalue, of
+        d S d at t = 0 (S the conductance Laplacian, d = w**-0.5); one ``eigh``, on first use."""
+        n, (i, j) = self.n_vertices, self.edges.T
+        c = edge_conductances(self, 0.0)
+        S = np.zeros((n, n))
+        S[i, j] -= c
+        S[j, i] -= c
+        # each vertex's degree summed in edge order, both ends of an edge in turn
+        S[np.diag_indices(n)] = np.bincount(self.edges.ravel(), np.repeat(c, 2), n)
+        d = 1.0 / np.sqrt(vertex_weights(self, 0.0))
+        return d[:, None] * np.linalg.eigh(d[:, None] * S * d[None, :])[1]
 
     @classmethod
     def static(cls, weights, edges, conductances, horizon: float = 1.0,
@@ -260,6 +284,9 @@ def _conformal_circle(T: float, n: int, amp: float, omega: float, k_spatial: int
                       growth: float = 0.0) -> TimeWeightedGraph:
     if abs(amp) >= 1.0:
         raise ScenarioError(f"amp: |amp| must be < 1, got {amp}")
+    # a(t, x) < e^(growth*t) * (1 + |amp|) must stay a finite double on [0, T]
+    if growth * T > math.log(sys.float_info.max / (1.0 + abs(amp))):
+        raise ScenarioError(f"growth: e^(growth*T) overflows on [0, T={T}], got {growth}")
 
     def a_at(x):
         spatial = np.cos(k_spatial * x) if k_spatial else np.ones_like(x)
@@ -350,14 +377,88 @@ def _octahedron_graph(T: float, radius0: float) -> TimeWeightedGraph:
     return TimeWeightedGraph(6, edges, weights_at, lambda t: base_c, T, coords)
 
 
+def typed_array(key: str, value, like) -> np.ndarray:
+    """``value``, nested lists of entries of ``like``'s JSON type, as an array."""
+    what, check = JSON_TYPES[type(like)]
+
+    def typed(v) -> bool:
+        return all(map(typed, v)) if isinstance(v, (list, tuple)) else check(v)
+
+    if not typed(value):
+        raise ScenarioError(f"{key}: every entry must be {what}")
+    try:
+        return np.asarray(value, dtype=type(like))
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key}: malformed table ({exc})") from exc
+
+
 def _custom_tabulated(T: float, path: str, table: dict) -> TimeWeightedGraph:
+    """A graph tabulated on a time grid: an inline ``table``, or the JSON object at ``path``.
+
+    The table holds ``n_vertices`` (int), ``edges`` ([[i, j], ...] of ints),
+    ``times`` (strictly increasing, starting at 0 and reaching T), ``weights`` (one
+    positive row of length n_vertices per time) and ``conductances`` (one
+    nonnegative row of length n_edges per time); every number must be finite.
+    Weights interpolate log-linearly between samples, so the growth rate
+    ``energy_estimate`` certifies on any run grid is at most the steepest
+    knot-to-knot slope of log w; conductances interpolate linearly.
+    """
     if path:
-        with open(path) as f:
-            table = json.load(f)
+        table = read_json("path", path)
         check_type("table", table, {})
     elif not table:
         raise ScenarioError("custom_tabulated: needs 'path' or an inline 'table'")
-    return _table_graph(table, T)
+    for key in ("n_vertices", "edges", "times", "weights", "conductances"):
+        if key not in table:
+            raise ScenarioError(f"{key}: missing from tabulated scenario")
+    n = table["n_vertices"]
+    check_type("n_vertices", n, 1)
+    if n < 1:
+        raise ScenarioError(f"n_vertices: must be >= 1, got {n}")
+    edges = _normalize_edges(typed_array("edges", table["edges"], 0), n)
+
+    times = typed_array("times", table["times"], 0.0)
+    if times.ndim != 1 or len(times) < 2:
+        raise ScenarioError("times: need at least two time samples")
+    if abs(times[0]) > _TIME_FUZZ:
+        raise ScenarioError(f"times: must start at 0, got {times[0]}")
+    if np.any(np.diff(times) <= 0):
+        raise ScenarioError("times: must be strictly increasing")
+
+    W = typed_array("weights", table["weights"], 0.0)
+    C = typed_array("conductances", table["conductances"], 0.0)
+    if W.shape != (len(times), n):
+        raise ScenarioError(f"weights: expected shape {(len(times), n)}, got {W.shape}")
+    if C.shape != (len(times), len(edges)):
+        raise ScenarioError(
+            f"conductances: expected shape {(len(times), len(edges))}, got {C.shape}")
+    if not np.all(W > 0):
+        raise ScenarioError("weights: all entries must be positive")
+    if not np.all(C >= 0):
+        raise ScenarioError("conductances: entries must be nonnegative")
+
+    logW = np.log(W)
+    t0, t1 = float(times[0]), float(times[-1])
+    if t1 < T - _TIME_FUZZ:
+        raise ScenarioError(
+            f"custom_tabulated: table covers [0, {t1}], horizon T={T} not reached")
+
+    def _locate(t: float):
+        t = min(max(t, t0), t1)
+        k = int(np.searchsorted(times, t, side="right")) - 1
+        k = min(max(k, 0), len(times) - 2)
+        theta = (t - times[k]) / (times[k + 1] - times[k])
+        return k, theta
+
+    def weights_at(t: float) -> np.ndarray:
+        k, theta = _locate(t)
+        return np.exp((1.0 - theta) * logW[k] + theta * logW[k + 1])
+
+    def conductances_at(t: float) -> np.ndarray:
+        k, theta = _locate(t)
+        return (1.0 - theta) * C[k] + theta * C[k + 1]
+
+    return TimeWeightedGraph(n, edges, weights_at, conductances_at, T)
 
 
 # Each kind's parameters with their typed defaults, and the builder that takes
@@ -378,94 +479,8 @@ _KINDS: dict[str, tuple[dict[str, Any], Callable[..., TimeWeightedGraph]]] = {
 SCENARIO_KINDS = tuple(_KINDS)
 
 
-def tabulated_graph(doc: dict) -> TimeWeightedGraph:
-    """Build a graph from a tabulated-samples document.
-
-    Expected keys: ``n_vertices`` (int), ``edges`` ([[i, j], ...] of ints), ``times``
-    (strictly increasing, starting at 0), ``weights`` (one positive row of length
-    n_vertices per time), ``conductances`` (one nonnegative row of length n_edges
-    per time); every number must be finite.  Weights interpolate log-linearly between
-    samples, so the growth rate ``energy_estimate`` certifies on any run grid is at
-    most the steepest knot-to-knot slope of log w; conductances interpolate linearly.
-    The horizon is the last tabulated time.
-    """
-    G = _table_graph(doc)
-    _validate_graph(G, "custom_tabulated")
-    return G
-
-
-def typed_array(key: str, value, like) -> np.ndarray:
-    """``value``, nested lists of entries of ``like``'s JSON type, as an array."""
-    what, check = JSON_TYPES[type(like)]
-
-    def typed(v) -> bool:
-        return all(map(typed, v)) if isinstance(v, (list, tuple)) else check(v)
-
-    if not typed(value):
-        raise ScenarioError(f"{key}: every entry must be {what}")
-    try:
-        return np.asarray(value, dtype=type(like))
-    except (ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{key}: malformed table ({exc})") from exc
-
-
-def _table_graph(doc: dict, T: Optional[float] = None) -> TimeWeightedGraph:
-    """``tabulated_graph`` before its validation, on the horizon T (default: the last time)."""
-    for key in ("n_vertices", "edges", "times", "weights", "conductances"):
-        if key not in doc:
-            raise ScenarioError(f"{key}: missing from tabulated scenario")
-    n = doc["n_vertices"]
-    check_type("n_vertices", n, 1)
-    if n < 1:
-        raise ScenarioError(f"n_vertices: must be >= 1, got {n}")
-    edges = _normalize_edges(typed_array("edges", doc["edges"], 0), n)
-
-    times = typed_array("times", doc["times"], 0.0)
-    if times.ndim != 1 or len(times) < 2:
-        raise ScenarioError("times: need at least two time samples")
-    if abs(times[0]) > _TIME_FUZZ:
-        raise ScenarioError(f"times: must start at 0, got {times[0]}")
-    if np.any(np.diff(times) <= 0):
-        raise ScenarioError("times: must be strictly increasing")
-
-    W = typed_array("weights", doc["weights"], 0.0)
-    C = typed_array("conductances", doc["conductances"], 0.0)
-    if W.shape != (len(times), n):
-        raise ScenarioError(f"weights: expected shape {(len(times), n)}, got {W.shape}")
-    if C.shape != (len(times), len(edges)):
-        raise ScenarioError(
-            f"conductances: expected shape {(len(times), len(edges))}, got {C.shape}")
-    if not np.all(W > 0):
-        raise ScenarioError("weights: all entries must be positive")
-    if not np.all(C >= 0):
-        raise ScenarioError("conductances: entries must be nonnegative")
-
-    logW = np.log(W)
-    t0, t1 = float(times[0]), float(times[-1])
-    if T is not None and t1 < T - _TIME_FUZZ:
-        raise ScenarioError(
-            f"custom_tabulated: table covers [0, {t1}], horizon T={T} not reached")
-
-    def _locate(t: float):
-        t = min(max(t, t0), t1)
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(max(k, 0), len(times) - 2)
-        theta = (t - times[k]) / (times[k + 1] - times[k])
-        return k, theta
-
-    def weights_at(t: float) -> np.ndarray:
-        k, theta = _locate(t)
-        return np.exp((1.0 - theta) * logW[k] + theta * logW[k + 1])
-
-    def conductances_at(t: float) -> np.ndarray:
-        k, theta = _locate(t)
-        return (1.0 - theta) * C[k] + theta * C[k + 1]
-
-    return TimeWeightedGraph(n, edges, weights_at, conductances_at, t1 if T is None else T)
-
-
 def _validate_graph(G: TimeWeightedGraph, kind: str) -> None:
-    """Shapes and positivity on a fine time sample, and connectivity.
+    """Shapes, positivity and finiteness on a fine time sample, and connectivity.
 
     Connectivity is read from the graph's solve plan, which this builds.
     """
@@ -482,3 +497,5 @@ def _validate_graph(G: TimeWeightedGraph, kind: str) -> None:
             raise ScenarioError(f"{kind}: nonpositive vertex weight at t={float(t):.6g}")
         if not np.all(c >= 0):
             raise ScenarioError(f"{kind}: negative conductance at t={float(t):.6g}")
+        if not (np.isfinite(w).all() and np.isfinite(c).all()):
+            raise ScenarioError(f"{kind}: infinite weight or conductance at t={float(t):.6g}")

@@ -2,20 +2,18 @@
 
 Profiles with a spatial shape (harmonic, bump) read the first coordinate column
 of the graph; graphs without coordinates fall back to Laplacian eigenvectors at
-time 0 for ``harmonic`` and reject ``bump``.  Random profiles are seeded and
+time 0 for ``harmonic`` (``TimeWeightedGraph.laplacian_modes``, computed once
+per graph) and reject ``bump``.  Random profiles are seeded and
 deterministic.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-from .geometry import (TimeWeightedGraph, edge_conductances, typed_array, typed_params,
-                       vertex_weights)
-from .linalg import SpdOperator
+from .geometry import TimeWeightedGraph, read_json, typed_array, typed_params
 
 __all__ = ["make_initial_data", "PROFILES"]
 
@@ -24,13 +22,9 @@ def _harmonic(G: TimeWeightedGraph, k: int) -> np.ndarray:
     if G.coords is not None:
         return np.cos(k * G.coords[:, 0])
     # no coordinates: k-th eigenvector of the weight-normalized Laplacian at t=0
-    w = vertex_weights(G, 0.0)
-    S = SpdOperator(np.zeros(G.n_vertices), G.edges, edge_conductances(G, 0.0), 1.0).dense()
-    d = 1.0 / np.sqrt(w)
-    _, vecs = np.linalg.eigh(d[:, None] * S * d[None, :])
     if not 0 <= k < G.n_vertices:
-        raise ValueError(f"harmonic index k={k} out of range for {G.n_vertices} vertices")
-    v = d * vecs[:, k]
+        raise ValueError(f"k: harmonic index {k} out of range for {G.n_vertices} vertices")
+    v = G.laplacian_modes[:, k]
     return v / np.max(np.abs(v))
 
 
@@ -46,6 +40,8 @@ def _bump(G: TimeWeightedGraph, center: float, width: float) -> np.ndarray:
 
 
 def _random(G: TimeWeightedGraph, seed: int, dist: str, scale: float) -> np.ndarray:
+    if seed < 0:
+        raise ValueError(f"seed: must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     draw = {"normal": rng.standard_normal, "cauchy": rng.standard_cauchy}.get(dist)
     if draw is None:
@@ -56,8 +52,7 @@ def _random(G: TimeWeightedGraph, seed: int, dist: str, scale: float) -> np.ndar
 def _file(G: TimeWeightedGraph, path: str) -> np.ndarray:
     if not path:
         raise ValueError("path: the file profile needs a path")
-    with open(path) as f:
-        values = typed_array("file profile", json.load(f), 0.0)
+    values = typed_array("file profile", read_json("path", path), 0.0)
     if values.shape != (G.n_vertices,):
         raise ValueError(f"file profile: expected {G.n_vertices} values, "
                          f"got shape {values.shape}")
@@ -83,7 +78,7 @@ def make_initial_data(G: TimeWeightedGraph, spec: dict, default_seed: int = 0) -
       constant: {"value": c}                      all entries c (default 1.0)
       harmonic: {"k": int}                        cos(k x) on the first coordinate
       bump:     {"center": x0, "width": s}        periodic Gaussian bump in [0, 1]
-      random:   {"seed": int, "dist": "normal"|"cauchy", "scale": s}
+      random:   {"seed": int >= 0, "dist": "normal"|"cauchy", "scale": s}
       file:     {"path": p}                       JSON list of n finite values
 
     Each value must have the JSON type of its default (see ``geometry.typed_params``).

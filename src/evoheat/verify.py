@@ -61,6 +61,7 @@ __all__ = [
     "convergence_table",
     "fit_order",
     "TestFunction",
+    "TEST_FUNCTIONS",
     "default_test_catalog",
     "WeakResidualRow",
     "weak_residual",
@@ -123,7 +124,8 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
     weight that is 0 at both ends of a pair does not grow and sets no rate; a
     pair whose rate is NaN or +inf (a weight leaving 0, a NaN weight) admits no
     c0, and raises ValueError naming its grid time.  A given ``c0`` must
-    dominate that growth; a larger value only slackens the bound.
+    dominate that growth; a larger value only slackens the bound.  A bound
+    exp(c0 * horizon) * a0 that is no finite double raises ValueError naming c0.
     """
     if c0 is not None and not c0 >= 0:
         raise ValueError(f"c0 must be nonnegative, got {c0}")
@@ -158,7 +160,13 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
             sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))
             dissipation[f] += delta * _dirichlet_form(G, cond, c.values[j])
     c0 = max(0.0, float(rate)) if c0 is None else float(c0)
-    rhs = [math.exp(c0 * first.horizon) * a for a in a0]
+    try:
+        rhs = [math.exp(c0 * first.horizon) * a for a in a0]
+    except OverflowError:
+        rhs = [math.inf]
+    if not all(map(math.isfinite, rhs)):
+        raise ValueError(f"c0: exp(c0 * horizon) * ||u0||^2 is not finite for c0={c0}, "
+                         f"horizon={first.horizon}")
     return [EnergyReport(sup_l2=sup, dissipation=diss, rhs=bound, c0_used=c0,
                          slack=float(slack), passed=bool(max(sup, diss) <= bound * (1.0 + slack)),
                          margin=0.0 if bound == 0.0 else (bound - max(sup, diss)) / bound)
@@ -450,7 +458,13 @@ class TestFunction:
     profile_dt: Callable[[float], float]
 
 
-def default_test_catalog(G: TimeWeightedGraph, T: float, ks=(1, 2)) -> list[TestFunction]:
+_CATALOG_KS = (1, 2)
+# The names of ``default_test_catalog``'s functions, in catalog order.
+TEST_FUNCTIONS = tuple(f"k{k}_{shape}" for k in _CATALOG_KS for shape in ("sin", "poly"))
+
+
+def default_test_catalog(G: TimeWeightedGraph, T: float,
+                         ks=_CATALOG_KS) -> list[TestFunction]:
     """Low spatial harmonics times {sin(pi t/T), t(T-t)/T^2}, both vanishing at 0 and T."""
     catalog = []
     for k in ks:

@@ -147,6 +147,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ("verify", "c0", math.inf), ("verify", "h", math.nan), ("verify", "rel_tol", -math.inf),
     ("verify", "slack", math.inf), ("verify", "slack", -0.5),
     ("converge", "h_list", [0.1, math.nan]), ("l2-limit", "truncation_levels", [1, math.inf]),
+    ("verify", "seed", -5),
 ])
 def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                                  command, key, value):
@@ -203,6 +204,7 @@ _TORUS = {"kind": "product_torus", "nx": 4, "ny": 4, "T": 1.0}
     ("width", "initial", {"profile": "bump", "width": None}),
     ("path", "initial", {"profile": "file"}),
     ("path", "initial", {"profile": "file", "path": 0}),
+    ("seed", "initial", {"profile": "random", "seed": -1}),
 ])
 def test_mistyped_scenario_or_profile_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                                               key, section, value):
@@ -214,6 +216,74 @@ def test_mistyped_scenario_or_profile_value_is_a_config_error(tmp_path, monkeypa
     assert main(["verify", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("contents, message", [(b"{not json", "{path!r} is not valid JSON ("),
+                                               (b"\xd0\x00", "{path!r} is not valid JSON ("),
+                                               (None, "no such file {path!r}")],
+                         ids=["invalid", "not_utf8", "missing"])
+@pytest.mark.parametrize("key, section", [
+    ("config", None),
+    ("scenario", lambda path: {"scenario": path}),
+    ("path", lambda path: {"scenario": {"kind": "custom_tabulated", "path": path}}),
+    ("path", lambda path: {"initial": {"profile": "file", "path": path}}),
+], ids=["config", "scenario", "table", "file_profile"])
+def test_unreadable_input_file_names_its_key_and_path(tmp_path, monkeypatch, capsys,
+                                                      contents, message, key, section):
+    # every input file is read by one reader, which names the key and the path
+    bad = tmp_path / "input.json"
+    if contents is not None:
+        bad.write_bytes(contents)
+    cfg = str(bad) if section is None else _write_config(tmp_path, **section(str(bad)))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_families", lambda *a, **k: pytest.fail("solved"))
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key}: " + message.format(path=str(bad)))
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("key, config", [
+    ("c0", {"c0": 1000}),  # exp(c0 * horizon) overflows after the run
+    ("growth", {"scenario": {"kind": "conformal_circle", "n": 64, "growth": 720.0}}),
+])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_overflowing_value_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                             key, config, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", _write_config(tmp_path, **config)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "config error: seed: must be nonnegative, got -5\n"
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["converge", "l2-limit"])
+def test_h_flag_is_rejected_where_h_list_sets_the_steps(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--h", "0.05"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --h 0.05" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_subcommand_help_is_its_docstring(monkeypatch, capsys, name):
+    monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping
+    command, keys = cli._COMMANDS[name]
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    usage, description, *_ = capsys.readouterr().out.split("\n\n")
+    assert " ".join(description.split()) == " ".join(command.__doc__.split())
+    flags = [flag for flag in ("--h", "--m", "--tol", "--seed") if f"[{flag} " in usage]
+    assert flags == [cli._FLAGS[key][0] for key in keys]
 
 
 def test_non_finite_tol_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
@@ -546,6 +616,26 @@ def test_verify_computes_rcm_once_for_its_graph(tmp_path, monkeypatch, scenario)
     cfg = _write_config(tmp_path, scenario=scenario)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+def test_verify_on_a_graph_without_coordinates_makes_one_eigh(tmp_path, monkeypatch):
+    # harmonic initial data and both harmonic test functions share one basis
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cfg = _write_config(tmp_path, scenario=_tabulated_grid(6, 1),
+                        initial={"profile": "harmonic", "k": 1})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(36, 36)]
+    G = eh.build_scenario(Scenario.from_dict(_tabulated_grid(6, 1)))
+    with pytest.raises(ValueError, match="^k: harmonic index 36 out of range"):
+        eh.make_initial_data(G, {"profile": "harmonic", "k": 36})
+    assert calls == [(36, 36)]  # k is checked before the basis is computed
 
 
 def test_integer_h_reports_a_float_horizon(tmp_path):

@@ -224,6 +224,17 @@ def test_bad_scenarios_rejected(kind, params):
         build(kind, **params)
 
 
+@pytest.mark.parametrize("growth, fragment", [
+    (720.0, "^growth: e\\^\\(growth\\*T\\) overflows on \\[0, T=1.0\\], got 720.0$"),
+    (-720.0, "^conformal_circle: infinite weight or conductance at t=1$"),  # 1/a overflows
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_conformal_growth_that_overflows_is_rejected(growth, fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        build("conformal_circle", n=64, growth=growth)
+    build("conformal_circle", n=64, growth=growth / 2)  # e^360 and e^-360 are doubles
+
+
 def test_nonpositive_horizon_rejected():
     with pytest.raises(ScenarioError):
         build("static_circle", T=0.0, n=4)
@@ -259,7 +270,7 @@ def _table_doc():
 
 
 def test_tabulated_interpolation():
-    G = eh.tabulated_graph(_table_doc())
+    G = build("custom_tabulated", T=1.0, table=_table_doc())
     assert G.horizon == 1.0
     # weights interpolate geometrically, conductances linearly
     assert_allclose(eh.vertex_weights(G, 0.5), [2.0, 2.0, 2.0], rtol=1e-14)
@@ -269,7 +280,7 @@ def test_tabulated_interpolation():
 
 def test_tabulated_roundtrip_through_json():
     doc = json.loads(json.dumps(_table_doc()))
-    G = eh.tabulated_graph(doc)
+    G = build("custom_tabulated", T=1.0, table=doc)
     assert G.n_edges == 3
 
 
@@ -292,7 +303,24 @@ def test_tabulated_rejects_malformed(mutate, fragment):
     doc = _table_doc()
     mutate(doc)
     with pytest.raises(ScenarioError, match=fragment):
-        eh.tabulated_graph(doc)
+        build("custom_tabulated", T=1.0, table=doc)
+
+
+def test_laplacian_modes_equal_the_dense_operator_basis():
+    # the reference assembles S edge by edge, in edge order; edge 0 conducts 0 at t = 0
+    G = build("custom_tabulated", T=1.0, table={**_table_doc(), "conductances": [
+        [0.0, 1.0, 0.5], [3.0, 1.0, 2.0]]})
+    c = eh.edge_conductances(G, 0.0)
+    S = np.zeros((3, 3))
+    for (i, j), ce in zip(G.edges, c):
+        S[i, i] += ce
+        S[j, j] += ce
+        S[i, j] -= ce
+        S[j, i] -= ce
+    d = 1.0 / np.sqrt(eh.vertex_weights(G, 0.0))
+    _, vecs = np.linalg.eigh(d[:, None] * S * d[None, :])
+    assert np.array_equal(G.laplacian_modes, d[:, None] * vecs)
+    assert G.laplacian_modes is G.laplacian_modes  # computed once per graph
 
 
 def test_disconnected_graph_rejected():

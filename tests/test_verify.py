@@ -29,7 +29,7 @@ def _star_ring_table():
     edges = ([[0, i] for i in range(1, leaves + 1)]
              + [sorted([i, i % leaves + 1]) for i in range(1, leaves + 1)])
     times = [0.0, 0.5, 1.0]
-    return eh.tabulated_graph({
+    return build("custom_tabulated", T=1.0, table={
         "n_vertices": leaves + 1, "edges": edges, "times": times,
         "weights": [[round(rng.uniform(0.5, 2.0), 3) for _ in range(leaves + 1)]
                     for _ in times],
@@ -144,7 +144,7 @@ def _two_run_rk4(G, u0, T, n_steps, rate=_difference_rate):
 
 
 def _tabulated_square():
-    return eh.tabulated_graph({
+    return build("custom_tabulated", T=1.0, table={
         "n_vertices": 4,
         "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
         "times": [0.0, 0.5, 1.0],
@@ -284,6 +284,25 @@ def test_energy_estimate_rejects_a_rate_that_admits_no_c0(first, rate, time):
         eh.energy_estimate([chain], G)
     [given] = eh.energy_estimate([chain], G, c0=2.0)
     assert given.c0_used == 2.0
+
+
+# exp(1000) overflows; exp(709) is a double, but not times a0 = 2*pi
+@pytest.mark.parametrize("c0", [1000.0, 709.0])
+def test_energy_estimate_rejects_a_bound_that_is_not_finite(c0):
+    G = build("static_circle", n=8)
+    chain = eh.run_interpolated(G, np.ones(8), 0.25, m=1)
+    with pytest.raises(ValueError, match=f"^c0: .* not finite for c0={c0}, horizon=1.0$"):
+        eh.energy_estimate([chain], G, c0=c0)
+
+
+def test_energy_estimate_rejects_a_certified_c0_whose_bound_overflows():
+    # log w climbs by 1380 over [0, 1]: the certified c0 overflows exp(c0 * horizon)
+    G = build("custom_tabulated", T=1.0, table={
+        "n_vertices": 2, "edges": [[0, 1]], "times": [0.0, 1.0],
+        "weights": [[1e-300, 1.0], [1e300, 1.0]], "conductances": [[1.0], [1.0]]})
+    chain = eh.ChainFamily(0.5, 1, np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="^c0: .* not finite for c0=1381.55"):
+        eh.energy_estimate([chain], G)
 
 
 def test_energy_estimate_input_validation():
