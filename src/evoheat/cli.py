@@ -5,15 +5,19 @@ codes: 0 all checks passed, 1 a check failed (reports are still written),
 2 config error, 3 solver or reference-flow (oracle) failure, 4 an artifact
 could not be written (``I/O error:``).  Identical configs
 produce byte-identical artifacts: the solvers are deterministic and floats are
-written with shortest round-trip formatting.  Artifacts are written after the
-checks, each moved into place whole with the mode ``open`` would give it.
+written with shortest round-trip formatting.
 
-``run`` and ``verify`` format samples.csv, the largest artifact, in a writer
-process forked before the run (``artifacts.SamplesWriter``); a failed writer
-exits 4, and samples.csv is never partial.
+Each ``cmd_*`` returns its verdict and its documents, and ``main`` alone writes
+them, after the checks: run_config.json first, then each document, every file
+moved into place whole with the mode ``open`` would give it.  ``run`` and
+``verify`` publish samples.csv, the largest artifact, themselves, just before
+they return: a writer process forked before the run formats it
+(``artifacts.SamplesWriter``); a failed writer exits 4, and samples.csv is
+never partial.
 
 The config keys are the fields of ``RunConfig``, all optional, with its
-defaults; ``scenario`` may also name a JSON file that holds the scenario.
+defaults; ``_KEYS`` says what each accepts.  ``scenario`` may also name a JSON
+file that holds the scenario.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .artifacts import SamplesWriter, write_csv, write_json
 from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, check_type,
-                       is_finite_real, read_json, vertex_weights)
+                       read_json, vertex_weights)
 from .linalg import SolverError
 from .profiles import make_initial_data
 from .scheme import ChainFamily, run_families, run_interpolated, truncate
@@ -53,6 +57,32 @@ class ConfigError(ValueError):
 _DEFAULT_SCENARIO = {"kind": "static_circle", "n": 64, "T": 1.0}
 _DEFAULT_INITIAL = {"profile": "harmonic", "k": 1}
 
+_integer, _real = JSON_TYPES[int][1], JSON_TYPES[float][1]  # no NaN, Infinity or bool
+_POSITIVE = ("a positive finite real number", lambda v: _real(v) and v > 0)
+_NONNEGATIVE = ("a nonnegative finite real number", lambda v: _real(v) and v >= 0)
+_POSITIVES = ("a nonempty list of positive finite real numbers",
+              lambda v: isinstance(v, list) and len(v) > 0 and all(map(_POSITIVE[1], v)))
+
+# What each config key accepts, type and range together: a description that
+# completes "<key>: must be ...", and the predicate.
+_KEYS = {
+    "scenario": ("an object or a path", lambda v: isinstance(v, (dict, str))),
+    "initial": JSON_TYPES[dict],
+    "h": _POSITIVE,
+    "m": ("a positive integer", lambda v: _integer(v) and v >= 1),
+    "rel_tol": _NONNEGATIVE,
+    "slack": _NONNEGATIVE,
+    "c0": ("null or " + _NONNEGATIVE[0], lambda v: v is None or _NONNEGATIVE[1](v)),
+    "seed": ("a nonnegative integer", lambda v: _integer(v) and v >= 0),
+    "out": JSON_TYPES[str],
+    "h_list": _POSITIVES,
+    "truncation_levels": _POSITIVES,
+    "test_functions": (f"null or a list of names from {', '.join(TEST_FUNCTIONS)}",
+                       lambda v: v is None or (isinstance(v, list)
+                                                and all(name in TEST_FUNCTIONS for name in v))),
+    "oracle_steps": ("an even integer >= 2", lambda v: _integer(v) and v >= 2 and v % 2 == 0),
+}
+
 
 @dataclass
 class RunConfig:
@@ -72,54 +102,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        _check_types(raw)
-        cfg = cls(**raw)
-        if cfg.h <= 0:
-            raise ConfigError(f"h: must be positive, got {cfg.h}")
-        if cfg.m < 1:
-            raise ConfigError(f"m: must be >= 1, got {cfg.m}")
-        if cfg.rel_tol < 0:
-            raise ConfigError(f"rel_tol: must be nonnegative, got {cfg.rel_tol}")
-        if cfg.slack < 0:
-            raise ConfigError(f"slack: must be nonnegative, got {cfg.slack}")
-        if cfg.c0 is not None and cfg.c0 < 0:
-            raise ConfigError(f"c0: must be nonnegative, got {cfg.c0}")
-        if cfg.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {cfg.seed}")
-        if not cfg.h_list:
-            raise ConfigError("h_list: must not be empty")
-        if not cfg.truncation_levels:
-            raise ConfigError("truncation_levels: must not be empty")
-        return cfg
-
-
-def _check_types(raw: dict) -> None:
-    """Raise ConfigError unless each field of ``raw`` has the JSON type it takes.
-
-    No field takes the NaN and Infinity that json and argparse's float accept.
-    """
-    real, integer = JSON_TYPES[float], JSON_TYPES[int]
-    reals = ("a list of finite real numbers",
-             lambda v: isinstance(v, list) and all(map(is_finite_real, v)))
-    expected = {
-        "scenario": ("an object or a path", lambda v: isinstance(v, (dict, str))),
-        "initial": JSON_TYPES[dict],
-        "h": real, "rel_tol": real, "slack": real,
-        "c0": ("a finite real number or null", lambda v: v is None or is_finite_real(v)),
-        "m": integer, "seed": integer, "oracle_steps": integer,
-        "h_list": reals, "truncation_levels": reals,
-        "test_functions": ("null or a list of strings", lambda v: v is None or (
-            isinstance(v, list) and all(isinstance(name, str) for name in v))),
-        "out": JSON_TYPES[str],
-    }
-    for key, value in raw.items():
-        what, check = expected[key]
-        if not check(value):
-            raise ConfigError(f"{key}: must be {what}, got {value!r}")
+        for key, value in raw.items():
+            what, ok = _KEYS[key]
+            if not ok(value):
+                raise ConfigError(f"{key}: must be {what}, got {value!r}")
+        return cls(**raw)
 
 
 def _prepare(cfg: RunConfig):
@@ -132,37 +122,24 @@ def _prepare(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# run artifacts
+# subcommands: each returns (passed, documents), documents mapping an artifact
+# name to a JSON object or to a CSV (header, rows)
 # ---------------------------------------------------------------------------
-
-def _echo_config(cfg: RunConfig, outdir: str) -> None:
-    doc = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-    write_json(os.path.join(outdir, "run_config.json"), doc)
-
 
 def _samples_writer(cfg: RunConfig, G: TimeWeightedGraph) -> SamplesWriter:
     """The run's samples.csv writer; start it before the run (see SamplesWriter)."""
-    return SamplesWriter(os.path.join(cfg.out, "samples.csv"), G.n_vertices,
-                         float(cfg.h) / int(cfg.m))
+    return SamplesWriter(os.path.join(cfg.out, "samples.csv"), G.n_vertices, cfg.h / cfg.m)
 
 
-def _write_run_artifacts(cfg: RunConfig, spec: Scenario, chain: ChainFamily,
-                         energy: EnergyReport, extremum: ExtremumReport,
-                         samples: SamplesWriter) -> None:
-    """run_config.json, samples.csv, energy_report.json, extremum_report.json."""
-    _echo_config(cfg, cfg.out)
-    samples.publish(chain)
-    write_json(os.path.join(cfg.out, "energy_report.json"),
-               {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
-                "horizon": chain.horizon, **report_json(energy)})
-    write_json(os.path.join(cfg.out, "extremum_report.json"), report_json(extremum))
+def _run_documents(spec: Scenario, chain: ChainFamily, energy: EnergyReport,
+                   extremum: ExtremumReport) -> dict:
+    """energy_report.json and extremum_report.json, which run and verify share."""
+    return {"energy_report.json": {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
+                                   "horizon": chain.horizon, **report_json(energy)},
+            "extremum_report.json": report_json(extremum)}
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_run(cfg: RunConfig) -> int:
+def cmd_run(cfg: RunConfig) -> tuple[bool, dict]:
     """Run the scheme; write samples.csv, energy_report.json and extremum_report.json."""
     spec, G, u0 = _prepare(cfg)
     with _samples_writer(cfg, G) as samples:
@@ -170,27 +147,24 @@ def cmd_run(cfg: RunConfig) -> int:
                                on_row=samples.on_row)
         [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
         extremum = extremum_check(chain)
-        _write_run_artifacts(cfg, spec, chain, energy, extremum, samples)
-    return EXIT_OK if (energy.passed and extremum.passed) else EXIT_CHECK_FAILED
+        samples.publish(chain)
+    return energy.passed and extremum.passed, _run_documents(spec, chain, energy, extremum)
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(cfg: RunConfig) -> tuple[bool, dict]:
     """Error table against the time-exact reference flow over h_list; write
-    convergence_table.csv.  Exit 0 iff the fitted order is >= 0.8."""
+    convergence_table.csv.  Exit 0 iff the fitted order is >= 0.8, or every
+    error is flat at rounding level (<= 1e-10, as constant data gives)."""
     _, G, u0 = _prepare(cfg)
     rows = convergence_table(G, u0, cfg.h_list, cfg.m,
                              oracle_steps=cfg.oracle_steps, rel_tol=cfg.rel_tol)
-    _echo_config(cfg, cfg.out)
-    write_csv(os.path.join(cfg.out, "convergence_table.csv"),
-              ["h", "m", "error", "observed_order"],
-              [(r.h, r.m, r.error, r.observed_order) for r in rows])
-    if all(r.error <= 1e-10 for r in rows):
-        return EXIT_OK  # flat at rounding level (constant data); nothing to fit
-    order = fit_order(rows)
-    return EXIT_OK if (order is not None and order >= 0.8) else EXIT_CHECK_FAILED
+    flat = all(r.error <= 1e-10 for r in rows)  # nothing to fit; no fit (None) fails
+    return flat or (fit_order(rows) or 0.0) >= 0.8, {
+        "convergence_table.csv": (["h", "m", "error", "observed_order"],
+                                  [(r.h, r.m, r.error, r.observed_order) for r in rows])}
 
 
-def cmd_compare_interp(cfg: RunConfig) -> int:
+def cmd_compare_interp(cfg: RunConfig) -> tuple[bool, dict]:
     """Energy norms of shifted-chain vs resolvent interpolation on one run; write
     comparison.json."""
     spec, G, u0 = _prepare(cfg)
@@ -200,18 +174,16 @@ def cmd_compare_interp(cfg: RunConfig) -> int:
     shifted = energy.dissipation  # the l2h1 norm of the produced samples
     resolvent = l2h1_interp_norm(dg, chain.times()[1:], G, dt=chain.delta)
     ratio = None if shifted == 0.0 else resolvent / shifted
-    _echo_config(cfg, cfg.out)
-    write_json(os.path.join(cfg.out, "comparison.json"), {
+    return energy.passed, {"comparison.json": {
         "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
         "shifted_l2h1": shifted, "degiorgi_l2h1": resolvent, "ratio": ratio,
         "energy_report": report_json(energy),
         "note": "samples at multiples of h coincide by construction; "
                 "the ratio is driven by the intermediate samples",
-    })
-    return EXIT_OK if energy.passed else EXIT_CHECK_FAILED
+    }}
 
 
-def cmd_l2_limit(cfg: RunConfig) -> int:
+def cmd_l2_limit(cfg: RunConfig) -> tuple[bool, dict]:
     """Truncated-vs-full runs against the contraction bound, per level and h in
     h_list; write truncation_report.json.
 
@@ -221,35 +193,28 @@ def cmd_l2_limit(cfg: RunConfig) -> int:
     spec, G, u0 = _prepare(cfg)
     w0 = vertex_weights(G, 0.0)
     rows = []
-    all_ok = True
-    truncated = [truncate(u0, float(level)) for level in cfg.truncation_levels]
+    truncated = [truncate(u0, level) for level in cfg.truncation_levels]
     for h in cfg.h_list:
-        chain_full, *chains_n = run_families(G, [u0, *truncated], float(h), cfg.m,
+        chain_full, *chains_n = run_families(G, [u0, *truncated], h, cfg.m,
                                              rel_tol=cfg.rel_tol)
         diffs = [ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values,
                              chain_full.solve_error + chain_n.solve_error) for chain_n in chains_n]
         energies = energy_estimate(diffs, G, cfg.c0, cfg.slack)
         for level, diff, energy in zip(cfg.truncation_levels, diffs, energies):
-            all_ok = all_ok and energy.passed
-            rows.append({"h": float(h), "level": float(level),
+            rows.append({"h": chain_full.h, "level": float(level),
                          "truncation_error": weighted_l2_sq(diff.values[0], w0),
                          "diff_sup_l2": energy.sup_l2, "diff_l2h1": energy.dissipation,
                          "bound": energy.rhs, "c0_used": energy.c0_used, "pass": energy.passed})
-    _echo_config(cfg, cfg.out)
-    write_json(os.path.join(cfg.out, "truncation_report.json"),
-               {"scenario": spec.to_dict(), "m": cfg.m, "slack": cfg.slack,
-                "rows": rows, "pass": all_ok})
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    passed = all(row["pass"] for row in rows)
+    return passed, {"truncation_report.json": {"scenario": spec.to_dict(), "m": cfg.m,
+                                               "slack": cfg.slack, "rows": rows, "pass": passed}}
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[bool, dict]:
     """Full battery: run artifacts plus every check on one configuration; write
     verify_report.json too."""
     spec, G, u0 = _prepare(cfg)
     names = TEST_FUNCTIONS if cfg.test_functions is None else cfg.test_functions
-    unknown = set(names) - set(TEST_FUNCTIONS)
-    if unknown:
-        raise ConfigError(f"test_functions: unknown names {sorted(unknown)}")
     # the contraction check's chains from v0 and u0 - v0 share the run's operators
     v0 = make_initial_data(G, {"profile": "random", "seed": cfg.seed + 1})
     d0 = u0 - v0
@@ -262,20 +227,18 @@ def cmd_verify(cfg: RunConfig) -> int:
         catalog = [fn for fn in default_test_catalog(G, chain.horizon) if fn.name in names]
         weak_rows = weak_residual(chain, G, catalog)
         attainment = initial_attainment_check(chain, G, chain.h, cfg.slack)
-
-        ok = bool(energy.passed and extremum.passed and contraction.passed and attainment.passed)
-        _write_run_artifacts(cfg, spec, chain, energy, extremum, samples)
-        write_json(os.path.join(cfg.out, "verify_report.json"), {
-            "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
-            "horizon": chain.horizon, "c0_used": energy.c0_used,
-            "energy": report_json(energy),
-            "extremum": report_json(extremum),
-            "contraction": report_json(contraction),
-            "weak_residuals": [report_json(r) for r in weak_rows],
-            "initial_attainment": report_json(attainment),
-            "pass": ok,
-        })
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        samples.publish(chain)
+    passed = bool(energy.passed and extremum.passed and contraction.passed and attainment.passed)
+    return passed, {**_run_documents(spec, chain, energy, extremum), "verify_report.json": {
+        "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
+        "horizon": chain.horizon, "c0_used": energy.c0_used,
+        "energy": report_json(energy),
+        "extremum": report_json(extremum),
+        "contraction": report_json(contraction),
+        "weak_residuals": [report_json(r) for r in weak_rows],
+        "initial_attainment": report_json(attainment),
+        "pass": passed,
+    }}
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +298,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command][0](cfg)
+        passed, documents = _COMMANDS[args.command][0](cfg)
+        for name, doc in {"run_config.json": asdict(cfg), **documents}.items():
+            if name.endswith(".csv"):
+                write_csv(os.path.join(cfg.out, name), *doc)
+            else:
+                write_json(os.path.join(cfg.out, name), doc)
+        return EXIT_OK if passed else EXIT_CHECK_FAILED
     except OracleError as exc:  # a ValueError, but no config error
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

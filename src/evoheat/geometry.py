@@ -287,6 +287,10 @@ def _conformal_circle(T: float, n: int, amp: float, omega: float, k_spatial: int
     # a(t, x) < e^(growth*t) * (1 + |amp|) must stay a finite double on [0, T]
     if growth * T > math.log(sys.float_info.max / (1.0 + abs(amp))):
         raise ScenarioError(f"growth: e^(growth*T) overflows on [0, T={T}], got {growth}")
+    # and dx * a(t, x) >= dx * e^(growth*t) * (1 - |amp|) must stay a normal double, so
+    # 1/(dx*a) is finite: only a negative growth can break it, at t = T (dx = 2*pi/n)
+    if n >= 3 and growth * T < math.log(sys.float_info.min * n / (2 * math.pi * (1 - abs(amp)))):
+        raise ScenarioError(f"growth: 1/(dx*a) overflows on [0, T={T}] with n={n}, got {growth}")
 
     def a_at(x):
         spatial = np.cos(k_spatial * x) if k_spatial else np.ones_like(x)

@@ -30,9 +30,9 @@ def _harmonic(G: TimeWeightedGraph, k: int) -> np.ndarray:
 
 def _bump(G: TimeWeightedGraph, center: float, width: float) -> np.ndarray:
     if G.coords is None:
-        raise ValueError("bump profile needs vertex coordinates")
+        raise ValueError("profile: bump needs vertex coordinates, and this graph has none")
     if width <= 0:
-        raise ValueError(f"bump width must be positive, got {width}")
+        raise ValueError(f"width: must be positive, got {width}")
     # periodic distance on the first coordinate (circle/torus convention)
     d = np.abs(G.coords[:, 0] - center)
     d = np.minimum(d, 2.0 * np.pi - d)
@@ -45,7 +45,7 @@ def _random(G: TimeWeightedGraph, seed: int, dist: str, scale: float) -> np.ndar
     rng = np.random.default_rng(seed)
     draw = {"normal": rng.standard_normal, "cauchy": rng.standard_cauchy}.get(dist)
     if draw is None:
-        raise ValueError(f"random profile: unknown dist {dist!r}")
+        raise ValueError(f"dist: must be 'normal' or 'cauchy', got {dist!r}")
     return scale * draw(G.n_vertices)
 
 
@@ -86,7 +86,7 @@ def make_initial_data(G: TimeWeightedGraph, spec: dict, default_seed: int = 0) -
     spec = dict(spec)
     profile = spec.pop("profile", None)
     if profile not in PROFILES:
-        raise ValueError(f"unknown initial-data profile {profile!r}, "
+        raise ValueError(f"profile: unknown initial-data profile {profile!r}, "
                          f"expected one of {', '.join(PROFILES)}")
     defaults, make = _PROFILES[profile]
     if "seed" in defaults:

@@ -463,12 +463,11 @@ _CATALOG_KS = (1, 2)
 TEST_FUNCTIONS = tuple(f"k{k}_{shape}" for k in _CATALOG_KS for shape in ("sin", "poly"))
 
 
-def default_test_catalog(G: TimeWeightedGraph, T: float,
-                         ks=_CATALOG_KS) -> list[TestFunction]:
+def default_test_catalog(G: TimeWeightedGraph, T: float) -> list[TestFunction]:
     """Low spatial harmonics times {sin(pi t/T), t(T-t)/T^2}, both vanishing at 0 and T."""
     catalog = []
-    for k in ks:
-        psi = make_initial_data(G, {"profile": "harmonic", "k": int(k)})
+    for k in _CATALOG_KS:
+        psi = make_initial_data(G, {"profile": "harmonic", "k": k})
         catalog.append(TestFunction(
             name=f"k{k}_sin", space=psi,
             profile=lambda t, T=T: math.sin(math.pi * t / T),

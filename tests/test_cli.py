@@ -1,5 +1,6 @@
 """CLI exit codes, artifacts, determinism.  Everything goes through main(argv)."""
 
+import functools
 import json
 import math
 import os
@@ -131,7 +132,8 @@ def test_config_errors_exit_two(tmp_path, capsys):
     # no truncation level would leave l2-limit nothing to check, and pass
     no_levels = _write_config(tmp_path, "levels.json", truncation_levels=[])
     assert main(["l2-limit", "--config", no_levels, "--out", out]) == 2
-    assert "truncation_levels: must not be empty" in capsys.readouterr().err
+    assert ("truncation_levels: must be a nonempty list of positive finite real numbers, got []"
+            in capsys.readouterr().err)
 
     assert not os.path.exists(out)  # config errors must not leave artifacts
 
@@ -148,6 +150,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ("verify", "slack", math.inf), ("verify", "slack", -0.5),
     ("converge", "h_list", [0.1, math.nan]), ("l2-limit", "truncation_levels", [1, math.inf]),
     ("verify", "seed", -5),
+    # each key's range is checked with its type, for every subcommand
+    ("converge", "oracle_steps", 3), ("converge", "oracle_steps", 0),
+    ("converge", "h_list", [0.1, -0.05]), ("l2-limit", "h_list", []),
+    ("l2-limit", "truncation_levels", [1, 0]), ("verify", "h", 0), ("verify", "m", 0),
+    ("verify", "c0", -1), ("verify", "test_functions", ["k9_sin"]),
 ])
 def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                                  command, key, value):
@@ -156,6 +163,10 @@ def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: must be ")
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_every_config_key_has_one_table_entry():
+    assert set(cli._KEYS) == set(cli.RunConfig.__dataclass_fields__)
 
 
 def _table(**overrides):
@@ -205,6 +216,9 @@ _TORUS = {"kind": "product_torus", "nx": 4, "ny": 4, "T": 1.0}
     ("path", "initial", {"profile": "file"}),
     ("path", "initial", {"profile": "file", "path": 0}),
     ("seed", "initial", {"profile": "random", "seed": -1}),
+    ("width", "initial", {"profile": "bump", "width": 0}),
+    ("dist", "initial", {"profile": "random", "dist": "uniform"}),
+    ("profile", "initial", {"profile": "gaussian"}),
 ])
 def test_mistyped_scenario_or_profile_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                                               key, section, value):
@@ -246,20 +260,23 @@ def test_unreadable_input_file_names_its_key_and_path(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("key, config", [
     ("c0", {"c0": 1000}),  # exp(c0 * horizon) overflows after the run
     ("growth", {"scenario": {"kind": "conformal_circle", "n": 64, "growth": 720.0}}),
+    ("growth", {"scenario": {"kind": "conformal_circle", "n": 64, "growth": -720.0}}),  # 1/a
 ])
 @pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                              key, config, command):
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", _write_config(tmp_path, **config)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and "Warning" not in err
     assert not os.path.exists(tmp_path / "out")
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--seed", "-5"]) == 2
-    assert capsys.readouterr().err == "config error: seed: must be nonnegative, got -5\n"
+    assert capsys.readouterr().err == "config error: seed: must be a nonnegative integer, got -5\n"
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -344,7 +361,8 @@ def test_converge_command(tmp_path):
 
 
 @pytest.mark.parametrize("h_list, message", [
-    ([0.1, -0.05], "h must be positive, got -0.05"),
+    ([0.1, -0.05], "h_list: must be a nonempty list of positive finite real numbers, "
+                   "got [0.1, -0.05]"),
     ([0.1, 2.0], "step h=2.0 does not fit the horizon T=1.0"),
 ])
 def test_converge_rejects_a_bad_h_before_the_oracle(tmp_path, monkeypatch, capsys,
@@ -465,6 +483,62 @@ def test_l2_limit_report_equals_hand_loop(tmp_path):
     assert got == want
 
 
+def test_l2_limit_check_failure_exits_one_but_writes_the_report(tmp_path):
+    # random data on growing volume: claiming c0 = 0 understates the growth
+    cfg = _write_config(
+        tmp_path,
+        scenario={"kind": "conformal_circle", "n": 8, "T": 1.0, "growth": 1.0, "amp": 0.0},
+        initial={"profile": "random", "scale": 3.0}, c0=0.0, h_list=[0.1, 0.05])
+    out = str(tmp_path / "out")
+    assert main(["l2-limit", "--config", cfg, "--out", out]) == 1
+    doc = _read_json(out, "truncation_report.json")
+    assert doc["pass"] is False
+    assert not all(row["pass"] for row in doc["rows"])
+
+
+# Each subcommand's artifacts, as the README's command table lists them.
+_ARTIFACTS = {
+    "run": {"samples.csv", "energy_report.json", "extremum_report.json"},
+    "converge": {"convergence_table.csv"},
+    "compare-interp": {"comparison.json"},
+    "l2-limit": {"truncation_report.json"},
+    "verify": {"samples.csv", "energy_report.json", "extremum_report.json",
+               "verify_report.json"},
+}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_main_writes_run_config_first_and_only_after_the_command(tmp_path, monkeypatch, name):
+    assert set(_ARTIFACTS) == set(cli._COMMANDS)
+    command, keys = cli._COMMANDS[name]
+    returned, written = [], []
+
+    @functools.wraps(command)  # the subcommand's help is its docstring
+    def finished(cfg):
+        result = command(cfg)
+        returned.append(True)
+        return result
+
+    def spy(write):
+        def recording(path, *args):
+            written.append((os.path.basename(path), bool(returned)))
+            return write(path, *args)
+        return recording
+
+    monkeypatch.setitem(cli._COMMANDS, name, (finished, keys))
+    monkeypatch.setattr(cli, "write_json", spy(cli.write_json))
+    monkeypatch.setattr(cli, "write_csv", spy(cli.write_csv))
+    cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 8, "T": 1.0},
+                        initial={"profile": "harmonic", "k": 1}, m=1,
+                        h_list=[0.2, 0.1, 0.05], truncation_levels=[0.5], oracle_steps=512)
+    out = tmp_path / "out"
+    assert main([name, "--config", cfg, "--out", str(out)]) == 0
+    assert written[0] == ("run_config.json", True)
+    assert all(after for _, after in written)
+    assert {n for n, _ in written} == {"run_config.json", *_ARTIFACTS[name]} - {"samples.csv"}
+    assert set(os.listdir(out)) == {"run_config.json", *_ARTIFACTS[name]}
+
+
 def test_run_and_verify_write_identical_run_artifacts(tmp_path):
     cfg = _write_config(tmp_path, scenario={"kind": "conformal_circle", "n": 12, "T": 1.0},
                         initial={"profile": "random", "seed": 5}, h=0.1)
@@ -524,7 +598,8 @@ def test_verify_rejects_unknown_test_function_before_the_run(tmp_path, monkeypat
     cfg = _write_config(tmp_path, test_functions=["k1_sin", "k9_sin"])
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
-    assert "unknown names ['k9_sin']" in capsys.readouterr().err
+    assert ("test_functions: must be null or a list of names from k1_sin, k1_poly, k2_sin, "
+            "k2_poly, got ['k1_sin', 'k9_sin']") in capsys.readouterr().err
     assert runs == [] and not out.exists()
 
 
@@ -654,6 +729,45 @@ def test_scenario_from_file_path(tmp_path):
                         initial={"profile": "harmonic", "k": 1})
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out]) == 0
+
+
+def _verify_artifacts(tmp_path, name, **overrides):
+    """Every artifact of verify on the test config with ``overrides``, run_config.json aside."""
+    out = tmp_path / name
+    assert main(["verify", "--config", _write_config(tmp_path, f"{name}.json", **overrides),
+                 "--out", str(out)]) == 0
+    return {n: b for n, b in _read_all(out).items() if n != "run_config.json"}
+
+
+def test_file_profile_gives_the_data_and_artifacts_of_its_inline_profile(tmp_path):
+    inline = {"profile": "random", "seed": 7}
+    G = eh.build_scenario(Scenario.from_dict(_CIRCLE))
+    u0 = eh.make_initial_data(G, inline)
+    data = tmp_path / "u0.json"
+    data.write_text(json.dumps(u0.tolist()))  # shortest repr: every float round-trips
+    from_file = {"profile": "file", "path": str(data)}
+    assert np.array_equal(eh.make_initial_data(G, from_file), u0)
+    assert (_verify_artifacts(tmp_path, "file", scenario=_CIRCLE, initial=from_file)
+            == _verify_artifacts(tmp_path, "inline", scenario=_CIRCLE, initial=inline))
+
+
+def test_table_read_through_path_builds_the_inline_table(tmp_path):
+    inline = _table()
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(inline["table"]))
+    from_path = {"kind": "custom_tabulated", "T": 1.0, "path": str(path)}
+    G, H = (eh.build_scenario(Scenario.from_dict(d)) for d in (from_path, inline))
+    for t in (0.0, 0.3, 1.0):
+        assert np.array_equal(eh.vertex_weights(G, t), eh.vertex_weights(H, t))
+        assert np.array_equal(eh.edge_conductances(G, t), eh.edge_conductances(H, t))
+    got = _verify_artifacts(tmp_path, "path", scenario=from_path)
+    want = _verify_artifacts(tmp_path, "inline", scenario=inline)
+    assert got.keys() == want.keys()
+    for name in got:  # the reports echo the scenario as given, path or table
+        if name in ("energy_report.json", "verify_report.json"):
+            got[name], want[name] = ({**json.loads(doc), "scenario": None}
+                                     for doc in (got[name], want[name]))
+        assert got[name] == want[name], name
 
 
 def test_oracle_failure_exits_three(tmp_path, capsys):

@@ -217,6 +217,7 @@ def test_integer_spelling_of_a_real_makes_the_same_data(as_int, as_float):
         ("product_torus", {"nx": 2}),
         ("oscillating_metric", {"amp": -1.5}),
         ("no_such_kind", {}),
+        ("custom_tabulated", {}),  # neither a path nor a table
     ],
 )
 def test_bad_scenarios_rejected(kind, params):
@@ -226,9 +227,9 @@ def test_bad_scenarios_rejected(kind, params):
 
 @pytest.mark.parametrize("growth, fragment", [
     (720.0, "^growth: e\\^\\(growth\\*T\\) overflows on \\[0, T=1.0\\], got 720.0$"),
-    (-720.0, "^conformal_circle: infinite weight or conductance at t=1$"),  # 1/a overflows
+    (-720.0, "^growth: 1/\\(dx\\*a\\) overflows on \\[0, T=1.0\\] with n=64, got -720.0$"),
 ])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # rejected before numpy divides by a
 def test_conformal_growth_that_overflows_is_rejected(growth, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         build("conformal_circle", n=64, growth=growth)
@@ -297,6 +298,15 @@ def test_tabulated_roundtrip_through_json():
         (lambda d: d["edges"].insert(1, [1, 0]), "edges: duplicate edge"),  # reverses (0, 1)
         (lambda d: d["edges"].__setitem__(1, [1, 1]), "edges: self loops are not allowed"),
         (lambda d: d.pop("times"), "times"),
+        (lambda d: d.__setitem__("n_vertices", 0), "^n_vertices: must be >= 1, got 0$"),
+        (lambda d: d.update(times=[0.0], weights=d["weights"][:1],
+                            conductances=d["conductances"][:1]),
+         "^times: need at least two time samples$"),
+        (lambda d: d["weights"].append([1.0, 1.0, 1.0]),
+         "^weights: expected shape \\(2, 3\\), got \\(3, 3\\)$"),
+        (lambda d: d.__setitem__("conductances", [row[:2] for row in d["conductances"]]),
+         "^conductances: expected shape \\(2, 3\\), got \\(2, 2\\)$"),
+        (lambda d: d["times"].__setitem__(1, 0.5), "not reached"),
     ],
 )
 def test_tabulated_rejects_malformed(mutate, fragment):
@@ -304,6 +314,12 @@ def test_tabulated_rejects_malformed(mutate, fragment):
     mutate(doc)
     with pytest.raises(ScenarioError, match=fragment):
         build("custom_tabulated", T=1.0, table=doc)
+
+
+def test_bump_profile_needs_coordinates():
+    G = build("custom_tabulated", T=1.0, table=_table_doc())
+    with pytest.raises(ValueError, match="^profile: bump needs vertex coordinates"):
+        eh.make_initial_data(G, {"profile": "bump"})
 
 
 def test_laplacian_modes_equal_the_dense_operator_basis():
@@ -328,6 +344,16 @@ def test_disconnected_graph_rejected():
         eh.TimeWeightedGraph.static(
             np.ones(4), np.array([[0, 1], [2, 3]]), np.ones(2), 1.0
         )
+
+
+@pytest.mark.parametrize("weights, edges, conductances, fragment", [
+    ([1.0, 0.0, 1.0], [[0, 1], [1, 2]], [1.0, 1.0], "^static: nonpositive vertex weight at t=0$"),
+    ([1.0, 1.0, 1.0], [[0, 1], [1, 2]], [1.0, -1.0], "^static: negative conductance at t=0$"),
+    ([1.0, 1.0, 1.0], [0, 1, 1, 2], [1.0, 1.0], "^edges: expected an \\(E, 2\\) array"),
+], ids=["weight", "conductance", "edges"])
+def test_bad_static_graph_rejected(weights, edges, conductances, fragment):
+    with pytest.raises(ScenarioError, match=fragment):
+        eh.TimeWeightedGraph.static(weights, edges, conductances)
 
 
 @pytest.mark.parametrize("edges", [[[1, 2], [2, 3]], [[0, 1], [1, 2]]])  # 0 or 3 alone
