@@ -9,9 +9,10 @@ attainment of the initial value.
 from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGraph,
                        build_scenario, dirichlet_energy, edge_conductances, vertex_weights)
 from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, half_edge_layout,
-                     rcm_ordering, solve_plan, spd_solve, stiffness_apply)
+                     rcm_ordering, solve_plan, spd_prepare, spd_solve, spd_solve_prepared,
+                     stiffness_apply)
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, operator_at, run_families, run_interpolated,
+from .scheme import (ChainFamily, operator_at, run_families, run_interpolated, run_sweep,
                      steps_within_horizon, truncate)
 from .verify import (AttainmentReport, ContractionReport, ConvergenceRow, EnergyReport,
                      ExtremumReport, OracleError, OracleResult, TestFunction, WeakResidualRow,

@@ -2,8 +2,9 @@
 
 One JSON config drives every subcommand; flags override single fields.  Exit
 codes: 0 all checks passed, 1 a check failed (reports are still written),
-2 config error, 3 solver or reference-flow (oracle) failure, 4 an artifact
-could not be written (``I/O error:``).  Identical configs
+2 config error, 3 solver or reference-flow (oracle) failure, a run whose
+right-hand sides overflow included, or out of memory, 4 an artifact could
+not be written (``I/O error:``).  Identical configs
 produce byte-identical artifacts: the solvers are deterministic and floats are
 written with shortest round-trip formatting.
 
@@ -33,7 +34,7 @@ from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, 
                        read_json, vertex_weights)
 from .linalg import SolverError
 from .profiles import make_initial_data
-from .scheme import ChainFamily, run_families, run_interpolated, truncate
+from .scheme import ChainFamily, run_families, run_interpolated, run_sweep, truncate
 from .verify import (TEST_FUNCTIONS, EnergyReport, ExtremumReport, OracleError,
                      contraction_report, default_test_catalog, degiorgi_family,
                      energy_estimate, extremum_check, fit_order, initial_attainment_check,
@@ -194,9 +195,8 @@ def cmd_l2_limit(cfg: RunConfig) -> tuple[bool, dict]:
     w0 = vertex_weights(G, 0.0)
     rows = []
     truncated = [truncate(u0, level) for level in cfg.truncation_levels]
-    for h in cfg.h_list:
-        chain_full, *chains_n = run_families(G, [u0, *truncated], h, cfg.m,
-                                             rel_tol=cfg.rel_tol)
+    for chain_full, *chains_n in run_sweep(G, [u0, *truncated], cfg.h_list, cfg.m,
+                                           rel_tol=cfg.rel_tol):
         diffs = [ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values,
                              chain_full.solve_error + chain_n.solve_error) for chain_n in chains_n]
         energies = energy_estimate(diffs, G, cfg.c0, cfg.slack)
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError:  # the run's arrays do not fit: a smaller m, h_list or graph may
+        print("solver failure: out of memory", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -7,18 +7,22 @@ so A applied to a constant vector returns M times it.
 Which solver runs is decided by the graph, never by the caller, and only here.
 ``solve_plan`` walks the edge set once: a breadth-first search gives the reverse
 Cuthill-McKee order (Cuthill & McKee 1969) and counts the components.  A graph
-caches the plan for all times, and ``spd_solve`` takes it with a round: T
-operators on that graph and k right-hand sides for each.  When the bandwidth b
-of A in that order is at most DIRECT_MAX_BANDWIDTH (cycles have b = 2, paths
-b = 1), the plan keeps the order; the band is cut into b x b blocks, which makes
-A block tridiagonal, and all T operators are factored together by block cyclic
-reduction (Heller 1976; stable for block diagonally dominant matrices such as
-M + h*S): each of the ceil(log2(n/b)) levels eliminates every other block with a
-few batched numpy calls, and every column of the round is then solved in one
-pass over the levels.  For wider graphs (a k x k torus has b ~ 2k) the plan
-holds the half-edge layout instead: a (K, n) neighbour table, K the least
-degree, plus a coordinate list for the rest (Bell & Garland's HYB layout).
-Each operator is assembled on it once for all its right-hand sides, so a CG
+caches the plan for all times.  Solving comes in two parts.  ``spd_prepare``
+takes a list of operators on the graph and does all the work that does not
+depend on the data; ``spd_solve_prepared`` then solves any contiguous slice of
+that list against a (T, k, n) array, k right-hand sides per operator, and may
+be called once per round of a run on one preparation.  ``spd_solve`` is the
+two in one call.  When the bandwidth b of A in the plan's order is at most
+DIRECT_MAX_BANDWIDTH (cycles have b = 2, paths b = 1), the plan keeps the
+order; the band is cut into b x b blocks, which makes A block tridiagonal, and
+preparing factors all the operators together by block cyclic reduction
+(Heller 1976; stable for block diagonally dominant matrices such as M + h*S):
+each of the ceil(log2(n/b)) levels eliminates every other block with a few
+batched numpy calls, and every column of a slice is then solved in one pass
+over the levels.  For wider graphs (a k x k torus has b ~ 2k) the plan holds
+the half-edge layout instead: a (K, n) neighbour table, K the least degree,
+plus a coordinate list for the rest (Bell & Garland's HYB layout).  Preparing
+assembles each operator on it once for all its right-hand sides, so a CG
 mat-vec is one gather, one product and one column sum.  CG is preconditioned
 by the inverse diagonal (Jacobi), except on a graph its builder declares to be
 the periodic nx x ny lattice: there the plan also records each edge's axis,
@@ -26,10 +30,14 @@ and the preconditioner is the inverse of mean(M) + h*(mean x conductance * L_x
 + mean y conductance * L_y), which the 2-d DFT diagonalises (circulant
 preconditioning, T. Chan 1988).  With weights and per-axis conductances
 uniform in space, as on ``product_torus``, it is the exact inverse of A.
+A prepared operator holds ``prepared_floats(plan)`` floats; callers that
+prepare ahead keep to PREPARE_BUDGET floats at once, and ``rounds_ahead``
+says how many rounds of operators fit (always at least one).
 Both solvers fix the order of every floating-point operation, so runs are
-bit-reproducible and a column solved alongside others is bitwise the column
-solved alone, and both keep one residual contract: the true residual
-||A x - b||_2 must reach rel_tol * ||b||_2 or SolverError is raised.
+bit-reproducible and a column solved alongside others, or on any slice of a
+preparation, is bitwise the column solved alone, and both keep one residual
+contract: the true residual ||A x - b||_2 must reach rel_tol * ||b||_2 or
+SolverError is raised.
 """
 
 from __future__ import annotations
@@ -42,7 +50,9 @@ import numpy as np
 
 __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Lattice",
            "StencilOperator", "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply",
-           "rcm_ordering", "half_edge_layout", "solve_plan", "spd_solve", "cg_solve"]
+           "PREPARE_BUDGET", "PreparedOperators", "rcm_ordering", "half_edge_layout",
+           "solve_plan", "prepared_floats", "rounds_ahead", "spd_prepare", "spd_solve_prepared",
+           "spd_solve", "cg_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
 # assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
@@ -57,10 +67,27 @@ __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Latti
 # on small graphs at every b, and the band wins from n ~ 1000 up to b = 8,
 # about ties at b = 10 and loses far beyond.  Lone solves no longer separate
 # b <= 5 from b = 8, so the table gives no reason to move the cutoff, which
-# stays at 5 until a graph with 5 < b <= 10 is measured end to end.  A round of
-# 4 operators x 3 columns, as ``run_families`` solves it, favours the band at
-# every b up to 10: 1.2 vs 5.2 ms at n=64, b = 2; 16 vs 109 ms at b = 10.
+# stays at 5 until a graph with 5 < b <= 10 is measured end to end.  Runs solve
+# rounds of 4 operators x 3 columns and factor as many rounds at once as
+# ``rounds_ahead`` allows, which spreads the per-level cost over the chunk.
+# Per round, factoring included, band (one round factored alone) vs Jacobi-CG,
+# best of 5, same VM: cycle n=64, 21 rounds a chunk, 0.29 (0.54) vs 3.4;
+# n=1024, 1 a chunk, 1.6 vs 89; 3 x 64 torus (b = 8), 1 a chunk, 2.4 vs 9.2;
+# 4 x 256 torus (b = 10), 1 a chunk, 8.7 to 9.3 vs 59.  Rounds favour the band
+# at every b up to 10.
 DIRECT_MAX_BANDWIDTH = 5
+
+# Floats of prepared operators a caller holds at once (512 KiB of float64), the
+# bound on how far ``rounds_ahead`` lets a run prepare ahead.  Peak RSS of one
+# in-process command of a perfbench config, one round per factorization ->
+# this budget -> twice it (2-CPU VM, Python 3.11, numpy 2.4):
+#   l2limit_cauchy64 (760 floats an operator, 8 factorizations for 600
+#     operators instead of 150)       38.6 -> 39.8 -> 40.9 MB
+#   converge_oracle128 (1528 floats)   39.7 -> 40.4 -> 41.8 MB
+#   verify_circle1024 (12280 floats, one round of 4 a chunk) 38.6 -> 38.8 -> 39.7 MB
+# and verify_torus48 (26544 floats) prepares one round at a time at either.
+# The l2-limit call took the same time at both budgets (median of 30).
+PREPARE_BUDGET = 1 << 16
 
 # Refinement sweeps the direct path may spend on a residual that misses rel_tol.
 _REFINEMENTS = 3
@@ -337,27 +364,29 @@ def _column_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(sq.reshape(sq.shape[:-2] + (-1,)), axis=-1))
 
 
-def _banded_solve(ops: Sequence[SpdOperator], rhs: np.ndarray, rel_tol: float,
-                  ordering: BandOrdering) -> np.ndarray:
-    """Solve ops[t] x = rhs[t, c] for each of T operators on one graph and k columns.
+def _take(factors, index):
+    """The ``_bcr_factor`` factors of the operators at ``index`` (a slice or indices)."""
+    levels, top = factors
+    return [tuple(a[:, :, index] for a in level) for level in levels], top[:, :, index]
 
-    The operators are assembled as block tridiagonal matrices on ``ordering``,
-    their graph's reverse Cuthill-McKee order, and factored together by block
-    cyclic reduction; every column is solved on its operator's factors
-    in one pass.  Each solution's true residual, computed on the assembled
-    blocks, is then held to ||A x - b||_2 <= rel_tol * ||b||_2; the columns
-    that miss are refined with the same factors up to _REFINEMENTS times
-    before SolverError is raised.  Every operation is elementwise in a fixed
-    order, and each norm is summed along its own column, so a column (and an
-    operator) solved alongside others is bitwise the one solved alone.
+
+def _banded_solve(D: np.ndarray, B: np.ndarray, factors, rhs: np.ndarray, rel_tol: float,
+                  ordering: BandOrdering) -> np.ndarray:
+    """Solve on T factored operators, blocks (D, B), for their (T, k, n) right-hand sides.
+
+    Every column is solved on its operator's factors in one pass.  Each
+    solution's true residual, computed on the assembled blocks, is then held to
+    ||A x - b||_2 <= rel_tol * ||b||_2; the columns that miss are refined with
+    the same factors up to _REFINEMENTS times before SolverError is raised.
+    Every operation is elementwise in a fixed order, and each norm is summed
+    along its own column, so a column (and an operator) solved alongside others
+    is bitwise the one solved alone.
     """
     T, k, n = rhs.shape
     s, padded = ordering.block_size, len(ordering.diag_index)
-    D, B = _band_blocks(ops, ordering)
     f = np.zeros((T, k, padded))
     f[..., :n] = rhs[..., ordering.perm]
     f = np.ascontiguousarray(f.reshape(T, k, padded // s, s).transpose(3, 0, 1, 2))
-    factors = _bcr_factor(D, B)
     x = _bcr_solve(factors, f)
     r = _block_residual(D, B, f, x)
     b_norm = _column_norms(f)
@@ -367,8 +396,7 @@ def _banded_solve(ops: Sequence[SpdOperator], rhs: np.ndarray, rel_tol: float,
         if not len(t):
             break
         # only the columns that miss, each on its own operator's factors
-        sub = ([tuple(a[:, :, t] for a in level) for level in factors[0]], factors[1][:, :, t])
-        x[:, t, c] += _bcr_solve(sub, r[:, t, c, None])[:, :, 0]
+        x[:, t, c] += _bcr_solve(_take(factors, t), r[:, t, c, None])[:, :, 0]
         r[:, t, c] = _block_residual(D[:, :, t], B[:, :, t], f[:, t, c, None],
                                      x[:, t, c, None])[:, :, 0]
         r_norm[t, c] = _column_norms(r[:, t, c])
@@ -568,30 +596,119 @@ def solve_plan(n: int, edges: np.ndarray,
     return SolvePlan(components, None, half_edge_layout(n, edges), grid)
 
 
+def prepared_floats(plan: SolvePlan) -> int:
+    """The floats one operator prepared on ``plan`` holds (see ``spd_prepare``).
+
+    On the band path: its blocks D and B, 2 s^2 per block of the band, the
+    Gauss-Jordan array of each reduction level, 4 s^2 per block that level
+    eliminates, and 2 s^2 for the block left at the top.  On the CG path: its
+    ``StencilOperator``, two (K, n) tables, three vertex vectors, one entry per
+    overflow half-edge and, on a lattice, the preconditioner's symbol.
+    """
+    if plan.ordering is not None:
+        s = plan.ordering.block_size
+        blocks = len(plan.ordering.diag_index) // s
+        floats = 2 * blocks + 2
+        while blocks > 1:
+            floats += 4 * (blocks // 2)
+            blocks = (blocks + 1) // 2
+        return floats * s * s
+    K, n = plan.layout.nbr.shape
+    symbol = 0 if plan.lattice is None else plan.lattice.eig_x.size * plan.lattice.eig_y.size
+    return (2 * K + 3) * n + len(plan.layout.over_rows) + symbol
+
+
+def rounds_ahead(sizes: Sequence[int], plan: SolvePlan) -> int:
+    """How many of the leading rounds, of sizes[i] operators each, to prepare at once.
+
+    As many as keep their ``prepared_floats`` within PREPARE_BUDGET, and at
+    least one.
+    """
+    per_operator = prepared_floats(plan)
+    used = count = 0
+    for size in sizes:
+        used += size * per_operator
+        if count and used > PREPARE_BUDGET:
+            break
+        count += 1
+    return count
+
+
+class PreparedOperators(NamedTuple):
+    """Operators on one graph made ready to solve, by ``spd_prepare``.
+
+    On the band path (``ordering`` set) D and B hold the operators' blocks and
+    ``factors`` their block cyclic reduction, operator t at index t of the
+    operator axis; on the CG path ``stencils`` holds one ``StencilOperator``
+    per operator.
+    """
+
+    ordering: Optional[BandOrdering]
+    count: int
+    n: int
+    D: Optional[np.ndarray] = None
+    B: Optional[np.ndarray] = None
+    factors: Optional[tuple] = None
+    stencils: Optional[list] = None
+
+
+def spd_prepare(ops: Sequence[SpdOperator], plan: SolvePlan) -> PreparedOperators:
+    """Prepare the operators ops, all on the graph of ``plan``, for ``spd_solve_prepared``.
+
+    Narrow bands assemble and factor all of them at once; wide ones assemble
+    each on the layout (and the plan's lattice).  The result holds
+    ``prepared_floats(plan)`` floats per operator.  Raises SolverError when a
+    factorization meets a pivot that is not positive.
+    """
+    if not ops:
+        raise ValueError("no operators to prepare")
+    if plan.ordering is not None:
+        D, B = _band_blocks(ops, plan.ordering)
+        return PreparedOperators(plan.ordering, len(ops), ops[0].n, D, B, _bcr_factor(D, B))
+    return PreparedOperators(None, len(ops), ops[0].n, stencils=[
+        StencilOperator(A, plan.layout, plan.lattice) for A in ops])
+
+
+def spd_solve_prepared(prepared: PreparedOperators, rhs, rel_tol: float,
+                       start: int = 0) -> np.ndarray:
+    """Solve prepared operators start, ..., start + T - 1 for (T, k, n) right-hand sides.
+
+    Row t of rhs holds the k columns of operator start + t; returns the
+    (T, k, n) solutions, each to ||A x - b||_2 <= rel_tol * ||b||_2 or
+    SolverError.  Factored operators solve every column in one pass (refining
+    the columns that miss); assembled ones run ``cg_solve`` per column.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if (rhs.ndim != 3 or rhs.shape[2] != prepared.n
+            or not 0 <= start < start + len(rhs) <= prepared.count):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected (T, k, {prepared.n}) "
+                         f"for operators from {start} of {prepared.count}")
+    span = slice(start, start + len(rhs))
+    if prepared.ordering is not None:
+        return _banded_solve(prepared.D[:, :, span], prepared.B[:, :, span],
+                             _take(prepared.factors, span), rhs, rel_tol, prepared.ordering)
+    out = np.empty_like(rhs)
+    for A, columns, xs in zip(prepared.stencils[span], rhs, out):
+        for b, x in zip(columns, xs):
+            x[:] = cg_solve(A, b, rel_tol=rel_tol)
+    return out
+
+
 def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float,
               plan: SolvePlan) -> np.ndarray:
     """Solve ops[t] x = rhs[t, c] to ||A x - b||_2 <= rel_tol * ||b||_2 for every column.
 
-    The single solve entry point, for a round of T operators on one graph and
-    a (T, k, n) array of right-hand sides; returns the (T, k, n) solutions.
-    ``plan`` is the graph's ``solve_plan`` (graphs cache theirs).  Narrow
-    bands factor all T operators at once and solve every column in one pass;
-    wide ones assemble each operator once on the layout (and the plan's
-    lattice) and run ``cg_solve`` per column.  Raises SolverError when a
-    residual target is missed.
+    For T operators on one graph and a (T, k, n) array of right-hand sides;
+    returns the (T, k, n) solutions.  ``plan`` is the graph's ``solve_plan``
+    (graphs cache theirs).  ``spd_prepare`` on all T operators, then
+    ``spd_solve_prepared`` on all of them; the caller keeps T within its
+    memory.  Raises SolverError when a residual target is missed.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({len(ops)}, k, "
                          f"{ops[0].n if ops else 'n'})")
-    if plan.ordering is not None:
-        return _banded_solve(ops, rhs, rel_tol, plan.ordering)
-    out = np.empty_like(rhs)
-    for A, columns, xs in zip(ops, rhs, out):
-        stencil = StencilOperator(A, plan.layout, plan.lattice)
-        for b, x in zip(columns, xs):
-            x[:] = cg_solve(stencil, b, rel_tol=rel_tol)
-    return out
+    return spd_solve_prepared(spd_prepare(ops, plan), rhs, rel_tol)
 
 
 def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:

@@ -22,9 +22,13 @@ energy bounds, which is the point of the comparison tooling in ``verify``.
 ``run_families`` steps several chain families from different initial values
 through the same operators, a round of m grid times at a time, building and
 factoring each operator once; every family comes out bitwise as if run alone.
-A family is one (N*m + 1, n) array whose row j is the sample at t = j*delta.
-The package steps only in such rounds: every solve is one ``spd_solve`` call
-with the graph's ``plan``, which alone decides the solver.  Each family also
+``run_sweep`` does the same for every step size of a list at once: its grids
+advance in lockstep, round r of every grid that has one solved in one call,
+and ``run_families`` is its one-grid case.  A family is one (N*m + 1, n)
+array whose row j is the sample at t = j*delta.  The package steps only in
+such rounds, with the graph's ``plan``, which alone decides the solver: whole
+rounds are prepared ahead (``spd_prepare``, as many as ``rounds_ahead``
+allows) and each round is one ``spd_solve_prepared`` call.  Each family also
 carries its solver-error certificate, built from the same right-hand sides and
 weights the round solved with (see ``ChainFamily.solve_error``).
 
@@ -41,13 +45,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import _TIME_FUZZ, TimeWeightedGraph, edge_conductances, vertex_weights
-from .linalg import SpdOperator, spd_solve
+from .linalg import SolverError, SpdOperator, rounds_ahead, spd_prepare, spd_solve_prepared
 
 __all__ = [
     "ChainFamily",
     "operator_at",
     "run_interpolated",
     "run_families",
+    "run_sweep",
     "steps_within_horizon",
     "truncate",
 ]
@@ -153,35 +158,82 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
                  on_row: Optional[Callable[[np.ndarray], None]] = None) -> list[ChainFamily]:
     """``run_interpolated`` from each initial value, sharing every operator.
 
-    Row j reads only row j - m, so the grid times run in rounds of m: each
-    round's m operators are assembled once and solved together for all
-    families; a family's samples are bitwise those of running it alone, and so
-    is its ``solve_error``: row j adds rel_tol * ||rhs_j||_2 / min(mass_j) to
-    row j - m's bound, from the right-hand side and weights it was solved with.
-    ``on_row``, when given, is called with each finished row of the first
-    family in grid order, row 0 (its initial value) first.
+    The one-grid ``run_sweep``: row j reads only row j - m, so the grid times
+    run in rounds of m, each round's m operators are assembled and factored
+    once and solved together for all families; a family's samples are bitwise
+    those of running it alone, and so is its ``solve_error``: row j adds
+    rel_tol * ||rhs_j||_2 / min(mass_j) to row j - m's bound, from the
+    right-hand side and weights it was solved with.  ``on_row``, when given, is
+    called with each finished row of the first family in grid order, row 0
+    (its initial value) first.
+    """
+    return run_sweep(G, initials, [h], m, rel_tol, on_row)[0]
+
+
+def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[float],
+              m: int = 4, rel_tol: float = 1e-10,
+              on_row: Optional[Callable[[np.ndarray], None]] = None) -> list[list[ChainFamily]]:
+    """``run_families`` for every step size in h_list, the grids stepped in lockstep.
+
+    Returns one list of families per entry of h_list.  Round r of the grid of
+    step h, N = ``steps_within_horizon(T, h)``, holds its rows r*m + 1 .. r*m + m;
+    round r of the sweep is round r of every grid with N > r, in h_list order,
+    solved in one ``spd_solve_prepared`` call.  Whole rounds are prepared
+    ahead in one ``spd_prepare`` call, as many as ``rounds_ahead`` allows.
+    Before a round is solved, every row's solver-error bound must be finite,
+    or SolverError names its grid time: a right-hand side whose norm
+    overflows cannot be certified.  Grids never read each other, so each
+    comes out bitwise as ``run_families`` on its h alone; ``on_row`` sees the
+    first family of the first grid.
     """
     initials = [_vertex_values(u0, G, "u0") for u0 in initials]
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    N = steps_within_horizon(G.horizon, h)
-    delta = h / m
-    values = np.empty((len(initials), N * m + 1, G.n_vertices))
-    values[:, 0] = initials
-    bound = np.zeros(values.shape[:2])
+    if not h_list:
+        raise ValueError("h_list must not be empty")
+    hs = [float(h) for h in h_list]
+    Ns = [steps_within_horizon(G.horizon, h) for h in hs]
+    values = [np.empty((len(initials), N * m + 1, G.n_vertices)) for N in Ns]
+    bounds = [np.zeros(v.shape[:2]) for v in values]
+    for v in values:
+        v[:, 0] = initials
     if on_row is not None:
-        on_row(values[0, 0])
-    for start in range(1, N * m + 1, m):
-        rows = list(range(start, start + m))
-        prevs = [max(j - m, 0) for j in rows]
-        ops = [operator_at(G, j * delta, h) for j in rows]
-        mass = np.array([A.mass for A in ops])
-        rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
-        bound[:, rows] = (bound[:, prevs]
-                          + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
-        values[:, rows] = spd_solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
-        if on_row is not None:
-            for j in rows:
-                on_row(values[0, j])
-    return [ChainFamily(h=float(h), m=int(m), values=run, solve_error=err)
-            for run, err in zip(values, bound)]
+        on_row(values[0][0, 0])
+    # the grids round r steps, and the operators it solves
+    active = [[k for k, N in enumerate(Ns) if N > r] for r in range(max(Ns))]
+    sizes = [m * len(grids) for grids in active]
+    r = 0
+    while r < len(active):
+        chunk = range(r, r + rounds_ahead(sizes[r:], G.plan))
+        ops = [operator_at(G, j * (hs[k] / m), hs[k])
+               for q in chunk for k in active[q] for j in range(q * m + 1, q * m + m + 1)]
+        prepared = spd_prepare(ops, G.plan)
+        start = 0
+        for q in chunk:
+            rows = list(range(q * m + 1, q * m + m + 1))
+            prevs = [max(j - m, 0) for j in rows]
+            mass = np.array([A.mass for A in ops[start:start + sizes[q]]])
+            rhs = np.empty((sizes[q], len(initials), G.n_vertices))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, k in enumerate(active[q]):
+                    part = slice(i * m, i * m + m)
+                    rhs[part] = mass[part, None, :] * values[k][:, prevs].swapaxes(0, 1)
+                    bound = (bounds[k][:, prevs] + rel_tol * np.linalg.norm(rhs[part], axis=2).T
+                             / mass[part].min(axis=1))
+                    if not np.isfinite(bound).all():
+                        j = rows[np.flatnonzero(~np.isfinite(bound).all(axis=0))[0]]
+                        raise SolverError(
+                            f"the right-hand side at t = {j * (hs[k] / m):.6g} (h = {hs[k]:g}) "
+                            "is too large: its norm or solver-error bound is not finite",
+                            float("nan"))
+                    bounds[k][:, rows] = bound
+            x = spd_solve_prepared(prepared, rhs, rel_tol, start)
+            for i, k in enumerate(active[q]):
+                values[k][:, rows] = x[i * m:i * m + m].swapaxes(0, 1)
+            if on_row is not None and active[q][0] == 0:
+                for j in rows:
+                    on_row(values[0][0, j])
+            start += sizes[q]
+        r = chunk.stop
+    return [[ChainFamily(h=h, m=int(m), values=run, solve_error=err)
+             for run, err in zip(v, b)] for h, v, b in zip(hs, values, bounds)]

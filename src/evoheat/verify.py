@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import (_TIME_FUZZ, TimeWeightedGraph, _dirichlet_form, dirichlet_energy,
                        edge_conductances, vertex_weights)
-from .linalg import half_edge_layout, spd_solve
+from .linalg import half_edge_layout, rounds_ahead, spd_solve
 from .profiles import make_initial_data
 from .scheme import (ChainFamily, _vertex_values, operator_at, run_interpolated,
                      steps_within_horizon)
@@ -598,7 +598,9 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     At t = (k-1)*h + s, s in (0, h], it solves (M_t + s S_t) u = M_t u_{k-1}:
     s -> 0 returns u_{k-1} and s = h reproduces u_k's defining system, but never
     the shifted chains' intermediate samples, whose proximal weight stays 1/h.
-    The m grid times of each step interval are solved as one round.
+    No solve reads another, so the m grid times of each step interval form a
+    round, and the rounds go to ``spd_solve`` as many at a time as
+    ``rounds_ahead`` allows.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -607,9 +609,12 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
         raise ValueError("seq must contain the initial value and at least one step")
     delta = h / m
     out = np.empty((N * m, G.n_vertices))
-    for k in range(1, N + 1):
-        times = [j * delta for j in range((k - 1) * m + 1, k * m + 1)]
-        ops = [operator_at(G, t, t - (k - 1) * h) for t in times]
-        rhs = np.array([A.mass * seq[k - 1] for A in ops])[:, None]
-        out[(k - 1) * m:k * m] = spd_solve(ops, rhs, rel_tol, G.plan)[:, 0]
+    first = 0  # the step intervals solved in one call: first, ..., stop - 1
+    while first < N:
+        stop = first + rounds_ahead([m] * (N - first), G.plan)
+        rows = range(first * m, stop * m)  # row i: t = (i + 1)*delta in interval i // m
+        ops = [operator_at(G, (i + 1) * delta, (i + 1) * delta - (i // m) * h) for i in rows]
+        rhs = np.array([A.mass * seq[i // m] for i, A in zip(rows, ops)])[:, None]
+        out[rows.start:rows.stop] = spd_solve(ops, rhs, rel_tol, G.plan)[:, 0]
+        first = stop
     return out

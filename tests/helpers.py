@@ -93,3 +93,42 @@ def growth_reference(G, time_grid):
         rate = np.maximum(rate, ((cur - prev) / gap).max())
         prev = cur
     return max(0.0, float(rate))
+
+
+def star_ring_graph(leaves=16, seed=16, T=1.0):
+    """A hub joined to ``leaves`` leaves, the leaves joined in a ring, with tabulated
+    weights and conductances: a wide band, so CG takes it, and the hub's half-edges
+    past the least degree (3) overflow the neighbour table."""
+    rng = np.random.default_rng(seed)
+    edges = ([[0, i] for i in range(1, leaves + 1)]
+             + [sorted([i, i % leaves + 1]) for i in range(1, leaves + 1)])
+    times = [0.0, 0.5 * T, T]
+    table = {"n_vertices": leaves + 1, "edges": edges, "times": times,
+             "weights": rng.uniform(0.5, 2.0, (len(times), leaves + 1)).tolist(),
+             "conductances": rng.uniform(0.1, 2.0, (len(times), len(edges))).tolist()}
+    return build("custom_tabulated", T=T, table=table)
+
+
+def per_round_families(G, initials, h, m, rel_tol):
+    """The families ``run_families`` steps, one round of m grid times per ``spd_solve``.
+
+    The loop the package stepped with before rounds were prepared ahead and
+    grids stepped in lockstep: each round assembles its m operators, factors
+    and solves them in one call.  Returns (values, solve_error), one row per
+    initial value, which a sweep must reproduce bitwise.
+    """
+    N = eh.steps_within_horizon(G.horizon, h)
+    delta = h / m
+    values = np.empty((len(initials), N * m + 1, G.n_vertices))
+    values[:, 0] = initials
+    bound = np.zeros(values.shape[:2])
+    for start in range(1, N * m + 1, m):
+        rows = list(range(start, start + m))
+        prevs = [max(j - m, 0) for j in rows]
+        ops = [eh.operator_at(G, j * delta, h) for j in rows]
+        mass = np.array([A.mass for A in ops])
+        rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
+        bound[:, rows] = (bound[:, prevs]
+                          + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
+        values[:, rows] = eh.spd_solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
+    return values, bound

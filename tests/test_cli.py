@@ -789,6 +789,34 @@ def _python(code, **kwargs):
                           text=True, timeout=60, **kwargs)
 
 
+@pytest.mark.parametrize("command", ["verify", "run", "l2-limit"])
+def test_overflowing_data_is_a_solver_failure(tmp_path, command):
+    # right-hand sides near 1e300 square past the largest double, so no solve
+    # can be certified: exit 3, one line, no numpy warning and no traceback
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"scenario": {"kind": "conformal_circle", "n": 64},
+                               "initial": {"profile": "random", "scale": 1e300}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    done = _python(f"import sys, evoheat.cli; sys.exit(evoheat.cli.main({argv!r}))")
+    assert done.returncode == 3
+    assert done.stderr.startswith("solver failure: ") and done.stderr.count("\n") == 1
+    assert "t = 0.025 (h = 0.1)" in done.stderr
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, capsys):
+    def allocate(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_families", allocate)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--m", "100000000", "--out", out]) == 3
+    assert capsys.readouterr().err == "solver failure: out of memory\n"
+    assert not os.path.exists(out)
+
+
 def test_cli_imports_numpy_only():
     code = "import sys, evoheat.cli; print('scipy' in sys.modules)"
     done = _python(code, check=True)

@@ -179,7 +179,7 @@ def test_banded_matches_dense_on_cycles_and_paths(seed, n, closed, offsets):
     ordering = eh.linalg._band_ordering(A.edges, perm, bandwidth)
     b = np.random.default_rng(seed + 4).standard_normal(n)
     # the band solver itself, also on orders wider than the direct path takes
-    [[x]] = eh.linalg._banded_solve([A], b[None, None], 1e-13, ordering)
+    [[x]] = eh.spd_solve([A], b[None, None], 1e-13, eh.linalg.SolvePlan(1, ordering, None))
     y = dense_solve(A, b)
     assert_allclose(x, y, rtol=0, atol=1e-12 * (np.abs(y).max() + 1.0))
 
@@ -214,6 +214,17 @@ def test_operators_and_columns_solved_together_match_each_alone(monkeypatch):
             assert np.array_equal(together[t, c], alone)
             refined.append(len(passes) > 1)
     assert any(refined) and not all(refined)
+    # every contiguous slice of one preparation, refinements included, solves
+    # as the operators did together
+    prepared = eh.spd_prepare(ops, plan)
+    for start, stop in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]:
+        passes.clear()
+        part = eh.spd_solve_prepared(prepared, rhs[start:stop], 1.6e-13, start)
+        assert np.array_equal(part, together[start:stop])
+        # a slice refines when one of its operators' columns refined alone
+        assert (len(passes) > 1) == any(refined[start * rhs.shape[1]:stop * rhs.shape[1]])
+    with pytest.raises(ValueError, match="rhs has shape"):
+        eh.spd_solve_prepared(prepared, rhs[1:], 1.6e-13, 2)  # runs past the last operator
 
 
 def test_direct_path_rejects_an_operator_that_is_not_positive_definite():
@@ -371,6 +382,54 @@ def test_torus_layout_has_no_overflow():
     layout = torus.plan.layout
     assert layout.nbr.shape == (4, 64) and len(layout.over_rows) == 0
     assert torus.plan.layout is layout  # built once per graph
+
+
+def _held_floats(prepared):
+    """The floats of the distinct arrays a ``PreparedOperators`` keeps alive."""
+    owners = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            if x.dtype == np.float64:
+                owner = x if x.base is None else x.base
+                owners[id(owner)] = owner.size
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                walk(y)
+        elif isinstance(x, eh.StencilOperator):
+            walk([getattr(x, name) for name in x.__slots__])
+
+    walk(tuple(prepared))
+    return sum(owners.values())
+
+
+@pytest.mark.parametrize("graph", ["cycle", "ring-grid", "path", "lattice", "star"])
+def test_prepared_floats_counts_what_a_preparation_holds(graph):
+    if graph == "lattice":
+        G = build("product_torus", nx=6, ny=5)
+        ops = [eh.operator_at(G, t, 0.1) for t in (0.1, 0.2, 0.3)]
+        plan = G.plan
+    else:
+        A = {"cycle": lambda: _ring_operator(1, 37, True),
+             "ring-grid": lambda: _ring_operator(2, 23, True, (1, 2)),
+             "path": lambda: _ring_operator(3, 9, False),
+             "star": lambda: _star_ring_operator(4)}[graph]()
+        ops = [A, A]
+        plan = eh.solve_plan(A.n, A.edges)
+    assert (plan.ordering is None) == (graph in ("lattice", "star"))
+    prepared = eh.spd_prepare(ops, plan)
+    assert prepared.count == len(ops)
+    assert _held_floats(prepared) == len(ops) * eh.linalg.prepared_floats(plan)
+
+
+def test_rounds_ahead_keeps_to_the_budget(monkeypatch):
+    plan = build("conformal_circle", n=64).plan
+    per_op = eh.linalg.prepared_floats(plan)
+    monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", 10 * per_op)
+    assert eh.linalg.rounds_ahead([4, 4, 4, 4], plan) == 2
+    assert eh.linalg.rounds_ahead([4, 3, 3, 1], plan) == 3
+    assert eh.linalg.rounds_ahead([12, 4], plan) == 1  # at least one round
+    assert eh.linalg.rounds_ahead([2], plan) == 1
 
 
 def test_spd_solve_assembles_once_per_operator(monkeypatch):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import evoheat as eh
 import evoheat.scheme as scheme
 
-from helpers import build, exact_solves, lone_step
+from helpers import build, exact_solves, lone_step, per_round_families, star_ring_graph
 
 # Single-edge graph, unit weights and conductance, h = 1.  The step system is
 # [[2, -1], [-1, 2]] u = u_prev, worked out by hand:
@@ -252,3 +252,95 @@ def test_families_stepped_together_match_each_run_alone(G):
         assert np.array_equal(family.times(), alone.times())
         for got, want in zip(family.values, alone.values):
             assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the sweep: rounds prepared ahead, grids in lockstep
+# ---------------------------------------------------------------------------
+
+# a repeated h, and one (0.03) that does not divide T = 1 (33 steps reach 0.99)
+SWEEP_H = [0.1, 0.05, 0.1, 0.03]
+SWEEP_GRAPHS = {"direct": MOVING, "lattice-cg": build("product_torus", nx=8, ny=8),
+                "star-cg": star_ring_graph()}
+
+
+def _round_floats(G, rounds, m=3):
+    """The prepared floats of the first ``rounds`` rounds of a SWEEP_H sweep."""
+    return rounds * len(SWEEP_H) * m * eh.linalg.prepared_floats(G.plan)
+
+
+@pytest.mark.parametrize("budget_rounds", [None, 0, 3])
+@pytest.mark.parametrize("name", list(SWEEP_GRAPHS))
+def test_sweep_matches_the_per_round_loop_bitwise(name, budget_rounds, monkeypatch):
+    # None keeps PREPARE_BUDGET, which holds many rounds of these small graphs;
+    # 0 prepares one round at a time, 3 three rounds
+    G = SWEEP_GRAPHS[name]
+    assert (G.plan.ordering is not None) == (name == "direct")
+    assert (G.plan.lattice is not None) == (name == "lattice-cg")
+    assert (G.plan.layout is not None and len(G.plan.layout.over_rows) > 0) == (name == "star-cg")
+    if budget_rounds is not None:
+        monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", _round_floats(G, budget_rounds))
+    rng = np.random.default_rng(21)
+    initials = [rng.standard_normal(G.n_vertices) for _ in range(2)]
+    sweep = eh.run_sweep(G, initials, SWEEP_H, m=3, rel_tol=1e-10)
+    assert [len(families) for families in sweep] == [2] * len(SWEEP_H)
+    for h, families in zip(SWEEP_H, sweep):
+        values, bound = per_round_families(G, initials, h, 3, 1e-10)
+        for family, want, want_bound in zip(families, values, bound):
+            assert family.h == h and family.m == 3
+            assert np.array_equal(family.values, want)
+            assert np.array_equal(family.solve_error, want_bound)
+
+
+@pytest.mark.parametrize("budget_rounds", [None, 0, 3])
+def test_sweep_chunks_stay_within_the_budget(budget_rounds, monkeypatch):
+    G = MOVING
+    if budget_rounds is not None:
+        monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", _round_floats(G, budget_rounds))
+    budget = eh.linalg.PREPARE_BUDGET
+    prepared, solves = [], []
+    real_prepare, real_solve = scheme.spd_prepare, scheme.spd_solve_prepared
+
+    def preparing(ops, plan):
+        prepared.append(real_prepare(ops, plan))
+        return prepared[-1]
+
+    def solving(chunk, rhs, rel_tol, start=0):
+        assert chunk is prepared[-1]  # a chunk is solved before the next is prepared
+        solves.append((len(prepared) - 1, start, len(rhs)))
+        return real_solve(chunk, rhs, rel_tol, start)
+
+    monkeypatch.setattr(scheme, "spd_prepare", preparing)
+    monkeypatch.setattr(scheme, "spd_solve_prepared", solving)
+    eh.run_sweep(G, [np.ones(G.n_vertices)], SWEEP_H, m=3)
+    assert len(solves) == 33  # one per round: h = 0.03 takes 33 steps
+    for i, chunk in enumerate(prepared):
+        rounds = [(start, T) for c, start, T in solves if c == i]
+        # the rounds of a chunk solve it once, in order, operator by operator
+        done = 0
+        for start, T in rounds:
+            assert start == done
+            done += T
+        assert done == chunk.count
+        floats = chunk.count * eh.linalg.prepared_floats(G.plan)
+        assert floats <= budget or len(rounds) == 1
+    if budget_rounds == 0:
+        assert len(prepared) == len(solves)
+    elif budget_rounds == 3:
+        assert 1 < len(prepared) < len(solves)
+
+
+def test_sweep_builds_each_rows_operator_once(monkeypatch):
+    monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", _round_floats(MOVING, 3))
+    calls = []
+    real = scheme.operator_at
+
+    def counting(G, t, h):
+        calls.append((t, h))
+        return real(G, t, h)
+
+    monkeypatch.setattr(scheme, "operator_at", counting)
+    eh.run_sweep(MOVING, [np.ones(MOVING.n_vertices)], SWEEP_H, m=3)
+    want = [(j * (h / 3), h) for h in SWEEP_H
+            for j in range(1, 3 * eh.steps_within_horizon(MOVING.horizon, h) + 1)]
+    assert sorted(calls) == sorted(want)
