@@ -9,12 +9,10 @@ produce byte-identical artifacts: the solvers are deterministic and floats are
 written with shortest round-trip formatting.
 
 Each ``cmd_*`` returns its verdict and its documents, and ``main`` alone writes
-them, after the checks: run_config.json first, then each document, every file
-moved into place whole with the mode ``open`` would give it.  ``run`` and
-``verify`` publish samples.csv, the largest artifact, themselves, just before
-they return: a writer process forked before the run formats it
-(``artifacts.SamplesWriter``); a failed writer exits 4, and samples.csv is
-never partial.
+them, after the checks, in one order for every command: run_config.json first,
+then each document, every file formatted in-process and moved into place whole
+with the mode ``open`` would give it.  A write that fails exits 4 and leaves
+the files written before it, but never a partial file.
 
 The config keys are the fields of ``RunConfig``, all optional, with its
 defaults; ``_KEYS`` says what each accepts.  ``scenario`` may also name a JSON
@@ -29,9 +27,9 @@ import sys
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from .artifacts import SamplesWriter, write_csv, write_json
-from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, check_type,
-                       read_json, vertex_weights)
+from .artifacts import write_csv, write_json, write_samples
+from .geometry import (JSON_TYPES, Scenario, build_scenario, check_type, read_json,
+                       vertex_weights)
 from .linalg import SolverError
 from .profiles import make_initial_data
 from .scheme import ChainFamily, run_families, run_interpolated, run_sweep, truncate
@@ -124,18 +122,15 @@ def _prepare(cfg: RunConfig):
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (passed, documents), documents mapping an artifact
-# name to a JSON object or to a CSV (header, rows)
+# name to a JSON object, a CSV (header, rows) or, for samples.csv, a ChainFamily
 # ---------------------------------------------------------------------------
-
-def _samples_writer(cfg: RunConfig, G: TimeWeightedGraph) -> SamplesWriter:
-    """The run's samples.csv writer; start it before the run (see SamplesWriter)."""
-    return SamplesWriter(os.path.join(cfg.out, "samples.csv"), G.n_vertices, cfg.h / cfg.m)
-
 
 def _run_documents(spec: Scenario, chain: ChainFamily, energy: EnergyReport,
                    extremum: ExtremumReport) -> dict:
-    """energy_report.json and extremum_report.json, which run and verify share."""
-    return {"energy_report.json": {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
+    """samples.csv, energy_report.json and extremum_report.json, which run and
+    verify share."""
+    return {"samples.csv": chain,
+            "energy_report.json": {"scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
                                    "horizon": chain.horizon, **report_json(energy)},
             "extremum_report.json": report_json(extremum)}
 
@@ -143,12 +138,9 @@ def _run_documents(spec: Scenario, chain: ChainFamily, energy: EnergyReport,
 def cmd_run(cfg: RunConfig) -> tuple[bool, dict]:
     """Run the scheme; write samples.csv, energy_report.json and extremum_report.json."""
     spec, G, u0 = _prepare(cfg)
-    with _samples_writer(cfg, G) as samples:
-        [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol,
-                               on_row=samples.on_row)
-        [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
-        extremum = extremum_check(chain)
-        samples.publish(chain)
+    [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol)
+    [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
+    extremum = extremum_check(chain)
     return energy.passed and extremum.passed, _run_documents(spec, chain, energy, extremum)
 
 
@@ -218,16 +210,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[bool, dict]:
     # the contraction check's chains from v0 and u0 - v0 share the run's operators
     v0 = make_initial_data(G, {"profile": "random", "seed": cfg.seed + 1})
     d0 = u0 - v0
-    with _samples_writer(cfg, G) as samples:
-        chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m,
-                                               rel_tol=cfg.rel_tol, on_row=samples.on_row)
-        energy, energy_d = energy_estimate([chain, chain_d], G, cfg.c0, cfg.slack)
-        extremum = extremum_check(chain)
-        contraction = contraction_report(G, chain, chain_v, chain_d, energy_d)
-        catalog = [fn for fn in default_test_catalog(G, chain.horizon) if fn.name in names]
-        weak_rows = weak_residual(chain, G, catalog)
-        attainment = initial_attainment_check(chain, G, chain.h, cfg.slack)
-        samples.publish(chain)
+    chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m, rel_tol=cfg.rel_tol)
+    energy, energy_d = energy_estimate([chain, chain_d], G, cfg.c0, cfg.slack)
+    extremum = extremum_check(chain)
+    contraction = contraction_report(G, chain, chain_v, chain_d, energy_d)
+    catalog = [fn for fn in default_test_catalog(G, chain.horizon) if fn.name in names]
+    weak_rows = weak_residual(chain, G, catalog)
+    attainment = initial_attainment_check(chain, G, chain.h, cfg.slack)
     passed = bool(energy.passed and extremum.passed and contraction.passed and attainment.passed)
     return passed, {**_run_documents(spec, chain, energy, extremum), "verify_report.json": {
         "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,
@@ -300,10 +289,13 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         passed, documents = _COMMANDS[args.command][0](cfg)
         for name, doc in {"run_config.json": asdict(cfg), **documents}.items():
-            if name.endswith(".csv"):
-                write_csv(os.path.join(cfg.out, name), *doc)
+            path = os.path.join(cfg.out, name)
+            if isinstance(doc, ChainFamily):
+                write_samples(path, doc)
+            elif isinstance(doc, tuple):
+                write_csv(path, *doc)
             else:
-                write_json(os.path.join(cfg.out, name), doc)
+                write_json(path, doc)
         return EXIT_OK if passed else EXIT_CHECK_FAILED
     except OracleError as exc:  # a ValueError, but no config error
         print(f"oracle failure: {exc}", file=sys.stderr)

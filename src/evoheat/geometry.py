@@ -60,6 +60,8 @@ def read_json(key: str, path: str):
             return json.load(f)
     except FileNotFoundError as exc:
         raise ScenarioError(f"{key}: no such file {path!r}") from exc
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ScenarioError(f"{key}: cannot read {path!r} ({exc.strerror})") from exc
     except ValueError as exc:  # a json.JSONDecodeError, or bytes that are no UTF-8 text
         raise ScenarioError(f"{key}: {path!r} is not valid JSON ({exc})") from exc
 

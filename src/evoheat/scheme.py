@@ -40,7 +40,6 @@ time of each family row, and with m = 1 row k is u_k at t = k*h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -154,8 +153,7 @@ def run_interpolated(G: TimeWeightedGraph, u0: np.ndarray, h: float,
 
 
 def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
-                 m: int = 4, rel_tol: float = 1e-10,
-                 on_row: Optional[Callable[[np.ndarray], None]] = None) -> list[ChainFamily]:
+                 m: int = 4, rel_tol: float = 1e-10) -> list[ChainFamily]:
     """``run_interpolated`` from each initial value, sharing every operator.
 
     The one-grid ``run_sweep``: row j reads only row j - m, so the grid times
@@ -163,16 +161,13 @@ def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
     once and solved together for all families; a family's samples are bitwise
     those of running it alone, and so is its ``solve_error``: row j adds
     rel_tol * ||rhs_j||_2 / min(mass_j) to row j - m's bound, from the
-    right-hand side and weights it was solved with.  ``on_row``, when given, is
-    called with each finished row of the first family in grid order, row 0
-    (its initial value) first.
+    right-hand side and weights it was solved with.
     """
-    return run_sweep(G, initials, [h], m, rel_tol, on_row)[0]
+    return run_sweep(G, initials, [h], m, rel_tol)[0]
 
 
 def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[float],
-              m: int = 4, rel_tol: float = 1e-10,
-              on_row: Optional[Callable[[np.ndarray], None]] = None) -> list[list[ChainFamily]]:
+              m: int = 4, rel_tol: float = 1e-10) -> list[list[ChainFamily]]:
     """``run_families`` for every step size in h_list, the grids stepped in lockstep.
 
     Returns one list of families per entry of h_list.  Round r of the grid of
@@ -183,8 +178,7 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     Before a round is solved, every row's solver-error bound must be finite,
     or SolverError names its grid time: a right-hand side whose norm
     overflows cannot be certified.  Grids never read each other, so each
-    comes out bitwise as ``run_families`` on its h alone; ``on_row`` sees the
-    first family of the first grid.
+    comes out bitwise as ``run_families`` on its h alone.
     """
     initials = [_vertex_values(u0, G, "u0") for u0 in initials]
     if m < 1:
@@ -197,8 +191,6 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     bounds = [np.zeros(v.shape[:2]) for v in values]
     for v in values:
         v[:, 0] = initials
-    if on_row is not None:
-        on_row(values[0][0, 0])
     # the grids round r steps, and the operators it solves
     active = [[k for k, N in enumerate(Ns) if N > r] for r in range(max(Ns))]
     sizes = [m * len(grids) for grids in active]
@@ -230,9 +222,6 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
             x = spd_solve_prepared(prepared, rhs, rel_tol, start)
             for i, k in enumerate(active[q]):
                 values[k][:, rows] = x[i * m:i * m + m].swapaxes(0, 1)
-            if on_row is not None and active[q][0] == 0:
-                for j in rows:
-                    on_row(values[0][0, j])
             start += sizes[q]
         r = chunk.stop
     return [[ChainFamily(h=h, m=int(m), values=run, solve_error=err)

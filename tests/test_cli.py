@@ -40,6 +40,10 @@ def _read_json(outdir, name):
         return json.load(f)
 
 
+def _read_all(outdir):
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
 def test_run_writes_artifacts_and_exits_zero(tmp_path):
     cfg = _write_config(tmp_path)
     out = str(tmp_path / "out")
@@ -232,10 +236,14 @@ def test_mistyped_scenario_or_profile_value_is_a_config_error(tmp_path, monkeypa
     assert not os.path.exists(tmp_path / "out")
 
 
+_DIRECTORY = object()  # an input path that names a directory: no chmod, which root ignores
+
+
 @pytest.mark.parametrize("contents, message", [(b"{not json", "{path!r} is not valid JSON ("),
                                                (b"\xd0\x00", "{path!r} is not valid JSON ("),
-                                               (None, "no such file {path!r}")],
-                         ids=["invalid", "not_utf8", "missing"])
+                                               (None, "no such file {path!r}"),
+                                               (_DIRECTORY, "cannot read {path!r} (Is a directory)")],
+                         ids=["invalid", "not_utf8", "missing", "directory"])
 @pytest.mark.parametrize("key, section", [
     ("config", None),
     ("scenario", lambda path: {"scenario": path}),
@@ -246,7 +254,9 @@ def test_unreadable_input_file_names_its_key_and_path(tmp_path, monkeypatch, cap
                                                       contents, message, key, section):
     # every input file is read by one reader, which names the key and the path
     bad = tmp_path / "input.json"
-    if contents is not None:
+    if contents is _DIRECTORY:
+        bad.mkdir()
+    elif contents is not None:
         bad.write_bytes(contents)
     cfg = str(bad) if section is None else _write_config(tmp_path, **section(str(bad)))
     monkeypatch.chdir(tmp_path)
@@ -528,14 +538,15 @@ def test_main_writes_run_config_first_and_only_after_the_command(tmp_path, monke
     monkeypatch.setitem(cli._COMMANDS, name, (finished, keys))
     monkeypatch.setattr(cli, "write_json", spy(cli.write_json))
     monkeypatch.setattr(cli, "write_csv", spy(cli.write_csv))
+    monkeypatch.setattr(cli, "write_samples", spy(cli.write_samples))
     cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 8, "T": 1.0},
                         initial={"profile": "harmonic", "k": 1}, m=1,
                         h_list=[0.2, 0.1, 0.05], truncation_levels=[0.5], oracle_steps=512)
     out = tmp_path / "out"
     assert main([name, "--config", cfg, "--out", str(out)]) == 0
-    assert written[0] == ("run_config.json", True)
+    assert written[0] == ("run_config.json", True)  # samples.csv too comes after it
     assert all(after for _, after in written)
-    assert {n for n, _ in written} == {"run_config.json", *_ARTIFACTS[name]} - {"samples.csv"}
+    assert sorted(n for n, _ in written) == sorted({"run_config.json", *_ARTIFACTS[name]})
     assert set(os.listdir(out)) == {"run_config.json", *_ARTIFACTS[name]}
 
 
@@ -835,66 +846,30 @@ def test_circle_verify_never_loads_numpy_fft(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# samples.csv writer: streamed through a forked child or formatted in-process
+# samples.csv and failed writes
 # ---------------------------------------------------------------------------
-
-def _stream(monkeypatch, on):
-    if on and not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    monkeypatch.setattr(artifacts, "_can_stream", lambda: on)
-
 
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _read_all(outdir):
-    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
-
-
-def test_streamed_samples_equal_in_process_on_extreme_floats(tmp_path, monkeypatch):
+def test_samples_csv_keeps_extreme_floats_and_grid_times(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((61, 6))
     values[1] = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0]
     chain = ChainFamily(h=0.1, m=3, values=values, solve_error=np.zeros(61))  # delta = 0.1/3
-    written = {}
-    for on in (True, False):
-        _stream(monkeypatch, on)
-        path = tmp_path / str(on) / "samples.csv"
-        with artifacts.SamplesWriter(str(path), 6, chain.delta) as samples:
-            assert (samples.on_row is not None) == on
-            for row in chain.values if on else ():
-                samples.on_row(row)
-            samples.publish(chain)
-        written[on] = path.read_bytes()
-    _no_child_left()
-    assert written[True] == written[False]
-    lines = written[True].decode().splitlines()
+    path = tmp_path / "out" / "samples.csv"
+    artifacts.write_samples(str(path), chain)
+    lines = path.read_text().splitlines()
     assert lines[0] == "t,vertex,value"
     assert [line.split(",")[2] for line in lines[7:13]] == [
         "-0.0", "5e-324", "1e+308", "0.3333333333333333", "2.0", "-7.0"]
     assert [float(line.split(",")[0]) for line in lines[1::6]] == chain.times().tolist()
+    assert [float(line.split(",")[2]) for line in lines[1:]] == values.ravel().tolist()
 
 
-def test_streamed_torus_run_equals_in_process(tmp_path, monkeypatch):
-    scenario = {"kind": "product_torus", "nx": 8, "ny": 8, "T": 1.0}
-    assert eh.build_scenario(Scenario.from_dict(scenario)).plan.ordering is None  # CG
-    cfg = _write_config(tmp_path, scenario=scenario, initial={"profile": "random"},
-                        h=0.1, m=4)
-    out = tmp_path / "out"  # one directory: run_config.json echoes it
-    written = {}
-    for on in (True, False):
-        _stream(monkeypatch, on)
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        written[on] = _read_all(out)
-    assert written[True] == written[False]
-    assert len(written[True]) == 4
-
-
-@pytest.mark.parametrize("streamed", [True, False])
-def test_artifacts_are_readable_under_umask_022(tmp_path, monkeypatch, streamed):
-    _stream(monkeypatch, streamed)
+def test_artifacts_are_readable_under_umask_022(tmp_path):
     cfg = _write_config(tmp_path)
     old = os.umask(0o022)
     try:
@@ -911,59 +886,39 @@ def test_artifacts_are_readable_under_umask_022(tmp_path, monkeypatch, streamed)
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_solver_failure_leaves_no_samples_and_no_child(tmp_path, monkeypatch, command):
-    _stream(monkeypatch, True)
     cfg = _write_config(tmp_path, scenario={"kind": "static_circle", "n": 4},
                         rel_tol=0.0)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 3
-    assert not out.exists()  # the writer made it for its temporary file, then removed it
+    assert not out.exists()  # nothing is written before the command returns
     assert not list(tmp_path.rglob("*.tmp"))
     _no_child_left()
 
 
-def _broken_formatter(*args):
-    raise RuntimeError("formatter broke")
-
-
-def _drain_then_break(rows_fd, out_fd, n, delta):
-    with os.fdopen(rows_fd, "rb") as rows:
-        rows.read()  # every row and the end arrive; the parent learns of it when reaping
-    os.close(out_fd)
-    _broken_formatter()
-
-
-@pytest.mark.parametrize("name, broken", [("_format_sample", _broken_formatter),
-                                          ("_format_stream", _drain_then_break)])
-def test_failing_writer_child_fails_the_command(tmp_path, monkeypatch, capfd, name, broken):
-    _stream(monkeypatch, True)
-    monkeypatch.setattr(artifacts, name, broken)  # the fork inherits it
-    cfg = _write_config(tmp_path)
+def test_out_naming_a_regular_file_exits_four(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 4
-    assert not (out / "samples.csv").exists()
+    out.write_text("not a directory\n")
+    assert main(["run", "--config", _write_config(tmp_path), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("I/O error: ")
+    assert out.read_text() == "not a directory\n"
     assert not list(tmp_path.rglob("*.tmp"))
-    _no_child_left()
-    err = capfd.readouterr().err
-    assert "formatter broke" in err
-    assert "I/O error: samples.csv writer failed" in err
 
 
-def test_killed_parent_leaves_no_partial_samples(tmp_path):
-    # The parent dies after 3 of its rows, as if killed during the run or the
-    # checks; the child sees the pipe close without the end marker.
-    path = tmp_path / "out" / "samples.csv"
-    code = f"""if True:
-        import os, signal
-        import numpy as np
-        from evoheat import artifacts
-        artifacts._can_stream = lambda: True
-        samples = artifacts.SamplesWriter({str(path)!r}, 6, 0.1)
-        for row in np.ones((3, 6)):
-            samples.on_row(row)
-        os.kill(os.getpid(), signal.SIGKILL)
-        """
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    done = _python(code)  # returns once the child exits too: it shares stderr
-    assert done.returncode == -9
-    assert list(path.parent.iterdir()) == []  # the child removed its temporary file
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_samples_write_failing_partway_exits_four_and_leaves_no_samples(tmp_path, monkeypatch,
+                                                                        capsys, command):
+    format_sample, formatted = artifacts._format_sample, []
+
+    def failing(*args):
+        if len(formatted) == 3:
+            raise OSError(28, "No space left on device")
+        formatted.append(True)
+        return format_sample(*args)
+
+    monkeypatch.setattr(artifacts, "_format_sample", failing)
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_config(tmp_path), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 28] No space left on device")
+    assert len(formatted) == 3
+    assert os.listdir(out) == ["run_config.json"]  # written first, then samples.csv failed
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -225,10 +225,11 @@ def test_runs_reject_bad_initial_value():
 def test_run_families_rejects_bad_initial_value_before_any_solve(bad, message, monkeypatch):
     built = []
     monkeypatch.setattr(scheme, "operator_at", lambda *args: built.append(args))
-    rows = []
+    prepared = []
+    monkeypatch.setattr(scheme, "spd_prepare", lambda *args: prepared.append(args))
     with pytest.raises(ValueError, match=message):
-        eh.run_families(TWO_VERTEX, [[1.0, 0.0], bad], 1.0, m=1, on_row=rows.append)
-    assert built == [] and rows == []
+        eh.run_families(TWO_VERTEX, [[1.0, 0.0], bad], 1.0, m=1)
+    assert built == [] and prepared == []
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0])
