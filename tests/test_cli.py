@@ -869,12 +869,17 @@ def test_samples_csv_keeps_extreme_floats_and_grid_times(tmp_path):
     assert [float(line.split(",")[2]) for line in lines[1:]] == values.ravel().tolist()
 
 
-def test_artifacts_are_readable_under_umask_022(tmp_path):
+@pytest.mark.parametrize("rewritten", [False, True])
+def test_artifacts_are_readable_under_umask_022(tmp_path, rewritten):
     cfg = _write_config(tmp_path)
     old = os.umask(0o022)
     try:
         for command in ("run", "verify"):
             out = str(tmp_path / command)
+            if rewritten:  # a rerun replaces artifacts an earlier run left unreadable
+                assert main([command, "--config", cfg, "--out", out]) == 0
+                for n in os.listdir(out):
+                    os.chmod(os.path.join(out, n), 0o600)
             assert main([command, "--config", cfg, "--out", out]) == 0
             modes = {n: oct(stat.S_IMODE(os.stat(os.path.join(out, n)).st_mode))
                      for n in os.listdir(out)}
