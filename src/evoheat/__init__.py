@@ -12,7 +12,7 @@ from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, half_e
                      rcm_ordering, solve_plan, spd_prepare, spd_solve, spd_solve_prepared,
                      stiffness_apply)
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, operator_at, run_families, run_interpolated, run_sweep,
+from .scheme import (ChainFamily, operator_at, run_interpolated, run_sweep,
                      steps_within_horizon, truncate)
 from .verify import (AttainmentReport, ContractionReport, ConvergenceRow, EnergyReport,
                      ExtremumReport, OracleError, OracleResult, TestFunction, WeakResidualRow,

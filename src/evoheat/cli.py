@@ -8,11 +8,13 @@ not be written (``I/O error:``).  Identical configs
 produce byte-identical artifacts: the solvers are deterministic and floats are
 written with shortest round-trip formatting.
 
-Each ``cmd_*`` returns its verdict and its documents, and ``main`` alone writes
-them, after the checks, in one order for every command: run_config.json first,
-then each document, every file formatted in-process and moved into place whole
-with the mode ``open`` would give it.  A write that fails exits 4 and leaves
-the files written before it, but never a partial file.
+``main`` builds the scenario and the initial value once, for every command, and
+checks the step sizes the command reads against the horizon.  Each ``cmd_*``
+returns its verdict and its documents, and ``main`` alone writes them, after
+the checks, in one order for every command: run_config.json first, then each
+document, every file formatted in-process and moved into place whole with the
+mode ``open`` would give it.  A write that fails exits 4 and leaves the files
+written before it, but never a partial file.
 
 The config keys are the fields of ``RunConfig``, all optional, with its
 defaults; ``_KEYS`` says what each accepts.  ``scenario`` may also name a JSON
@@ -28,11 +30,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .artifacts import write_csv, write_json, write_samples
-from .geometry import (JSON_TYPES, Scenario, build_scenario, check_type, read_json,
-                       vertex_weights)
+from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, check_type,
+                       read_json, vertex_weights)
 from .linalg import SolverError
 from .profiles import make_initial_data
-from .scheme import ChainFamily, run_families, run_interpolated, run_sweep, truncate
+from .scheme import ChainFamily, run_interpolated, run_sweep, steps_within_horizon, truncate
 from .verify import (TEST_FUNCTIONS, EnergyReport, ExtremumReport, OracleError,
                      contraction_report, default_test_catalog, degiorgi_family,
                      energy_estimate, extremum_check, fit_order, initial_attainment_check,
@@ -121,8 +123,9 @@ def _prepare(cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (passed, documents), documents mapping an artifact
-# name to a JSON object, a CSV (header, rows) or, for samples.csv, a ChainFamily
+# subcommands: each takes the config and what ``_prepare`` built from it, and
+# returns (passed, documents), documents mapping an artifact name to a JSON
+# object, a CSV (header, rows) or, for samples.csv, a ChainFamily
 # ---------------------------------------------------------------------------
 
 def _run_documents(spec: Scenario, chain: ChainFamily, energy: EnergyReport,
@@ -135,20 +138,18 @@ def _run_documents(spec: Scenario, chain: ChainFamily, energy: EnergyReport,
             "extremum_report.json": report_json(extremum)}
 
 
-def cmd_run(cfg: RunConfig) -> tuple[bool, dict]:
+def cmd_run(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tuple[bool, dict]:
     """Run the scheme; write samples.csv, energy_report.json and extremum_report.json."""
-    spec, G, u0 = _prepare(cfg)
-    [chain] = run_families(G, [u0], cfg.h, cfg.m, rel_tol=cfg.rel_tol)
+    [chain] = run_sweep(G, [u0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
     [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
     extremum = extremum_check(chain)
     return energy.passed and extremum.passed, _run_documents(spec, chain, energy, extremum)
 
 
-def cmd_converge(cfg: RunConfig) -> tuple[bool, dict]:
+def cmd_converge(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tuple[bool, dict]:
     """Error table against the time-exact reference flow over h_list; write
     convergence_table.csv.  Exit 0 iff the fitted order is >= 0.8, or every
     error is flat at rounding level (<= 1e-10, as constant data gives)."""
-    _, G, u0 = _prepare(cfg)
     rows = convergence_table(G, u0, cfg.h_list, cfg.m,
                              oracle_steps=cfg.oracle_steps, rel_tol=cfg.rel_tol)
     flat = all(r.error <= 1e-10 for r in rows)  # nothing to fit; no fit (None) fails
@@ -157,10 +158,10 @@ def cmd_converge(cfg: RunConfig) -> tuple[bool, dict]:
                                   [(r.h, r.m, r.error, r.observed_order) for r in rows])}
 
 
-def cmd_compare_interp(cfg: RunConfig) -> tuple[bool, dict]:
+def cmd_compare_interp(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph,
+                       u0) -> tuple[bool, dict]:
     """Energy norms of shifted-chain vs resolvent interpolation on one run; write
     comparison.json."""
-    spec, G, u0 = _prepare(cfg)
     chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
     [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
     dg = degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m, rel_tol=cfg.rel_tol)
@@ -176,14 +177,13 @@ def cmd_compare_interp(cfg: RunConfig) -> tuple[bool, dict]:
     }}
 
 
-def cmd_l2_limit(cfg: RunConfig) -> tuple[bool, dict]:
+def cmd_l2_limit(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tuple[bool, dict]:
     """Truncated-vs-full runs against the contraction bound, per level and h in
     h_list; write truncation_report.json.
 
     The scheme is linear, so the difference of the full and a truncated run is
     the run from u0 - truncate(u0); its energy estimate is the contraction bound.
     """
-    spec, G, u0 = _prepare(cfg)
     w0 = vertex_weights(G, 0.0)
     rows = []
     truncated = [truncate(u0, level) for level in cfg.truncation_levels]
@@ -202,20 +202,23 @@ def cmd_l2_limit(cfg: RunConfig) -> tuple[bool, dict]:
                                                "slack": cfg.slack, "rows": rows, "pass": passed}}
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[bool, dict]:
+def cmd_verify(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tuple[bool, dict]:
     """Full battery: run artifacts plus every check on one configuration; write
     verify_report.json too."""
-    spec, G, u0 = _prepare(cfg)
-    names = TEST_FUNCTIONS if cfg.test_functions is None else cfg.test_functions
     # the contraction check's chains from v0 and u0 - v0 share the run's operators
     v0 = make_initial_data(G, {"profile": "random", "seed": cfg.seed + 1})
     d0 = u0 - v0
-    chain, chain_v, chain_d = run_families(G, [u0, v0, d0], cfg.h, cfg.m, rel_tol=cfg.rel_tol)
+    chain, chain_v, chain_d = run_sweep(G, [u0, v0, d0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
     energy, energy_d = energy_estimate([chain, chain_d], G, cfg.c0, cfg.slack)
     extremum = extremum_check(chain)
     contraction = contraction_report(G, chain, chain_v, chain_d, energy_d)
-    catalog = [fn for fn in default_test_catalog(G, chain.horizon) if fn.name in names]
-    weak_rows = weak_residual(chain, G, catalog)
+    catalog = default_test_catalog(G, chain.horizon)  # the test functions G has
+    have = [fn.name for fn in catalog]
+    names = have if cfg.test_functions is None else cfg.test_functions
+    if not set(names) <= set(have):
+        raise ConfigError(f"test_functions: must name functions this graph has "
+                          f"({', '.join(have) or 'none'}), got {names!r}")
+    weak_rows = weak_residual(chain, G, [fn for fn in catalog if fn.name in names])
     attainment = initial_attainment_check(chain, G, chain.h, cfg.slack)
     passed = bool(energy.passed and extremum.passed and contraction.passed and attainment.passed)
     return passed, {**_run_documents(spec, chain, energy, extremum), "verify_report.json": {
@@ -287,7 +290,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        passed, documents = _COMMANDS[args.command][0](cfg)
+        command, keys = _COMMANDS[args.command]
+        spec, G, u0 = _prepare(cfg)
+        key, steps = ("h", [cfg.h]) if "h" in keys else ("h_list", cfg.h_list)
+        for h in steps:  # only the step sizes the command reads
+            try:
+                steps_within_horizon(G.horizon, h)
+            except ValueError as exc:  # h overruns the horizon
+                raise ConfigError(f"{key}: {exc}") from None
+        passed, documents = command(cfg, spec, G, u0)
         for name, doc in {"run_config.json": asdict(cfg), **documents}.items():
             path = os.path.join(cfg.out, name)
             if isinstance(doc, ChainFamily):

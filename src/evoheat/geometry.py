@@ -169,6 +169,8 @@ class TimeWeightedGraph:
 
 def _normalize_edges(edges, n: int) -> np.ndarray:
     e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:  # no edges, as [] or [[]]
+        e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
         raise ScenarioError("edges: expected an (E, 2) array of vertex pairs")
     if e.size and (e.min() < 0 or e.max() >= n):

@@ -19,18 +19,17 @@ interpolation (``verify.degiorgi_family``), which shortens the step to reach
 intermediate times; with moving coefficients the shortened step loses the uniform
 energy bounds, which is the point of the comparison tooling in ``verify``.
 
-``run_families`` steps several chain families from different initial values
-through the same operators, a round of m grid times at a time, building and
-factoring each operator once; every family comes out bitwise as if run alone.
-``run_sweep`` does the same for every step size of a list at once: its grids
-advance in lockstep, round r of every grid that has one solved in one call,
-and ``run_families`` is its one-grid case.  A family is one (N*m + 1, n)
-array whose row j is the sample at t = j*delta.  The package steps only in
-such rounds, with the graph's ``plan``, which alone decides the solver: whole
-rounds are prepared ahead (``spd_prepare``, as many as ``rounds_ahead``
-allows) and each round is one ``spd_solve_prepared`` call.  Each family also
-carries its solver-error certificate, built from the same right-hand sides and
-weights the round solved with (see ``ChainFamily.solve_error``).
+``run_sweep`` steps chain families from several initial values through the
+same operators, with every step size of a list at once; every family comes out
+bitwise as if run alone, and ``run_interpolated`` is its case of one initial
+value and one step size.  A family is one (N*m + 1, n) array whose row j is the
+sample at t = j*delta.  The package steps only in rounds of m grid times, every
+grid's round r built and solved together, with the graph's ``plan``, which
+alone decides the solver: whole rounds are prepared ahead (``spd_prepare``, as
+many as ``rounds_ahead`` allows) and each round is one ``spd_solve_prepared``
+call.  Each family also carries its solver-error certificate, built from the
+same right-hand sides and weights the round solved with (see
+``ChainFamily.solve_error``).
 
 Vertex functions are plain float vectors of length n.  A value's time is its
 place on the grid, never a tag it carries: ``ChainFamily.times()`` gives the
@@ -50,7 +49,6 @@ __all__ = [
     "ChainFamily",
     "operator_at",
     "run_interpolated",
-    "run_families",
     "run_sweep",
     "steps_within_horizon",
     "truncate",
@@ -149,36 +147,26 @@ def run_interpolated(G: TimeWeightedGraph, u0: np.ndarray, h: float,
     are computed in a single j-sweep; since chain j mod m only ever reads its own
     past, this is identical to running them separately.
     """
-    return run_families(G, [u0], h, m, rel_tol=rel_tol)[0]
-
-
-def run_families(G: TimeWeightedGraph, initials: list[np.ndarray], h: float,
-                 m: int = 4, rel_tol: float = 1e-10) -> list[ChainFamily]:
-    """``run_interpolated`` from each initial value, sharing every operator.
-
-    The one-grid ``run_sweep``: row j reads only row j - m, so the grid times
-    run in rounds of m, each round's m operators are assembled and factored
-    once and solved together for all families; a family's samples are bitwise
-    those of running it alone, and so is its ``solve_error``: row j adds
-    rel_tol * ||rhs_j||_2 / min(mass_j) to row j - m's bound, from the
-    right-hand side and weights it was solved with.
-    """
-    return run_sweep(G, initials, [h], m, rel_tol)[0]
+    return run_sweep(G, [u0], [h], m, rel_tol)[0][0]
 
 
 def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[float],
               m: int = 4, rel_tol: float = 1e-10) -> list[list[ChainFamily]]:
-    """``run_families`` for every step size in h_list, the grids stepped in lockstep.
+    """``run_interpolated`` from each initial value and with each step size in h_list.
 
-    Returns one list of families per entry of h_list.  Round r of the grid of
-    step h, N = ``steps_within_horizon(T, h)``, holds its rows r*m + 1 .. r*m + m;
-    round r of the sweep is round r of every grid with N > r, in h_list order,
-    solved in one ``spd_solve_prepared`` call.  Whole rounds are prepared
-    ahead in one ``spd_prepare`` call, as many as ``rounds_ahead`` allows.
-    Before a round is solved, every row's solver-error bound must be finite,
-    or SolverError names its grid time: a right-hand side whose norm
-    overflows cannot be certified.  Grids never read each other, so each
-    comes out bitwise as ``run_families`` on its h alone.
+    Returns one list of families per entry of h_list, one family per initial
+    value.  Row j of a grid reads only row j - m, so the grid of step h,
+    N = ``steps_within_horizon(T, h)``, runs in rounds: round r holds its rows
+    r*m + 1 .. r*m + m.  Round r of the sweep is round r of every grid with
+    N > r, in h_list order, each operator assembled once and solved for every
+    family in one ``spd_solve_prepared`` call.  Whole rounds are prepared ahead
+    in one ``spd_prepare`` call, as many as ``rounds_ahead`` allows.  A family's
+    samples are bitwise those of running it alone, and so is its
+    ``solve_error``: row j adds rel_tol * ||rhs_j||_2 / min(mass_j) to row
+    j - m's bound, from the right-hand side and weights it was solved with.
+    Before a round is solved, every row's bound must be finite, or SolverError
+    names its grid time: a right-hand side whose norm overflows cannot be
+    certified.
     """
     initials = [_vertex_values(u0, G, "u0") for u0 in initials]
     if m < 1:
@@ -187,42 +175,36 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
         raise ValueError("h_list must not be empty")
     hs = [float(h) for h in h_list]
     Ns = [steps_within_horizon(G.horizon, h) for h in hs]
-    values = [np.empty((len(initials), N * m + 1, G.n_vertices)) for N in Ns]
-    bounds = [np.zeros(v.shape[:2]) for v in values]
-    for v in values:
-        v[:, 0] = initials
-    # the grids round r steps, and the operators it solves
-    active = [[k for k, N in enumerate(Ns) if N > r] for r in range(max(Ns))]
-    sizes = [m * len(grids) for grids in active]
+    # every grid's rows in one array, the rows of grid k from base[k] on
+    base = np.cumsum([0] + [N * m + 1 for N in Ns])
+    values = np.empty((len(initials), base[-1], G.n_vertices))
+    bounds = np.zeros(values.shape[:2])
+    values[:, base[:-1]] = np.reshape(initials, (len(initials), 1, G.n_vertices))
+    # the (grid, row) pairs each round solves
+    rounds = [[(k, j) for k, N in enumerate(Ns) if N > r for j in range(r * m + 1, r * m + m + 1)]
+              for r in range(max(Ns))]
     r = 0
-    while r < len(active):
-        chunk = range(r, r + rounds_ahead(sizes[r:], G.plan))
-        ops = [operator_at(G, j * (hs[k] / m), hs[k])
-               for q in chunk for k in active[q] for j in range(q * m + 1, q * m + m + 1)]
+    while r < len(rounds):
+        chunk = rounds[r:r + rounds_ahead([len(pairs) for pairs in rounds[r:]], G.plan)]
+        ops = [operator_at(G, j * (hs[k] / m), hs[k]) for pairs in chunk for k, j in pairs]
         prepared = spd_prepare(ops, G.plan)
         start = 0
-        for q in chunk:
-            rows = list(range(q * m + 1, q * m + m + 1))
-            prevs = [max(j - m, 0) for j in rows]
-            mass = np.array([A.mass for A in ops[start:start + sizes[q]]])
-            rhs = np.empty((sizes[q], len(initials), G.n_vertices))
+        for pairs in chunk:
+            grid, row = np.array(pairs).T
+            rows, prevs = base[grid] + row, base[grid] + np.maximum(row - m, 0)
+            mass = np.array([A.mass for A in ops[start:start + len(pairs)]])
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, k in enumerate(active[q]):
-                    part = slice(i * m, i * m + m)
-                    rhs[part] = mass[part, None, :] * values[k][:, prevs].swapaxes(0, 1)
-                    bound = (bounds[k][:, prevs] + rel_tol * np.linalg.norm(rhs[part], axis=2).T
-                             / mass[part].min(axis=1))
-                    if not np.isfinite(bound).all():
-                        j = rows[np.flatnonzero(~np.isfinite(bound).all(axis=0))[0]]
-                        raise SolverError(
-                            f"the right-hand side at t = {j * (hs[k] / m):.6g} (h = {hs[k]:g}) "
-                            "is too large: its norm or solver-error bound is not finite",
-                            float("nan"))
-                    bounds[k][:, rows] = bound
-            x = spd_solve_prepared(prepared, rhs, rel_tol, start)
-            for i, k in enumerate(active[q]):
-                values[k][:, rows] = x[i * m:i * m + m].swapaxes(0, 1)
-            start += sizes[q]
-        r = chunk.stop
-    return [[ChainFamily(h=h, m=int(m), values=run, solve_error=err)
-             for run, err in zip(v, b)] for h, v, b in zip(hs, values, bounds)]
+                rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
+                bound = (bounds[:, prevs]
+                         + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
+            if not np.isfinite(bound).all():
+                k, j = pairs[np.flatnonzero(~np.isfinite(bound).all(axis=0))[0]]
+                raise SolverError(
+                    f"the right-hand side at t = {j * (hs[k] / m):.6g} (h = {hs[k]:g}) "
+                    "is too large: its norm or solver-error bound is not finite", float("nan"))
+            bounds[:, rows] = bound
+            values[:, rows] = spd_solve_prepared(prepared, rhs, rel_tol, start).swapaxes(0, 1)
+            start += len(pairs)
+        r += len(chunk)
+    return [[ChainFamily(h=h, m=int(m), values=run[b:e], solve_error=err[b:e])
+             for run, err in zip(values, bounds)] for h, b, e in zip(hs, base[:-1], base[1:])]

@@ -24,7 +24,7 @@ certifies it from the weight rows it reads, so no caller needs to know how.
 
 Every check reads the initial value from the chain's row 0 and its solver error
 from the chain's own ``solve_error``, the per-row certificate that
-``run_families`` builds from the right-hand sides and weights it solved with.
+``run_sweep`` builds from the right-hand sides and weights it solved with.
 """
 
 from __future__ import annotations
@@ -464,9 +464,12 @@ TEST_FUNCTIONS = tuple(f"k{k}_{shape}" for k in _CATALOG_KS for shape in ("sin",
 
 
 def default_test_catalog(G: TimeWeightedGraph, T: float) -> list[TestFunction]:
-    """Low spatial harmonics times {sin(pi t/T), t(T-t)/T^2}, both vanishing at 0 and T."""
+    """Low spatial harmonics times {sin(pi t/T), t(T-t)/T^2}, both vanishing at 0 and T.
+
+    A graph without coordinates has only the harmonics k < n; the others are left out.
+    """
     catalog = []
-    for k in _CATALOG_KS:
+    for k in (k for k in _CATALOG_KS if G.coords is not None or k < G.n_vertices):
         psi = make_initial_data(G, {"profile": "harmonic", "k": k})
         catalog.append(TestFunction(
             name=f"k{k}_sin", space=psi,

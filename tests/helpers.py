@@ -57,7 +57,7 @@ def varah_bounds(G, families, rel_tol):
 
     Row j adds rel_tol * ||M_t x_prev||_2 / min_i w_i(t), t = j*delta, to row
     j - m's bound, with the weights evaluated afresh at every grid time.  The
-    arithmetic is the order ``run_families`` uses, so its ``solve_error`` must
+    arithmetic is the order ``run_sweep`` uses, so its ``solve_error`` must
     equal this bitwise.
     """
     m = families[0].m
@@ -110,7 +110,7 @@ def star_ring_graph(leaves=16, seed=16, T=1.0):
 
 
 def per_round_families(G, initials, h, m, rel_tol):
-    """The families ``run_families`` steps, one round of m grid times per ``spd_solve``.
+    """The families ``run_sweep`` steps for one h, one round of m grid times per ``spd_solve``.
 
     The loop the package stepped with before rounds were prepared ahead and
     grids stepped in lockstep: each round assembles its m operators, factors

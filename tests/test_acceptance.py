@@ -109,7 +109,7 @@ def test_criterion_04_contraction_pairs(criterion_line):
             u0 = rng.standard_normal(G.n_vertices)
             v0 = rng.standard_normal(G.n_vertices)
             d0 = u0 - v0
-            chains = eh.run_families(G, [u0, v0, d0], h, m, rel_tol=MATRIX_REL_TOL)
+            chains = eh.run_sweep(G, [u0, v0, d0], [h], m, rel_tol=MATRIX_REL_TOL)[0]
             [energy_d] = eh.energy_estimate(chains[2:], G, slack=SLACK)
             rep = eh.contraction_report(G, *chains, energy_d)
             if not rep.passed:
@@ -240,7 +240,7 @@ def test_criterion_09_dense_agreement(criterion_line):
         rng = np.random.default_rng(seed + 900)
         u0 = rng.standard_normal(G.n_vertices)
         h = float(rng.uniform(0.05, 0.5))
-        step = eh.run_families(G, [u0], h, 1, rel_tol=1e-14)[0].values[1]
+        step = eh.run_sweep(G, [u0], [h], 1, rel_tol=1e-14)[0][0].values[1]
         A = eh.operator_at(G, h, h)
         dense = dense_solve(A, A.mass * u0)
         rel = np.linalg.norm(step - dense) / np.linalg.norm(dense)

@@ -230,7 +230,7 @@ def test_mistyped_scenario_or_profile_value_is_a_config_error(tmp_path, monkeypa
     # nothing is coerced, nothing is solved, and nothing is written
     cfg = _write_config(tmp_path, **{section: value})
     monkeypatch.chdir(tmp_path)  # the default out directory, which must stay absent
-    monkeypatch.setattr(cli, "run_families", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("solved"))
     assert main(["verify", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not os.path.exists(tmp_path / "out")
@@ -260,7 +260,7 @@ def test_unreadable_input_file_names_its_key_and_path(tmp_path, monkeypatch, cap
         bad.write_bytes(contents)
     cfg = str(bad) if section is None else _write_config(tmp_path, **section(str(bad)))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "run_families", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("solved"))
     assert main(["verify", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: {key}: " + message.format(path=str(bad)))
@@ -300,6 +300,28 @@ def test_h_flag_is_rejected_where_h_list_sets_the_steps(tmp_path, monkeypatch, c
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("run", "h", 2.0), ("compare-interp", "h", 2.0), ("verify", "h", 2.0),
+    # converge's case is test_converge_rejects_a_bad_h_before_the_oracle
+    ("l2-limit", "h_list", [0.1, 3.0]),
+])
+def test_step_past_the_horizon_is_a_config_error_under_its_key(tmp_path, monkeypatch, capsys,
+                                                               command, key, value):
+    cfg = _write_config(tmp_path, **{key: value})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("solved"))
+    assert main([command, "--config", cfg]) == 2
+    step = value if key == "h" else value[-1]
+    assert capsys.readouterr().err == (
+        f"config error: {key}: step h={step} does not fit the horizon T=1.0\n")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_a_step_size_the_command_does_not_read_is_not_checked(tmp_path):
+    cfg = _write_config(tmp_path, h=2.0, h_list=[0.2, 0.1])  # l2-limit reads only h_list
+    assert main(["l2-limit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_subcommand_help_is_its_docstring(monkeypatch, capsys, name):
     monkeypatch.setenv("COLUMNS", "1000")  # no line wrapping
@@ -326,7 +348,7 @@ def test_bad_initial_file_exits_two_before_any_solve(tmp_path, monkeypatch, caps
     data = tmp_path / "u0.json"
     data.write_text(json.dumps(values))  # json writes nan as NaN, which it reads back
     cfg = _write_config(tmp_path, initial={"profile": "file", "path": str(data)})
-    monkeypatch.setattr(cli, "run_families", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("solved"))
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out]) == 2
     assert "file profile" in capsys.readouterr().err
@@ -373,7 +395,7 @@ def test_converge_command(tmp_path):
 @pytest.mark.parametrize("h_list, message", [
     ([0.1, -0.05], "h_list: must be a nonempty list of positive finite real numbers, "
                    "got [0.1, -0.05]"),
-    ([0.1, 2.0], "step h=2.0 does not fit the horizon T=1.0"),
+    ([0.1, 2.0], "h_list: step h=2.0 does not fit the horizon T=1.0"),
 ])
 def test_converge_rejects_a_bad_h_before_the_oracle(tmp_path, monkeypatch, capsys,
                                                     h_list, message):
@@ -524,8 +546,8 @@ def test_main_writes_run_config_first_and_only_after_the_command(tmp_path, monke
     returned, written = [], []
 
     @functools.wraps(command)  # the subcommand's help is its docstring
-    def finished(cfg):
-        result = command(cfg)
+    def finished(*args):
+        result = command(*args)
         returned.append(True)
         return result
 
@@ -605,13 +627,49 @@ def test_verify_test_function_filter(tmp_path):
 
 def test_verify_rejects_unknown_test_function_before_the_run(tmp_path, monkeypatch, capsys):
     runs = []
-    monkeypatch.setattr(cli, "run_families", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: runs.append(args))
     cfg = _write_config(tmp_path, test_functions=["k1_sin", "k9_sin"])
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     assert ("test_functions: must be null or a list of names from k1_sin, k1_poly, k2_sin, "
             "k2_poly, got ['k1_sin', 'k9_sin']") in capsys.readouterr().err
     assert runs == [] and not out.exists()
+
+
+# tables without coordinates: harmonic k needs k < n_vertices Laplacian modes
+_ONE_VERTEX = {"kind": "custom_tabulated", "T": 1.0,
+               "table": {"n_vertices": 1, "edges": [], "times": [0.0, 1.0],
+                         "weights": [[1.0], [2.0]], "conductances": [[], []]}}
+_TWO_VERTEX = _table(n_vertices=2, edges=[[0, 1]], weights=[[1.0, 2.0], [2.0, 1.0]],
+                     conductances=[[1.0], [0.5]])
+
+
+@pytest.mark.parametrize("names, reported", [(None, ["k1_sin", "k1_poly"]),
+                                             (["k1_sin"], ["k1_sin"])])
+def test_verify_tests_with_the_harmonics_a_small_graph_has(tmp_path, names, reported):
+    cfg = _write_config(tmp_path, scenario=_TWO_VERTEX, test_functions=names)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    doc = _read_json(out, "verify_report.json")
+    assert [r["name"] for r in doc["weak_residuals"]] == reported
+
+
+def test_verify_rejects_a_harmonic_the_graph_lacks(tmp_path, capsys):
+    cfg = _write_config(tmp_path, scenario=_TWO_VERTEX, test_functions=["k2_sin"])
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: test_functions: must name functions "
+                                       "this graph has (k1_sin, k1_poly), got ['k2_sin']\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_runs_on_a_one_vertex_table(tmp_path, command):
+    cfg = _write_config(tmp_path, scenario=_ONE_VERTEX, h_list=[0.2, 0.1, 0.05],
+                        truncation_levels=[0.5], oracle_steps=512)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "run_config.json").exists()
 
 
 @pytest.mark.parametrize("h, m", [(0.2, 2), (0.22, 10)])
@@ -625,7 +683,7 @@ def test_verify_tolerances_come_from_the_run_bounds(tmp_path, h, m):
     cfg = cli.RunConfig.from_dict(_read_json(str(tmp_path), "config.json"))
     _, G, u0 = cli._prepare(cfg)
     v0 = np.random.default_rng(cfg.seed + 1).standard_normal(G.n_vertices)
-    chains = eh.run_families(G, [u0, v0, u0 - v0], h, m, rel_tol=cfg.rel_tol)
+    chains = eh.run_sweep(G, [u0, v0, u0 - v0], [h], m, rel_tol=cfg.rel_tol)[0]
     chain = chains[0]
     w0 = eh.vertex_weights(G, 0.0)
     assert doc["extremum"]["tol"] == (1e-12 * (float(np.abs(u0).max()) + 1.0)
@@ -821,7 +879,7 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     def allocate(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "run_families", allocate)
+    monkeypatch.setattr(cli, "run_sweep", allocate)
     out = str(tmp_path / "out")
     assert main(["verify", "--m", "100000000", "--out", out]) == 3
     assert capsys.readouterr().err == "solver failure: out of memory\n"

@@ -356,6 +356,14 @@ def test_bad_static_graph_rejected(weights, edges, conductances, fragment):
         eh.TimeWeightedGraph.static(weights, edges, conductances)
 
 
+@pytest.mark.parametrize("edges", [[], [[]]], ids=["flat", "nested"])
+def test_one_vertex_graph_has_no_edges(edges):
+    G = eh.TimeWeightedGraph.static([1.0], edges, [])
+    assert G.n_vertices == 1 and G.edges.shape == (0, 2)
+    chain = eh.run_interpolated(G, [3.0], 0.25, m=2)
+    assert np.array_equal(chain.values, np.full((9, 1), 3.0))
+
+
 @pytest.mark.parametrize("edges", [[[1, 2], [2, 3]], [[0, 1], [1, 2]]])  # 0 or 3 alone
 def test_graph_with_an_isolated_end_vertex_rejected(edges):
     with pytest.raises(ScenarioError, match="static: graph is not connected"):

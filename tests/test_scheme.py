@@ -24,12 +24,12 @@ TWO_VERTEX_U0 = np.array([1.0, -1.0])
 
 
 def test_euler_step_hand_value():
-    [chain] = eh.run_families(TWO_VERTEX, [[1.0, 0.0]], 1.0, m=1, rel_tol=1e-14)
+    [chain] = eh.run_sweep(TWO_VERTEX, [[1.0, 0.0]], [1.0], m=1, rel_tol=1e-14)[0]
     assert_allclose(chain.values[1], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
 
 
 def test_step_sequence_eigen_decay():
-    [chain] = eh.run_families(TWO_VERTEX, [[1.0, -1.0]], 1.0, m=1, rel_tol=1e-14)
+    [chain] = eh.run_sweep(TWO_VERTEX, [[1.0, -1.0]], [1.0], m=1, rel_tol=1e-14)[0]
     seq = chain.values[1:]
     assert seq.shape == (4, 2)
     assert_allclose(seq[0], [1.0 / 3.0, -1.0 / 3.0], rtol=1e-12)
@@ -147,7 +147,7 @@ def test_comparison_monotone(seed):
     u0 = rng.standard_normal(MOVING.n_vertices)
     v0 = u0 + np.abs(rng.standard_normal(MOVING.n_vertices))
     tol = 1e-12 * (np.abs(v0).max() + 1.0)
-    cu, cv = eh.run_families(MOVING, [u0, v0], 0.2, m=1, rel_tol=1e-13)
+    cu, cv = eh.run_sweep(MOVING, [u0, v0], [0.2], m=1, rel_tol=1e-13)[0]
     assert cu.n_steps == 5
     assert np.min(cv.values[1:] - cu.values[1:]) >= -tol
 
@@ -228,7 +228,7 @@ def test_run_families_rejects_bad_initial_value_before_any_solve(bad, message, m
     prepared = []
     monkeypatch.setattr(scheme, "spd_prepare", lambda *args: prepared.append(args))
     with pytest.raises(ValueError, match=message):
-        eh.run_families(TWO_VERTEX, [[1.0, 0.0], bad], 1.0, m=1)
+        eh.run_sweep(TWO_VERTEX, [[1.0, 0.0], bad], [1.0], m=1)[0]
     assert built == [] and prepared == []
 
 
@@ -237,7 +237,7 @@ def test_run_families_rejects_nonpositive_step_before_any_solve(h, monkeypatch):
     built = []
     monkeypatch.setattr(scheme, "operator_at", lambda *args: built.append(args))
     with pytest.raises(ValueError, match="h must be positive"):
-        eh.run_families(TWO_VERTEX, [[1.0, 0.0]], h, m=1)
+        eh.run_sweep(TWO_VERTEX, [[1.0, 0.0]], [h], m=1)[0]
     assert built == []
 
 
@@ -246,7 +246,7 @@ def test_run_families_rejects_nonpositive_step_before_any_solve(h, monkeypatch):
 def test_families_stepped_together_match_each_run_alone(G):
     rng = np.random.default_rng(8)
     initials = [rng.standard_normal(G.n_vertices) for _ in range(3)]
-    together = eh.run_families(G, initials, 0.1, m=2, rel_tol=1e-10)
+    together = eh.run_sweep(G, initials, [0.1], m=2, rel_tol=1e-10)[0]
     for u0, family in zip(initials, together):
         alone = eh.run_interpolated(G, u0, 0.1, m=2, rel_tol=1e-10)
         assert len(family.values) == len(alone.values)

@@ -355,7 +355,7 @@ def _bits(report):
 def test_energy_estimate_families_together_equal_each_alone(graph, families):
     rng = np.random.default_rng(12)
     initials = [rng.standard_normal(graph.n_vertices) for _ in range(families)]
-    chains = eh.run_families(graph, initials, 0.1, m=3)
+    chains = eh.run_sweep(graph, initials, [0.1], m=3)[0]
     c0 = growth_reference(graph, chains[0].times())
     reports = eh.energy_estimate(chains, graph)
     assert len(reports) == families
@@ -389,8 +389,8 @@ def _count_coefficient_reads(monkeypatch, G):
 @pytest.mark.parametrize("families", [1, 5])
 def test_energy_estimate_reads_each_grid_row_once(monkeypatch, families):
     rng = np.random.default_rng(13)
-    chains = eh.run_families(MOVING, [rng.standard_normal(12) for _ in range(families)],
-                             0.25, m=2)
+    chains = eh.run_sweep(MOVING, [rng.standard_normal(12) for _ in range(families)],
+                          [0.25], m=2)[0]
     nm = len(chains[0].values) - 1
     certified = growth_reference(MOVING, chains[0].times())
     # a given c0, and one certified inside the sweep from the rows it reads anyway
@@ -473,7 +473,7 @@ def test_extremum_flags_sample_pushed_past_derived_bound():
 
 def _contraction(u0, v0, c0=None):
     """contraction_report on chains from u0, v0 and u0 - v0 over MOVING, h=0.25, m=2."""
-    chains = eh.run_families(MOVING, [u0, v0, u0 - v0], 0.25, m=2)
+    chains = eh.run_sweep(MOVING, [u0, v0, u0 - v0], [0.25], m=2)[0]
     [energy_d] = eh.energy_estimate(chains[2:], MOVING, c0)
     return eh.contraction_report(MOVING, *chains, energy_d)
 
@@ -503,7 +503,7 @@ def test_contraction_tolerance_follows_solver_tolerance():
     floor = 1e-9 * (eh.weighted_l2(u0, w0) + eh.weighted_l2(v0, w0))
     tols = []
     for rel_tol in (1e-12, 1e-6):
-        chains = eh.run_families(MOVING, initials, 0.25, m=2, rel_tol=rel_tol)
+        chains = eh.run_sweep(MOVING, initials, [0.25], m=2, rel_tol=rel_tol)[0]
         solve_error = float(sum(c.solve_error for c in chains).max())
         [energy_d] = eh.energy_estimate(chains[2:], MOVING)
         rep = eh.contraction_report(MOVING, *chains, energy_d)
@@ -530,13 +530,13 @@ def test_contraction_tolerance_follows_solver_tolerance():
 def test_run_solve_error_equals_the_varah_reference(graph, m):
     rng = np.random.default_rng(8)
     initials = [rng.standard_normal(graph.n_vertices) for _ in range(3)]
-    chains = eh.run_families(graph, initials, 0.1, m=m, rel_tol=1e-8)
+    chains = eh.run_sweep(graph, initials, [0.1], m=m, rel_tol=1e-8)[0]
     reference = varah_bounds(graph, chains, 1e-8)
     for chain, want in zip(chains, reference):
         assert np.array_equal(chain.solve_error, want)
         assert chain.solve_error[0] == 0.0 and chain.solve_error[-1] > 0.0
     # each family's bound is its own: alone it is the same, bitwise
-    [alone] = eh.run_families(graph, initials[1:2], 0.1, m=m, rel_tol=1e-8)
+    [alone] = eh.run_sweep(graph, initials[1:2], [0.1], m=m, rel_tol=1e-8)[0]
     assert np.array_equal(alone.solve_error, chains[1].solve_error)
 
 
@@ -550,8 +550,8 @@ def test_chain_rejects_a_bad_solve_error():
 def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     rng = np.random.default_rng(7)
     u0, v0 = rng.standard_normal(12), rng.standard_normal(12)
-    chain_u, chain_v, chain_d = eh.run_families(
-        MOVING, [u0, v0, u0 - v0], 0.25, m=2, rel_tol=1e-8)
+    chain_u, chain_v, chain_d = eh.run_sweep(
+        MOVING, [u0, v0, u0 - v0], [0.25], m=2, rel_tol=1e-8)[0]
     [energy_d] = eh.energy_estimate([chain_d], MOVING)
     rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, energy_d)
     assert rep.passed
@@ -755,7 +755,7 @@ def test_attainment_report_equals_the_verdict_written_out(graph, h, m):
     # itself is not m * delta; at h = 0.1, m = 3 no grid time j * delta is the
     # decimal t_small, and the torus weights at the two times differ
     u0 = eh.make_initial_data(graph, {"profile": "random"})
-    [chain] = eh.run_families(graph, [u0], h, m, rel_tol=1e-8)
+    [chain] = eh.run_sweep(graph, [u0], [h], m, rel_tol=1e-8)[0]
     delta = h / m
     for j, t_small in [(j, round(j * delta, 12)) for j in (1, m // 2)] + [(m, h)]:
         w = eh.vertex_weights(graph, j * delta)  # the weights row j was solved with
