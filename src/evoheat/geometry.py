@@ -40,6 +40,8 @@ __all__ = [
     "Scenario",
     "SCENARIO_KINDS",
     "build_scenario",
+    "weight_table",
+    "conductance_table",
     "vertex_weights",
     "edge_conductances",
     "dirichlet_energy",
@@ -106,9 +108,12 @@ class TimeWeightedGraph:
     ``edges`` is an (E, 2) int array of unordered pairs i < j, no self loops or
     duplicates, and the edge set must be connected.  The edges never change in
     time, so one ``plan`` serves every step operator of the graph.
-    ``weights_at(t)`` returns the vertex weight vector (all entries positive),
-    ``conductances_at(t)`` the edge coefficient vector (entries >= 0).  Callables
-    must accept any t in [0, horizon]; negative times are clamped to 0 by the
+    ``weights_at(times)`` takes a 1-D float array of times and returns one row
+    of vertex weights per time (all entries positive), a (len(times), n)
+    array; ``conductances_at(times)`` returns the (len(times), E) edge
+    coefficients (entries >= 0).  Row k must not depend on the other times,
+    so a table is bitwise the stack of its one-row tables.  Callables must
+    accept any times in [0, horizon]; negative times are clamped to 0 by the
     module-level accessors, so the callables themselves are only ever queried
     inside [0, horizon].
 
@@ -123,8 +128,8 @@ class TimeWeightedGraph:
 
     n_vertices: int
     edges: np.ndarray
-    weights_at: Callable[[float], np.ndarray]
-    conductances_at: Callable[[float], np.ndarray]
+    weights_at: Callable[[np.ndarray], np.ndarray]
+    conductances_at: Callable[[np.ndarray], np.ndarray]
     horizon: float
     coords: Optional[np.ndarray] = None
     lattice: Optional[tuple[int, int]] = None
@@ -162,7 +167,8 @@ class TimeWeightedGraph:
         w = np.asarray(weights, dtype=float)
         c = np.asarray(conductances, dtype=float)
         e = _normalize_edges(edges, len(w))
-        G = cls(len(w), e, lambda t: w, lambda t: c, float(horizon), coords)
+        G = cls(len(w), e, lambda ts: np.tile(w, (len(ts), 1)),
+                lambda ts: np.tile(c, (len(ts), 1)), float(horizon), coords)
         _validate_graph(G, "static")
         return G
 
@@ -184,21 +190,35 @@ def _normalize_edges(edges, n: int) -> np.ndarray:
     return e
 
 
-def _clamp_time(G: TimeWeightedGraph, t: float) -> float:
-    """Map query time into [0, horizon]: freeze below 0, reject beyond the horizon."""
-    if t > G.horizon + _TIME_FUZZ * max(1.0, G.horizon):
-        raise ValueError(f"time {t} beyond graph horizon {G.horizon}")
-    return min(max(float(t), 0.0), G.horizon)
+def _clamp_times(G: TimeWeightedGraph, times) -> np.ndarray:
+    """Map query times into [0, horizon]: freeze below 0, reject beyond the horizon."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times has shape {t.shape}, expected a 1-D array")
+    beyond = t > G.horizon + _TIME_FUZZ * max(1.0, G.horizon)
+    if beyond.any():
+        raise ValueError(f"time {float(t[beyond][0])} beyond graph horizon {G.horizon}")
+    return np.minimum(np.maximum(t, 0.0), G.horizon)
+
+
+def weight_table(G: TimeWeightedGraph, times) -> np.ndarray:
+    """Vertex weights at each of ``times``, one row per time (t < 0 reads t = 0)."""
+    return np.asarray(G.weights_at(_clamp_times(G, times)), dtype=float)
+
+
+def conductance_table(G: TimeWeightedGraph, times) -> np.ndarray:
+    """Edge conductances at each of ``times``, one row per time (t < 0 reads t = 0)."""
+    return np.asarray(G.conductances_at(_clamp_times(G, times)), dtype=float)
 
 
 def vertex_weights(G: TimeWeightedGraph, t: float) -> np.ndarray:
-    """Vertex weight vector at time t (t < 0 returns the t = 0 weights)."""
-    return np.asarray(G.weights_at(_clamp_time(G, t)), dtype=float)
+    """Vertex weight vector at time t, the one-row ``weight_table``."""
+    return weight_table(G, [t])[0]
 
 
 def edge_conductances(G: TimeWeightedGraph, t: float) -> np.ndarray:
-    """Edge conductance vector at time t (t < 0 returns the t = 0 values)."""
-    return np.asarray(G.conductances_at(_clamp_time(G, t)), dtype=float)
+    """Edge conductance vector at time t, the one-row ``conductance_table``."""
+    return conductance_table(G, [t])[0]
 
 
 def dirichlet_energy(G: TimeWeightedGraph, t: float, values: np.ndarray) -> float:
@@ -260,12 +280,14 @@ def build_scenario(spec: Scenario) -> TimeWeightedGraph:
 
 
 def _circle_graph(n: int, T: float,
-                  a_at: Callable[[np.ndarray], Callable[[float], np.ndarray]]) -> TimeWeightedGraph:
+                  a_at: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
+                  ) -> TimeWeightedGraph:
     """The circle graph of the metric a(t, x)^2 dx^2.
 
-    ``a_at(x)`` returns t -> a(t, x) at the fixed points x, so a factor that
-    does not depend on t is computed once per graph, at the vertices and at
-    the half-edges.
+    ``a_at(x)`` returns times -> the (len(times), len(x)) table of a(t, x) at
+    the fixed points x, so a factor that does not depend on t is computed once
+    per graph, at the vertices and at the half-edges.  The table is a fresh
+    array, which the coefficients overwrite in place.
     """
     if n < 3:
         raise ScenarioError(f"n: circle needs at least 3 vertices, got {n}")
@@ -275,11 +297,15 @@ def _circle_graph(n: int, T: float,
     idx = np.arange(n)
     edges = _normalize_edges(np.column_stack([idx, (idx + 1) % n]), n)
 
-    def weights_at(t: float) -> np.ndarray:
-        return a_vertex(t) * dx
+    def weights_at(ts: np.ndarray) -> np.ndarray:
+        a = a_vertex(ts)
+        a *= dx
+        return a
 
-    def conductances_at(t: float) -> np.ndarray:
-        return 1.0 / (dx * a_half(t))
+    def conductances_at(ts: np.ndarray) -> np.ndarray:
+        a = a_half(ts)
+        a *= dx
+        return np.divide(1.0, a, out=a)
 
     return TimeWeightedGraph(n, edges, weights_at, conductances_at, T, coords=x[:, None])
 
@@ -298,7 +324,17 @@ def _conformal_circle(T: float, n: int, amp: float, omega: float, k_spatial: int
 
     def a_at(x):
         spatial = np.cos(k_spatial * x) if k_spatial else np.ones_like(x)
-        return lambda t: math.exp(growth * t) * (1.0 + amp * math.sin(omega * t) * spatial)
+
+        def a(ts: np.ndarray) -> np.ndarray:
+            # math.exp and math.sin per time: numpy's may round differently
+            times = ts.tolist()
+            wave = np.array([amp * math.sin(omega * t) for t in times])
+            table = np.multiply(wave[:, None], spatial)
+            table += 1.0
+            table *= np.array([math.exp(growth * t) for t in times])[:, None]
+            return table
+
+        return a
 
     return _circle_graph(n, T, a_at)
 
@@ -312,7 +348,7 @@ def _pinching_circle(T: float, n: int, amplitude: float, sharpness: float) -> Ti
 
     def a_at(x):
         rho = amplitude * ((1.0 + np.cos(x - math.pi)) / 2.0) ** sharpness
-        return lambda t: 1.0 - t * rho
+        return lambda ts: 1.0 - ts[:, None] * rho
 
     return _circle_graph(n, T, a_at)
 
@@ -333,20 +369,21 @@ def _torus_graph(T: float, nx: int, ny: int, ax_amp: float, ax_omega: float,
         np.column_stack([ix * ny + iy, (ix + 1) % nx * ny + iy]),
         np.column_stack([ix * ny + iy, ix * ny + (iy + 1) % ny])]), n)
 
-    def a_of(t):
-        return 1.0 + ax_amp * math.sin(ax_omega * t)
+    def scales(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """a(t) and b(t) at each time, with math.sin per time."""
+        times = ts.tolist()
+        return (np.array([1.0 + ax_amp * math.sin(ax_omega * t) for t in times]),
+                np.array([1.0 + by_amp * math.sin(by_omega * t) for t in times]))
 
-    def b_of(t):
-        return 1.0 + by_amp * math.sin(by_omega * t)
+    def weights_at(ts: np.ndarray) -> np.ndarray:
+        a, b = scales(ts)
+        return np.repeat((a * b * dx * dy)[:, None], n, axis=1)
 
-    def weights_at(t: float) -> np.ndarray:
-        return np.full(n, a_of(t) * b_of(t) * dx * dy)
-
-    def conductances_at(t: float) -> np.ndarray:
-        a, b = a_of(t), b_of(t)
-        c = np.empty(len(edges))
-        c[:n] = (b / a) * (dy / dx)
-        c[n:] = (a / b) * (dx / dy)
+    def conductances_at(ts: np.ndarray) -> np.ndarray:
+        a, b = scales(ts)
+        c = np.empty((len(ts), len(edges)))
+        c[:, :n] = ((b / a) * (dy / dx))[:, None]
+        c[:, n:] = ((a / b) * (dx / dy))[:, None]
         return c
 
     coords = np.column_stack([ix * dx, iy * dy])
@@ -379,10 +416,11 @@ def _octahedron_graph(T: float, radius0: float) -> TimeWeightedGraph:
     base_w = np.full(6, area0 / 6.0)
     base_c = np.ones(len(edges))
 
-    def weights_at(t: float) -> np.ndarray:
-        return base_w * (1.0 - 2.0 * t / radius0 ** 2)
+    def weights_at(ts: np.ndarray) -> np.ndarray:
+        return base_w * (1.0 - 2.0 * ts / radius0 ** 2)[:, None]
 
-    return TimeWeightedGraph(6, edges, weights_at, lambda t: base_c, T, coords)
+    return TimeWeightedGraph(6, edges, weights_at, lambda ts: np.tile(base_c, (len(ts), 1)),
+                             T, coords)
 
 
 def typed_array(key: str, value, like) -> np.ndarray:
@@ -451,19 +489,19 @@ def _custom_tabulated(T: float, path: str, table: dict) -> TimeWeightedGraph:
         raise ScenarioError(
             f"custom_tabulated: table covers [0, {t1}], horizon T={T} not reached")
 
-    def _locate(t: float):
-        t = min(max(t, t0), t1)
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(max(k, 0), len(times) - 2)
+    def _locate(ts: np.ndarray):
+        """Each time's knot interval k and its place theta in it, as a column."""
+        t = np.minimum(np.maximum(ts, t0), t1)
+        k = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
         theta = (t - times[k]) / (times[k + 1] - times[k])
-        return k, theta
+        return k, theta[:, None]
 
-    def weights_at(t: float) -> np.ndarray:
-        k, theta = _locate(t)
+    def weights_at(ts: np.ndarray) -> np.ndarray:
+        k, theta = _locate(ts)
         return np.exp((1.0 - theta) * logW[k] + theta * logW[k + 1])
 
-    def conductances_at(t: float) -> np.ndarray:
-        k, theta = _locate(t)
+    def conductances_at(ts: np.ndarray) -> np.ndarray:
+        k, theta = _locate(ts)
         return (1.0 - theta) * C[k] + theta * C[k + 1]
 
     return TimeWeightedGraph(n, edges, weights_at, conductances_at, T)
@@ -472,8 +510,8 @@ def _custom_tabulated(T: float, path: str, table: dict) -> TimeWeightedGraph:
 # Each kind's parameters with their typed defaults, and the builder that takes
 # the horizon and every parameter by name.
 _KINDS: dict[str, tuple[dict[str, Any], Callable[..., TimeWeightedGraph]]] = {
-    "static_circle": ({"n": 64},
-                      lambda T, n: _circle_graph(n, T, lambda x: lambda t: np.ones_like(x))),
+    "static_circle": ({"n": 64}, lambda T, n: _circle_graph(
+        n, T, lambda x: lambda ts: np.ones((len(ts), len(x))))),
     "conformal_circle": ({"n": 64, "amp": 0.5, "omega": 1.0, "k_spatial": 0, "growth": 0.0},
                          _conformal_circle),
     "product_torus": ({"nx": 32, "ny": 32, "ax_amp": 0.3, "ax_omega": 2.0,
@@ -494,16 +532,20 @@ def _validate_graph(G: TimeWeightedGraph, kind: str) -> None:
     """
     if G.plan.components > 1:
         raise ScenarioError(f"{kind}: graph is not connected")
-    for t in np.linspace(0.0, G.horizon, 33):
-        w = vertex_weights(G, float(t))
-        c = edge_conductances(G, float(t))
-        if w.shape != (G.n_vertices,):
-            raise ScenarioError(f"{kind}: weights have shape {w.shape} at t={float(t):.6g}")
-        if c.shape != (G.n_edges,):
-            raise ScenarioError(f"{kind}: conductances have shape {c.shape} at t={float(t):.6g}")
-        if not np.all(w > 0):
-            raise ScenarioError(f"{kind}: nonpositive vertex weight at t={float(t):.6g}")
-        if not np.all(c >= 0):
-            raise ScenarioError(f"{kind}: negative conductance at t={float(t):.6g}")
-        if not (np.isfinite(w).all() and np.isfinite(c).all()):
-            raise ScenarioError(f"{kind}: infinite weight or conductance at t={float(t):.6g}")
+    times = np.linspace(0.0, G.horizon, 33)
+    W, C = weight_table(G, times), conductance_table(G, times)
+    if W.shape != (len(times), G.n_vertices):
+        raise ScenarioError(f"{kind}: weights have shape {W.shape} at {len(times)} times, "
+                            f"expected {(len(times), G.n_vertices)}")
+    if C.shape != (len(times), G.n_edges):
+        raise ScenarioError(f"{kind}: conductances have shape {C.shape} at {len(times)} times, "
+                            f"expected {(len(times), G.n_edges)}")
+    # the first time that fails a check, the checks in this order
+    checks = (((W > 0).all(axis=1), "nonpositive vertex weight"),
+              ((C >= 0).all(axis=1), "negative conductance"),
+              (np.isfinite(W).all(axis=1) & np.isfinite(C).all(axis=1),
+               "infinite weight or conductance"))
+    for k, t in enumerate(times):
+        for ok, what in checks:
+            if not ok[k]:
+                raise ScenarioError(f"{kind}: {what} at t={float(t):.6g}")

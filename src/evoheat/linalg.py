@@ -32,7 +32,9 @@ preconditioning, T. Chan 1988).  With weights and per-axis conductances
 uniform in space, as on ``product_torus``, it is the exact inverse of A.
 A prepared operator holds ``prepared_floats(plan)`` floats; callers that
 prepare ahead keep to PREPARE_BUDGET floats at once, and ``rounds_ahead``
-says how many rounds of operators fit (always at least one).
+says how many rounds of operators fit (always at least one).  Callers that
+read coefficient tables for many times keep each block to the same budget,
+``rows_within_budget`` rows at once.
 Both solvers fix the order of every floating-point operation, so runs are
 bit-reproducible and a column solved alongside others, or on any slice of a
 preparation, is bitwise the column solved alone, and both keep one residual
@@ -51,8 +53,8 @@ import numpy as np
 __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Lattice",
            "StencilOperator", "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply",
            "PREPARE_BUDGET", "PreparedOperators", "rcm_ordering", "half_edge_layout",
-           "solve_plan", "prepared_floats", "rounds_ahead", "spd_prepare", "spd_solve_prepared",
-           "spd_solve", "cg_solve"]
+           "solve_plan", "prepared_floats", "rounds_ahead", "rows_within_budget", "spd_prepare",
+           "spd_solve_prepared", "spd_solve", "cg_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
 # assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
@@ -634,6 +636,12 @@ def rounds_ahead(sizes: Sequence[int], plan: SolvePlan) -> int:
     return count
 
 
+def rows_within_budget(floats_per_row: int) -> int:
+    """How many rows of ``floats_per_row`` floats a caller reads at once: as
+    many as PREPARE_BUDGET holds, and at least one."""
+    return max(1, PREPARE_BUDGET // max(1, floats_per_row))
+
+
 class PreparedOperators(NamedTuple):
     """Operators on one graph made ready to solve, by ``spd_prepare``.
 
@@ -722,9 +730,10 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
     When the recurrence residual meets the target, the true residual of A is
     recomputed; if drift has spoiled it the iteration restarts from the
     current iterate.
-    Raises SolverError (reporting the relative residual achieved) if the
-    target is missed after 50 n iterations, or the search direction vanishes
-    first (p.Ap = 0, as once the residual underflows).
+    Raises SolverError (reporting the relative residual achieved, the true
+    one when the recurrence met the target) if the target is missed after
+    50 n iterations, or the search direction vanishes first (p.Ap = 0, as
+    once the residual underflows).
     """
     b = np.asarray(b, dtype=float)
     n = A.n
@@ -786,8 +795,10 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
         r -= np.multiply(alpha, Ap, out=step)
         r_norm = math.sqrt(float(np.dot(r, r)))
 
-    if r_norm <= target and true_residual() <= target:
-        return x
+    if r_norm <= target:  # met by the recurrence: the true residual decides, and is reported
+        r_norm = true_residual()
+        if r_norm <= target:
+            return x
     raise SolverError(
         f"cg_solve: no convergence in {cap} iterations "
         f"(relative residual {r_norm / b_norm:.3e}, target {rel_tol:.3e})",

@@ -42,12 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _TIME_FUZZ, TimeWeightedGraph, edge_conductances, vertex_weights
+from .geometry import _TIME_FUZZ, TimeWeightedGraph, conductance_table, weight_table
 from .linalg import SolverError, SpdOperator, rounds_ahead, spd_prepare, spd_solve_prepared
 
 __all__ = [
     "ChainFamily",
     "operator_at",
+    "operators_at",
     "run_interpolated",
     "run_sweep",
     "steps_within_horizon",
@@ -72,9 +73,16 @@ def truncate(u: np.ndarray, n: float) -> np.ndarray:
     return np.clip(np.asarray(u, dtype=float), -n, n)
 
 
+def operators_at(G: TimeWeightedGraph, times, hs) -> list[SpdOperator]:
+    """The step operators M_t + h * S_t, one per pair of ``times`` and ``hs``,
+    from one weight and one conductance table."""
+    W, C = weight_table(G, times), conductance_table(G, times)
+    return [SpdOperator(w, G.edges, c, h) for w, c, h in zip(W, C, hs)]
+
+
 def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
-    """The step operator M_t + h * S_t."""
-    return SpdOperator(vertex_weights(G, t), G.edges, edge_conductances(G, t), h)
+    """The step operator M_t + h * S_t, the one-row ``operators_at``."""
+    return operators_at(G, [t], [h])[0]
 
 
 def steps_within_horizon(T: float, h: float) -> int:
@@ -160,13 +168,15 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     r*m + 1 .. r*m + m.  Round r of the sweep is round r of every grid with
     N > r, in h_list order, each operator assembled once and solved for every
     family in one ``spd_solve_prepared`` call.  Whole rounds are prepared ahead
-    in one ``spd_prepare`` call, as many as ``rounds_ahead`` allows.  A family's
+    in one ``spd_prepare`` call, as many as ``rounds_ahead`` allows, from one
+    weight and one conductance table over the chunk's grid times.  A family's
     samples are bitwise those of running it alone, and so is its
     ``solve_error``: row j adds rel_tol * ||rhs_j||_2 / min(mass_j) to row
     j - m's bound, from the right-hand side and weights it was solved with.
     Before a round is solved, every row's bound must be finite, or SolverError
     names its grid time: a right-hand side whose norm overflows cannot be
-    certified.
+    certified.  After it, every solved row must be finite, or SolverError names
+    its grid time and h, whether or not a later round reads the row.
     """
     initials = [_vertex_values(u0, G, "u0") for u0 in initials]
     if m < 1:
@@ -186,7 +196,8 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     r = 0
     while r < len(rounds):
         chunk = rounds[r:r + rounds_ahead([len(pairs) for pairs in rounds[r:]], G.plan)]
-        ops = [operator_at(G, j * (hs[k] / m), hs[k]) for pairs in chunk for k, j in pairs]
+        steps = [(j * (hs[k] / m), hs[k]) for pairs in chunk for k, j in pairs]
+        ops = operators_at(G, *zip(*steps))
         prepared = spd_prepare(ops, G.plan)
         start = 0
         for pairs in chunk:
@@ -198,12 +209,18 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
                 bound = (bounds[:, prevs]
                          + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
             if not np.isfinite(bound).all():
-                k, j = pairs[np.flatnonzero(~np.isfinite(bound).all(axis=0))[0]]
+                t, h = steps[start + np.flatnonzero(~np.isfinite(bound).all(axis=0))[0]]
                 raise SolverError(
-                    f"the right-hand side at t = {j * (hs[k] / m):.6g} (h = {hs[k]:g}) "
+                    f"the right-hand side at t = {t:.6g} (h = {h:g}) "
                     "is too large: its norm or solver-error bound is not finite", float("nan"))
             bounds[:, rows] = bound
-            values[:, rows] = spd_solve_prepared(prepared, rhs, rel_tol, start).swapaxes(0, 1)
+            solved = spd_solve_prepared(prepared, rhs, rel_tol, start)
+            finite = np.isfinite(solved).all(axis=(1, 2))
+            if not finite.all():
+                t, h = steps[start + np.flatnonzero(~finite)[0]]
+                raise SolverError(f"the solve at t = {t:.6g} (h = {h:g}) returned "
+                                  "non-finite values", float("nan"))
+            values[:, rows] = solved.swapaxes(0, 1)
             start += len(pairs)
         r += len(chunk)
     return [[ChainFamily(h=h, m=int(m), values=run[b:e], solve_error=err[b:e])

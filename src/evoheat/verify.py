@@ -35,12 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (_TIME_FUZZ, TimeWeightedGraph, _dirichlet_form, dirichlet_energy,
-                       edge_conductances, vertex_weights)
-from .linalg import half_edge_layout, rounds_ahead, spd_solve
+from .geometry import (_TIME_FUZZ, TimeWeightedGraph, _dirichlet_form, conductance_table,
+                       dirichlet_energy, vertex_weights, weight_table)
+from .linalg import half_edge_layout, rounds_ahead, rows_within_budget, spd_solve
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, _vertex_values, operator_at, run_interpolated,
-                     steps_within_horizon)
+from .scheme import ChainFamily, _vertex_values, operators_at, run_sweep, steps_within_horizon
 
 __all__ = [
     "weighted_l2_sq",
@@ -81,6 +80,13 @@ def weighted_l2(values: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(weighted_l2_sq(values, weights))
 
 
+def _row_blocks(start: int, stop: int, floats_per_row: int):
+    """Consecutive ranges covering start..stop-1, each of ``rows_within_budget`` rows:
+    the grid rows whose coefficient tables one read holds."""
+    block = rows_within_budget(floats_per_row)
+    return (range(first, min(first + block, stop)) for first in range(start, stop, block))
+
+
 def report_json(report) -> dict:
     """A report dataclass as a JSON object: its fields in order, ``passed`` as "pass"."""
     return asdict(report, dict_factory=lambda items: {
@@ -116,8 +122,9 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
     """Both sides of the energy estimate, one report per chain family of one grid.
 
     The families must share h, m and row count; each one's initial value is its
-    row 0.  Each grid row's coefficients are read once for all of them, and each
-    report is bitwise the family's report alone.  With ``c0`` None the sweep
+    row 0.  Each grid row's coefficients are read once for all of them, in
+    tables of ``rows_within_budget`` rows, and each report is bitwise the
+    family's report alone.  With ``c0`` None the sweep
     certifies it from the weight rows it reads: the largest rate (log w_i(t_j) -
     log w_i(t_{j-1})) / (t_j - t_{j-1}), clamped at 0, bounds the growth over
     every grid pair and so over the grid, which is all the estimate consumes.  A
@@ -143,22 +150,24 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
     log_w = np.log(w) if c0 is None else None
     # left-to-right sums, as in l2h1_interp_norm (Python 3.12's sum() is compensated)
     dissipation = [0.0] * len(chains)
-    for j in range(1, len(times)):
-        w = vertex_weights(G, times[j])
-        if c0 is None:
-            log_prev, log_w = log_w, np.log(w)
-            pair = (log_w - log_prev) / (times[j] - times[j - 1])
-            top = pair.max()
-            if not top < np.inf:  # NaN or +inf; a weight that stays 0 (NaN) sets no rate
-                top = pair[~((log_w == -np.inf) & (log_prev == -np.inf))].max(initial=-np.inf)
-                if not top < np.inf:
-                    raise ValueError(f"energy_estimate: weight growth rate {top} at grid "
-                                     f"time t={times[j]:.6g} admits no c0")
-            rate = max(rate, top)
-        cond = edge_conductances(G, times[j])
-        for f, c in enumerate(chains):
-            sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))
-            dissipation[f] += delta * _dirichlet_form(G, cond, c.values[j])
+    for rows in _row_blocks(1, len(times), G.n_vertices + G.n_edges):
+        span = slice(rows.start, rows.stop)
+        W, C = weight_table(G, times[span]), conductance_table(G, times[span])
+        for j, w, cond in zip(rows, W, C):
+            if c0 is None:
+                log_prev, log_w = log_w, np.log(w)
+                pair = (log_w - log_prev) / (times[j] - times[j - 1])
+                top = pair.max()
+                if not top < np.inf:  # NaN or +inf; a weight that stays 0 (NaN) sets no rate
+                    top = pair[~((log_w == -np.inf) & (log_prev == -np.inf))].max(
+                        initial=-np.inf)
+                    if not top < np.inf:
+                        raise ValueError(f"energy_estimate: weight growth rate {top} at grid "
+                                         f"time t={times[j]:.6g} admits no c0")
+                rate = max(rate, top)
+            for f, c in enumerate(chains):
+                sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))
+                dissipation[f] += delta * _dirichlet_form(G, cond, c.values[j])
     c0 = max(0.0, float(rate)) if c0 is None else float(c0)
     try:
         rhs = [math.exp(c0 * first.horizon) * a for a in a0]
@@ -283,11 +292,14 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
 
     The fine run (n_steps) and the halved run advance together: each halved
     step follows the two fine steps it spans, and the gap between the two runs
-    is measured at its end, so only the fine trajectory is kept.  Within such a
-    window the rate operator is assembled once per distinct stage time, keyed
-    on the exact float each run computes, on the graph's ``half_edge_layout``:
-    off[k, i] = c / w_i along the half-edge in slot k of vertex i, overflow
-    half-edges alike.  A stage evaluates it in difference form,
+    is measured at its end, so only the fine trajectory is kept.  The windows
+    run in blocks, as many as keep the block's operators and coefficient
+    tables within ``rows_within_budget``.  A block reads one weight and one
+    conductance table over its distinct stage times, the exact floats each run
+    computes (``np.unique``), and assembles the rate operator once per time on
+    the graph's ``half_edge_layout``: off[k, i] = c / w_i along the half-edge
+    in slot k of vertex i, overflow half-edges alike.  A time two consecutive
+    blocks share is read by both.  A stage evaluates it in difference form,
 
         (-M_t^{-1} S_t y)_i = sum_k off[k, i] * (y[nbr[k, i]] - y_i),
 
@@ -304,23 +316,23 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
     n = G.n_vertices
     layout = half_edge_layout(n, G.edges)
     overflow = len(layout.over_rows) > 0
-    # stage time -> (off, overflow off, weights); the weights serve the self-check
-    operators: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def operator(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        hit = operators.get(t)
-        if hit is None:
-            w = vertex_weights(G, t)
-            c = edge_conductances(G, t)
-            hit = operators[t] = (c[layout.slot_edge] / w,
-                                  c[layout.over_edges] / w[layout.over_rows], w)
-        return hit
-
+    half = n_steps // 2
+    dt = T / n_steps
+    dt_half = T / half
     gathered = np.empty(layout.nbr.shape)
     buffers = np.empty((5, n))
 
+    def read(stage_times: np.ndarray) -> dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each distinct one of ``stage_times`` (compared exactly), read once, to
+        its (off, overflow off, weights); the weights serve the self-check."""
+        times = np.unique(stage_times)
+        w, c = weight_table(G, times), conductance_table(G, times)
+        return dict(zip(times.tolist(), zip(c[:, layout.slot_edge] / w[:, None, :],
+                                             c[:, layout.over_edges] / w[:, layout.over_rows],
+                                             w)))
+
     def rate(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        off, over_off, _ = operator(t)
+        off, over_off, _ = ops[t]
         # the indices are in range by construction; mode="raise" would buffer the copy
         diff = y.take(layout.nbr, out=gathered, mode="clip")
         diff -= y
@@ -351,23 +363,28 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
         k2 *= dt / 6.0
         np.add(y, k2, out=out)
 
-    half = n_steps // 2
-    dt = T / n_steps
-    dt_half = T / half
     fine = np.empty((n_steps + 1, n))
     fine[0] = u0
     y_half = u0.copy()
     self_check = 0.0
-    for i in range(half):
-        # no stage time of this window lies below its two starting times
-        start = min(2 * i * dt, i * dt_half)
-        operators = {t: op for t, op in operators.items() if t >= start}
-        rk4_step(2 * i * dt, dt, fine[2 * i], fine[2 * i + 1])
-        rk4_step((2 * i + 1) * dt, dt, fine[2 * i + 1], fine[2 * i + 2])
-        rk4_step(i * dt_half, dt_half, y_half, y_half)
-        w_end = operator((i + 1) * dt_half)[2]
-        # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
-        self_check = float(np.maximum(self_check, weighted_l2(fine[2 * i + 2] - y_half, w_end)))
+    # a window computes at most 10 stage times, rk4_step's and the self-check's
+    windows = rows_within_budget(
+        10 * (layout.nbr.size + len(layout.over_rows) + n + G.n_edges))
+    for first in range(0, half, windows):
+        window = np.arange(first, min(first + windows, half))
+        # the floats rk4_step and the self-check compute, in the same operations
+        t_fine, t_next, t_half = 2 * window * dt, (2 * window + 1) * dt, window * dt_half
+        ops = read(np.concatenate([
+            t_fine, t_fine + 0.5 * dt, t_fine + dt, t_next, t_next + 0.5 * dt, t_next + dt,
+            t_half, t_half + 0.5 * dt_half, t_half + dt_half, (window + 1) * dt_half]))
+        for i in window.tolist():
+            rk4_step(2 * i * dt, dt, fine[2 * i], fine[2 * i + 1])
+            rk4_step((2 * i + 1) * dt, dt, fine[2 * i + 1], fine[2 * i + 2])
+            rk4_step(i * dt_half, dt_half, y_half, y_half)
+            w_end = ops[(i + 1) * dt_half][2]
+            # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
+            self_check = float(np.maximum(self_check,
+                                          weighted_l2(fine[2 * i + 2] - y_half, w_end)))
     if not (self_check < self_check_tol):  # NaN from a blown-up run fails too
         raise OracleError(
             f"oracle self-check failed: halving n_steps={n_steps} moves the "
@@ -401,9 +418,12 @@ class ConvergenceRow:
 def chain_error_vs_oracle(chain: ChainFamily, G: TimeWeightedGraph,
                           oracle: OracleResult) -> float:
     """max over chain grid times of the weighted l2 distance to the oracle."""
+    times = chain.times()
     err = 0.0
-    for t, v in zip(chain.times(), chain.values):
-        err = max(err, weighted_l2(v - oracle_value_at(oracle, t), vertex_weights(G, t)))
+    for rows in _row_blocks(0, len(times), G.n_vertices):
+        span = slice(rows.start, rows.stop)
+        for t, v, w in zip(times[span], chain.values[span], weight_table(G, times[span])):
+            err = max(err, weighted_l2(v - oracle_value_at(oracle, t), w))
     return err
 
 
@@ -411,18 +431,19 @@ def convergence_table(G: TimeWeightedGraph, u0: np.ndarray, h_list, m: int = 1,
                       oracle_steps: int = 4096, rel_tol: float = 1e-10) -> list[ConvergenceRow]:
     """Errors of chain runs from u0 against the semi-discrete oracle for each h.
 
-    observed_order between consecutive rows is log(err ratio)/log(h ratio); it is
-    None on the first row and whenever an error sits at rounding level (below
-    1e-13), where the quotient measures noise.  Every h is checked against the
-    horizon before the oracle runs.
+    One ``run_sweep`` steps every h of h_list in lockstep.  observed_order
+    between consecutive rows is log(err ratio)/log(h ratio); it is None on the
+    first row and whenever an error sits at rounding level (below 1e-13), where
+    the quotient measures noise.  Every h is checked against the horizon before
+    the oracle runs.
     """
     for h in h_list:
         steps_within_horizon(G.horizon, float(h))
     oracle = semidiscrete_oracle(G, u0, G.horizon, oracle_steps)
     rows: list[ConvergenceRow] = []
     prev: Optional[ConvergenceRow] = None
-    for h in h_list:
-        chain = run_interpolated(G, u0, float(h), m, rel_tol=rel_tol)
+    families = run_sweep(G, [u0], [float(h) for h in h_list], m, rel_tol=rel_tol)
+    for h, [chain] in zip(h_list, families):
         err = chain_error_vs_oracle(chain, G, oracle)
         order = None
         if prev is not None and prev.error > 1e-13 and err > 1e-13 and prev.h != h:
@@ -515,26 +536,30 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
                                  f"at t={endpoint}, got {fn.profile(endpoint)}")
         phis.append(phi)
 
-    # one grid time at a time, each weight row read once and carried into the next
-    # step's loss; every function's sums still run over j in order
+    # one grid time at a time, from tables of ``rows_within_budget`` rows; each
+    # weight row is read once and carried into the next step's loss, and every
+    # function's sums still run over j in order
     d_psis = [fn.space[G.edges[:, 0]] - fn.space[G.edges[:, 1]] for fn in test_fns]
     acc = [0.0] * len(test_fns)
     norm = [0.0] * len(test_fns)
     w_next = vertex_weights(G, 0.0)
-    for j in range(nm):
-        w, w_next = w_next, vertex_weights(G, (j + 1) * delta)
-        cond = edge_conductances(G, j * delta)
-        u = chain.values[j]
-        wu = w * u
-        loss_u = (w - w_next) / delta * u
-        d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
-        for f, fn in enumerate(test_fns):
-            phi = phis[f][j]
-            dphi = fn.profile_dt(j * delta)
-            mass_term = dphi * float(np.dot(wu, fn.space)) - phi * float(np.dot(loss_u, fn.space))
-            energy_term = phi * float(np.dot(cond, d_u * d_psis[f]))
-            acc[f] += delta * (mass_term - energy_term)
-            norm[f] += delta * abs(phi) * weighted_l2(fn.space, w)
+    for js in _row_blocks(0, nm, G.n_vertices + G.n_edges):
+        W = weight_table(G, [(j + 1) * delta for j in js])
+        C = conductance_table(G, [j * delta for j in js])
+        for j, w_after, cond in zip(js, W, C):
+            w, w_next = w_next, w_after
+            u = chain.values[j]
+            wu = w * u
+            loss_u = (w - w_next) / delta * u
+            d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
+            for f, fn in enumerate(test_fns):
+                phi = phis[f][j]
+                dphi = fn.profile_dt(j * delta)
+                mass_term = (dphi * float(np.dot(wu, fn.space))
+                             - phi * float(np.dot(loss_u, fn.space)))
+                energy_term = phi * float(np.dot(cond, d_u * d_psis[f]))
+                acc[f] += delta * (mass_term - energy_term)
+                norm[f] += delta * abs(phi) * weighted_l2(fn.space, w)
     return [WeakResidualRow(name=fn.name, residual=abs(a), normalization=nrm)
             for fn, a, nrm in zip(test_fns, acc, norm)]
 
@@ -585,11 +610,17 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph, t_small: 
 
 def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph, dt: float) -> float:
     """sum_j dt * energy(values[j], times[j]) over the rows of ``values``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != G.n_vertices:
+        raise ValueError(f"values has shape {values.shape}, expected (rows, {G.n_vertices})")
+    times = np.asarray(times, dtype=float)
     # an explicit left-to-right loop: from Python 3.12 the builtin sum() of floats
     # is compensated, and the artifact bytes must not depend on the interpreter
     total = 0.0
-    for t, v in zip(times, values):
-        total += dt * dirichlet_energy(G, t, v)
+    for rows in _row_blocks(0, len(values), G.n_edges):
+        span = slice(rows.start, rows.stop)
+        for v, c in zip(values[span], conductance_table(G, times[span])):
+            total += dt * _dirichlet_form(G, c, v)
     return total
 
 
@@ -603,7 +634,7 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     the shifted chains' intermediate samples, whose proximal weight stays 1/h.
     No solve reads another, so the m grid times of each step interval form a
     round, and the rounds go to ``spd_solve`` as many at a time as
-    ``rounds_ahead`` allows.
+    ``rounds_ahead`` allows, with one coefficient table per call.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -616,7 +647,8 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     while first < N:
         stop = first + rounds_ahead([m] * (N - first), G.plan)
         rows = range(first * m, stop * m)  # row i: t = (i + 1)*delta in interval i // m
-        ops = [operator_at(G, (i + 1) * delta, (i + 1) * delta - (i // m) * h) for i in rows]
+        times = [(i + 1) * delta for i in rows]
+        ops = operators_at(G, times, [t - (i // m) * h for i, t in zip(rows, times)])
         rhs = np.array([A.mass * seq[i // m] for i, A in zip(rows, ops)])[:, None]
         out[rows.start:rows.stop] = spd_solve(ops, rhs, rel_tol, G.plan)[:, 0]
         first = stop

@@ -373,6 +373,26 @@ def test_solver_failure_exits_three(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_a_non_finite_solve_in_the_last_round_exits_three(tmp_path, monkeypatch, capsys):
+    # the default run solves 10 rounds of 4 rows, and no later round reads the
+    # last round's rows: the sweep itself must see that they are not finite
+    real = eh.scheme.spd_solve_prepared
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        return np.full_like(x, np.inf) if len(calls) == 10 else x
+
+    monkeypatch.setattr(eh.scheme, "spd_solve_prepared", solve)
+    out = str(tmp_path / "out")
+    assert main(["run", "--out", out]) == 3
+    assert len(calls) == 10
+    assert capsys.readouterr().err == ("solver failure: the solve at t = 0.925 (h = 0.1) "
+                                       "returned non-finite values\n")
+    assert not os.path.exists(out)
+
+
 def test_converge_command(tmp_path):
     cfg = _write_config(
         tmp_path,

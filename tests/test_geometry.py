@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import evoheat as eh
@@ -70,6 +72,58 @@ def test_negative_time_frozen(kind, coefficient):
     G = build(kind, table=_table_doc()) if kind == "custom_tabulated" else build(kind)
     for t in (-1e-12, -0.3, -1.0):
         assert np.array_equal(coefficient(G, t), coefficient(G, 0.0))
+
+
+def _ring_table(n=19, knots=(0.0, 0.3, 0.7, 1.0)):
+    """A tabulated ring whose rows are longer than a SIMD register, with random knots."""
+    rng = np.random.default_rng(19)
+    return {"n_vertices": n, "edges": [[i, (i + 1) % n] for i in range(n)], "times": list(knots),
+            "weights": rng.uniform(0.5, 2.0, (len(knots), n)).tolist(),
+            "conductances": rng.uniform(0.0, 2.0, (len(knots), n)).tolist()}
+
+
+# every scenario kind, and a static graph, each on [0, 1]
+TABLE_GRAPHS = {
+    "static_circle": build("static_circle", n=9),
+    "conformal_circle": build("conformal_circle", n=17, amp=0.4, omega=3.0, k_spatial=2,
+                              growth=0.7),
+    "product_torus": build("product_torus", nx=3, ny=5),
+    "shrinking_sphere_analogue": build("shrinking_sphere_analogue"),
+    "pinching_circle": build("pinching_circle", n=13),
+    "oscillating_metric": build("oscillating_metric", n=11),
+    "custom_tabulated": build("custom_tabulated", table=_ring_table()),
+    "static": eh.TimeWeightedGraph.static([1.0, 2.0, 0.5], [[0, 1], [1, 2]], [0.5, 0.0]),
+}
+
+
+def test_table_graphs_cover_every_scenario_kind():
+    assert set(eh.SCENARIO_KINDS) < set(TABLE_GRAPHS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(TABLE_GRAPHS)),
+       times=st.lists(st.one_of(st.sampled_from([0.0, 1.0, -0.0, -0.5]),
+                                st.floats(-1.0, 1.0, allow_nan=False)),
+                      min_size=1, max_size=40))
+def test_table_is_the_stack_of_its_one_row_tables(name, times):
+    # a row of a table must not depend on the other times read with it, so one
+    # block read gives every row bitwise as a read of its time alone would
+    G = TABLE_GRAPHS[name]
+    W, C = eh.weight_table(G, times), eh.conductance_table(G, times)
+    assert W.shape == (len(times), G.n_vertices) and C.shape == (len(times), G.n_edges)
+    for t, w, c in zip(times, W, C):
+        assert np.array_equal(w, eh.vertex_weights(G, t))
+        assert np.array_equal(c, eh.edge_conductances(G, t))
+        if t < 0:  # frozen below 0
+            assert np.array_equal(w, eh.vertex_weights(G, 0.0))
+
+
+def test_table_beyond_the_horizon_rejected():
+    G = build("static_circle", n=4, T=0.5)
+    with pytest.raises(ValueError, match="^time 0.6 beyond graph horizon 0.5$"):
+        eh.weight_table(G, [0.1, 0.6, 0.7])
+    with pytest.raises(ValueError, match="^time 0.6 beyond graph horizon 0.5$"):
+        eh.conductance_table(G, [0.6])
 
 
 def test_time_beyond_horizon_rejected():

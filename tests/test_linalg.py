@@ -85,6 +85,35 @@ def test_cg_reports_failure():
     assert "no convergence in 400 iterations" in str(excinfo.value)
 
 
+class _FlippingOperator:
+    """0.75 I on four vertices, with an apply error of +-0.25 I whose sign flips
+    on every call: CG's own products see 0.5 I, its true-residual checks I."""
+
+    n = 4
+
+    def __init__(self):
+        self.sign = 1.0
+
+    def apply(self, x, out):
+        self.sign = -self.sign
+        return np.multiply(x, 0.75 + 0.25 * self.sign, out=out)
+
+    def precondition(self, r, out):
+        out[:] = r
+        return out
+
+
+def test_cg_reports_the_true_residual_that_missed():
+    # every iteration drives the recurrence residual to exactly 0, and every true
+    # residual is b or -b: the cap runs out right after the recurrence met the
+    # target, and the error must give the true residual, not the recurrence's 0
+    with pytest.raises(eh.SolverError) as excinfo:
+        eh.cg_solve(_FlippingOperator(), np.array([1.0, -2.0, 0.5, 3.0]), rel_tol=1e-10)
+    assert excinfo.value.relative_residual == 1.0
+    assert str(excinfo.value) == ("cg_solve: no convergence in 200 iterations "
+                                  "(relative residual 1.000e+00, target 1.000e-10)")
+
+
 def test_cg_reports_underflowed_residual_and_target_not_indefiniteness():
     # rel_tol 0 drives the residual to underflow, where p.Ap becomes exactly 0
     A = random_operator(7)

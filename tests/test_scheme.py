@@ -219,26 +219,31 @@ def test_runs_reject_bad_initial_value():
         eh.run_interpolated(TWO_VERTEX, [1.0, 0.0], 1.0, m=0)
 
 
+def _record_reads_and_builds(monkeypatch):
+    """The names of the coefficient table reads, operator builds and
+    preparations that ``scheme`` makes from here on, in call order."""
+    calls = []
+    for name in ("weight_table", "conductance_table", "SpdOperator", "spd_prepare"):
+        monkeypatch.setattr(scheme, name, lambda *args, name=name: calls.append(name))
+    return calls
+
+
 @pytest.mark.parametrize("bad, message", [
     ([1.0, np.nan], "finite"), ([np.inf, 0.0], "finite"), ([[1.0, 0.0]], "shape"), ([1.0], "shape"),
 ], ids=["nan", "inf", "matrix", "short"])
 def test_run_families_rejects_bad_initial_value_before_any_solve(bad, message, monkeypatch):
-    built = []
-    monkeypatch.setattr(scheme, "operator_at", lambda *args: built.append(args))
-    prepared = []
-    monkeypatch.setattr(scheme, "spd_prepare", lambda *args: prepared.append(args))
+    calls = _record_reads_and_builds(monkeypatch)
     with pytest.raises(ValueError, match=message):
         eh.run_sweep(TWO_VERTEX, [[1.0, 0.0], bad], [1.0], m=1)[0]
-    assert built == [] and prepared == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0])
 def test_run_families_rejects_nonpositive_step_before_any_solve(h, monkeypatch):
-    built = []
-    monkeypatch.setattr(scheme, "operator_at", lambda *args: built.append(args))
+    calls = _record_reads_and_builds(monkeypatch)
     with pytest.raises(ValueError, match="h must be positive"):
         eh.run_sweep(TWO_VERTEX, [[1.0, 0.0]], [h], m=1)[0]
-    assert built == []
+    assert calls == []
 
 
 @pytest.mark.parametrize("G", [MOVING, build("product_torus", nx=8, ny=8, T=0.5)],
@@ -332,16 +337,30 @@ def test_sweep_chunks_stay_within_the_budget(budget_rounds, monkeypatch):
 
 
 def test_sweep_builds_each_rows_operator_once(monkeypatch):
+    # every row's coefficients are one row of a chunk's tables, and its operator
+    # is built once, from those rows
     monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", _round_floats(MOVING, 3))
-    calls = []
-    real = scheme.operator_at
+    rows = {"weights": [], "conductances": []}
+    steps = []
 
-    def counting(G, t, h):
-        calls.append((t, h))
-        return real(G, t, h)
+    def counting(name, table):
+        def counted(G, times):
+            rows[name].extend(times)
+            return table(G, times)
+        return counted
 
-    monkeypatch.setattr(scheme, "operator_at", counting)
+    def operator(mass, edges, coeffs, h):
+        steps.append((mass.tobytes(), coeffs.tobytes(), h))
+        return eh.SpdOperator(mass, edges, coeffs, h)
+
+    monkeypatch.setattr(scheme, "weight_table", counting("weights", scheme.weight_table))
+    monkeypatch.setattr(scheme, "conductance_table",
+                        counting("conductances", scheme.conductance_table))
+    monkeypatch.setattr(scheme, "SpdOperator", operator)
     eh.run_sweep(MOVING, [np.ones(MOVING.n_vertices)], SWEEP_H, m=3)
     want = [(j * (h / 3), h) for h in SWEEP_H
             for j in range(1, 3 * eh.steps_within_horizon(MOVING.horizon, h) + 1)]
-    assert sorted(calls) == sorted(want)
+    assert sorted(rows["weights"]) == sorted(rows["conductances"]) == sorted(t for t, _ in want)
+    assert sorted(steps) == sorted((eh.vertex_weights(MOVING, t).tobytes(),
+                                    eh.edge_conductances(MOVING, t).tobytes(), h)
+                                   for t, h in want)

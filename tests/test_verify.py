@@ -187,23 +187,43 @@ def test_oracle_matches_stiffness_form_within_rounding(G, n_steps):
     assert np.abs(oracle.values - np.array(values)).max() <= bound
 
 
+def _counted(fn, calls, key, rows=len):
+    """fn, adding the rows its last argument asks for to calls[key]."""
+    def counted(*args):
+        calls[key] += rows(args[-1])
+        return fn(*args)
+    return counted
+
+
+def _counting_rows(G, rows):
+    """A copy of G whose coefficient callables add the rows they return to ``rows``."""
+    return eh.TimeWeightedGraph(
+        G.n_vertices, G.edges, _counted(G.weights_at, rows, "weights"),
+        _counted(G.conductances_at, rows, "conductances"), G.horizon, G.coords)
+
+
 def test_oracle_evaluates_coefficients_once_per_stage_time():
-    calls = {"weights": 0, "conductances": 0}
-
-    def weights_at(t):
-        calls["weights"] += 1
-        return MOVING.weights_at(t)
-
-    def conductances_at(t):
-        calls["conductances"] += 1
-        return MOVING.conductances_at(t)
-
-    G = eh.TimeWeightedGraph(MOVING.n_vertices, MOVING.edges, weights_at,
-                             conductances_at, MOVING.horizon, MOVING.coords)
+    rows = {"weights": 0, "conductances": 0}
+    G = _counting_rows(MOVING, rows)
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     eh.semidiscrete_oracle(G, u0, 1.0, n_steps=64, self_check_tol=1e-6)
     # stage times of the fine run are k/128, k = 0..128; the halved run's are among them
-    assert calls == {"weights": 2 * 64 + 1, "conductances": 2 * 64 + 1}
+    assert rows == {"weights": 2 * 64 + 1, "conductances": 2 * 64 + 1}
+
+
+def test_oracle_window_blocks_change_no_bit(monkeypatch):
+    # with a budget of one float every window is a block of its own, which reads
+    # its five distinct stage times (the halved run's are among them), and the
+    # trajectory is bitwise that of one block
+    u0 = eh.make_initial_data(MOVING, {"profile": "harmonic", "k": 1})
+    alone = eh.semidiscrete_oracle(MOVING, u0, 1.0, n_steps=64, self_check_tol=1e-6)
+    monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", 1)
+    rows = {"weights": 0, "conductances": 0}
+    oracle = eh.semidiscrete_oracle(_counting_rows(MOVING, rows), u0, 1.0, n_steps=64,
+                                    self_check_tol=1e-6)
+    assert rows == {"weights": 5 * 32, "conductances": 5 * 32}
+    assert np.array_equal(oracle.values, alone.values)
+    assert oracle.self_check == alone.self_check
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +274,8 @@ def test_energy_estimate_detects_uncovered_growth():
 def _two_vertex_weights(first):
     """The unit-edge two-vertex graph with weights (first(t), e^{2t}), unvalidated."""
     return eh.TimeWeightedGraph(2, np.array([[0, 1]]),
-                                lambda t: np.array([first(t), math.exp(2.0 * t)]),
-                                lambda t: np.ones(1), 1.0)
+                                lambda ts: np.array([[first(t), math.exp(2.0 * t)] for t in ts]),
+                                lambda ts: np.ones((len(ts), 1)), 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
@@ -364,25 +384,21 @@ def test_energy_estimate_families_together_equal_each_alone(graph, families):
         assert _bits(report) == _bits(alone) == _bits(_energy_alone(chain, graph, c0))
 
 
-def _counted(fn, calls, key):
-    def counted(*args):
-        calls[key] += 1
-        return fn(*args)
-    return counted
-
-
 def _count_coefficient_reads(monkeypatch, G):
-    """A copy of G whose coefficient callables count their calls, and counted
-    weight and conductance accessors in ``evoheat.verify``.  Returns the copy,
-    the callables' counts (reads by any path) and the accessors' counts."""
+    """A copy of G whose coefficient callables count the rows they return, and
+    weight and conductance accessors in ``evoheat.verify`` that count the rows
+    they read.  Returns the copy, the callables' counts (reads by any path) and
+    the accessors' counts."""
     at_graph = {"weights": 0, "conductances": 0}
     in_verify = {"weights": 0, "conductances": 0}
-    counting = eh.TimeWeightedGraph(
-        G.n_vertices, G.edges, _counted(G.weights_at, at_graph, "weights"),
-        _counted(G.conductances_at, at_graph, "conductances"), G.horizon, G.coords)
-    for name, key in (("vertex_weights", "weights"), ("edge_conductances", "conductances")):
-        monkeypatch.setattr(evoheat.verify, name,
-                            _counted(getattr(evoheat.verify, name), in_verify, key))
+    counting = _counting_rows(G, at_graph)
+    for name, key, rows in (("weight_table", "weights", len),
+                            ("conductance_table", "conductances", len),
+                            ("vertex_weights", "weights", lambda t: 1),
+                            ("edge_conductances", "conductances", lambda t: 1)):
+        if hasattr(evoheat.verify, name):
+            monkeypatch.setattr(evoheat.verify, name,
+                                _counted(getattr(evoheat.verify, name), in_verify, key, rows))
     return counting, at_graph, in_verify
 
 
@@ -410,6 +426,29 @@ def test_weak_residual_reads_each_grid_row_once(monkeypatch):
     G, at_graph, in_verify = _count_coefficient_reads(monkeypatch, MOVING)
     eh.weak_residual(chain, G, catalog)
     assert at_graph == in_verify == {"weights": nm + 1, "conductances": nm}
+
+
+def test_checks_read_the_same_rows_and_bits_in_one_row_blocks(monkeypatch):
+    # a budget of one float makes every table one row: the rows carried from one
+    # block into the next (log w, the next weight row) must change no bit or count
+    G = build("conformal_circle", n=16, amp=0.4, omega=2.0, k_spatial=1, growth=0.3)
+    u0 = eh.make_initial_data(G, {"profile": "random"})
+    chains = eh.run_sweep(G, [u0, -0.5 * u0], [0.25], m=2)[0]
+    catalog = eh.default_test_catalog(G, chains[0].horizon)
+    oracle = eh.semidiscrete_oracle(G, u0, 1.0, n_steps=64, self_check_tol=1.0)
+
+    def checks(graph):
+        return (eh.energy_estimate(chains, graph), eh.weak_residual(chains[0], graph, catalog),
+                eh.chain_error_vs_oracle(chains[0], graph, oracle),
+                eh.l2h1_interp_norm(chains[0].values, chains[0].times(), graph, 0.125))
+
+    want = checks(G)
+    monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", 1)
+    rows = {"weights": 0, "conductances": 0}
+    assert checks(_counting_rows(G, rows)) == want
+    nm = len(chains[0].values) - 1
+    # energy (nm + 1, nm), weak residual (nm + 1, nm), oracle error (nm + 1, 0), l2h1 (0, nm + 1)
+    assert rows == {"weights": 3 * (nm + 1), "conductances": 3 * nm + 1}
 
 
 def test_energy_report_json_uses_pass_key():
@@ -679,7 +718,7 @@ def test_weak_residual_is_finite_where_a_weight_vanishes():
     base = build("static_circle", n=8)
     G = eh.TimeWeightedGraph(
         8, base.edges,
-        lambda t: np.concatenate([[max(1.0 - 2.0 * t, 0.0)], np.ones(7)]),
+        lambda ts: np.column_stack([np.maximum(1.0 - 2.0 * ts, 0.0), np.ones((len(ts), 7))]),
         base.conductances_at, 1.0)
     chain = eh.ChainFamily(0.25, 1, np.random.default_rng(0).standard_normal((5, 8)),
                            np.zeros(5))
@@ -694,7 +733,7 @@ def test_weak_residual_is_finite_where_a_weight_vanishes():
 def test_weak_residual_validates_before_evaluating_coefficients():
     calls = []
     base = build("static_circle", n=8)
-    G = eh.TimeWeightedGraph(8, base.edges, lambda t: calls.append(t) or np.ones(8),
+    G = eh.TimeWeightedGraph(8, base.edges, lambda ts: calls.append(ts) or np.ones((len(ts), 8)),
                              base.conductances_at, 1.0)
     chain = eh.ChainFamily(0.25, 1, np.ones((5, 8)), np.zeros(5))
     good = eh.TestFunction("sin", np.ones(8), lambda t: math.sin(math.pi * t),
