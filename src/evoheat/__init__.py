@@ -10,11 +10,9 @@ from .geometry import (SCENARIO_KINDS, Scenario, ScenarioError, TimeWeightedGrap
                        build_scenario, conductance_table, dirichlet_energy, edge_conductances,
                        vertex_weights, weight_table)
 from .linalg import (SolverError, SpdOperator, StencilOperator, cg_solve, half_edge_layout,
-                     rcm_ordering, solve_plan, spd_prepare, spd_solve, spd_solve_prepared,
-                     stiffness_apply)
+                     rcm_ordering, solve_plan, spd_prepare, spd_solve_prepared, stiffness_apply)
 from .profiles import make_initial_data
-from .scheme import (ChainFamily, operator_at, operators_at, run_interpolated, run_sweep,
-                     steps_within_horizon, truncate)
+from .scheme import ChainFamily, run_sweep, steps_within_horizon, truncate
 from .verify import (AttainmentReport, ContractionReport, ConvergenceRow, EnergyReport,
                      ExtremumReport, OracleError, OracleResult, TestFunction, WeakResidualRow,
                      chain_error_vs_oracle, contraction_report, convergence_table,

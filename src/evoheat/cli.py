@@ -34,7 +34,7 @@ from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, 
                        read_json, vertex_weights)
 from .linalg import SolverError
 from .profiles import make_initial_data
-from .scheme import ChainFamily, run_interpolated, run_sweep, steps_within_horizon, truncate
+from .scheme import ChainFamily, run_sweep, steps_within_horizon, truncate
 from .verify import (TEST_FUNCTIONS, EnergyReport, ExtremumReport, OracleError,
                      contraction_report, default_test_catalog, degiorgi_family,
                      energy_estimate, extremum_check, fit_order, initial_attainment_check,
@@ -162,7 +162,7 @@ def cmd_compare_interp(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph,
                        u0) -> tuple[bool, dict]:
     """Energy norms of shifted-chain vs resolvent interpolation on one run; write
     comparison.json."""
-    chain = run_interpolated(G, u0, cfg.h, cfg.m, rel_tol=cfg.rel_tol)
+    [chain] = run_sweep(G, [u0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
     [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
     dg = degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m, rel_tol=cfg.rel_tol)
     shifted = energy.dissipation  # the l2h1 norm of the produced samples

@@ -140,7 +140,7 @@ class TimeWeightedGraph:
 
     @functools.cached_property
     def plan(self) -> SolvePlan:
-        """The ``solve_plan`` that ``spd_solve`` takes for the graph's operators.
+        """The ``solve_plan`` that ``spd_prepare`` takes for the graph's operators.
 
         Built on first use, which for a validated graph is its connectivity check.
         """

@@ -1,18 +1,24 @@
-"""SPD operators M + h*S and the two deterministic solvers behind ``spd_solve``.
+"""SPD step operators M + h*S, in batches given as tables, and their two deterministic solvers.
 
 M is a positive diagonal (vertex weights), S the conductance Laplacian of an edge
 list: (S u)_i = sum_{j ~ i} c_ij (u_i - u_j).  Constants are in the kernel of S,
 so A applied to a constant vector returns M times it.
 
+The solvers take a batch of T operators on one graph as tables: a (T, n) table
+of weights, a (T, E) table of conductances, one column per edge of the graph's
+plan, and the T step lengths.  Operator t is diag(mass[t]) + h[t] * S with S
+built on the conductances coeffs[t]; ``SpdOperator`` is that one operator as
+an object, with a mat-vec and a dense assembly to check solves against.
+
 Which solver runs is decided by the graph, never by the caller, and only here.
 ``solve_plan`` walks the edge set once: a breadth-first search gives the reverse
 Cuthill-McKee order (Cuthill & McKee 1969) and counts the components.  A graph
 caches the plan for all times.  Solving comes in two parts.  ``spd_prepare``
-takes a list of operators on the graph and does all the work that does not
+takes a batch of operators on the graph and does all the work that does not
 depend on the data; ``spd_solve_prepared`` then solves any contiguous slice of
-that list against a (T, k, n) array, k right-hand sides per operator, and may
-be called once per round of a run on one preparation.  ``spd_solve`` is the
-two in one call.  When the bandwidth b of A in the plan's order is at most
+that batch against a (T, k, n) array, k right-hand sides per operator, and may
+be called once per round of a run on one preparation.
+When the bandwidth b of A in the plan's order is at most
 DIRECT_MAX_BANDWIDTH (cycles have b = 2, paths b = 1), the plan keeps the
 order; the band is cut into b x b blocks, which makes A block tridiagonal, and
 preparing factors all the operators together by block cyclic reduction
@@ -54,7 +60,7 @@ __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Latti
            "StencilOperator", "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply",
            "PREPARE_BUDGET", "PreparedOperators", "rcm_ordering", "half_edge_layout",
            "solve_plan", "prepared_floats", "rounds_ahead", "rows_within_budget", "spd_prepare",
-           "spd_solve_prepared", "spd_solve", "cg_solve"]
+           "spd_solve_prepared", "cg_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
 # assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
@@ -136,15 +142,8 @@ class SpdOperator:
             raise ValueError(f"x has shape {x.shape}, expected ({self.n},)")
         return self.mass * x + self.h * stiffness_apply(self.edges, self.coeffs, x)
 
-    def diagonal(self) -> np.ndarray:
-        d = self.mass.astype(float).copy()
-        if len(self.edges):
-            d += self.h * (np.bincount(self.edges[:, 0], weights=self.coeffs, minlength=self.n)
-                           + np.bincount(self.edges[:, 1], weights=self.coeffs, minlength=self.n))
-        return d
-
     def dense(self) -> np.ndarray:
-        """Assemble A as a dense array (oracle path; meant for small n)."""
+        """Assemble A as a dense array, the reference for small n."""
         A = np.diag(self.mass.astype(float))
         for (i, j), c in zip(self.edges, self.coeffs):
             A[i, i] += self.h * c
@@ -275,20 +274,28 @@ def _gauss_jordan(aug: np.ndarray) -> None:
         aug[j] = row
 
 
-def _band_blocks(ops: Sequence[SpdOperator], ordering: BandOrdering):
-    """Each operator's diagonal blocks D and the blocks B left of them.
+def _band_blocks(ordering: BandOrdering, edges: np.ndarray, mass: np.ndarray,
+                 coeffs: np.ndarray, h: np.ndarray):
+    """Each operator's diagonal blocks D and the blocks B left of them, for the
+    batch (mass, coeffs, h) on the graph's edges.
 
     Both are (s, s, T, 1, blocks); B[..., 0] is zero, and the axis of length 1
     broadcasts over columns.
     """
+    T, n = mass.shape
     s = ordering.block_size
     padded = len(ordering.diag_index)
-    store = np.zeros((len(ops), 2 * padded * s))
-    diag = np.ones((len(ops), padded))
-    diag[:, :ordering.perm.size] = [A.diagonal()[ordering.perm] for A in ops]
+    # every operator's degrees in one bincount per edge end: operator t's
+    # vertices are offset by t * n, and each vertex sums its edges in edge order
+    offsets = n * np.arange(T)[:, None]
+    degree = [np.bincount((edges[:, end] + offsets).ravel(), weights=coeffs.ravel(),
+                          minlength=T * n).reshape(T, n) for end in (0, 1)]
+    store = np.zeros((T, 2 * padded * s))
+    diag = np.ones((T, padded))
+    diag[:, :n] = (mass + h[:, None] * (degree[0] + degree[1]))[:, ordering.perm]
     store[:, ordering.diag_index] = diag
-    store[:, ordering.entry_index] = [(-A.h * A.coeffs)[ordering.entry_edges] for A in ops]
-    store = store.reshape(len(ops), 2, padded // s, s, s).transpose(1, 3, 4, 0, 2)
+    store[:, ordering.entry_index] = (-h[:, None] * coeffs)[:, ordering.entry_edges]
+    store = store.reshape(T, 2, padded // s, s, s).transpose(1, 3, 4, 0, 2)
     store = np.ascontiguousarray(store)[:, :, :, :, None, :]
     return store[0], store[1]
 
@@ -499,7 +506,8 @@ def _lattice(n: int, edges: np.ndarray, shape) -> Lattice:
 
 
 class StencilOperator:
-    """An ``SpdOperator`` assembled on a ``StencilLayout`` for repeated mat-vecs.
+    """One operator of a batch, the row (mass, coeffs, h) of its tables, assembled
+    on a ``StencilLayout`` for repeated mat-vecs.
 
     off[k, i] = h * c along the half-edge in slot k of vertex i, diag = mass +
     h * (row sums of c), so A x = diag * x - sum_k off[k] * x[nbr[k]] minus the
@@ -516,31 +524,30 @@ class StencilOperator:
     __slots__ = ("n", "diag", "inv_diag", "off", "nbr", "over_rows", "over_cols",
                  "over_off", "shape", "symbol", "_gathered", "_sums")
 
-    def __init__(self, A: SpdOperator, layout: StencilLayout,
+    def __init__(self, mass: np.ndarray, coeffs: np.ndarray, h: float, layout: StencilLayout,
                  lattice: Optional[Lattice] = None):
-        c = np.asarray(A.coeffs, dtype=float)
+        n = len(mass)
+        c = np.asarray(coeffs, dtype=float)
         table = c[layout.slot_edge]
         rowsum = table.sum(axis=0)
         if len(layout.over_rows):
-            rowsum += np.bincount(layout.over_rows, weights=c[layout.over_edges],
-                                  minlength=A.n)
-        table *= A.h
-        self.n = A.n
+            rowsum += np.bincount(layout.over_rows, weights=c[layout.over_edges], minlength=n)
+        table *= h
+        self.n = n
         self.nbr = layout.nbr
         self.off = table
         self.over_rows = layout.over_rows
         self.over_cols = layout.over_cols
-        self.over_off = A.h * c[layout.over_edges]
-        self.diag = A.mass + A.h * rowsum
+        self.over_off = h * c[layout.over_edges]
+        self.diag = mass + h * rowsum
         self.inv_diag = 1.0 / self.diag
         self._gathered = np.empty(table.shape)
-        self._sums = np.empty(A.n)
+        self._sums = np.empty(n)
         self.shape = self.symbol = None
         if lattice is not None:
-            cx, cy = np.bincount(lattice.axis, weights=c, minlength=2) / A.n
+            cx, cy = np.bincount(lattice.axis, weights=c, minlength=2) / n
             self.shape = lattice.shape
-            self.symbol = float(np.mean(A.mass)) + A.h * (cx * lattice.eig_x
-                                                           + cy * lattice.eig_y)
+            self.symbol = float(np.mean(mass)) + h * (cx * lattice.eig_x + cy * lattice.eig_y)
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A x, written to ``out``."""
@@ -567,14 +574,16 @@ class StencilOperator:
 
 
 class SolvePlan(NamedTuple):
-    """How ``spd_solve`` solves every operator on one graph.
+    """How ``spd_prepare`` and ``spd_solve_prepared`` solve every operator on one graph.
 
+    ``edges`` are the graph's edges, whose order the conductance tables keep;
     ``ordering`` is the band order when the direct path takes the graph, else
     None and ``layout`` holds the half-edge layout for CG; ``lattice`` is the
     graph's ``Lattice`` when its builder declared one and CG takes it, else
     None (Jacobi CG).  ``components`` counts the graph's connected components.
     """
 
+    edges: np.ndarray
     components: int
     ordering: Optional[BandOrdering]
     layout: Optional[StencilLayout]
@@ -591,11 +600,12 @@ def solve_plan(n: int, edges: np.ndarray,
     lattice.  A shape that does not match the edges raises ValueError, on
     either path.
     """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     grid = None if lattice is None else _lattice(n, edges, lattice)
     perm, bandwidth, components = rcm_ordering(n, edges)
     if bandwidth <= DIRECT_MAX_BANDWIDTH:
-        return SolvePlan(components, _band_ordering(edges, perm, bandwidth), None)
-    return SolvePlan(components, None, half_edge_layout(n, edges), grid)
+        return SolvePlan(edges, components, _band_ordering(edges, perm, bandwidth), None)
+    return SolvePlan(edges, components, None, half_edge_layout(n, edges), grid)
 
 
 def prepared_floats(plan: SolvePlan) -> int:
@@ -660,21 +670,28 @@ class PreparedOperators(NamedTuple):
     stencils: Optional[list] = None
 
 
-def spd_prepare(ops: Sequence[SpdOperator], plan: SolvePlan) -> PreparedOperators:
-    """Prepare the operators ops, all on the graph of ``plan``, for ``spd_solve_prepared``.
+def spd_prepare(plan: SolvePlan, mass, coeffs, h) -> PreparedOperators:
+    """Prepare a batch of operators on the graph of ``plan`` for ``spd_solve_prepared``.
 
-    Narrow bands assemble and factor all of them at once; wide ones assemble
-    each on the layout (and the plan's lattice).  The result holds
-    ``prepared_floats(plan)`` floats per operator.  Raises SolverError when a
-    factorization meets a pivot that is not positive.
+    Operator t is diag(mass[t]) + h[t] * S(coeffs[t]), from the (T, n) weight
+    table mass, the (T, E) conductance table coeffs, in the order of
+    ``plan.edges``, and the T step lengths h.  Narrow bands assemble and factor
+    all of them at once; wide ones assemble each on the layout (and the plan's
+    lattice).  The result holds ``prepared_floats(plan)`` floats per operator.
+    Raises SolverError when a factorization meets a pivot that is not positive.
     """
-    if not ops:
-        raise ValueError("no operators to prepare")
+    mass, coeffs, h = (np.asarray(a, dtype=float) for a in (mass, coeffs, h))
+    T = len(h) if h.ndim == 1 else 0
+    if not T or mass.ndim != 2 or len(mass) != T or coeffs.shape != (T, len(plan.edges)):
+        raise ValueError(f"expected (T, n) weights, (T, {len(plan.edges)}) conductances and "
+                         f"T >= 1 step lengths, got shapes {mass.shape}, {coeffs.shape} "
+                         f"and {h.shape}")
     if plan.ordering is not None:
-        D, B = _band_blocks(ops, plan.ordering)
-        return PreparedOperators(plan.ordering, len(ops), ops[0].n, D, B, _bcr_factor(D, B))
-    return PreparedOperators(None, len(ops), ops[0].n, stencils=[
-        StencilOperator(A, plan.layout, plan.lattice) for A in ops])
+        D, B = _band_blocks(plan.ordering, plan.edges, mass, coeffs, h)
+        return PreparedOperators(plan.ordering, T, mass.shape[1], D, B, _bcr_factor(D, B))
+    return PreparedOperators(None, T, mass.shape[1], stencils=[
+        StencilOperator(w, c, step, plan.layout, plan.lattice)
+        for w, c, step in zip(mass, coeffs, h)])
 
 
 def spd_solve_prepared(prepared: PreparedOperators, rhs, rel_tol: float,
@@ -702,29 +719,12 @@ def spd_solve_prepared(prepared: PreparedOperators, rhs, rel_tol: float,
     return out
 
 
-def spd_solve(ops: Sequence[SpdOperator], rhs, rel_tol: float,
-              plan: SolvePlan) -> np.ndarray:
-    """Solve ops[t] x = rhs[t, c] to ||A x - b||_2 <= rel_tol * ||b||_2 for every column.
-
-    For T operators on one graph and a (T, k, n) array of right-hand sides;
-    returns the (T, k, n) solutions.  ``plan`` is the graph's ``solve_plan``
-    (graphs cache theirs).  ``spd_prepare`` on all T operators, then
-    ``spd_solve_prepared`` on all of them; the caller keeps T within its
-    memory.  Raises SolverError when a residual target is missed.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if not ops or rhs.ndim != 3 or rhs.shape[0] != len(ops) or rhs.shape[2] != ops[0].n:
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({len(ops)}, k, "
-                         f"{ops[0].n if ops else 'n'})")
-    return spd_solve_prepared(spd_prepare(ops, plan), rhs, rel_tol)
-
-
 def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     """Solve A x = b to ||A x - b||_2 <= rel_tol * ||b||_2.
 
     Preconditioned CG from x = 0 with a fixed iteration order, run in place on
     buffers allocated once per solve, on the ``StencilOperator`` that
-    ``spd_solve`` assembles once for all its right-hand sides; the operator's
+    ``spd_prepare`` assembles once for all its right-hand sides; the operator's
     ``precondition`` is Jacobi or, on a lattice, the spectral inverse, which
     on ``product_torus`` is exact and so ends the solve after one iteration.
     When the recurrence residual meets the target, the true residual of A is

@@ -9,7 +9,7 @@ is an M-matrix and rows of (M_t + h S_t)^{-1} M_t sum to one, every step obeys t
 maximum principle, preserves mass against the current measure, and is monotone in
 the data; the scheme is linear in u_prev.
 
-``run_interpolated`` materializes the step sequence on a finer grid of spacing
+``run_sweep`` materializes the step sequence on a finer grid of spacing
 delta = h/m by running m independent chains: the sample at t = j*delta is a full
 step of length h taken at time t from the sample at t - h, with the convention
 that times below zero hold the initial value.  Chain j mod m never reads another
@@ -21,12 +21,12 @@ energy bounds, which is the point of the comparison tooling in ``verify``.
 
 ``run_sweep`` steps chain families from several initial values through the
 same operators, with every step size of a list at once; every family comes out
-bitwise as if run alone, and ``run_interpolated`` is its case of one initial
-value and one step size.  A family is one (N*m + 1, n) array whose row j is the
+bitwise as if run alone.  A family is one (N*m + 1, n) array whose row j is the
 sample at t = j*delta.  The package steps only in rounds of m grid times, every
 grid's round r built and solved together, with the graph's ``plan``, which
 alone decides the solver: whole rounds are prepared ahead (``spd_prepare``, as
-many as ``rounds_ahead`` allows) and each round is one ``spd_solve_prepared``
+many as ``rounds_ahead`` allows, straight from the weight and conductance
+tables of their grid times) and each round is one ``spd_solve_prepared``
 call.  Each family also carries its solver-error certificate, built from the
 same right-hand sides and weights the round solved with (see
 ``ChainFamily.solve_error``).
@@ -43,13 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _TIME_FUZZ, TimeWeightedGraph, conductance_table, weight_table
-from .linalg import SolverError, SpdOperator, rounds_ahead, spd_prepare, spd_solve_prepared
+from .linalg import SolverError, rounds_ahead, spd_prepare, spd_solve_prepared
 
 __all__ = [
     "ChainFamily",
-    "operator_at",
-    "operators_at",
-    "run_interpolated",
     "run_sweep",
     "steps_within_horizon",
     "truncate",
@@ -71,18 +68,6 @@ def truncate(u: np.ndarray, n: float) -> np.ndarray:
     if n <= 0:
         raise ValueError(f"truncation level must be positive, got {n}")
     return np.clip(np.asarray(u, dtype=float), -n, n)
-
-
-def operators_at(G: TimeWeightedGraph, times, hs) -> list[SpdOperator]:
-    """The step operators M_t + h * S_t, one per pair of ``times`` and ``hs``,
-    from one weight and one conductance table."""
-    W, C = weight_table(G, times), conductance_table(G, times)
-    return [SpdOperator(w, G.edges, c, h) for w, c, h in zip(W, C, hs)]
-
-
-def operator_at(G: TimeWeightedGraph, t: float, h: float) -> SpdOperator:
-    """The step operator M_t + h * S_t, the one-row ``operators_at``."""
-    return operators_at(G, [t], [h])[0]
 
 
 def steps_within_horizon(T: float, h: float) -> int:
@@ -146,24 +131,15 @@ class ChainFamily:
         return np.arange(len(self.values)) * self.delta
 
 
-def run_interpolated(G: TimeWeightedGraph, u0: np.ndarray, h: float,
-                     m: int = 4, rel_tol: float = 1e-10) -> ChainFamily:
-    """Run all m chains of the shifted interpolation up to the horizon.
-
-    Every sample j >= 1 solves a full step of length h at its own time j*delta
-    against the sample one h earlier (the initial value for j < m).  The chains
-    are computed in a single j-sweep; since chain j mod m only ever reads its own
-    past, this is identical to running them separately.
-    """
-    return run_sweep(G, [u0], [h], m, rel_tol)[0][0]
-
-
 def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[float],
               m: int = 4, rel_tol: float = 1e-10) -> list[list[ChainFamily]]:
-    """``run_interpolated`` from each initial value and with each step size in h_list.
+    """Run all m chains of the shifted interpolation up to the horizon, from each
+    initial value and with each step size in h_list.
 
     Returns one list of families per entry of h_list, one family per initial
-    value.  Row j of a grid reads only row j - m, so the grid of step h,
+    value.  Every sample j >= 1 solves a full step of length h at its own time
+    j*delta against the sample one h earlier (the initial value for j < m).
+    Row j of a grid reads only row j - m, so the grid of step h,
     N = ``steps_within_horizon(T, h)``, runs in rounds: round r holds its rows
     r*m + 1 .. r*m + m.  Round r of the sweep is round r of every grid with
     N > r, in h_list order, each operator assembled once and solved for every
@@ -197,13 +173,14 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     while r < len(rounds):
         chunk = rounds[r:r + rounds_ahead([len(pairs) for pairs in rounds[r:]], G.plan)]
         steps = [(j * (hs[k] / m), hs[k]) for pairs in chunk for k, j in pairs]
-        ops = operators_at(G, *zip(*steps))
-        prepared = spd_prepare(ops, G.plan)
+        times, step_lengths = zip(*steps)
+        weights = weight_table(G, times)
+        prepared = spd_prepare(G.plan, weights, conductance_table(G, times), step_lengths)
         start = 0
         for pairs in chunk:
             grid, row = np.array(pairs).T
             rows, prevs = base[grid] + row, base[grid] + np.maximum(row - m, 0)
-            mass = np.array([A.mass for A in ops[start:start + len(pairs)]])
+            mass = weights[start:start + len(pairs)]
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
                 bound = (bounds[:, prevs]

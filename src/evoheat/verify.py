@@ -37,9 +37,10 @@ import numpy as np
 
 from .geometry import (_TIME_FUZZ, TimeWeightedGraph, _dirichlet_form, conductance_table,
                        dirichlet_energy, vertex_weights, weight_table)
-from .linalg import half_edge_layout, rounds_ahead, rows_within_budget, spd_solve
+from .linalg import (half_edge_layout, rounds_ahead, rows_within_budget, spd_prepare,
+                     spd_solve_prepared)
 from .profiles import make_initial_data
-from .scheme import ChainFamily, _vertex_values, operators_at, run_sweep, steps_within_horizon
+from .scheme import ChainFamily, _vertex_values, run_sweep, steps_within_horizon
 
 __all__ = [
     "weighted_l2_sq",
@@ -633,11 +634,21 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     s -> 0 returns u_{k-1} and s = h reproduces u_k's defining system, but never
     the shifted chains' intermediate samples, whose proximal weight stays 1/h.
     No solve reads another, so the m grid times of each step interval form a
-    round, and the rounds go to ``spd_solve`` as many at a time as
-    ``rounds_ahead`` allows, with one coefficient table per call.
+    round, and as many rounds as ``rounds_ahead`` allows are prepared in one
+    ``spd_prepare`` call, from one weight and one conductance table, and solved
+    in one ``spd_solve_prepared`` call.  Raises ValueError before any solve
+    unless h > 0, m is an integer >= 1 and seq is finite, with N >= 1 and one
+    column per vertex.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    seq = np.asarray(seq, dtype=float)
+    if seq.ndim != 2 or seq.shape[1] != G.n_vertices:
+        raise ValueError(f"seq has shape {seq.shape}, expected (N + 1, {G.n_vertices})")
+    if not np.isfinite(seq).all():
+        raise ValueError("seq must be finite")
     N = len(seq) - 1
     if N < 1:
         raise ValueError("seq must contain the initial value and at least one step")
@@ -648,8 +659,10 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
         stop = first + rounds_ahead([m] * (N - first), G.plan)
         rows = range(first * m, stop * m)  # row i: t = (i + 1)*delta in interval i // m
         times = [(i + 1) * delta for i in rows]
-        ops = operators_at(G, times, [t - (i // m) * h for i, t in zip(rows, times)])
-        rhs = np.array([A.mass * seq[i // m] for i, A in zip(rows, ops)])[:, None]
-        out[rows.start:rows.stop] = spd_solve(ops, rhs, rel_tol, G.plan)[:, 0]
+        weights = weight_table(G, times)
+        prepared = spd_prepare(G.plan, weights, conductance_table(G, times),
+                               [t - (i // m) * h for i, t in zip(rows, times)])
+        rhs = weights * np.repeat(seq[first:stop], m, axis=0)
+        out[rows.start:rows.stop] = spd_solve_prepared(prepared, rhs[:, None], rel_tol)[:, 0]
         first = stop
     return out

@@ -29,11 +29,28 @@ def random_static_graph(seed, n_min=2, n_max=8, horizon=1.0):
     return eh.TimeWeightedGraph.static(weights, np.array(edges), cond, horizon)
 
 
+def step_operator(G, t, h):
+    """The step operator M_t + h S_t of G, from one-row coefficient reads."""
+    return eh.SpdOperator(eh.vertex_weights(G, t), G.edges, eh.edge_conductances(G, t), h)
+
+
 def random_operator(seed):
     G = random_static_graph(seed)
     rng = np.random.default_rng(seed + 10_000)
     h = float(rng.uniform(0.01, 0.5))
-    return eh.operator_at(G, 0.0, h)
+    return step_operator(G, 0.0, h)
+
+
+def prepare(ops, plan):
+    """``spd_prepare`` on the operators ops, all on the graph of ``plan``: their
+    weights, conductances and step lengths stacked into the tables it takes."""
+    return eh.spd_prepare(plan, np.array([A.mass for A in ops]),
+                          np.array([A.coeffs for A in ops]), [A.h for A in ops])
+
+
+def solve(ops, rhs, rel_tol, plan):
+    """Solve ops[t] x = rhs[t, c] for every column, on one preparation of all of ops."""
+    return eh.spd_solve_prepared(prepare(ops, plan), rhs, rel_tol)
 
 
 def lone_step(G, t, h, u_prev, rel_tol=1e-10):
@@ -42,9 +59,9 @@ def lone_step(G, t, h, u_prev, rel_tol=1e-10):
     The operator and the solve are the ones a chain's round uses, so a chain
     sample must equal this bitwise.
     """
-    A = eh.operator_at(G, t, h)
+    A = step_operator(G, t, h)
     rhs = A.mass * np.asarray(u_prev, dtype=float)
-    return eh.spd_solve([A], rhs[None, None], rel_tol, G.plan)[0, 0]
+    return solve([A], rhs[None, None], rel_tol, G.plan)[0, 0]
 
 
 def dense_solve(A, b):
@@ -110,12 +127,13 @@ def star_ring_graph(leaves=16, seed=16, T=1.0):
 
 
 def per_round_families(G, initials, h, m, rel_tol):
-    """The families ``run_sweep`` steps for one h, one round of m grid times per ``spd_solve``.
+    """The families ``run_sweep`` steps for one h, one round of m grid times per preparation.
 
     The loop the package stepped with before rounds were prepared ahead and
-    grids stepped in lockstep: each round assembles its m operators, factors
-    and solves them in one call.  Returns (values, solve_error), one row per
-    initial value, which a sweep must reproduce bitwise.
+    grids stepped in lockstep: each round builds its m operators from one-row
+    coefficient reads, then prepares and solves them together.  Returns
+    (values, solve_error), one row per initial value, which a sweep must
+    reproduce bitwise.
     """
     N = eh.steps_within_horizon(G.horizon, h)
     delta = h / m
@@ -125,10 +143,10 @@ def per_round_families(G, initials, h, m, rel_tol):
     for start in range(1, N * m + 1, m):
         rows = list(range(start, start + m))
         prevs = [max(j - m, 0) for j in rows]
-        ops = [eh.operator_at(G, j * delta, h) for j in rows]
+        ops = [step_operator(G, j * delta, h) for j in rows]
         mass = np.array([A.mass for A in ops])
         rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
         bound[:, rows] = (bound[:, prevs]
                           + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
-        values[:, rows] = eh.spd_solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
+        values[:, rows] = solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
     return values, bound

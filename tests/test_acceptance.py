@@ -13,7 +13,8 @@ import pytest
 import evoheat as eh
 from evoheat.geometry import Scenario
 
-from helpers import dense_solve, exact_solves, growth_reference, random_static_graph
+from helpers import (dense_solve, exact_solves, growth_reference, random_static_graph,
+                     step_operator)
 
 MATRIX_REL_TOL = 1e-12
 SLACK = 1e-8
@@ -38,7 +39,7 @@ def matrix_runs():
         rng = np.random.default_rng(100 + idx)
         u0 = rng.standard_normal(G.n_vertices)
         for h, m in H_M:
-            chain = eh.run_interpolated(G, u0, h, m, rel_tol=MATRIX_REL_TOL)
+            chain = eh.run_sweep(G, [u0], [h], m, rel_tol=MATRIX_REL_TOL)[0][0]
             runs.append((spec, G, u0, chain))
     return runs
 
@@ -76,7 +77,7 @@ def test_criterion_02_pinching_stress(criterion_line):
         rate_ok = 0.8 * speed <= realized <= speed * (1 + 1e-6)
 
         u0 = np.random.default_rng(42).standard_normal(n)
-        chain = eh.run_interpolated(G, u0, 0.05, m=2, rel_tol=MATRIX_REL_TOL)
+        chain = eh.run_sweep(G, [u0], [0.05], m=2, rel_tol=MATRIX_REL_TOL)[0][0]
         [rep] = eh.energy_estimate([chain], G, slack=SLACK)
         if not (rate_ok and rep.c0_used == 0.0 and rep.passed and rep.margin >= 0.0):
             failures.append((speed, realized, rep))
@@ -130,7 +131,7 @@ def test_criterion_05_convergence_order(criterion_line):
     rows = []
     prev = None
     for h in h_list:
-        chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=MATRIX_REL_TOL)
+        chain = eh.run_sweep(G, [u0], [h], m=1, rel_tol=MATRIX_REL_TOL)[0][0]
         err = eh.chain_error_vs_oracle(chain, G, oracle)
         order = None
         if prev is not None:
@@ -179,7 +180,7 @@ def test_criterion_06_weak_residual_shrinks(criterion_line):
     fns = eh.default_test_catalog(G, 1.0)
     res, floor = {}, {}
     for h in (0.1, 0.0125):
-        chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=MATRIX_REL_TOL)
+        chain = eh.run_sweep(G, [u0], [h], m=1, rel_tol=MATRIX_REL_TOL)[0][0]
         res[h] = {r.name: r.residual for r in eh.weak_residual(chain, G, fns)}
         floor[h] = {fn.name: _solver_floor(G, chain, fn) for fn in fns}
     above = [fn.name for fn in fns if res[0.1][fn.name] > floor[0.1][fn.name]]
@@ -199,12 +200,12 @@ def test_criterion_07_initial_attainment(criterion_line):
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     dists = []
     for h in (0.1, 0.05, 0.025, 0.0125):
-        chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=MATRIX_REL_TOL)
+        chain = eh.run_sweep(G, [u0], [h], m=1, rel_tol=MATRIX_REL_TOL)[0][0]
         dists.append(eh.initial_attainment_check(chain, G, h).distance)
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
 
     h = 0.1
-    A = eh.operator_at(G, h, h)
+    A = step_operator(G, h, h)
     x = dense_solve(A, A.mass * u0)
     dense_dist = eh.weighted_l2(x - u0, eh.vertex_weights(G, h))
     agree = abs(dists[0] - dense_dist) <= 1e-9
@@ -219,7 +220,7 @@ def test_criterion_08_interpolation_norms(criterion_line):
     spec = Scenario(kind="oscillating_metric", T=1.0, params={"n": 64})
     G = eh.build_scenario(spec)
     u0 = np.random.default_rng(8).standard_normal(64)
-    chain = eh.run_interpolated(G, u0, 0.05, m=4, rel_tol=MATRIX_REL_TOL)
+    chain = eh.run_sweep(G, [u0], [0.05], m=4, rel_tol=MATRIX_REL_TOL)[0][0]
     [rep] = eh.energy_estimate([chain], G, slack=SLACK)
     shifted = eh.l2h1_interp_norm(chain.values[1:], chain.times()[1:], G, dt=chain.delta)
     dg = eh.degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m,
@@ -241,7 +242,7 @@ def test_criterion_09_dense_agreement(criterion_line):
         u0 = rng.standard_normal(G.n_vertices)
         h = float(rng.uniform(0.05, 0.5))
         step = eh.run_sweep(G, [u0], [h], 1, rel_tol=1e-14)[0][0].values[1]
-        A = eh.operator_at(G, h, h)
+        A = step_operator(G, h, h)
         dense = dense_solve(A, A.mass * u0)
         rel = np.linalg.norm(step - dense) / np.linalg.norm(dense)
         worst = max(worst, rel)
@@ -259,13 +260,13 @@ def test_criterion_10_truncation_contraction(criterion_line):
     w0 = eh.vertex_weights(G, 0.0)
     failures = []
     for h in (0.1, 0.02):
-        chain_full = eh.run_interpolated(G, u0, h, m=1, rel_tol=MATRIX_REL_TOL)
+        chain_full = eh.run_sweep(G, [u0], [h], m=1, rel_tol=MATRIX_REL_TOL)[0][0]
         c0 = growth_reference(G, chain_full.times())
         bound_factor = math.exp(c0 * chain_full.horizon)
         for level in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
             u0n = eh.truncate(u0, level)
             trunc_err = eh.weighted_l2_sq(u0 - u0n, w0)
-            chain_n = eh.run_interpolated(G, u0n, h, m=1, rel_tol=MATRIX_REL_TOL)
+            chain_n = eh.run_sweep(G, [u0n], [h], m=1, rel_tol=MATRIX_REL_TOL)[0][0]
             times = chain_full.times()
             diff_sup = max(
                 eh.weighted_l2_sq(sf - sn, eh.vertex_weights(G, t))

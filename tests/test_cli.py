@@ -69,7 +69,7 @@ def test_run_samples_roundtrip_exactly(tmp_path):
     assert main(["run", "--config", cfg, "--out", out]) == 0
     G = eh.build_scenario(Scenario.from_dict({"kind": "conformal_circle", "n": 16, "T": 1.0}))
     u0 = eh.make_initial_data(G, {"profile": "random", "seed": 7})
-    chain = eh.run_interpolated(G, u0, 0.2, 2, rel_tol=1e-12)
+    chain = eh.run_sweep(G, [u0], [0.2], 2, rel_tol=1e-12)[0][0]
     lines = open(os.path.join(out, "samples.csv")).read().splitlines()[1:]
     for line in lines[::37]:  # spot checks across the file
         t, vertex, value = line.split(",")
@@ -514,14 +514,14 @@ def test_l2_limit_report_equals_hand_loop(tmp_path):
     w0 = eh.vertex_weights(G, 0.0)
     want = []
     for h in h_list:
-        chain_full = eh.run_interpolated(G, u0, h, m=2, rel_tol=1e-12)
+        chain_full = eh.run_sweep(G, [u0], [h], m=2, rel_tol=1e-12)[0][0]
         c0 = growth_reference(G, chain_full.times())
         bound_factor = math.exp(c0 * chain_full.horizon)
         times = chain_full.times()
         for level in levels:
             u0n = eh.truncate(u0, float(level))
             trunc_err = eh.weighted_l2_sq(u0 - u0n, w0)
-            chain_n = eh.run_interpolated(G, u0n, h, m=2, rel_tol=1e-12)
+            chain_n = eh.run_sweep(G, [u0n], [h], m=2, rel_tol=1e-12)[0][0]
             diff_sup = max(
                 eh.weighted_l2_sq(sf - sn, eh.vertex_weights(G, t))
                 for t, sf, sn in zip(times, chain_full.values, chain_n.values))

@@ -414,7 +414,7 @@ def test_bad_static_graph_rejected(weights, edges, conductances, fragment):
 def test_one_vertex_graph_has_no_edges(edges):
     G = eh.TimeWeightedGraph.static([1.0], edges, [])
     assert G.n_vertices == 1 and G.edges.shape == (0, 2)
-    chain = eh.run_interpolated(G, [3.0], 0.25, m=2)
+    chain = eh.run_sweep(G, [[3.0]], [0.25], m=2)[0][0]
     assert np.array_equal(chain.values, np.full((9, 1), 3.0))
 
 

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 import evoheat as eh
 
-from helpers import build, dense_solve, lone_step, random_operator
+from helpers import (build, dense_solve, lone_step, prepare, random_operator, solve,
+                     step_operator)
 
 # (mass + h*stiffness) on the single-edge graph, h = 1, unit coefficients:
 # A = [[2, -1], [-1, 2]], so A @ (1, 0) = (2, -1) and A^-1 (1, 0) = (2/3, 1/3).
@@ -23,7 +24,7 @@ def _single_edge_operator():
 
 def _stencil(A):
     """A assembled on its own half-edge layout, as ``cg_solve`` takes it."""
-    return eh.StencilOperator(A, eh.half_edge_layout(A.n, A.edges))
+    return eh.StencilOperator(A.mass, A.coeffs, A.h, eh.half_edge_layout(A.n, A.edges))
 
 
 def _direct_plan(A):
@@ -45,8 +46,25 @@ def test_apply_constant_sees_only_mass():
 
 
 def test_diagonal_matches_dense():
-    A = random_operator(11)
-    assert_allclose(A.diagonal(), np.diag(A.dense()), rtol=1e-14)
+    # three operators on a star ring, each with its own weights, conductances
+    # and h: the diagonal a batch assembles, on the band path and on the CG path
+    # with its overflow half-edges, is each operator's own
+    base = _star_ring_operator(4)
+    rng = np.random.default_rng(12)
+    ops = [eh.SpdOperator(base.mass * rng.uniform(0.5, 2.0, base.n), base.edges,
+                          base.coeffs * rng.uniform(0.5, 2.0, len(base.coeffs)), h)
+           for h in (0.1, 0.3, 0.7)]
+    perm, bandwidth, _ = eh.rcm_ordering(base.n, base.edges)
+    ordering = eh.linalg._band_ordering(base.edges, perm, bandwidth)
+    band = prepare(ops, eh.linalg.SolvePlan(base.edges, 1, ordering, None))
+    layout = eh.half_edge_layout(base.n, base.edges)
+    cg = prepare(ops, eh.linalg.SolvePlan(base.edges, 1, None, layout))
+    for t, A in enumerate(ops):
+        want = np.diag(A.dense())
+        # band position p = b*s + i, vertex perm[p], is entry (i, i) of diagonal block b
+        at_positions = np.diagonal(band.D[:, :, t, 0], axis1=0, axis2=1).ravel()
+        assert_allclose(at_positions[:A.n], want[perm], rtol=1e-14)
+        assert_allclose(cg.stencils[t].diag, want, rtol=1e-14)
 
 
 def test_dense_is_symmetric():
@@ -208,23 +226,24 @@ def test_banded_matches_dense_on_cycles_and_paths(seed, n, closed, offsets):
     ordering = eh.linalg._band_ordering(A.edges, perm, bandwidth)
     b = np.random.default_rng(seed + 4).standard_normal(n)
     # the band solver itself, also on orders wider than the direct path takes
-    [[x]] = eh.spd_solve([A], b[None, None], 1e-13, eh.linalg.SolvePlan(1, ordering, None))
+    [[x]] = solve([A], b[None, None], 1e-13, eh.linalg.SolvePlan(A.edges, 1, ordering, None))
     y = dense_solve(A, b)
     assert_allclose(x, y, rtol=0, atol=1e-12 * (np.abs(y).max() + 1.0))
 
 
 def test_operators_and_columns_solved_together_match_each_alone(monkeypatch):
-    # three stiff operators on one graph of bandwidth 5, 8 columns each: at rel_tol
-    # 1.6e-13 some columns pass at once and others need refinement
+    # three stiff operators on one graph of bandwidth 5, each with its own h, 8
+    # columns each: at rel_tol 1.6e-13 some columns pass at once and others need
+    # refinement
     base = _ring_operator(0, 200, True, (1, 2))
     rng = np.random.default_rng(4)
     ops = [eh.SpdOperator(mass=base.mass * rng.uniform(0.5, 2.0, base.n), edges=base.edges,
                           coeffs=1e4 * base.coeffs * rng.uniform(0.5, 2.0, len(base.coeffs)),
-                          h=base.h) for _ in range(3)]
+                          h=base.h * scale) for scale in (1.0, 0.8, 1.2)]
     plan = _direct_plan(base)
     assert plan.ordering.bandwidth == 5
     rhs = rng.standard_normal((3, 8, base.n))
-    together = eh.spd_solve(ops, rhs, rel_tol=1.6e-13, plan=plan)
+    together = solve(ops, rhs, 1.6e-13, plan)
 
     passes = []
     real = eh.linalg._bcr_solve
@@ -238,14 +257,13 @@ def test_operators_and_columns_solved_together_match_each_alone(monkeypatch):
     for t, A in enumerate(ops):
         for c in range(rhs.shape[1]):
             passes.clear()
-            [[alone]] = eh.spd_solve([A], rhs[t, c][None, None], rel_tol=1.6e-13,
-                                     plan=plan)
+            [[alone]] = solve([A], rhs[t, c][None, None], 1.6e-13, plan)
             assert np.array_equal(together[t, c], alone)
             refined.append(len(passes) > 1)
     assert any(refined) and not all(refined)
     # every contiguous slice of one preparation, refinements included, solves
     # as the operators did together
-    prepared = eh.spd_prepare(ops, plan)
+    prepared = prepare(ops, plan)
     for start, stop in [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]:
         passes.clear()
         part = eh.spd_solve_prepared(prepared, rhs[start:stop], 1.6e-13, start)
@@ -262,14 +280,14 @@ def test_direct_path_rejects_an_operator_that_is_not_positive_definite():
     mass[7] = -3.0  # e_7^T A e_7 = -3 + h * (at most two conductances of 2) < 0
     bad = eh.SpdOperator(mass=mass, edges=A.edges, coeffs=A.coeffs, h=A.h)
     with pytest.raises(eh.SolverError, match="not positive definite"):
-        eh.spd_solve([bad], np.ones((1, 1, A.n)), 1e-10, _direct_plan(A))
+        solve([bad], np.ones((1, 1, A.n)), 1e-10, _direct_plan(A))
 
 
 def test_banded_residual_contract():
     for seed, rel_tol in [(0, 1e-8), (1, 1e-12), (2, 1e-12)]:
         A = _ring_operator(seed, 64, closed=True)
         rhs = np.random.default_rng(seed + 50).standard_normal((3, A.n))
-        for x, b in zip(eh.spd_solve([A], rhs[None], rel_tol, _direct_plan(A))[0], rhs):
+        for x, b in zip(solve([A], rhs[None], rel_tol, _direct_plan(A))[0], rhs):
             res = np.linalg.norm(A.apply(x) - b)
             assert res <= rel_tol * np.linalg.norm(b)
 
@@ -278,7 +296,7 @@ def test_banded_reports_failure():
     A = _ring_operator(7, 16, closed=True)
     b = np.random.default_rng(8).standard_normal(A.n)
     with pytest.raises(eh.SolverError) as excinfo:
-        eh.spd_solve([A], b[None, None], rel_tol=0.0, plan=_direct_plan(A))
+        solve([A], b[None, None], 0.0, _direct_plan(A))
     assert excinfo.value.relative_residual > 0.0
     assert "refinements" in str(excinfo.value)
 
@@ -288,13 +306,13 @@ def test_banded_reports_a_nan_column():
     rhs = np.random.default_rng(8).standard_normal((1, 2, A.n))
     rhs[0, 1, 3] = np.nan
     with pytest.raises(eh.SolverError, match="refinements") as excinfo:
-        eh.spd_solve([A], rhs, 1e-10, _direct_plan(A))
+        solve([A], rhs, 1e-10, _direct_plan(A))
     assert np.isnan(excinfo.value.relative_residual)
 
 
 def test_banded_zero_rhs():
     A = _single_edge_operator()
-    [[x]] = eh.spd_solve([A], np.zeros((1, 1, 2)), rel_tol=0.0, plan=_direct_plan(A))
+    [[x]] = solve([A], np.zeros((1, 1, 2)), 0.0, _direct_plan(A))
     assert np.array_equal(x, np.zeros(2))
 
 
@@ -393,12 +411,12 @@ def test_stencil_matches_operator_and_dense(seed, star):
     if star:
         assert len(layout.over_rows) > 0
 
-    S = eh.StencilOperator(A, layout)
+    S = eh.StencilOperator(A.mass, A.coeffs, A.h, layout)
     rng = np.random.default_rng(seed + 5)
     x = rng.standard_normal(A.n)
     scale = np.abs(A.dense()) @ np.abs(x)
     assert_allclose(S.apply(x, np.empty(A.n)), A.apply(x), rtol=0, atol=1e-14 * scale.max())
-    assert_allclose(S.diag, A.diagonal(), rtol=1e-14)
+    assert_allclose(S.diag, np.diag(A.dense()), rtol=1e-14)
 
     b = rng.standard_normal(A.n)
     y = dense_solve(A, b)
@@ -436,7 +454,7 @@ def _held_floats(prepared):
 def test_prepared_floats_counts_what_a_preparation_holds(graph):
     if graph == "lattice":
         G = build("product_torus", nx=6, ny=5)
-        ops = [eh.operator_at(G, t, 0.1) for t in (0.1, 0.2, 0.3)]
+        ops = [step_operator(G, t, 0.1) for t in (0.1, 0.2, 0.3)]
         plan = G.plan
     else:
         A = {"cycle": lambda: _ring_operator(1, 37, True),
@@ -446,9 +464,21 @@ def test_prepared_floats_counts_what_a_preparation_holds(graph):
         ops = [A, A]
         plan = eh.solve_plan(A.n, A.edges)
     assert (plan.ordering is None) == (graph in ("lattice", "star"))
-    prepared = eh.spd_prepare(ops, plan)
+    prepared = prepare(ops, plan)
     assert prepared.count == len(ops)
     assert _held_floats(prepared) == len(ops) * eh.linalg.prepared_floats(plan)
+
+
+@pytest.mark.parametrize("graph", ["cycle", "star"])
+def test_spd_prepare_rejects_tables_that_are_no_batch(graph):
+    A = _ring_operator(1, 12, True) if graph == "cycle" else _star_ring_operator(4)
+    plan = eh.solve_plan(A.n, A.edges)
+    assert (plan.ordering is None) == (graph == "star")
+    W, C = np.tile(A.mass, (2, 1)), np.tile(A.coeffs, (2, 1))
+    for mass, coeffs, h in [(W[:0], C[:0], []), (W, C, [A.h]), (W[0], C[:1], [A.h]),
+                            (W, C[:, 1:], [A.h, A.h]), (W, C, A.h)]:
+        with pytest.raises(ValueError, match="step lengths"):
+            eh.spd_prepare(plan, mass, coeffs, h)
 
 
 def test_rounds_ahead_keeps_to_the_budget(monkeypatch):
@@ -471,9 +501,9 @@ def test_spd_solve_assembles_once_per_operator(monkeypatch):
 
     monkeypatch.setattr(eh.linalg, "StencilOperator", counting)
     torus = build("product_torus", nx=48, ny=48)
-    A = eh.operator_at(torus, 0.1, 0.1)
+    A = step_operator(torus, 0.1, 0.1)
     rhs = np.random.default_rng(3).standard_normal((3, A.n))
-    [xs] = eh.spd_solve([A], rhs[None], 1e-10, torus.plan)
+    [xs] = solve([A], rhs[None], 1e-10, torus.plan)
     assert len(assembled) == 1
     for x, b in zip(xs, rhs):
         assert np.linalg.norm(A.apply(x) - b) <= 1e-10 * np.linalg.norm(b) * (1 + 1e-6)
@@ -533,7 +563,7 @@ def test_product_torus_solves_take_one_cg_iteration(monkeypatch):
     assert torus.plan.ordering is None and torus.plan.lattice.shape == (12, 12)
     per_solve = _applies_per_solve(monkeypatch)
     u0 = eh.make_initial_data(torus, {"profile": "random", "seed": 3})
-    eh.run_interpolated(torus, u0, 0.1, m=4)
+    eh.run_sweep(torus, [u0], [0.1], m=4)
     assert per_solve == [2] * 40
 
 
@@ -544,13 +574,13 @@ def test_spectral_preconditioner_beats_jacobi_on_a_varying_lattice(monkeypatch):
     assert spectral.lattice is not None and jacobi.lattice is None
     rhs = np.random.default_rng(5).standard_normal((1, 2, A.n))
     per_solve = _applies_per_solve(monkeypatch)
-    [xs] = eh.spd_solve([A], rhs, 1e-10, spectral)
-    [xj] = eh.spd_solve([A], rhs, 1e-10, jacobi)
+    [xs] = solve([A], rhs, 1e-10, spectral)
+    [xj] = solve([A], rhs, 1e-10, jacobi)
     assert max(per_solve[:2]) < min(per_solve[2:])
     # both residuals are at most 1e-10 ||b|| and A >= min(mass) I
     for x, y, b in zip(xs, xj, rhs[0]):
         assert np.linalg.norm(x - y) <= 2e-10 * np.linalg.norm(b) / A.mass.min()
-    [[alone]] = eh.spd_solve([A], rhs[:, 1:], 1e-10, spectral)
+    [[alone]] = solve([A], rhs[:, 1:], 1e-10, spectral)
     assert np.array_equal(alone, xs[1])  # bitwise the column solved alongside another
 
 

@@ -38,14 +38,14 @@ def test_step_sequence_eigen_decay():
 
 def test_constants_are_fixed_points():
     u0 = np.full(MOVING.n_vertices, 2.5)
-    chain = eh.run_interpolated(MOVING, u0, 0.25, m=3, rel_tol=1e-13)
+    chain = eh.run_sweep(MOVING, [u0], [0.25], m=3, rel_tol=1e-13)[0][0]
     for s in chain.values:
         assert_allclose(s, 2.5, rtol=1e-11)
 
 
 def test_interpolation_with_m1_is_the_step_sequence():
     u0 = np.random.default_rng(0).standard_normal(MOVING.n_vertices)
-    chain = eh.run_interpolated(MOVING, u0, 0.25, m=1, rel_tol=1e-12)
+    chain = eh.run_sweep(MOVING, [u0], [0.25], m=1, rel_tol=1e-12)[0][0]
     assert chain.n_steps == 4
     want = u0
     for k, (got, t) in enumerate(zip(chain.values[1:], chain.times()[1:]), start=1):
@@ -56,8 +56,8 @@ def test_interpolation_with_m1_is_the_step_sequence():
 
 def test_chain_samples_at_step_multiples_match_step_sequence():
     u0 = np.random.default_rng(1).standard_normal(MOVING.n_vertices)
-    chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-12)
-    seq = eh.run_interpolated(MOVING, u0, 0.25, m=1, rel_tol=1e-12).values[1:]
+    chain = eh.run_sweep(MOVING, [u0], [0.25], m=2, rel_tol=1e-12)[0][0]
+    seq = eh.run_sweep(MOVING, [u0], [0.25], m=1, rel_tol=1e-12)[0][0].values[1:]
     for k in range(1, 5):
         # with m a power of two the grid times coincide bitwise, so the solves do too
         assert chain.times()[2 * k] == k * 0.25
@@ -70,7 +70,7 @@ def test_chain_samples_at_step_multiples_match_step_sequence():
 def test_early_samples_step_from_initial_value():
     u0 = np.cos(MOVING.coords[:, 0])
     h, m = 0.25, 4
-    chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
+    chain = eh.run_sweep(MOVING, [u0], [h], m, rel_tol=1e-12)[0][0]
     delta = h / m
     for j in (1, 2, 3):
         want = lone_step(MOVING, j * delta, h, u0, rel_tol=1e-12)
@@ -81,7 +81,7 @@ def test_shifted_sample_differs_from_shortened_step():
     # both live at t = delta, but the chain keeps the full proximal weight 1/h
     u0 = np.cos(MOVING.coords[:, 0])
     h, m = 0.25, 4
-    chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-12)
+    chain = eh.run_sweep(MOVING, [u0], [h], m, rel_tol=1e-12)[0][0]
     short = eh.degiorgi_family(MOVING, chain.values[::m], h, m, rel_tol=1e-12)[0]
     assert np.abs(chain.values[1] - short).max() > 1e-3
 
@@ -89,7 +89,7 @@ def test_shifted_sample_differs_from_shortened_step():
 def test_chains_are_independent_of_evaluation_order():
     u0 = np.random.default_rng(2).standard_normal(MOVING.n_vertices)
     h, m = 0.25, 3
-    chain = eh.run_interpolated(MOVING, u0, h, m, rel_tol=1e-10)
+    chain = eh.run_sweep(MOVING, [u0], [h], m, rel_tol=1e-10)[0][0]
     delta = h / m
     for r in reversed(range(m)):  # walk the chains backwards, one at a time
         prev = u0
@@ -100,7 +100,7 @@ def test_chains_are_independent_of_evaluation_order():
 
 def test_degiorgi_limits():
     h, m = 0.25, 1000
-    seq = eh.run_interpolated(TWO_VERTEX, TWO_VERTEX_U0, h, m=1, rel_tol=1e-13).values
+    seq = eh.run_sweep(TWO_VERTEX, [TWO_VERTEX_U0], [h], m=1, rel_tol=1e-13)[0][0].values
     dg = eh.degiorgi_family(TWO_VERTEX, seq[:3], h, m, rel_tol=1e-13)
     # delta -> 0 collapses onto the left endpoint of the step interval: on the odd
     # eigenvector the step of length delta = h/m divides u_1 by 1 + 2*delta
@@ -135,7 +135,7 @@ def test_truncation_never_raises_energy(seed, level):
 @given(st.integers(0, 10_000))
 def test_maximum_principle(seed):
     u0 = np.random.default_rng(seed).standard_normal(MOVING.n_vertices)
-    chain = eh.run_interpolated(MOVING, u0, 0.2, m=2, rel_tol=1e-12)
+    chain = eh.run_sweep(MOVING, [u0], [0.2], m=2, rel_tol=1e-12)[0][0]
     rep = eh.extremum_check(exact_solves(chain))
     assert rep.passed, rep
 
@@ -155,7 +155,7 @@ def test_comparison_monotone(seed):
 def test_mass_conserved_against_current_measure():
     u0 = eh.make_initial_data(MOVING, {"profile": "bump", "width": 0.5})
     prev = u0
-    chain = eh.run_interpolated(MOVING, u0, 0.1, m=1, rel_tol=1e-12)
+    chain = eh.run_sweep(MOVING, [u0], [0.1], m=1, rel_tol=1e-12)[0][0]
     for k, uk in enumerate(chain.values[1:], start=1):
         w = eh.vertex_weights(MOVING, k * 0.1)
         drift = abs(np.dot(w, uk) - np.dot(w, prev))
@@ -166,7 +166,7 @@ def test_mass_conserved_against_current_measure():
 def test_dissipation_identity():
     u0 = np.random.default_rng(5).standard_normal(MOVING.n_vertices)
     prev = u0
-    chain = eh.run_interpolated(MOVING, u0, 0.1, m=1, rel_tol=1e-13)
+    chain = eh.run_sweep(MOVING, [u0], [0.1], m=1, rel_tol=1e-13)[0][0]
     for k, uk in enumerate(chain.values[1:], start=1):
         w = eh.vertex_weights(MOVING, k * 0.1)
         lhs = 2 * 0.1 * eh.dirichlet_energy(MOVING, k * 0.1, uk)
@@ -180,9 +180,9 @@ def test_exact_scalings_are_bitwise():
     # on the direct path (MOVING) and on the CG path (the torus)
     for G in (MOVING, build("product_torus", nx=8, ny=8)):
         u0 = np.random.default_rng(6).standard_normal(G.n_vertices)
-        base = eh.run_interpolated(G, u0, 0.25, m=2, rel_tol=1e-10)
-        doubled = eh.run_interpolated(G, 2.0 * u0, 0.25, m=2, rel_tol=1e-10)
-        negated = eh.run_interpolated(G, -u0, 0.25, m=2, rel_tol=1e-10)
+        base = eh.run_sweep(G, [u0], [0.25], m=2, rel_tol=1e-10)[0][0]
+        doubled = eh.run_sweep(G, [2.0 * u0], [0.25], m=2, rel_tol=1e-10)[0][0]
+        negated = eh.run_sweep(G, [-u0], [0.25], m=2, rel_tol=1e-10)[0][0]
         for s, d, n in zip(base.values, doubled.values, negated.values):
             assert np.array_equal(d, 2.0 * s)
             assert np.array_equal(n, -s)
@@ -194,9 +194,9 @@ def test_linearity_within_tolerance():
     v0 = rng.standard_normal(MOVING.n_vertices)
     a, b = 0.3, -1.7
     w0 = a * u0 + b * v0
-    cu = eh.run_interpolated(MOVING, u0, 0.2, m=2, rel_tol=1e-12)
-    cv = eh.run_interpolated(MOVING, v0, 0.2, m=2, rel_tol=1e-12)
-    cw = eh.run_interpolated(MOVING, w0, 0.2, m=2, rel_tol=1e-12)
+    cu = eh.run_sweep(MOVING, [u0], [0.2], m=2, rel_tol=1e-12)[0][0]
+    cv = eh.run_sweep(MOVING, [v0], [0.2], m=2, rel_tol=1e-12)[0][0]
+    cw = eh.run_sweep(MOVING, [w0], [0.2], m=2, rel_tol=1e-12)[0][0]
     w_init = eh.vertex_weights(MOVING, 0.0)
     scale = eh.weighted_l2(u0, w_init) + eh.weighted_l2(v0, w_init)
     for su, sv, sw in zip(cu.values, cv.values, cw.values):
@@ -214,16 +214,16 @@ def test_steps_within_horizon():
 
 def test_runs_reject_bad_initial_value():
     with pytest.raises(ValueError, match="shape"):
-        eh.run_interpolated(TWO_VERTEX, [1.0, 0.0, 0.0], 1.0, m=2)
+        eh.run_sweep(TWO_VERTEX, [[1.0, 0.0, 0.0]], [1.0], m=2)[0][0]
     with pytest.raises(ValueError):
-        eh.run_interpolated(TWO_VERTEX, [1.0, 0.0], 1.0, m=0)
+        eh.run_sweep(TWO_VERTEX, [[1.0, 0.0]], [1.0], m=0)[0][0]
 
 
 def _record_reads_and_builds(monkeypatch):
-    """The names of the coefficient table reads, operator builds and
-    preparations that ``scheme`` makes from here on, in call order."""
+    """The names of the coefficient table reads and operator preparations that
+    ``scheme`` makes from here on, in call order."""
     calls = []
-    for name in ("weight_table", "conductance_table", "SpdOperator", "spd_prepare"):
+    for name in ("weight_table", "conductance_table", "spd_prepare"):
         monkeypatch.setattr(scheme, name, lambda *args, name=name: calls.append(name))
     return calls
 
@@ -253,7 +253,7 @@ def test_families_stepped_together_match_each_run_alone(G):
     initials = [rng.standard_normal(G.n_vertices) for _ in range(3)]
     together = eh.run_sweep(G, initials, [0.1], m=2, rel_tol=1e-10)[0]
     for u0, family in zip(initials, together):
-        alone = eh.run_interpolated(G, u0, 0.1, m=2, rel_tol=1e-10)
+        alone = eh.run_sweep(G, [u0], [0.1], m=2, rel_tol=1e-10)[0][0]
         assert len(family.values) == len(alone.values)
         assert np.array_equal(family.times(), alone.times())
         for got, want in zip(family.values, alone.values):
@@ -307,8 +307,8 @@ def test_sweep_chunks_stay_within_the_budget(budget_rounds, monkeypatch):
     prepared, solves = [], []
     real_prepare, real_solve = scheme.spd_prepare, scheme.spd_solve_prepared
 
-    def preparing(ops, plan):
-        prepared.append(real_prepare(ops, plan))
+    def preparing(*tables):
+        prepared.append(real_prepare(*tables))
         return prepared[-1]
 
     def solving(chunk, rhs, rel_tol, start=0):
@@ -338,10 +338,11 @@ def test_sweep_chunks_stay_within_the_budget(budget_rounds, monkeypatch):
 
 def test_sweep_builds_each_rows_operator_once(monkeypatch):
     # every row's coefficients are one row of a chunk's tables, and its operator
-    # is built once, from those rows
+    # is built once, from those rows: one row of the tables handed to spd_prepare
     monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", _round_floats(MOVING, 3))
     rows = {"weights": [], "conductances": []}
     steps = []
+    real_prepare = scheme.spd_prepare
 
     def counting(name, table):
         def counted(G, times):
@@ -349,14 +350,14 @@ def test_sweep_builds_each_rows_operator_once(monkeypatch):
             return table(G, times)
         return counted
 
-    def operator(mass, edges, coeffs, h):
-        steps.append((mass.tobytes(), coeffs.tobytes(), h))
-        return eh.SpdOperator(mass, edges, coeffs, h)
+    def preparing(plan, mass, coeffs, hs):
+        steps.extend((w.tobytes(), c.tobytes(), h) for w, c, h in zip(mass, coeffs, hs))
+        return real_prepare(plan, mass, coeffs, hs)
 
     monkeypatch.setattr(scheme, "weight_table", counting("weights", scheme.weight_table))
     monkeypatch.setattr(scheme, "conductance_table",
                         counting("conductances", scheme.conductance_table))
-    monkeypatch.setattr(scheme, "SpdOperator", operator)
+    monkeypatch.setattr(scheme, "spd_prepare", preparing)
     eh.run_sweep(MOVING, [np.ones(MOVING.n_vertices)], SWEEP_H, m=3)
     want = [(j * (h / 3), h) for h in SWEEP_H
             for j in range(1, 3 * eh.steps_within_horizon(MOVING.horizon, h) + 1)]

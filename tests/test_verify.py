@@ -233,7 +233,7 @@ def test_oracle_window_blocks_change_no_bit(monkeypatch):
 def test_energy_estimate_static_constant():
     G = build("static_circle", n=8)
     u0 = np.full(8, 2.0)
-    chain = eh.run_interpolated(G, u0, 0.2, m=2, rel_tol=1e-13)
+    chain = eh.run_sweep(G, [u0], [0.2], m=2, rel_tol=1e-13)[0][0]
     [rep] = eh.energy_estimate([chain], G, c0=0.0)
     # ||u0||^2 = 4 * 2*pi both sides; dissipation is solver noise only
     assert_allclose(rep.rhs, 8 * math.pi, rtol=1e-13)
@@ -246,7 +246,7 @@ def test_energy_estimate_static_constant():
 def test_energy_estimate_zero_data():
     G = build("static_circle", n=8)
     u0 = np.zeros(8)
-    chain = eh.run_interpolated(G, u0, 0.2, m=2)
+    chain = eh.run_sweep(G, [u0], [0.2], m=2)[0][0]
     [rep] = eh.energy_estimate([chain], G, c0=0.0)
     assert rep.rhs == 0.0 and rep.sup_l2 == 0.0 and rep.margin == 0.0
     assert rep.passed
@@ -254,7 +254,7 @@ def test_energy_estimate_zero_data():
 
 def test_energy_estimate_moving_metric_has_margin():
     u0 = np.random.default_rng(3).standard_normal(12)
-    chain = eh.run_interpolated(MOVING, u0, 0.1, m=2, rel_tol=1e-12)
+    chain = eh.run_sweep(MOVING, [u0], [0.1], m=2, rel_tol=1e-12)[0][0]
     [rep] = eh.energy_estimate([chain], MOVING)
     assert rep.c0_used > 0
     assert rep.passed
@@ -265,7 +265,7 @@ def test_energy_estimate_detects_uncovered_growth():
     # weights grow like e^{4t}; claiming c0 = 0 must fail on constant data
     G = build("conformal_circle", n=8, amp=0.0, growth=4.0)
     u0 = np.full(8, 2.5)
-    chain = eh.run_interpolated(G, u0, 0.25, m=1, rel_tol=1e-12)
+    chain = eh.run_sweep(G, [u0], [0.25], m=1, rel_tol=1e-12)[0][0]
     [rep] = eh.energy_estimate([chain], G, c0=0.0)
     assert not rep.passed
     assert rep.margin < -1.0
@@ -310,7 +310,7 @@ def test_energy_estimate_rejects_a_rate_that_admits_no_c0(first, rate, time):
 @pytest.mark.parametrize("c0", [1000.0, 709.0])
 def test_energy_estimate_rejects_a_bound_that_is_not_finite(c0):
     G = build("static_circle", n=8)
-    chain = eh.run_interpolated(G, np.ones(8), 0.25, m=1)
+    chain = eh.run_sweep(G, [np.ones(8)], [0.25], m=1)[0][0]
     with pytest.raises(ValueError, match=f"^c0: .* not finite for c0={c0}, horizon=1.0$"):
         eh.energy_estimate([chain], G, c0=c0)
 
@@ -328,7 +328,7 @@ def test_energy_estimate_rejects_a_certified_c0_whose_bound_overflows():
 def test_energy_estimate_input_validation():
     G = build("static_circle", n=8)
     u0 = np.ones(8)
-    chain = eh.run_interpolated(G, u0, 0.25, m=1)
+    chain = eh.run_sweep(G, [u0], [0.25], m=1)[0][0]
     for c0 in (-0.5, float("nan")):
         with pytest.raises(ValueError, match="c0 must be nonnegative"):
             eh.energy_estimate([chain], G, c0=c0)
@@ -336,7 +336,7 @@ def test_energy_estimate_input_validation():
 
 def test_energy_estimate_rejects_empty_or_mismatched_families():
     G = build("static_circle", n=8)
-    chain = eh.run_interpolated(G, np.ones(8), 0.25, m=2)
+    chain = eh.run_sweep(G, [np.ones(8)], [0.25], m=2)[0][0]
     with pytest.raises(ValueError, match="at least one"):
         eh.energy_estimate([], G, c0=0.0)
     other_h = dataclasses.replace(chain, h=0.125)
@@ -419,8 +419,8 @@ def test_energy_estimate_reads_each_grid_row_once(monkeypatch, families):
 
 
 def test_weak_residual_reads_each_grid_row_once(monkeypatch):
-    chain = eh.run_interpolated(MOVING, np.random.default_rng(14).standard_normal(12),
-                                0.25, m=2)
+    chain = eh.run_sweep(MOVING, [np.random.default_rng(14).standard_normal(12)],
+                                [0.25], m=2)[0][0]
     nm = len(chain.values) - 1
     catalog = eh.default_test_catalog(MOVING, chain.horizon)
     G, at_graph, in_verify = _count_coefficient_reads(monkeypatch, MOVING)
@@ -481,7 +481,7 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
     u0 = rng.standard_normal(12)
     floor = 1e-12 * (np.abs(u0).max() + 1.0)
     for rel_tol in (1e-12, 1e-6):
-        chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=rel_tol)
+        chain = eh.run_sweep(MOVING, [u0], [0.25], m=2, rel_tol=rel_tol)[0][0]
         solve_error = float(chain.solve_error.max())
         rep = eh.extremum_check(chain)
         assert rep.passed
@@ -498,7 +498,7 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
 
 def test_extremum_flags_sample_pushed_past_derived_bound():
     u0 = np.random.default_rng(10).standard_normal(12)
-    chain = eh.run_interpolated(MOVING, u0, 0.25, m=2, rel_tol=1e-8)
+    chain = eh.run_sweep(MOVING, [u0], [0.25], m=2, rel_tol=1e-8)[0][0]
     rep = eh.extremum_check(chain)
     assert rep.passed and rep.tol > 1e-9
     samples = chain.values.copy()
@@ -659,7 +659,7 @@ def test_weak_residual_quadrature_rate():
                          profile_dt=lambda t: math.pi * math.cos(math.pi * t))
     res = {}
     for h in (0.1, 0.05):
-        chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=1e-13)
+        chain = eh.run_sweep(G, [u0], [h], m=1, rel_tol=1e-13)[0][0]
         (row,) = eh.weak_residual(chain, G, [fn])
         res[h] = row.residual
     assert_allclose(res[0.1], 2 * math.pi ** 2 * 0.1, rtol=0.02)
@@ -668,7 +668,7 @@ def test_weak_residual_quadrature_rate():
 
 def test_weak_residual_zero_profile():
     G = build("static_circle", n=8)
-    chain = eh.run_interpolated(G, np.ones(8), 0.25, m=1)
+    chain = eh.run_sweep(G, [np.ones(8)], [0.25], m=1)[0][0]
     fn = eh.TestFunction("null", np.ones(8), lambda t: 0.0, lambda t: 0.0)
     (row,) = eh.weak_residual(chain, G, [fn])
     assert row.residual == 0.0 and row.normalization == 0.0
@@ -676,7 +676,7 @@ def test_weak_residual_zero_profile():
 
 def test_weak_residual_requires_vanishing_profile():
     G = build("static_circle", n=8)
-    chain = eh.run_interpolated(G, np.ones(8), 0.25, m=1)
+    chain = eh.run_sweep(G, [np.ones(8)], [0.25], m=1)[0][0]
     fn = eh.TestFunction("cos", np.ones(8),
                          lambda t: math.cos(math.pi * t),
                          lambda t: -math.pi * math.sin(math.pi * t))
@@ -688,7 +688,7 @@ def test_weak_residual_equals_per_function_loop():
     # the loop over test functions outside the loop over grid times, with every
     # coefficient row tabulated up front; the rows must agree bitwise
     G = build("conformal_circle", n=16, amp=0.4, omega=2.0, k_spatial=1, growth=0.3)
-    chain = eh.run_interpolated(G, eh.make_initial_data(G, {"profile": "random"}), 0.1, m=3)
+    chain = eh.run_sweep(G, [eh.make_initial_data(G, {"profile": "random"})], [0.1], m=3)[0][0]
     fns = eh.default_test_catalog(G, chain.horizon)
     delta, nm = chain.delta, len(chain.values) - 1
     w = [eh.vertex_weights(G, j * delta) for j in range(nm + 1)]
@@ -750,8 +750,8 @@ def test_weak_residual_shrinks_with_h():
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     fns = eh.default_test_catalog(G, 1.0)
     assert [f.name for f in fns] == ["k1_sin", "k1_poly", "k2_sin", "k2_poly"]
-    coarse = eh.weak_residual(eh.run_interpolated(G, u0, 0.2, m=1, rel_tol=1e-12), G, fns)
-    fine = eh.weak_residual(eh.run_interpolated(G, u0, 0.05, m=1, rel_tol=1e-12), G, fns)
+    coarse = eh.weak_residual(eh.run_sweep(G, [u0], [0.2], m=1, rel_tol=1e-12)[0][0], G, fns)
+    fine = eh.weak_residual(eh.run_sweep(G, [u0], [0.05], m=1, rel_tol=1e-12)[0][0], G, fns)
     for c, f in zip(coarse, fine):
         assert f.residual < c.residual
 
@@ -762,7 +762,7 @@ def test_weak_residual_shrinks_with_h():
 
 def test_attainment_grid_validation():
     G = build("static_circle", n=8)
-    chain = eh.run_interpolated(G, np.ones(8), 0.1, m=4)
+    chain = eh.run_sweep(G, [np.ones(8)], [0.1], m=4)[0][0]
     with pytest.raises(ValueError, match="grid"):
         eh.initial_attainment_check(chain, G, 0.03)
     # on the grid, but past the first step, where the minimality bound does not hold
@@ -774,7 +774,7 @@ def test_attainment_grid_validation():
 def test_attainment_minimality_bound():
     u0 = eh.make_initial_data(MOVING, {"profile": "harmonic", "k": 2})
     h = 0.1
-    chain = eh.run_interpolated(MOVING, u0, h, m=4, rel_tol=1e-12)
+    chain = eh.run_sweep(MOVING, [u0], [h], m=4, rel_tol=1e-12)[0][0]
     delta = h / 4
     for j in (1, 2, 4):  # first-chain samples take one full step from u0
         t = j * delta
@@ -814,7 +814,7 @@ def test_attainment_shrinks_with_h():
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     dists = []
     for h in (0.2, 0.1, 0.05):
-        chain = eh.run_interpolated(G, u0, h, m=1, rel_tol=1e-12)
+        chain = eh.run_sweep(G, [u0], [h], m=1, rel_tol=1e-12)[0][0]
         dists.append(eh.initial_attainment_check(chain, G, h).distance)
     assert dists[0] > dists[1] > dists[2]
 
@@ -835,11 +835,11 @@ def test_l2h1_norm_sums_plainly_left_to_right():
     assert eh.l2h1_interp_norm(rows, times, TWO_VERTEX, dt=1.0) == 1.0
 
 
-def test_degiorgi_family_grid_and_static_ratio():
+def test_degiorgi_family_grid_and_static_ratio(monkeypatch):
     G = build("static_circle", n=16)
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 2})
     h, m = 0.2, 4
-    chain = eh.run_interpolated(G, u0, h, m, rel_tol=1e-12)
+    chain = eh.run_sweep(G, [u0], [h], m, rel_tol=1e-12)[0][0]
     seq = chain.values[::m]
     dg = eh.degiorgi_family(G, seq, h, m, rel_tol=1e-12)
     assert len(dg) == len(chain.values[1:])
@@ -856,7 +856,16 @@ def test_degiorgi_family_grid_and_static_ratio():
     shifted_norm = eh.l2h1_interp_norm(chain.values[1:], times, G, chain.delta)
     dg_norm = eh.l2h1_interp_norm(dg, times, G, chain.delta)
     assert dg_norm >= shifted_norm * (1 - 1e-12)
-    with pytest.raises(ValueError, match="at least one step"):
-        eh.degiorgi_family(G, seq[:1], h, m)
-    with pytest.raises(ValueError, match="h must be positive"):
-        eh.degiorgi_family(G, seq, 0.0, m)
+    # every rejection comes before the first coefficient read or preparation
+    calls = []
+    for name in ("weight_table", "conductance_table", "spd_prepare"):
+        monkeypatch.setattr(eh.verify, name, lambda *args, name=name: calls.append(name))
+    nan_row = seq.copy()
+    nan_row[1, 3] = np.nan
+    for bad_seq, bad_h, bad_m, message in [
+            (seq[:1], h, m, "at least one step"), (seq, 0.0, m, "h must be positive"),
+            (seq, h, 0, "m must be an integer"), (seq, h, 2.5, "m must be an integer"),
+            (nan_row, h, m, "finite"), (seq[:, :3], h, m, "shape")]:
+        with pytest.raises(ValueError, match=message):
+            eh.degiorgi_family(G, bad_seq, bad_h, bad_m)
+    assert calls == []
