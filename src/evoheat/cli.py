@@ -27,7 +27,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Optional
 
 from .artifacts import write_csv, write_json, write_samples
 from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, check_type,
@@ -35,11 +34,10 @@ from .geometry import (JSON_TYPES, Scenario, TimeWeightedGraph, build_scenario, 
 from .linalg import SolverError
 from .profiles import make_initial_data
 from .scheme import ChainFamily, run_sweep, steps_within_horizon, truncate
-from .verify import (TEST_FUNCTIONS, EnergyReport, ExtremumReport, OracleError,
-                     contraction_report, default_test_catalog, degiorgi_family,
-                     energy_estimate, extremum_check, fit_order, initial_attainment_check,
-                     l2h1_interp_norm, convergence_table, report_json, weak_residual,
-                     weighted_l2_sq)
+from .verify import (SLACK, EnergyReport, ExtremumReport, OracleError, contraction_report,
+                     default_test_catalog, degiorgi_family, energy_estimate, extremum_check,
+                     fit_order, initial_attainment_check, l2h1_interp_norm, convergence_table,
+                     report_json, weak_residual, weighted_l2_sq)
 
 __all__ = ["RunConfig", "ConfigError", "main",
            "cmd_run", "cmd_converge", "cmd_compare_interp", "cmd_l2_limit", "cmd_verify"]
@@ -60,7 +58,6 @@ _DEFAULT_INITIAL = {"profile": "harmonic", "k": 1}
 
 _integer, _real = JSON_TYPES[int][1], JSON_TYPES[float][1]  # no NaN, Infinity or bool
 _POSITIVE = ("a positive finite real number", lambda v: _real(v) and v > 0)
-_NONNEGATIVE = ("a nonnegative finite real number", lambda v: _real(v) and v >= 0)
 _POSITIVES = ("a nonempty list of positive finite real numbers",
               lambda v: isinstance(v, list) and len(v) > 0 and all(map(_POSITIVE[1], v)))
 
@@ -71,16 +68,11 @@ _KEYS = {
     "initial": JSON_TYPES[dict],
     "h": _POSITIVE,
     "m": ("a positive integer", lambda v: _integer(v) and v >= 1),
-    "rel_tol": _NONNEGATIVE,
-    "slack": _NONNEGATIVE,
-    "c0": ("null or " + _NONNEGATIVE[0], lambda v: v is None or _NONNEGATIVE[1](v)),
+    "rel_tol": ("a nonnegative finite real number", lambda v: _real(v) and v >= 0),
     "seed": ("a nonnegative integer", lambda v: _integer(v) and v >= 0),
     "out": JSON_TYPES[str],
     "h_list": _POSITIVES,
     "truncation_levels": _POSITIVES,
-    "test_functions": (f"null or a list of names from {', '.join(TEST_FUNCTIONS)}",
-                       lambda v: v is None or (isinstance(v, list)
-                                                and all(name in TEST_FUNCTIONS for name in v))),
     "oracle_steps": ("an even integer >= 2", lambda v: _integer(v) and v >= 2 and v % 2 == 0),
 }
 
@@ -92,13 +84,10 @@ class RunConfig:
     h: float = 0.1
     m: int = 4
     rel_tol: float = 1e-10
-    slack: float = 1e-8
-    c0: Optional[float] = None
     seed: int = 0
     out: str = "out"
     h_list: list = field(default_factory=lambda: [0.1, 0.05, 0.025, 0.0125])
     truncation_levels: list = field(default_factory=lambda: [1, 2, 4, 8, 16])
-    test_functions: Optional[list] = None
     oracle_steps: int = 4096
 
     @classmethod
@@ -141,7 +130,7 @@ def _run_documents(spec: Scenario, chain: ChainFamily, energy: EnergyReport,
 def cmd_run(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tuple[bool, dict]:
     """Run the scheme; write samples.csv, energy_report.json and extremum_report.json."""
     [chain] = run_sweep(G, [u0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
-    [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
+    [energy] = energy_estimate([chain], G)
     extremum = extremum_check(chain)
     return energy.passed and extremum.passed, _run_documents(spec, chain, energy, extremum)
 
@@ -163,7 +152,7 @@ def cmd_compare_interp(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph,
     """Energy norms of shifted-chain vs resolvent interpolation on one run; write
     comparison.json."""
     [chain] = run_sweep(G, [u0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
-    [energy] = energy_estimate([chain], G, cfg.c0, cfg.slack)
+    [energy] = energy_estimate([chain], G)
     dg = degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m, rel_tol=cfg.rel_tol)
     shifted = energy.dissipation  # the l2h1 norm of the produced samples
     resolvent = l2h1_interp_norm(dg, chain.times()[1:], G, dt=chain.delta)
@@ -191,7 +180,7 @@ def cmd_l2_limit(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tu
                                            rel_tol=cfg.rel_tol):
         diffs = [ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values,
                              chain_full.solve_error + chain_n.solve_error) for chain_n in chains_n]
-        energies = energy_estimate(diffs, G, cfg.c0, cfg.slack)
+        energies = energy_estimate(diffs, G)
         for level, diff, energy in zip(cfg.truncation_levels, diffs, energies):
             rows.append({"h": chain_full.h, "level": float(level),
                          "truncation_error": weighted_l2_sq(diff.values[0], w0),
@@ -199,7 +188,7 @@ def cmd_l2_limit(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tu
                          "bound": energy.rhs, "c0_used": energy.c0_used, "pass": energy.passed})
     passed = all(row["pass"] for row in rows)
     return passed, {"truncation_report.json": {"scenario": spec.to_dict(), "m": cfg.m,
-                                               "slack": cfg.slack, "rows": rows, "pass": passed}}
+                                               "slack": SLACK, "rows": rows, "pass": passed}}
 
 
 def cmd_verify(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tuple[bool, dict]:
@@ -209,17 +198,11 @@ def cmd_verify(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tupl
     v0 = make_initial_data(G, {"profile": "random", "seed": cfg.seed + 1})
     d0 = u0 - v0
     chain, chain_v, chain_d = run_sweep(G, [u0, v0, d0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
-    energy, energy_d = energy_estimate([chain, chain_d], G, cfg.c0, cfg.slack)
+    energy, energy_d = energy_estimate([chain, chain_d], G)
     extremum = extremum_check(chain)
     contraction = contraction_report(G, chain, chain_v, chain_d, energy_d)
-    catalog = default_test_catalog(G, chain.horizon)  # the test functions G has
-    have = [fn.name for fn in catalog]
-    names = have if cfg.test_functions is None else cfg.test_functions
-    if not set(names) <= set(have):
-        raise ConfigError(f"test_functions: must name functions this graph has "
-                          f"({', '.join(have) or 'none'}), got {names!r}")
-    weak_rows = weak_residual(chain, G, [fn for fn in catalog if fn.name in names])
-    attainment = initial_attainment_check(chain, G, chain.h, cfg.slack)
+    weak_rows = weak_residual(chain, G, default_test_catalog(G, chain.horizon))
+    attainment = initial_attainment_check(chain, G, chain.h)
     passed = bool(energy.passed and extremum.passed and contraction.passed and attainment.passed)
     return passed, {**_run_documents(spec, chain, energy, extremum), "verify_report.json": {
         "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,

@@ -19,8 +19,8 @@ m = 1 is exactly the step-sequence sum sum_k h * energy(u_k, kh); including the
 j = 0 sample would charge the scheme for the raw initial datum's Dirichlet
 energy, which it does not control.  It is ``l2h1_interp_norm`` of those rows,
 which ``energy_estimate`` sums for all chain families of one grid in one sweep
-that reads each coefficient row once.  Unless a c0 is given, the same sweep
-certifies it from the weight rows it reads, so no caller needs to know how.
+that reads each coefficient row once.  The same sweep certifies c0 from the
+weight rows it reads, so no caller needs to know how.
 
 Every check reads the initial value from the chain's row 0 and its solver error
 from the chain's own ``solve_error``, the per-row certificate that
@@ -45,6 +45,7 @@ from .scheme import ChainFamily, _vertex_values, run_sweep, steps_within_horizon
 __all__ = [
     "weighted_l2_sq",
     "weighted_l2",
+    "SLACK",
     "report_json",
     "EnergyReport",
     "energy_estimate",
@@ -61,7 +62,6 @@ __all__ = [
     "convergence_table",
     "fit_order",
     "TestFunction",
-    "TEST_FUNCTIONS",
     "default_test_catalog",
     "WeakResidualRow",
     "weak_residual",
@@ -70,6 +70,11 @@ __all__ = [
     "l2h1_interp_norm",
     "degiorgi_family",
 ]
+
+
+# The relative slack of the energy and attainment bounds, written as each
+# report's ``slack``: a bound passes when its left side is <= rhs * (1 + SLACK).
+SLACK = 1e-8
 
 
 def weighted_l2_sq(values: np.ndarray, weights: np.ndarray) -> float:
@@ -106,7 +111,7 @@ class EnergyReport:
     dissipation sum_{j>=1} delta * energy(sample_j, t_j)
     rhs         exp(c0_used * horizon) * ||u0||^2_{m_0}
     margin      (rhs - max(sup_l2, dissipation)) / rhs  (0 when rhs == 0)
-    passed      sup_l2 <= rhs*(1+slack) and dissipation <= rhs*(1+slack)
+    passed      sup_l2 <= rhs*(1+SLACK) and dissipation <= rhs*(1+SLACK)
     """
 
     sup_l2: float
@@ -118,25 +123,21 @@ class EnergyReport:
     margin: float
 
 
-def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
-                    c0: Optional[float] = None, slack: float = 1e-8) -> list[EnergyReport]:
+def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph) -> list[EnergyReport]:
     """Both sides of the energy estimate, one report per chain family of one grid.
 
     The families must share h, m and row count; each one's initial value is its
     row 0.  Each grid row's coefficients are read once for all of them, in
     tables of ``rows_within_budget`` rows, and each report is bitwise the
-    family's report alone.  With ``c0`` None the sweep
-    certifies it from the weight rows it reads: the largest rate (log w_i(t_j) -
-    log w_i(t_{j-1})) / (t_j - t_{j-1}), clamped at 0, bounds the growth over
-    every grid pair and so over the grid, which is all the estimate consumes.  A
-    weight that is 0 at both ends of a pair does not grow and sets no rate; a
-    pair whose rate is NaN or +inf (a weight leaving 0, a NaN weight) admits no
-    c0, and raises ValueError naming its grid time.  A given ``c0`` must
-    dominate that growth; a larger value only slackens the bound.  A bound
-    exp(c0 * horizon) * a0 that is no finite double raises ValueError naming c0.
+    family's report alone.  The sweep certifies c0 from the weight rows it
+    reads: the largest rate (log w_i(t_j) - log w_i(t_{j-1})) / (t_j - t_{j-1}),
+    clamped at 0, bounds the growth over every grid pair and so over the grid,
+    which is all the estimate consumes.  A weight that is 0 at both ends of a
+    pair does not grow and sets no rate; a pair whose rate is NaN or +inf (a
+    weight leaving 0, a NaN weight) admits no c0, and raises ValueError naming
+    its grid time.  A bound exp(c0 * horizon) * a0 that is no finite double
+    raises ValueError naming c0.
     """
-    if c0 is not None and not c0 >= 0:
-        raise ValueError(f"c0 must be nonnegative, got {c0}")
     if not chains:
         raise ValueError("energy_estimate needs at least one chain family")
     first = chains[0]
@@ -148,28 +149,26 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
     a0 = [weighted_l2_sq(c.values[0], w) for c in chains]
     sup_l2 = list(a0)
     rate = -np.inf
-    log_w = np.log(w) if c0 is None else None
+    log_w = np.log(w)
     # left-to-right sums, as in l2h1_interp_norm (Python 3.12's sum() is compensated)
     dissipation = [0.0] * len(chains)
     for rows in _row_blocks(1, len(times), G.n_vertices + G.n_edges):
         span = slice(rows.start, rows.stop)
         W, C = weight_table(G, times[span]), conductance_table(G, times[span])
         for j, w, cond in zip(rows, W, C):
-            if c0 is None:
-                log_prev, log_w = log_w, np.log(w)
-                pair = (log_w - log_prev) / (times[j] - times[j - 1])
-                top = pair.max()
-                if not top < np.inf:  # NaN or +inf; a weight that stays 0 (NaN) sets no rate
-                    top = pair[~((log_w == -np.inf) & (log_prev == -np.inf))].max(
-                        initial=-np.inf)
-                    if not top < np.inf:
-                        raise ValueError(f"energy_estimate: weight growth rate {top} at grid "
-                                         f"time t={times[j]:.6g} admits no c0")
-                rate = max(rate, top)
+            log_prev, log_w = log_w, np.log(w)
+            pair = (log_w - log_prev) / (times[j] - times[j - 1])
+            top = pair.max()
+            if not top < np.inf:  # NaN or +inf; a weight that stays 0 (NaN) sets no rate
+                top = pair[~((log_w == -np.inf) & (log_prev == -np.inf))].max(initial=-np.inf)
+                if not top < np.inf:
+                    raise ValueError(f"energy_estimate: weight growth rate {top} at grid "
+                                     f"time t={times[j]:.6g} admits no c0")
+            rate = max(rate, top)
             for f, c in enumerate(chains):
                 sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))
                 dissipation[f] += delta * _dirichlet_form(G, cond, c.values[j])
-    c0 = max(0.0, float(rate)) if c0 is None else float(c0)
+    c0 = max(0.0, float(rate))
     try:
         rhs = [math.exp(c0 * first.horizon) * a for a in a0]
     except OverflowError:
@@ -178,7 +177,7 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph,
         raise ValueError(f"c0: exp(c0 * horizon) * ||u0||^2 is not finite for c0={c0}, "
                          f"horizon={first.horizon}")
     return [EnergyReport(sup_l2=sup, dissipation=diss, rhs=bound, c0_used=c0,
-                         slack=float(slack), passed=bool(max(sup, diss) <= bound * (1.0 + slack)),
+                         slack=SLACK, passed=bool(max(sup, diss) <= bound * (1.0 + SLACK)),
                          margin=0.0 if bound == 0.0 else (bound - max(sup, diss)) / bound)
             for sup, diss, bound in zip(sup_l2, dissipation, rhs)]
 
@@ -378,14 +377,16 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
         ops = read(np.concatenate([
             t_fine, t_fine + 0.5 * dt, t_fine + dt, t_next, t_next + 0.5 * dt, t_next + dt,
             t_half, t_half + 0.5 * dt_half, t_half + dt_half, (window + 1) * dt_half]))
-        for i in window.tolist():
-            rk4_step(2 * i * dt, dt, fine[2 * i], fine[2 * i + 1])
-            rk4_step((2 * i + 1) * dt, dt, fine[2 * i + 1], fine[2 * i + 2])
-            rk4_step(i * dt_half, dt_half, y_half, y_half)
-            w_end = ops[(i + 1) * dt_half][2]
-            # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
-            self_check = float(np.maximum(self_check,
-                                          weighted_l2(fine[2 * i + 2] - y_half, w_end)))
+        # a step past RK4's stability window overflows; the self-check below fails it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in window.tolist():
+                rk4_step(2 * i * dt, dt, fine[2 * i], fine[2 * i + 1])
+                rk4_step((2 * i + 1) * dt, dt, fine[2 * i + 1], fine[2 * i + 2])
+                rk4_step(i * dt_half, dt_half, y_half, y_half)
+                w_end = ops[(i + 1) * dt_half][2]
+                # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
+                self_check = float(np.maximum(self_check,
+                                              weighted_l2(fine[2 * i + 2] - y_half, w_end)))
     if not (self_check < self_check_tol):  # NaN from a blown-up run fails too
         raise OracleError(
             f"oracle self-check failed: halving n_steps={n_steps} moves the "
@@ -480,18 +481,13 @@ class TestFunction:
     profile_dt: Callable[[float], float]
 
 
-_CATALOG_KS = (1, 2)
-# The names of ``default_test_catalog``'s functions, in catalog order.
-TEST_FUNCTIONS = tuple(f"k{k}_{shape}" for k in _CATALOG_KS for shape in ("sin", "poly"))
-
-
 def default_test_catalog(G: TimeWeightedGraph, T: float) -> list[TestFunction]:
     """Low spatial harmonics times {sin(pi t/T), t(T-t)/T^2}, both vanishing at 0 and T.
 
     A graph without coordinates has only the harmonics k < n; the others are left out.
     """
     catalog = []
-    for k in (k for k in _CATALOG_KS if G.coords is not None or k < G.n_vertices):
+    for k in (k for k in (1, 2) if G.coords is not None or k < G.n_vertices):
         psi = make_initial_data(G, {"profile": "harmonic", "k": k})
         catalog.append(TestFunction(
             name=f"k{k}_sin", space=psi,
@@ -580,8 +576,8 @@ class AttainmentReport:
     passed: bool
 
 
-def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph, t_small: float,
-                             slack: float = 1e-8) -> AttainmentReport:
+def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
+                             t_small: float) -> AttainmentReport:
     """Weighted l2 distance of the sample at t_small from u0 (row 0), less its solver
     error, judged by the minimality bound dist^2 <= h * energy(u0, t_small).  The
     solver error is the row's ``solve_error`` entry times sqrt(sum w), with the
@@ -605,7 +601,7 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph, t_small: 
     distance = weighted_l2(chain.values[j] - u0, w)
     bound = chain.h * dirichlet_energy(G, t_small, u0)
     solver_error = float(chain.solve_error[j]) * math.sqrt(float(w.sum()))
-    passed = max(distance - solver_error, 0.0) ** 2 <= bound * (1.0 + slack) + 1e-30
+    passed = max(distance - solver_error, 0.0) ** 2 <= bound * (1.0 + SLACK) + 1e-30
     return AttainmentReport(float(t_small), distance, bound, solver_error, passed)
 
 

@@ -47,7 +47,7 @@ def matrix_runs():
 def test_criterion_01_energy_estimate(matrix_runs, criterion_line):
     failures = []
     for spec, G, u0, chain in matrix_runs:
-        [rep] = eh.energy_estimate([chain], G, slack=SLACK)
+        [rep] = eh.energy_estimate([chain], G)
         if not rep.passed:
             failures.append((spec.kind, chain.h, chain.m, rep))
     ok = criterion_line(
@@ -78,7 +78,7 @@ def test_criterion_02_pinching_stress(criterion_line):
 
         u0 = np.random.default_rng(42).standard_normal(n)
         chain = eh.run_sweep(G, [u0], [0.05], m=2, rel_tol=MATRIX_REL_TOL)[0][0]
-        [rep] = eh.energy_estimate([chain], G, slack=SLACK)
+        [rep] = eh.energy_estimate([chain], G)
         if not (rate_ok and rep.c0_used == 0.0 and rep.passed and rep.margin >= 0.0):
             failures.append((speed, realized, rep))
     ok = criterion_line(
@@ -111,7 +111,7 @@ def test_criterion_04_contraction_pairs(criterion_line):
             v0 = rng.standard_normal(G.n_vertices)
             d0 = u0 - v0
             chains = eh.run_sweep(G, [u0, v0, d0], [h], m, rel_tol=MATRIX_REL_TOL)[0]
-            [energy_d] = eh.energy_estimate(chains[2:], G, slack=SLACK)
+            [energy_d] = eh.energy_estimate(chains[2:], G)
             rep = eh.contraction_report(G, *chains, energy_d)
             if not rep.passed:
                 failures.append((spec.kind, pair, rep))
@@ -221,7 +221,7 @@ def test_criterion_08_interpolation_norms(criterion_line):
     G = eh.build_scenario(spec)
     u0 = np.random.default_rng(8).standard_normal(64)
     chain = eh.run_sweep(G, [u0], [0.05], m=4, rel_tol=MATRIX_REL_TOL)[0][0]
-    [rep] = eh.energy_estimate([chain], G, slack=SLACK)
+    [rep] = eh.energy_estimate([chain], G)
     shifted = eh.l2h1_interp_norm(chain.values[1:], chain.times()[1:], G, dt=chain.delta)
     dg = eh.degiorgi_family(G, chain.values[::chain.m], chain.h, chain.m,
                             rel_tol=MATRIX_REL_TOL)

@@ -1,9 +1,11 @@
 """CLI exit codes, artifacts, determinism.  Everything goes through main(argv)."""
 
+import dataclasses
 import functools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -96,13 +98,24 @@ def test_run_flag_overrides_config(tmp_path):
     assert echoed["h"] == 0.25 and echoed["m"] == 1
 
 
-def test_run_check_failure_exits_one_but_writes_reports(tmp_path):
-    # constant data on growing volume: claiming c0 = 0 understates the growth
+def _outgrowing_run_sweep(monkeypatch):
+    """Make ``cli.run_sweep`` double each family's rows from one grid time to the
+    next, so that they outgrow the bound the weights certify."""
+    run_sweep = cli.run_sweep
+
+    def outgrowing(*args, **kwargs):
+        return [[dataclasses.replace(c, values=c.values * 2.0 ** np.arange(len(c.values))[:, None])
+                 for c in families] for families in run_sweep(*args, **kwargs)]
+
+    monkeypatch.setattr(cli, "run_sweep", outgrowing)
+
+
+def test_run_check_failure_exits_one_but_writes_reports(tmp_path, monkeypatch):
+    _outgrowing_run_sweep(monkeypatch)
     cfg = _write_config(
         tmp_path,
         scenario={"kind": "conformal_circle", "n": 8, "T": 1.0, "growth": 1.0, "amp": 0.0},
         initial={"profile": "constant"},
-        c0=0.0,
     )
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out]) == 1
@@ -142,6 +155,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert not os.path.exists(out)  # config errors must not leave artifacts
 
 
+# The c0, slack and test_functions cases name keys that are gone: c0 is certified
+# from the run, slack is verify.SLACK and verify tests with every function the
+# graph has.  Every value of theirs must be rejected as an unknown key.
 @pytest.mark.parametrize("command, key, value", [
     ("verify", "h", "0.1"), ("verify", "h", None), ("verify", "h", True),
     ("verify", "rel_tol", "1e-8"), ("verify", "slack", [1e-8]), ("verify", "c0", "1"),
@@ -149,7 +165,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ("converge", "h_list", 0.1), ("l2-limit", "h_list", 0.1),
     ("l2-limit", "truncation_levels", ["1"]), ("verify", "test_functions", "k1_sin"),
     ("verify", "initial", "harmonic"), ("verify", "scenario", 5), ("verify", "out", 3),
-    # json reads NaN and Infinity; no field takes them, and slack must not be negative
+    # json reads NaN and Infinity; no field takes them
     ("verify", "c0", math.inf), ("verify", "h", math.nan), ("verify", "rel_tol", -math.inf),
     ("verify", "slack", math.inf), ("verify", "slack", -0.5),
     ("converge", "h_list", [0.1, math.nan]), ("l2-limit", "truncation_levels", [1, math.inf]),
@@ -159,18 +175,36 @@ def test_config_errors_exit_two(tmp_path, capsys):
     ("converge", "h_list", [0.1, -0.05]), ("l2-limit", "h_list", []),
     ("l2-limit", "truncation_levels", [1, 0]), ("verify", "h", 0), ("verify", "m", 0),
     ("verify", "c0", -1), ("verify", "test_functions", ["k9_sin"]),
+    # values the removed keys used to accept, the defaults run_config.json echoed among them
+    ("verify", "c0", 0.0), ("run", "c0", None), ("l2-limit", "slack", 1e-8),
+    ("verify", "test_functions", None),
 ])
 def test_mistyped_config_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                                  command, key, value):
     cfg = _write_config(tmp_path, **{key: value})
     monkeypatch.chdir(tmp_path)  # the default out directory, which must stay absent
     assert main([command, "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {key}: must be ")
+    assert capsys.readouterr().err.startswith(
+        f"config error: {key}: must be " if key in cli._KEYS
+        else f"config error: unknown config keys: ['{key}']\n")
     assert not os.path.exists(tmp_path / "out")
 
 
 def test_every_config_key_has_one_table_entry():
     assert set(cli._KEYS) == set(cli.RunConfig.__dataclass_fields__)
+
+
+def test_readme_documents_exactly_the_config_keys():
+    # the key table names exactly the _KEYS entries, and the example config holds
+    # exactly RunConfig's fields, in order
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        text = f.read()
+    table = text.split("| key | must be |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    named = [name for row in table.splitlines()
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(cli._KEYS)
+    example = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    assert list(example) == list(cli.RunConfig.__dataclass_fields__)
 
 
 def _table(**overrides):
@@ -268,11 +302,15 @@ def test_unreadable_input_file_names_its_key_and_path(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("key, config", [
-    ("c0", {"c0": 1000}),  # exp(c0 * horizon) overflows after the run
+    # log w_0 climbs by 690.8 over [0, 1], and w_1 = 1e100 keeps ||u0||^2 large:
+    # the certified c0's bound exp(c0 * horizon) * ||u0||^2 overflows after the run
+    ("c0", {"scenario": _table(n_vertices=2, edges=[[0, 1]], conductances=[[1.0], [1.0]],
+                               weights=[[1e-150, 1e100], [1e150, 1e100]]),
+            "initial": {"profile": "random", "seed": 7, "scale": 100.0}}),
     ("growth", {"scenario": {"kind": "conformal_circle", "n": 64, "growth": 720.0}}),
     ("growth", {"scenario": {"kind": "conformal_circle", "n": 64, "growth": -720.0}}),  # 1/a
 ])
-@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("command", ["run", "verify", "l2-limit", "compare-interp"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_value_is_a_config_error(tmp_path, monkeypatch, capsys,
                                              key, config, command):
@@ -535,17 +573,19 @@ def test_l2_limit_report_equals_hand_loop(tmp_path):
     assert got == want
 
 
-def test_l2_limit_check_failure_exits_one_but_writes_the_report(tmp_path):
-    # random data on growing volume: claiming c0 = 0 understates the growth
+def test_l2_limit_check_failure_exits_one_but_writes_the_report(tmp_path, monkeypatch):
+    _outgrowing_run_sweep(monkeypatch)
     cfg = _write_config(
         tmp_path,
         scenario={"kind": "conformal_circle", "n": 8, "T": 1.0, "growth": 1.0, "amp": 0.0},
-        initial={"profile": "random", "scale": 3.0}, c0=0.0, h_list=[0.1, 0.05])
+        initial={"profile": "random", "scale": 3.0}, h_list=[0.1, 0.05])
     out = str(tmp_path / "out")
     assert main(["l2-limit", "--config", cfg, "--out", out]) == 1
     doc = _read_json(out, "truncation_report.json")
     assert doc["pass"] is False
     assert not all(row["pass"] for row in doc["rows"])
+    assert min(row["bound"] - max(row["diff_sup_l2"], row["diff_l2h1"])
+               for row in doc["rows"]) < 0
 
 
 # Each subcommand's artifacts, as the README's command table lists them.
@@ -631,31 +671,6 @@ def test_verify_command(tmp_path):
     assert doc["initial_attainment"]["pass"] is True
 
 
-def test_verify_test_function_filter(tmp_path):
-    cfg = _write_config(tmp_path,
-                        scenario={"kind": "conformal_circle", "n": 12, "T": 1.0},
-                        initial={"profile": "harmonic", "k": 1},
-                        h=0.2, test_functions=["k1_sin"])
-    out = str(tmp_path / "out")
-    assert main(["verify", "--config", cfg, "--out", out]) == 0
-    doc = _read_json(out, "verify_report.json")
-    assert [r["name"] for r in doc["weak_residuals"]] == ["k1_sin"]
-
-    bad = _write_config(tmp_path, "bad_fn.json", test_functions=["k9_sin"])
-    assert main(["verify", "--config", bad, "--out", out]) == 2
-
-
-def test_verify_rejects_unknown_test_function_before_the_run(tmp_path, monkeypatch, capsys):
-    runs = []
-    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: runs.append(args))
-    cfg = _write_config(tmp_path, test_functions=["k1_sin", "k9_sin"])
-    out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
-    assert ("test_functions: must be null or a list of names from k1_sin, k1_poly, k2_sin, "
-            "k2_poly, got ['k1_sin', 'k9_sin']") in capsys.readouterr().err
-    assert runs == [] and not out.exists()
-
-
 # tables without coordinates: harmonic k needs k < n_vertices Laplacian modes
 _ONE_VERTEX = {"kind": "custom_tabulated", "T": 1.0,
                "table": {"n_vertices": 1, "edges": [], "times": [0.0, 1.0],
@@ -664,23 +679,12 @@ _TWO_VERTEX = _table(n_vertices=2, edges=[[0, 1]], weights=[[1.0, 2.0], [2.0, 1.
                      conductances=[[1.0], [0.5]])
 
 
-@pytest.mark.parametrize("names, reported", [(None, ["k1_sin", "k1_poly"]),
-                                             (["k1_sin"], ["k1_sin"])])
-def test_verify_tests_with_the_harmonics_a_small_graph_has(tmp_path, names, reported):
-    cfg = _write_config(tmp_path, scenario=_TWO_VERTEX, test_functions=names)
+def test_verify_tests_with_the_harmonics_a_small_graph_has(tmp_path):
+    cfg = _write_config(tmp_path, scenario=_TWO_VERTEX)
     out = str(tmp_path / "out")
     assert main(["verify", "--config", cfg, "--out", out]) == 0
     doc = _read_json(out, "verify_report.json")
-    assert [r["name"] for r in doc["weak_residuals"]] == reported
-
-
-def test_verify_rejects_a_harmonic_the_graph_lacks(tmp_path, capsys):
-    cfg = _write_config(tmp_path, scenario=_TWO_VERTEX, test_functions=["k2_sin"])
-    out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("config error: test_functions: must name functions "
-                                       "this graph has (k1_sin, k1_poly), got ['k2_sin']\n")
-    assert not out.exists()
+    assert [r["name"] for r in doc["weak_residuals"]] == ["k1_sin", "k1_poly"]
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -866,6 +870,20 @@ def test_oracle_failure_exits_three(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["converge", "--config", cfg, "--out", out]) == 3
     assert "oracle failure" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_oracle_that_overflows_exits_three_without_warnings(tmp_path, capsys):
+    # 512 RK4 steps are past the stability window of a 256-vertex circle: both
+    # runs overflow, and the self-check alone reports it
+    cfg = _write_config(tmp_path, scenario={"kind": "conformal_circle", "n": 256, "k_spatial": 1},
+                        h_list=[0.1, 0.05, 0.025], oracle_steps=512)
+    out = str(tmp_path / "out")
+    assert main(["converge", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "oracle failure: oracle self-check failed: halving n_steps=512 moves the trajectory "
+        "by nan (tolerance 1.0e-10)\n")
     assert not os.path.exists(out)
 
 
