@@ -228,13 +228,8 @@ def dirichlet_energy(G: TimeWeightedGraph, t: float, values: np.ndarray) -> floa
         raise ValueError(f"values has shape {u.shape}, expected ({G.n_vertices},)")
     if G.n_edges == 0:
         return 0.0
-    return _dirichlet_form(G, edge_conductances(G, t), u)
-
-
-def _dirichlet_form(G: TimeWeightedGraph, c: np.ndarray, u: np.ndarray) -> float:
-    """sum_e c_e * (u_i - u_j)**2 with the conductance row ``c`` already read."""
     d = u[G.edges[:, 0]] - u[G.edges[:, 1]]
-    return float(np.dot(c, d * d))
+    return float(np.dot(edge_conductances(G, t), d * d))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ which ``energy_estimate`` sums for all chain families of one grid in one sweep
 that reads each coefficient row once.  The same sweep certifies c0 from the
 weight rows it reads, so no caller needs to know how.
 
+The checks read the grid rows in blocks, one coefficient table per block, and do
+each block's arithmetic whole: per-row dot products by ``_row_dots``, the same
+BLAS call ``np.dot`` makes, and running sums added left to right in row order by
+``_sum_in_order``, so every report is bitwise the one a row-by-row loop gives.
+
 Every check reads the initial value from the chain's row 0 and its solver error
 from the chain's own ``solve_error``, the per-row certificate that
 ``run_sweep`` builds from the right-hand sides and weights it solved with.
@@ -35,8 +40,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (_TIME_FUZZ, TimeWeightedGraph, _dirichlet_form, conductance_table,
-                       dirichlet_energy, vertex_weights, weight_table)
+from .geometry import (_TIME_FUZZ, TimeWeightedGraph, conductance_table, dirichlet_energy,
+                       vertex_weights, weight_table)
 from .linalg import (half_edge_layout, rounds_ahead, rows_within_budget, spd_prepare,
                      spd_solve_prepared)
 from .profiles import make_initial_data
@@ -93,6 +98,55 @@ def _row_blocks(start: int, stop: int, floats_per_row: int):
     return (range(first, min(first + block, stop)) for first in range(start, stop, block))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i of ``a`` dotted with row i of ``b``, or with ``b`` itself if it is a
+    vector.  A stacked matmul of rows by columns calls BLAS ddot once per row, as
+    ``np.dot`` does on the same rows, so each entry is bitwise ``np.dot(a[i], b[i])``."""
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
+
+
+def _sum_in_order(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., added left to right.  From Python 3.12
+    the builtin sum() of floats is compensated and np.sum adds pairwise, and the
+    artifact bytes must depend on neither."""
+    for term in terms.tolist():
+        total += term
+    return total
+
+
+def _edge_gaps(G: TimeWeightedGraph, values: np.ndarray) -> np.ndarray:
+    """u_i - u_j along every edge (i, j) of G, for the vertex function ``values``
+    or for each of its rows (one ``take`` per edge end, not a 2-D fancy index)."""
+    gaps = values.take(G.edges[:, 0], axis=-1)
+    gaps -= values.take(G.edges[:, 1], axis=-1)
+    return gaps
+
+
+def _dirichlet_rows(G: TimeWeightedGraph, C: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_e C[k, e] * (u_i - u_j)**2 for each row k of ``values``."""
+    gaps = _edge_gaps(G, values)
+    gaps *= gaps
+    return _row_dots(C, gaps)
+
+
+def _growth_rates(log_prev: np.ndarray, W: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """For each row k of the weight table W, the largest rate over the vertices
+    from the row before it: (log W[k] - log W[k-1]) / steps[k], where the row
+    before W[0] is the one whose log is ``log_prev``.  A weight that is 0 at both
+    ends (-inf - -inf, NaN) sets no rate; a NaN or +inf left means that row's
+    pair admits no c0."""
+    logs = np.empty((len(W) + 1, W.shape[1]))
+    logs[0] = log_prev
+    np.log(W, out=logs[1:])
+    pairs = np.diff(logs, axis=0)
+    pairs /= steps[:, None]
+    tops = pairs.max(axis=1)
+    if not (tops < np.inf).all():
+        stays_zero = (logs[1:] == -np.inf) & (logs[:-1] == -np.inf)
+        tops = np.where(stays_zero, -np.inf, pairs).max(axis=1)
+    return tops
+
+
 def report_json(report) -> dict:
     """A report dataclass as a JSON object: its fields in order, ``passed`` as "pass"."""
     return asdict(report, dict_factory=lambda items: {
@@ -128,15 +182,16 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph) -> list[Ene
 
     The families must share h, m and row count; each one's initial value is its
     row 0.  Each grid row's coefficients are read once for all of them, in
-    tables of ``rows_within_budget`` rows, and each report is bitwise the
-    family's report alone.  The sweep certifies c0 from the weight rows it
-    reads: the largest rate (log w_i(t_j) - log w_i(t_{j-1})) / (t_j - t_{j-1}),
+    tables of ``rows_within_budget`` rows, and each family's block of rows is
+    judged in whole-block operations; each report is bitwise the family's report
+    alone, and the row-by-row one.  The sweep certifies c0 from the weight rows
+    it reads: the largest rate (log w_i(t_j) - log w_i(t_{j-1})) / (t_j - t_{j-1}),
     clamped at 0, bounds the growth over every grid pair and so over the grid,
     which is all the estimate consumes.  A weight that is 0 at both ends of a
     pair does not grow and sets no rate; a pair whose rate is NaN or +inf (a
     weight leaving 0, a NaN weight) admits no c0, and raises ValueError naming
-    its grid time.  A bound exp(c0 * horizon) * a0 that is no finite double
-    raises ValueError naming c0.
+    the first such grid time.  A bound exp(c0 * horizon) * a0 that is no finite
+    double raises ValueError naming c0.
     """
     if not chains:
         raise ValueError("energy_estimate needs at least one chain family")
@@ -150,24 +205,24 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph) -> list[Ene
     sup_l2 = list(a0)
     rate = -np.inf
     log_w = np.log(w)
-    # left-to-right sums, as in l2h1_interp_norm (Python 3.12's sum() is compensated)
     dissipation = [0.0] * len(chains)
     for rows in _row_blocks(1, len(times), G.n_vertices + G.n_edges):
         span = slice(rows.start, rows.stop)
-        W, C = weight_table(G, times[span]), conductance_table(G, times[span])
-        for j, w, cond in zip(rows, W, C):
-            log_prev, log_w = log_w, np.log(w)
-            pair = (log_w - log_prev) / (times[j] - times[j - 1])
-            top = pair.max()
-            if not top < np.inf:  # NaN or +inf; a weight that stays 0 (NaN) sets no rate
-                top = pair[~((log_w == -np.inf) & (log_prev == -np.inf))].max(initial=-np.inf)
-                if not top < np.inf:
-                    raise ValueError(f"energy_estimate: weight growth rate {top} at grid "
-                                     f"time t={times[j]:.6g} admits no c0")
-            rate = max(rate, top)
-            for f, c in enumerate(chains):
-                sup_l2[f] = max(sup_l2[f], weighted_l2_sq(c.values[j], w))
-                dissipation[f] += delta * _dirichlet_form(G, cond, c.values[j])
+        W = weight_table(G, times[span])
+        # the first pair joins the previous block's last row
+        tops = _growth_rates(log_w, W, np.diff(times[rows.start - 1:rows.stop]))
+        no_c0 = ~(tops < np.inf)
+        if no_c0.any():
+            k = int(no_c0.argmax())
+            raise ValueError(f"energy_estimate: weight growth rate {tops[k]} at grid "
+                             f"time t={times[rows.start + k]:.6g} admits no c0")
+        rate = max(rate, tops.max())
+        log_w = np.log(W[-1])
+        C = conductance_table(G, times[span])
+        for f, c in enumerate(chains):
+            v = c.values[span]
+            sup_l2[f] = max(sup_l2[f], *_row_dots(W, v * v).tolist())
+            dissipation[f] = _sum_in_order(dissipation[f], delta * _dirichlet_rows(G, C, v))
     c0 = max(0.0, float(rate))
     try:
         rhs = [math.exp(c0 * first.horizon) * a for a in a0]
@@ -394,15 +449,17 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
     return OracleResult(fine, float(T), self_check)
 
 
-def oracle_value_at(oracle: OracleResult, t: float) -> np.ndarray:
-    """Oracle trajectory at time t, linearly interpolated between grid samples."""
-    pos = t / oracle.dt
-    i = int(math.floor(pos + _TIME_FUZZ))
-    i = min(max(i, 0), oracle.n_steps)
-    frac = pos - i
-    if frac <= _TIME_FUZZ or i == oracle.n_steps:
-        return oracle.values[i]
-    return (1.0 - frac) * oracle.values[i] + frac * oracle.values[i + 1]
+def oracle_value_at(oracle: OracleResult, t) -> np.ndarray:
+    """Oracle trajectory at time t, linearly interpolated between grid samples; at
+    a 1-D array of times, one row per time, each bitwise the row at that time alone."""
+    pos = np.asarray(t, dtype=float) / oracle.dt
+    i = np.clip(np.floor(pos + _TIME_FUZZ), 0, oracle.n_steps).astype(np.intp)
+    frac = (pos - i)[..., None]
+    value = (1.0 - frac) * oracle.values[i]
+    value += frac * oracle.values[np.minimum(i + 1, oracle.n_steps)]
+    on_grid = (frac <= _TIME_FUZZ) | (i == oracle.n_steps)[..., None]
+    np.copyto(value, oracle.values[i], where=on_grid)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +476,19 @@ class ConvergenceRow:
 
 def chain_error_vs_oracle(chain: ChainFamily, G: TimeWeightedGraph,
                           oracle: OracleResult) -> float:
-    """max over chain grid times of the weighted l2 distance to the oracle."""
+    """max over chain grid times of the weighted l2 distance to the oracle.
+
+    The grid rows come in blocks of ``rows_within_budget`` rows, one weight table
+    and one ``oracle_value_at`` call per block, and the result is bitwise the
+    max over the rows one at a time."""
     times = chain.times()
     err = 0.0
     for rows in _row_blocks(0, len(times), G.n_vertices):
         span = slice(rows.start, rows.stop)
-        for t, v, w in zip(times[span], chain.values[span], weight_table(G, times[span])):
-            err = max(err, weighted_l2(v - oracle_value_at(oracle, t), w))
+        gap = chain.values[span] - oracle_value_at(oracle, times[span])
+        gap *= gap
+        sq = _row_dots(weight_table(G, times[span]), gap)
+        err = max(err, *map(math.sqrt, sq.tolist()))
     return err
 
 
@@ -519,11 +582,14 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
     where loss_j = (w(t_j) - w(t_{j+1})) / delta is the forward volume loss over
     one delta; no term divides by a weight, so a weight of 0 is harmless.  Shrinks
     like O(h) as the chain refines.  Profiles must vanish at t = 0 and the horizon.
+    The grid times come in blocks of ``rows_within_budget`` rows, each block's
+    terms in whole-block operations, and each sum adds its terms left to right
+    in j, so every row is bitwise the one a loop over j gives.
     """
     delta = chain.delta
     T = chain.horizon
     nm = len(chain.values) - 1
-    phis = []
+    phis, dphis = [], []
     for fn in test_fns:
         phi = np.array([fn.profile(j * delta) for j in range(nm)])
         scale = float(np.max(np.abs(phi))) if nm else 0.0
@@ -532,31 +598,33 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
                 raise ValueError(f"test function {fn.name}: profile must vanish "
                                  f"at t={endpoint}, got {fn.profile(endpoint)}")
         phis.append(phi)
+        dphis.append(np.array([fn.profile_dt(j * delta) for j in range(nm)]))
 
-    # one grid time at a time, from tables of ``rows_within_budget`` rows; each
-    # weight row is read once and carried into the next step's loss, and every
-    # function's sums still run over j in order
-    d_psis = [fn.space[G.edges[:, 0]] - fn.space[G.edges[:, 1]] for fn in test_fns]
+    # a block of grid times at a time, from tables of ``rows_within_budget`` rows;
+    # each weight row is read once and carried into the next block's first loss
+    d_psis = [_edge_gaps(G, fn.space) for fn in test_fns]
+    psi_sqs = [fn.space * fn.space for fn in test_fns]
     acc = [0.0] * len(test_fns)
     norm = [0.0] * len(test_fns)
     w_next = vertex_weights(G, 0.0)
     for js in _row_blocks(0, nm, G.n_vertices + G.n_edges):
-        W = weight_table(G, [(j + 1) * delta for j in js])
+        # W[k] is the weight row at t_{js.start + k}, k = 0..len(js)
+        W = np.concatenate([w_next[None], weight_table(G, [(j + 1) * delta for j in js])])
         C = conductance_table(G, [j * delta for j in js])
-        for j, w_after, cond in zip(js, W, C):
-            w, w_next = w_next, w_after
-            u = chain.values[j]
-            wu = w * u
-            loss_u = (w - w_next) / delta * u
-            d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
-            for f, fn in enumerate(test_fns):
-                phi = phis[f][j]
-                dphi = fn.profile_dt(j * delta)
-                mass_term = (dphi * float(np.dot(wu, fn.space))
-                             - phi * float(np.dot(loss_u, fn.space)))
-                energy_term = phi * float(np.dot(cond, d_u * d_psis[f]))
-                acc[f] += delta * (mass_term - energy_term)
-                norm[f] += delta * abs(phi) * weighted_l2(fn.space, w)
+        w, w_next = W[:-1], W[-1]
+        u = chain.values[js.start:js.stop]
+        wu = w * u
+        loss_u = w - W[1:]
+        loss_u /= delta
+        loss_u *= u
+        d_u = _edge_gaps(G, u)
+        for f, fn in enumerate(test_fns):
+            phi, dphi = phis[f][js.start:js.stop], dphis[f][js.start:js.stop]
+            mass_term = dphi * _row_dots(wu, fn.space) - phi * _row_dots(loss_u, fn.space)
+            energy_term = phi * _row_dots(C, d_u * d_psis[f])
+            acc[f] = _sum_in_order(acc[f], delta * (mass_term - energy_term))
+            norm[f] = _sum_in_order(norm[f],
+                                    delta * np.abs(phi) * np.sqrt(_row_dots(w, psi_sqs[f])))
     return [WeakResidualRow(name=fn.name, residual=abs(a), normalization=nrm)
             for fn, a, nrm in zip(test_fns, acc, norm)]
 
@@ -606,18 +674,20 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
 
 
 def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph, dt: float) -> float:
-    """sum_j dt * energy(values[j], times[j]) over the rows of ``values``."""
+    """sum_j dt * energy(values[j], times[j]) over the rows of ``values``.
+
+    One conductance table per block of ``rows_within_budget`` rows, each block's
+    energies in whole-block operations, the terms added left to right in row
+    order: bitwise the row-by-row sum."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != G.n_vertices:
         raise ValueError(f"values has shape {values.shape}, expected (rows, {G.n_vertices})")
     times = np.asarray(times, dtype=float)
-    # an explicit left-to-right loop: from Python 3.12 the builtin sum() of floats
-    # is compensated, and the artifact bytes must not depend on the interpreter
     total = 0.0
     for rows in _row_blocks(0, len(values), G.n_edges):
         span = slice(rows.start, rows.stop)
-        for v, c in zip(values[span], conductance_table(G, times[span])):
-            total += dt * _dirichlet_form(G, c, v)
+        C = conductance_table(G, times[span])
+        total = _sum_in_order(total, dt * _dirichlet_rows(G, C, values[span]))
     return total
 
 

@@ -150,3 +150,72 @@ def per_round_families(G, initials, h, m, rel_tol):
                           + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
         values[:, rows] = solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
     return values, bound
+
+
+# The checks written out one grid row (and one family or test function) at a
+# time, every coefficient row read where it is used and every running sum added
+# left to right: the blocked checks of ``evoheat.verify`` must equal these bitwise.
+
+def energy_reference(chains, G):
+    """``energy_estimate`` row by row: sup_l2 and dissipation per family, and the
+    certified c0."""
+    times = chains[0].times()
+    delta = chains[0].delta
+    w = eh.vertex_weights(G, times[0])
+    sup_l2 = [eh.weighted_l2_sq(c.values[0], w) for c in chains]
+    dissipation = [0.0] * len(chains)
+    rate = -np.inf
+    log_w = np.log(w)
+    for j in range(1, len(times)):
+        w = eh.vertex_weights(G, times[j])
+        log_prev, log_w = log_w, np.log(w)
+        pair = (log_w - log_prev) / (times[j] - times[j - 1])
+        top = pair.max()
+        if not top < np.inf:
+            top = pair[~((log_w == -np.inf) & (log_prev == -np.inf))].max(initial=-np.inf)
+            if not top < np.inf:
+                raise ValueError(f"energy_estimate: weight growth rate {top} at grid "
+                                 f"time t={times[j]:.6g} admits no c0")
+        rate = max(rate, top)
+        for f, c in enumerate(chains):
+            sup_l2[f] = max(sup_l2[f], eh.weighted_l2_sq(c.values[j], w))
+            dissipation[f] += delta * eh.dirichlet_energy(G, times[j], c.values[j])
+    return sup_l2, dissipation, max(0.0, float(rate))
+
+
+def l2h1_reference(values, times, G, dt):
+    """``l2h1_interp_norm`` row by row."""
+    total = 0.0
+    for v, t in zip(values, times):
+        total += dt * eh.dirichlet_energy(G, t, v)
+    return total
+
+
+def chain_error_reference(chain, G, oracle):
+    """``chain_error_vs_oracle`` row by row, the oracle read one time at a time."""
+    err = 0.0
+    for t, v in zip(chain.times(), chain.values):
+        err = max(err, eh.weighted_l2(v - eh.oracle_value_at(oracle, t),
+                                      eh.vertex_weights(G, t)))
+    return err
+
+
+def weak_residual_reference(chain, G, test_fns):
+    """``weak_residual`` row by row: (name, residual, normalization) per function."""
+    delta, nm = chain.delta, len(chain.values) - 1
+    acc = [0.0] * len(test_fns)
+    norm = [0.0] * len(test_fns)
+    for j in range(nm):
+        w, w_next = eh.vertex_weights(G, j * delta), eh.vertex_weights(G, (j + 1) * delta)
+        cond = eh.edge_conductances(G, j * delta)
+        u = chain.values[j]
+        d_u = u[G.edges[:, 0]] - u[G.edges[:, 1]]
+        for f, fn in enumerate(test_fns):
+            psi = fn.space
+            phi = np.float64(fn.profile(j * delta))
+            mass_term = (fn.profile_dt(j * delta) * float(np.dot(w * u, psi))
+                         - phi * float(np.dot((w - w_next) / delta * u, psi)))
+            d_psi = psi[G.edges[:, 0]] - psi[G.edges[:, 1]]
+            acc[f] += delta * (mass_term - phi * float(np.dot(cond, d_u * d_psi)))
+            norm[f] += delta * abs(phi) * eh.weighted_l2(psi, w)
+    return [(fn.name, abs(a), n) for fn, a, n in zip(test_fns, acc, norm)]

@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 
 import evoheat as eh
 import evoheat.verify
-from helpers import build, exact_solves, growth_reference, lone_step, varah_bounds
+from helpers import (build, chain_error_reference, energy_reference, exact_solves,
+                     growth_reference, l2h1_reference, lone_step, varah_bounds,
+                     weak_residual_reference)
 
 # exp(-2), the exact decay of the odd mode on the unit two-vertex graph over T = 1
 E_MINUS_2 = 0.1353352832366127
@@ -101,6 +103,26 @@ def test_oracle_value_interpolates():
     mid = eh.oracle_value_at(oracle, 1.5 * dt)
     want = 0.5 * (oracle.values[1] + oracle.values[2])
     assert_allclose(mid, want, rtol=1e-12)
+
+
+def test_oracle_value_at_an_array_of_times_is_each_time_alone():
+    # grid times, times within the fuzz of one, midpoints, 0 and the horizon: the
+    # rows of one call equal the interpolation written out per time, bitwise
+    oracle = eh.semidiscrete_oracle(MOVING, eh.make_initial_data(MOVING, {"profile": "random"}),
+                                    1.0, n_steps=64, self_check_tol=1.0)
+    dt = oracle.dt
+    times = np.array([0.0, 3 * dt, 3 * dt - 1e-12, 3 * dt + 1e-12, 1.5 * dt, 0.3, 1.0 - 0.5 * dt,
+                      1.0, 1.0 + 1e-12])
+    rows = eh.oracle_value_at(oracle, times)
+    assert rows.shape == (len(times), MOVING.n_vertices)
+    for t, row in zip(times, rows):
+        pos = t / dt
+        i = min(max(int(math.floor(pos + 1e-9)), 0), oracle.n_steps)
+        frac = pos - i
+        want = (oracle.values[i] if frac <= 1e-9 or i == oracle.n_steps
+                else (1.0 - frac) * oracle.values[i] + frac * oracle.values[i + 1])
+        assert np.array_equal(row, want)
+        assert np.array_equal(eh.oracle_value_at(oracle, t), want)
 
 
 def _difference_rate(G, t, y):
@@ -299,9 +321,14 @@ def test_energy_estimate_certifies_past_a_weight_that_stays_zero():
     (lambda t: 0.0 if t < 0.5 else 1.0, "inf", "0.5"),  # stays 0, then leaves 0
     (lambda t: float("nan") if t > 0.6 else 1.0, "nan", "0.75"),  # a NaN weight
 ])
-def test_energy_estimate_rejects_a_rate_that_admits_no_c0(first, rate, time):
+def test_energy_estimate_rejects_a_rate_that_admits_no_c0(monkeypatch, first, rate, time):
     G = _two_vertex_weights(first)
     chain = eh.ChainFamily(0.25, 1, np.zeros((5, 2)), np.zeros(5))
+    with pytest.raises(ValueError, match=f"rate {rate} at grid time t={time} "):
+        eh.energy_estimate([chain], G)
+    # blocks of two rows (three floats each): rows 1-2 (t = 0.25, 0.5) and 3-4, so
+    # the pair ending at t = 0.75 straddles the blocks; the first bad pair is named
+    monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", 2 * 3)
     with pytest.raises(ValueError, match=f"rate {rate} at grid time t={time} "):
         eh.energy_estimate([chain], G)
 
@@ -443,6 +470,69 @@ def test_checks_read_the_same_rows_and_bits_in_one_row_blocks(monkeypatch):
     nm = len(chains[0].values) - 1
     # energy (nm + 1, nm), weak residual (nm + 1, nm), oracle error (nm + 1, 0), l2h1 (0, nm + 1)
     assert rows == {"weights": 3 * (nm + 1), "conductances": 3 * nm + 1}
+
+
+def _one_vertex_table():
+    return build("custom_tabulated", T=1.0, table={
+        "n_vertices": 1, "edges": [], "times": [0.0, 1.0], "weights": [[1.0], [2.0]],
+        "conductances": [[], []]})
+
+
+def _hex(x):
+    return [_hex(y) for y in x] if isinstance(x, (list, tuple)) else \
+        x.hex() if isinstance(x, float) else x
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, None])
+@pytest.mark.parametrize("graph", [
+    build("conformal_circle", n=16, amp=0.4, omega=2.0, k_spatial=1, growth=0.3),
+    build("product_torus", nx=8, ny=8, ax_amp=0.3, by_amp=0.2), STAR_RING, _one_vertex_table()],
+    ids=["circle16_band", "torus8_lattice", "star_ring", "one_vertex"])
+def test_blocked_checks_equal_their_row_by_row_references(monkeypatch, graph, block_rows):
+    # each check's blocks hold block_rows rows of its own coefficient floats per row
+    # (None: the whole grid in one block); every result is bitwise the row loop's
+    rng = np.random.default_rng(29)
+    u0 = rng.standard_normal(graph.n_vertices)
+    # at m = 3 most grid times fall between the oracle's samples
+    chains = eh.run_sweep(graph, [u0, rng.standard_normal(graph.n_vertices)], [0.25], m=3)[0]
+    chain, times = chains[0], chains[0].times()
+    catalog = eh.default_test_catalog(graph, chain.horizon)
+    oracle = eh.semidiscrete_oracle(graph, u0, 1.0, n_steps=64, self_check_tol=1.0)
+    n, E = graph.n_vertices, graph.n_edges
+
+    def blocks_of(floats_per_row):
+        rows = len(times) if block_rows is None else block_rows
+        monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", rows * max(1, floats_per_row))
+
+    blocks_of(n + E)
+    sup_l2, dissipation, c0 = energy_reference(chains, graph)
+    got = eh.energy_estimate(chains, graph)
+    assert _hex([[r.sup_l2 for r in got], [r.dissipation for r in got], got[0].c0_used]) \
+        == _hex([sup_l2, dissipation, c0])
+    assert _hex([(r.name, r.residual, r.normalization)
+                 for r in eh.weak_residual(chain, graph, catalog)]) \
+        == _hex(weak_residual_reference(chain, graph, catalog))
+    blocks_of(E)
+    assert _hex(eh.l2h1_interp_norm(chain.values, times, graph, chain.delta)) \
+        == _hex(l2h1_reference(chain.values, times, graph, chain.delta))
+    blocks_of(n)
+    assert _hex(eh.chain_error_vs_oracle(chain, graph, oracle)) \
+        == _hex(chain_error_reference(chain, graph, oracle))
+    assert E > 0 or dissipation == [0.0, 0.0]
+
+
+def test_chain_error_vs_oracle_is_the_loop_over_times():
+    # the weighted l2 distance to oracle_value_at at each grid time, max over the
+    # times in order; at h = 0.1, m = 3 most grid times fall between oracle samples
+    u0 = eh.make_initial_data(MOVING, {"profile": "random"})
+    oracle = eh.semidiscrete_oracle(MOVING, u0, 1.0, n_steps=64, self_check_tol=1.0)
+    [chain] = eh.run_sweep(MOVING, [u0], [0.1], m=3)[0]
+    want = 0.0
+    for t, v in zip(chain.times(), chain.values):
+        want = max(want, eh.weighted_l2(v - eh.oracle_value_at(oracle, t),
+                                        eh.vertex_weights(MOVING, t)))
+    got = eh.chain_error_vs_oracle(chain, MOVING, oracle)
+    assert type(got) is float and got.hex() == want.hex() and got > 0.0
 
 
 def test_energy_report_json_uses_pass_key():
@@ -826,6 +916,21 @@ def test_l2h1_norm_sums_plainly_left_to_right():
     terms = [eh.dirichlet_energy(TWO_VERTEX, t, v) for t, v in zip(times, rows)]
     assert terms[0] == 1.0 and math.fsum(terms) > 1.0
     assert eh.l2h1_interp_norm(rows, times, TWO_VERTEX, dt=1.0) == 1.0
+
+
+@pytest.mark.parametrize("block_rows", [3, None])
+def test_energy_dissipation_sums_plainly_left_to_right(monkeypatch, block_rows):
+    # as for the l2h1 norm: each 0.25 * 1e-16 term is below half an ulp of 0.25, so
+    # a plain running sum never moves, while a compensated or pairwise one does
+    rows = np.array([[0.0, 0.0], [1.0, 0.0]] + [[1e-8, 0.0]] * 15)
+    chain = eh.ChainFamily(0.25, 1, rows, np.zeros(len(rows)))
+    terms = [0.25 * eh.dirichlet_energy(TWO_VERTEX, t, v)
+             for t, v in zip(chain.times()[1:], rows[1:])]
+    assert terms[0] == 0.25 and math.fsum(terms) > 0.25
+    if block_rows is not None:
+        monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", block_rows * 3)
+    [report] = eh.energy_estimate([chain], TWO_VERTEX)
+    assert report.dissipation == 0.25
 
 
 def test_degiorgi_family_grid_and_static_ratio(monkeypatch):
