@@ -36,11 +36,10 @@ and the preconditioner is the inverse of mean(M) + h*(mean x conductance * L_x
 + mean y conductance * L_y), which the 2-d DFT diagonalises (circulant
 preconditioning, T. Chan 1988).  With weights and per-axis conductances
 uniform in space, as on ``product_torus``, it is the exact inverse of A.
-A prepared operator holds ``prepared_floats(plan)`` floats; callers that
-prepare ahead keep to PREPARE_BUDGET floats at once, and ``rounds_ahead``
-says how many rounds of operators fit (always at least one).  Callers that
-read coefficient tables for many times keep each block to the same budget,
-``rows_within_budget`` rows at once.
+A prepared operator holds ``prepared_floats(plan)`` floats.  Every sweep that
+holds a batch at once, prepared operators or coefficient tables over many
+times, keeps it to PREPARE_BUDGET floats: ``blocks`` cuts its items into
+batches, each as long as the budget holds and at least one item.
 Both solvers fix the order of every floating-point operation, so runs are
 bit-reproducible and a column solved alongside others, or on any slice of a
 preparation, is bitwise the column solved alone, and both keep one residual
@@ -52,15 +51,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Lattice",
            "StencilOperator", "SolvePlan", "DIRECT_MAX_BANDWIDTH", "stiffness_apply",
            "PREPARE_BUDGET", "PreparedOperators", "rcm_ordering", "half_edge_layout",
-           "solve_plan", "prepared_floats", "rounds_ahead", "rows_within_budget", "spd_prepare",
-           "spd_solve_prepared", "cg_solve"]
+           "solve_plan", "prepared_floats", "blocks", "spd_prepare", "spd_solve_prepared",
+           "cg_solve"]
 
 # Widest band the direct path takes.  One solve, factorization or stencil
 # assembly included, block cyclic reduction against Jacobi-CG at rel_tol 1e-10,
@@ -77,7 +76,7 @@ __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Latti
 # b <= 5 from b = 8, so the table gives no reason to move the cutoff, which
 # stays at 5 until a graph with 5 < b <= 10 is measured end to end.  Runs solve
 # rounds of 4 operators x 3 columns and factor as many rounds at once as
-# ``rounds_ahead`` allows, which spreads the per-level cost over the chunk.
+# ``blocks`` allows, which spreads the per-level cost over the chunk.
 # Per round, factoring included, band (one round factored alone) vs Jacobi-CG,
 # best of 5, same VM: cycle n=64, 21 rounds a chunk, 0.29 (0.54) vs 3.4;
 # n=1024, 1 a chunk, 1.6 vs 89; 3 x 64 torus (b = 8), 1 a chunk, 2.4 vs 9.2;
@@ -85,10 +84,10 @@ __all__ = ["SpdOperator", "SolverError", "BandOrdering", "StencilLayout", "Latti
 # at every b up to 10.
 DIRECT_MAX_BANDWIDTH = 5
 
-# Floats of prepared operators a caller holds at once (512 KiB of float64), the
-# bound on how far ``rounds_ahead`` lets a run prepare ahead.  Peak RSS of one
-# in-process command of a perfbench config, one round per factorization ->
-# this budget -> twice it (2-CPU VM, Python 3.11, numpy 2.4):
+# Floats a sweep holds at once (512 KiB of float64), the bound on how far
+# ``blocks`` lets a run prepare ahead or a check read coefficient tables.  Peak
+# RSS of one in-process command of a perfbench config, one round per
+# factorization -> this budget -> twice it (2-CPU VM, Python 3.11, numpy 2.4):
 #   l2limit_cauchy64 (760 floats an operator, 8 factorizations for 600
 #     operators instead of 150)       38.6 -> 39.8 -> 40.9 MB
 #   converge_oracle128 (1528 floats)   39.7 -> 40.4 -> 41.8 MB
@@ -99,6 +98,11 @@ PREPARE_BUDGET = 1 << 16
 
 # Refinement sweeps the direct path may spend on a residual that misses rel_tol.
 _REFINEMENTS = 3
+
+# Both solvers raise this before solving a column whose ||b||_2 overflows: its
+# target rel_tol * ||b||_2 would be inf, which any x, even 0, meets.
+_OVERFLOW = ("{}: ||b||_2 of a right-hand side overflows to inf, so no residual "
+             "target can be set")
 
 
 class SolverError(RuntimeError):
@@ -396,9 +400,12 @@ def _banded_solve(D: np.ndarray, B: np.ndarray, factors, rhs: np.ndarray, rel_to
     f = np.zeros((T, k, padded))
     f[..., :n] = rhs[..., ordering.perm]
     f = np.ascontiguousarray(f.reshape(T, k, padded // s, s).transpose(3, 0, 1, 2))
+    with np.errstate(over="ignore"):
+        b_norm = _column_norms(f)
+    if np.isinf(b_norm).any():
+        raise SolverError(_OVERFLOW.format("banded_solve"), math.nan)
     x = _bcr_solve(factors, f)
     r = _block_residual(D, B, f, x)
-    b_norm = _column_norms(f)
     r_norm = _column_norms(r)
     for _ in range(_REFINEMENTS):
         t, c = np.nonzero(~(r_norm <= rel_tol * b_norm))  # a NaN residual misses too
@@ -630,26 +637,19 @@ def prepared_floats(plan: SolvePlan) -> int:
     return (2 * K + 3) * n + len(plan.layout.over_rows) + symbol
 
 
-def rounds_ahead(sizes: Sequence[int], plan: SolvePlan) -> int:
-    """How many of the leading rounds, of sizes[i] operators each, to prepare at once.
-
-    As many as keep their ``prepared_floats`` within PREPARE_BUDGET, and at
-    least one.
-    """
-    per_operator = prepared_floats(plan)
-    used = count = 0
-    for size in sizes:
-        used += size * per_operator
-        if count and used > PREPARE_BUDGET:
-            break
-        count += 1
-    return count
-
-
-def rows_within_budget(floats_per_row: int) -> int:
-    """How many rows of ``floats_per_row`` floats a caller reads at once: as
-    many as PREPARE_BUDGET holds, and at least one."""
-    return max(1, PREPARE_BUDGET // max(1, floats_per_row))
+def blocks(floats: Sequence[int]) -> Iterator[range]:
+    """Consecutive ranges of item indices covering ``floats``, one float count per
+    item (a round, a step interval, a grid row): each range is the longest run of
+    leading items whose floats add up to at most PREPARE_BUDGET, and at least one.
+    Every sweep that holds a batch of items at once takes its batches from here."""
+    start = used = 0
+    for i, f in enumerate(floats):
+        if i > start and used + f > PREPARE_BUDGET:
+            yield range(start, i)
+            start, used = i, 0
+        used += f
+    if start < len(floats):
+        yield range(start, len(floats))
 
 
 class PreparedOperators(NamedTuple):
@@ -700,8 +700,9 @@ def spd_solve_prepared(prepared: PreparedOperators, rhs, rel_tol: float,
 
     Row t of rhs holds the k columns of operator start + t; returns the
     (T, k, n) solutions, each to ||A x - b||_2 <= rel_tol * ||b||_2 or
-    SolverError.  Factored operators solve every column in one pass (refining
-    the columns that miss); assembled ones run ``cg_solve`` per column.
+    SolverError, which a column whose ||b||_2 overflows raises before it is
+    solved.  Factored operators solve every column in one pass (refining the
+    columns that miss); assembled ones run ``cg_solve`` per column.
     """
     rhs = np.asarray(rhs, dtype=float)
     if (rhs.ndim != 3 or rhs.shape[2] != prepared.n
@@ -733,13 +734,16 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
     Raises SolverError (reporting the relative residual achieved, the true
     one when the recurrence met the target) if the target is missed after
     50 n iterations, or the search direction vanishes first (p.Ap = 0, as
-    once the residual underflows).
+    once the residual underflows); and, before iterating, if ||b||_2 overflows.
     """
     b = np.asarray(b, dtype=float)
     n = A.n
     if b.shape != (n,):
         raise ValueError(f"b has shape {b.shape}, expected ({n},)")
-    b_norm = math.sqrt(float(np.dot(b, b)))
+    with np.errstate(over="ignore"):
+        b_norm = math.sqrt(float(np.dot(b, b)))
+    if b_norm == math.inf:
+        raise SolverError(_OVERFLOW.format("cg_solve"), math.nan)
     if b_norm == 0.0:
         return np.zeros(n)
     cap = 50 * n

@@ -24,12 +24,12 @@ same operators, with every step size of a list at once; every family comes out
 bitwise as if run alone.  A family is one (N*m + 1, n) array whose row j is the
 sample at t = j*delta.  The package steps only in rounds of m grid times, every
 grid's round r built and solved together, with the graph's ``plan``, which
-alone decides the solver: whole rounds are prepared ahead (``spd_prepare``, as
-many as ``rounds_ahead`` allows, straight from the weight and conductance
-tables of their grid times) and each round is one ``spd_solve_prepared``
-call.  Each family also carries its solver-error certificate, built from the
-same right-hand sides and weights the round solved with (see
-``ChainFamily.solve_error``).
+alone decides the solver: whole rounds are prepared ahead (``spd_prepare``, one
+``linalg.blocks`` batch of rounds at a time, straight from the weight and
+conductance tables of their grid times) and each round is one
+``spd_solve_prepared`` call.  Each family also carries its solver-error
+certificate, built from the same right-hand sides and weights the round solved
+with (see ``ChainFamily.solve_error``).
 
 Vertex functions are plain float vectors of length n.  A value's time is its
 place on the grid, never a tag it carries: ``ChainFamily.times()`` gives the
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _TIME_FUZZ, TimeWeightedGraph, conductance_table, weight_table
-from .linalg import SolverError, rounds_ahead, spd_prepare, spd_solve_prepared
+from .linalg import SolverError, blocks, prepared_floats, spd_prepare, spd_solve_prepared
 
 __all__ = [
     "ChainFamily",
@@ -144,19 +144,20 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     r*m + 1 .. r*m + m.  Round r of the sweep is round r of every grid with
     N > r, in h_list order, each operator assembled once and solved for every
     family in one ``spd_solve_prepared`` call.  Whole rounds are prepared ahead
-    in one ``spd_prepare`` call, as many as ``rounds_ahead`` allows, from one
-    weight and one conductance table over the chunk's grid times.  A family's
-    samples are bitwise those of running it alone, and so is its
+    in one ``spd_prepare`` call, a ``blocks`` batch of rounds at a time, from
+    one weight and one conductance table over the chunk's grid times.  A
+    family's samples are bitwise those of running it alone, and so is its
     ``solve_error``: row j adds rel_tol * ||rhs_j||_2 / min(mass_j) to row
     j - m's bound, from the right-hand side and weights it was solved with.
     Before a round is solved, every row's bound must be finite, or SolverError
     names its grid time: a right-hand side whose norm overflows cannot be
     certified.  After it, every solved row must be finite, or SolverError names
-    its grid time and h, whether or not a later round reads the row.
+    its grid time and h, whether or not a later round reads the row.  Raises
+    ValueError before any read unless m is an integer >= 1.
     """
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     initials = [_vertex_values(u0, G, "u0") for u0 in initials]
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     if not h_list:
         raise ValueError("h_list must not be empty")
     hs = [float(h) for h in h_list]
@@ -169,9 +170,9 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     # the (grid, row) pairs each round solves
     rounds = [[(k, j) for k, N in enumerate(Ns) if N > r for j in range(r * m + 1, r * m + m + 1)]
               for r in range(max(Ns))]
-    r = 0
-    while r < len(rounds):
-        chunk = rounds[r:r + rounds_ahead([len(pairs) for pairs in rounds[r:]], G.plan)]
+    floats = prepared_floats(G.plan)
+    for block in blocks([len(pairs) * floats for pairs in rounds]):
+        chunk = rounds[block.start:block.stop]
         steps = [(j * (hs[k] / m), hs[k]) for pairs in chunk for k, j in pairs]
         times, step_lengths = zip(*steps)
         weights = weight_table(G, times)
@@ -199,6 +200,5 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
                                   "non-finite values", float("nan"))
             values[:, rows] = solved.swapaxes(0, 1)
             start += len(pairs)
-        r += len(chunk)
     return [[ChainFamily(h=h, m=int(m), values=run[b:e], solve_error=err[b:e])
              for run, err in zip(values, bounds)] for h, b, e in zip(hs, base[:-1], base[1:])]

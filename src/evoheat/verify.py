@@ -22,10 +22,11 @@ which ``energy_estimate`` sums for all chain families of one grid in one sweep
 that reads each coefficient row once.  The same sweep certifies c0 from the
 weight rows it reads, so no caller needs to know how.
 
-The checks read the grid rows in blocks, one coefficient table per block, and do
-each block's arithmetic whole: per-row dot products by ``_row_dots``, the same
-BLAS call ``np.dot`` makes, and running sums added left to right in row order by
-``_sum_in_order``, so every report is bitwise the one a row-by-row loop gives.
+The checks read the grid rows in ``linalg.blocks``, one coefficient table per
+block, and do each block's arithmetic whole: per-row dot products by
+``_row_dots``, the same BLAS call ``np.dot`` makes, and running sums added left
+to right in row order by ``_sum_in_order``, so every report is bitwise the one a
+row-by-row loop gives.
 
 Every check reads the initial value from the chain's row 0 and its solver error
 from the chain's own ``solve_error``, the per-row certificate that
@@ -42,8 +43,7 @@ import numpy as np
 
 from .geometry import (_TIME_FUZZ, TimeWeightedGraph, conductance_table, dirichlet_energy,
                        vertex_weights, weight_table)
-from .linalg import (half_edge_layout, rounds_ahead, rows_within_budget, spd_prepare,
-                     spd_solve_prepared)
+from .linalg import blocks, half_edge_layout, prepared_floats, spd_prepare, spd_solve_prepared
 from .profiles import make_initial_data
 from .scheme import ChainFamily, _vertex_values, run_sweep, steps_within_horizon
 
@@ -89,13 +89,6 @@ def weighted_l2_sq(values: np.ndarray, weights: np.ndarray) -> float:
 
 def weighted_l2(values: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(weighted_l2_sq(values, weights))
-
-
-def _row_blocks(start: int, stop: int, floats_per_row: int):
-    """Consecutive ranges covering start..stop-1, each of ``rows_within_budget`` rows:
-    the grid rows whose coefficient tables one read holds."""
-    block = rows_within_budget(floats_per_row)
-    return (range(first, min(first + block, stop)) for first in range(start, stop, block))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,8 +174,8 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph) -> list[Ene
     """Both sides of the energy estimate, one report per chain family of one grid.
 
     The families must share h, m and row count; each one's initial value is its
-    row 0.  Each grid row's coefficients are read once for all of them, in
-    tables of ``rows_within_budget`` rows, and each family's block of rows is
+    row 0.  Each grid row's coefficients are read once for all of them, one
+    table per block of rows from ``blocks``, and each family's block of rows is
     judged in whole-block operations; each report is bitwise the family's report
     alone, and the row-by-row one.  The sweep certifies c0 from the weight rows
     it reads: the largest rate (log w_i(t_j) - log w_i(t_{j-1})) / (t_j - t_{j-1}),
@@ -206,7 +199,8 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph) -> list[Ene
     rate = -np.inf
     log_w = np.log(w)
     dissipation = [0.0] * len(chains)
-    for rows in _row_blocks(1, len(times), G.n_vertices + G.n_edges):
+    for block in blocks([G.n_vertices + G.n_edges] * (len(times) - 1)):
+        rows = range(block.start + 1, block.stop + 1)  # the grid rows from 1 on
         span = slice(rows.start, rows.stop)
         W = weight_table(G, times[span])
         # the first pair joins the previous block's last row
@@ -348,10 +342,10 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
     The fine run (n_steps) and the halved run advance together: each halved
     step follows the two fine steps it spans, and the gap between the two runs
     is measured at its end, so only the fine trajectory is kept.  The windows
-    run in blocks, as many as keep the block's operators and coefficient
-    tables within ``rows_within_budget``.  A block reads one weight and one
-    conductance table over its distinct stage times, the exact floats each run
-    computes (``np.unique``), and assembles the rate operator once per time on
+    run in ``blocks``, each window counted at the floats of its operators and
+    coefficient tables.  A block reads one weight and one conductance table
+    over its distinct stage times, the exact floats each run computes
+    (``np.unique``), and assembles the rate operator once per time on
     the graph's ``half_edge_layout``: off[k, i] = c / w_i along the half-edge
     in slot k of vertex i, overflow half-edges alike.  A time two consecutive
     blocks share is read by both.  A stage evaluates it in difference form,
@@ -423,10 +417,9 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
     y_half = u0.copy()
     self_check = 0.0
     # a window computes at most 10 stage times, rk4_step's and the self-check's
-    windows = rows_within_budget(
-        10 * (layout.nbr.size + len(layout.over_rows) + n + G.n_edges))
-    for first in range(0, half, windows):
-        window = np.arange(first, min(first + windows, half))
+    window_floats = 10 * (layout.nbr.size + len(layout.over_rows) + n + G.n_edges)
+    for block in blocks([window_floats] * half):
+        window = np.arange(block.start, block.stop)
         # the floats rk4_step and the self-check compute, in the same operations
         t_fine, t_next, t_half = 2 * window * dt, (2 * window + 1) * dt, window * dt_half
         ops = read(np.concatenate([
@@ -478,12 +471,12 @@ def chain_error_vs_oracle(chain: ChainFamily, G: TimeWeightedGraph,
                           oracle: OracleResult) -> float:
     """max over chain grid times of the weighted l2 distance to the oracle.
 
-    The grid rows come in blocks of ``rows_within_budget`` rows, one weight table
-    and one ``oracle_value_at`` call per block, and the result is bitwise the
-    max over the rows one at a time."""
+    The grid rows come in ``blocks``, one weight table and one
+    ``oracle_value_at`` call per block, and the result is bitwise the max over
+    the rows one at a time."""
     times = chain.times()
     err = 0.0
-    for rows in _row_blocks(0, len(times), G.n_vertices):
+    for rows in blocks([G.n_vertices] * len(times)):
         span = slice(rows.start, rows.stop)
         gap = chain.values[span] - oracle_value_at(oracle, times[span])
         gap *= gap
@@ -582,9 +575,9 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
     where loss_j = (w(t_j) - w(t_{j+1})) / delta is the forward volume loss over
     one delta; no term divides by a weight, so a weight of 0 is harmless.  Shrinks
     like O(h) as the chain refines.  Profiles must vanish at t = 0 and the horizon.
-    The grid times come in blocks of ``rows_within_budget`` rows, each block's
-    terms in whole-block operations, and each sum adds its terms left to right
-    in j, so every row is bitwise the one a loop over j gives.
+    The grid times come in ``blocks``, each block's terms in whole-block
+    operations, and each sum adds its terms left to right in j, so every row is
+    bitwise the one a loop over j gives.
     """
     delta = chain.delta
     T = chain.horizon
@@ -600,14 +593,14 @@ def weak_residual(chain: ChainFamily, G: TimeWeightedGraph,
         phis.append(phi)
         dphis.append(np.array([fn.profile_dt(j * delta) for j in range(nm)]))
 
-    # a block of grid times at a time, from tables of ``rows_within_budget`` rows;
-    # each weight row is read once and carried into the next block's first loss
+    # a block of grid times at a time, one table each; each weight row is read
+    # once and carried into the next block's first loss
     d_psis = [_edge_gaps(G, fn.space) for fn in test_fns]
     psi_sqs = [fn.space * fn.space for fn in test_fns]
     acc = [0.0] * len(test_fns)
     norm = [0.0] * len(test_fns)
     w_next = vertex_weights(G, 0.0)
-    for js in _row_blocks(0, nm, G.n_vertices + G.n_edges):
+    for js in blocks([G.n_vertices + G.n_edges] * nm):
         # W[k] is the weight row at t_{js.start + k}, k = 0..len(js)
         W = np.concatenate([w_next[None], weight_table(G, [(j + 1) * delta for j in js])])
         C = conductance_table(G, [j * delta for j in js])
@@ -676,7 +669,7 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
 def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph, dt: float) -> float:
     """sum_j dt * energy(values[j], times[j]) over the rows of ``values``.
 
-    One conductance table per block of ``rows_within_budget`` rows, each block's
+    One conductance table per block of rows from ``blocks``, each block's
     energies in whole-block operations, the terms added left to right in row
     order: bitwise the row-by-row sum."""
     values = np.asarray(values, dtype=float)
@@ -684,7 +677,7 @@ def l2h1_interp_norm(values: np.ndarray, times, G: TimeWeightedGraph, dt: float)
         raise ValueError(f"values has shape {values.shape}, expected (rows, {G.n_vertices})")
     times = np.asarray(times, dtype=float)
     total = 0.0
-    for rows in _row_blocks(0, len(values), G.n_edges):
+    for rows in blocks([G.n_edges] * len(values)):
         span = slice(rows.start, rows.stop)
         C = conductance_table(G, times[span])
         total = _sum_in_order(total, dt * _dirichlet_rows(G, C, values[span]))
@@ -700,9 +693,9 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
     s -> 0 returns u_{k-1} and s = h reproduces u_k's defining system, but never
     the shifted chains' intermediate samples, whose proximal weight stays 1/h.
     No solve reads another, so the m grid times of each step interval form a
-    round, and as many rounds as ``rounds_ahead`` allows are prepared in one
-    ``spd_prepare`` call, from one weight and one conductance table, and solved
-    in one ``spd_solve_prepared`` call.  Raises ValueError before any solve
+    round, and each ``blocks`` batch of rounds is prepared in one ``spd_prepare``
+    call, from one weight and one conductance table, and solved in one
+    ``spd_solve_prepared`` call.  Raises ValueError before any solve
     unless h > 0, m is an integer >= 1 and seq is finite, with N >= 1 and one
     column per vertex.
     """
@@ -720,15 +713,12 @@ def degiorgi_family(G: TimeWeightedGraph, seq: np.ndarray, h: float, m: int,
         raise ValueError("seq must contain the initial value and at least one step")
     delta = h / m
     out = np.empty((N * m, G.n_vertices))
-    first = 0  # the step intervals solved in one call: first, ..., stop - 1
-    while first < N:
-        stop = first + rounds_ahead([m] * (N - first), G.plan)
-        rows = range(first * m, stop * m)  # row i: t = (i + 1)*delta in interval i // m
+    for steps in blocks([m * prepared_floats(G.plan)] * N):  # step intervals solved at once
+        rows = range(steps.start * m, steps.stop * m)  # row i: t = (i+1)*delta, interval i // m
         times = [(i + 1) * delta for i in rows]
         weights = weight_table(G, times)
         prepared = spd_prepare(G.plan, weights, conductance_table(G, times),
                                [t - (i // m) * h for i, t in zip(rows, times)])
-        rhs = weights * np.repeat(seq[first:stop], m, axis=0)
+        rhs = weights * np.repeat(seq[steps.start:steps.stop], m, axis=0)
         out[rows.start:rows.stop] = spd_solve_prepared(prepared, rhs[:, None], rel_tol)[:, 0]
-        first = stop
     return out

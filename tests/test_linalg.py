@@ -310,6 +310,26 @@ def test_banded_reports_a_nan_column():
     assert np.isnan(excinfo.value.relative_residual)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("graph", ["cycle", "star"])
+def test_a_right_hand_side_whose_norm_overflows_raises(graph):
+    # entries near 1e160 are finite doubles, but their squares overflow ||b||_2
+    # to inf, and the target rel_tol * inf would accept x = 0: both paths raise
+    # before solving, without a warning
+    A = _ring_operator(1, 16, closed=True) if graph == "cycle" else _star_ring_operator(4)
+    plan = eh.solve_plan(A.n, A.edges)
+    assert (plan.ordering is None) == (graph == "star")
+    rhs = np.random.default_rng(5).standard_normal((1, 2, A.n))
+    rhs[0, 1] *= 1e160
+    with pytest.raises(eh.SolverError, match="overflows to inf") as excinfo:
+        solve([A], rhs, 1e-10, plan)
+    assert np.isnan(excinfo.value.relative_residual)
+    # 1e150 squares to a finite double: that column solves to the contract
+    rhs[0, 1] *= 1e-10
+    [x] = solve([A], rhs, 1e-10, plan)
+    assert np.linalg.norm(A.apply(x[1]) - rhs[0, 1]) <= 1e-10 * np.linalg.norm(rhs[0, 1])
+
+
 def test_banded_zero_rhs():
     A = _single_edge_operator()
     [[x]] = solve([A], np.zeros((1, 1, 2)), 0.0, _direct_plan(A))
@@ -481,14 +501,41 @@ def test_spd_prepare_rejects_tables_that_are_no_batch(graph):
             eh.spd_prepare(plan, mass, coeffs, h)
 
 
-def test_rounds_ahead_keeps_to_the_budget(monkeypatch):
-    plan = build("conformal_circle", n=64).plan
-    per_op = eh.linalg.prepared_floats(plan)
+def _cut(operators, per_op):
+    """The ``blocks`` of rounds of ``operators`` operators each, as (start, stop)."""
+    return [(b.start, b.stop) for b in eh.linalg.blocks([k * per_op for k in operators])]
+
+
+def test_blocks_keep_to_the_budget(monkeypatch):
+    per_op = eh.linalg.prepared_floats(build("conformal_circle", n=64).plan)
     monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", 10 * per_op)
-    assert eh.linalg.rounds_ahead([4, 4, 4, 4], plan) == 2
-    assert eh.linalg.rounds_ahead([4, 3, 3, 1], plan) == 3
-    assert eh.linalg.rounds_ahead([12, 4], plan) == 1  # at least one round
-    assert eh.linalg.rounds_ahead([2], plan) == 1
+    assert _cut([4, 4, 4, 4], per_op) == [(0, 2), (2, 4)]
+    assert _cut([4, 3, 3, 1], per_op) == [(0, 3), (3, 4)]
+    assert _cut([12, 4], per_op) == [(0, 1), (1, 2)]  # at least one round
+    assert _cut([2], per_op) == [(0, 1)]
+
+
+def test_blocks_edge_cases(monkeypatch):
+    monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", 10)
+    assert _cut([], 1) == []
+    assert _cut([0, 0, 0], 1) == [(0, 3)]  # zero-float items share one block
+    assert _cut([0, 4, 0, 0, 6, 0, 1], 1) == [(0, 6), (6, 7)]
+    # an item over the budget stands alone, and the items after it start afresh
+    assert _cut([3, 11, 3, 3], 1) == [(0, 1), (1, 2), (2, 4)]
+    assert _cut([11], 1) == [(0, 1)]
+
+
+def test_blocks_cover_every_index_once_in_order(monkeypatch):
+    monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", 10)
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        floats = rng.integers(0, 14, size=rng.integers(1, 30)).tolist()
+        cut = list(eh.linalg.blocks(floats))
+        assert [i for b in cut for i in b] == list(range(len(floats)))
+        for b in cut:
+            # within the budget or one item, and as long as the budget holds
+            assert sum(floats[i] for i in b) <= 10 or len(b) == 1
+            assert b.stop == len(floats) or sum(floats[b.start:b.stop + 1]) > 10
 
 
 def test_spd_solve_assembles_once_per_operator(monkeypatch):

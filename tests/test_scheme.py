@@ -260,6 +260,17 @@ def test_families_stepped_together_match_each_run_alone(G):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("m", [2.5, 2.0])
+def test_run_sweep_rejects_an_m_that_is_no_integer(m, monkeypatch):
+    # the rejection comes before the first coefficient read or preparation
+    calls = []
+    for name in ("weight_table", "conductance_table", "spd_prepare"):
+        monkeypatch.setattr(scheme, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match="m must be an integer >= 1, got 2.[05]"):
+        eh.run_sweep(MOVING, [np.ones(MOVING.n_vertices)], [0.25], m=m)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the sweep: rounds prepared ahead, grids in lockstep
 # ---------------------------------------------------------------------------

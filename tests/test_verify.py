@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose
 import evoheat as eh
 import evoheat.verify
 from helpers import (build, chain_error_reference, energy_reference, exact_solves,
-                     growth_reference, l2h1_reference, lone_step, varah_bounds,
-                     weak_residual_reference)
+                     growth_reference, l2h1_reference, lone_step, star_ring_graph,
+                     varah_bounds, weak_residual_reference)
 
 # exp(-2), the exact decay of the odd mode on the unit two-vertex graph over T = 1
 E_MINUS_2 = 0.1353352832366127
@@ -967,3 +967,39 @@ def test_degiorgi_family_grid_and_static_ratio(monkeypatch):
         with pytest.raises(ValueError, match=message):
             eh.degiorgi_family(G, bad_seq, bad_h, bad_m)
     assert calls == []
+
+
+@pytest.mark.parametrize("graph", [MOVING, STAR_RING], ids=["band", "star_cg"])
+def test_degiorgi_family_batches_keep_to_the_budget(monkeypatch, graph):
+    # at budgets of one step interval, three intervals and the default (which
+    # holds every interval of these small graphs), the rows are bitwise equal
+    h, m = 0.1, 3
+    seq = np.random.default_rng(31).standard_normal((11, graph.n_vertices))
+    interval = m * eh.linalg.prepared_floats(graph.plan)
+    real_prepare = eh.verify.spd_prepare
+    results = []
+    for intervals, batches in [(None, 1), (1, 10), (3, 4)]:
+        if intervals is not None:
+            monkeypatch.setattr(eh.linalg, "PREPARE_BUDGET", intervals * interval)
+        budget = eh.linalg.PREPARE_BUDGET
+        sizes = []
+
+        def preparing(plan, mass, coeffs, hs):
+            sizes.append(len(hs))
+            return real_prepare(plan, mass, coeffs, hs)
+
+        monkeypatch.setattr(eh.verify, "spd_prepare", preparing)
+        results.append(eh.degiorgi_family(graph, seq, h, m))
+        assert len(sizes) == batches and sum(sizes) == 10 * m
+        assert all(k % m == 0 and (k * interval // m <= budget or k == m) for k in sizes)
+    assert all(np.array_equal(r, results[0]) for r in results)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_degiorgi_family_rejects_data_whose_right_hand_side_norm_overflows():
+    # finite rows near 1e160: the right-hand sides' 2-norms overflow, and the
+    # solve raises instead of returning x = 0
+    G = star_ring_graph()
+    seq = 1e160 * np.random.default_rng(3).standard_normal((3, G.n_vertices))
+    with pytest.raises(eh.SolverError, match="overflows to inf"):
+        eh.degiorgi_family(G, seq, 0.1, 2)
