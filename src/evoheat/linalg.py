@@ -99,10 +99,12 @@ PREPARE_BUDGET = 1 << 16
 # Refinement sweeps the direct path may spend on a residual that misses rel_tol.
 _REFINEMENTS = 3
 
-# Both solvers raise this before solving a column whose ||b||_2 overflows: its
-# target rel_tol * ||b||_2 would be inf, which any x, even 0, meets.
-_OVERFLOW = ("{}: ||b||_2 of a right-hand side overflows to inf, so no residual "
-             "target can be set")
+# Both solvers raise this before solving a column whose ||b||_2 is not finite,
+# since no target rel_tol * ||b||_2 then means anything: an overflow makes it
+# inf, which x = 0 meets, and a NaN entry makes it NaN, which no residual meets,
+# so CG would run to its iteration cap.
+_NONFINITE = ("{}: a right-hand side is not finite: ||b||_2 = {} (a NaN or infinite "
+              "entry, or a norm that overflows to inf), so no residual target can be set")
 
 
 class SolverError(RuntimeError):
@@ -187,17 +189,17 @@ def rcm_ordering(n: int, edges: np.ndarray) -> tuple[np.ndarray, int, int]:
     perm, the visit order reversed, its bandwidth and the component count.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges.tolist():
-        adj[i].append(j)
-        adj[j].append(i)
-    degree = [len(a) for a in adj]
-    for a in adj:
-        a.sort(key=lambda v: (degree[v], v))
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    degree = np.bincount(rows, minlength=n)
+    # the half-edges by vertex, each vertex's neighbours by (degree, index): the
+    # neighbours of v are nbrs[first[v]:first[v + 1]]
+    nbrs = cols[np.lexsort((cols, degree[cols], rows))].tolist()
+    first = np.concatenate([[0], np.cumsum(degree)]).tolist()
     visit = [-1] * n  # each vertex's place in the search, -1 until it is reached
     order: list[int] = []
     components = 0
-    for start in sorted(range(n), key=lambda v: (degree[v], v)):
+    for start in np.lexsort((np.arange(n), degree)).tolist():
         if visit[start] >= 0:
             continue
         visit[start] = len(order)
@@ -205,7 +207,8 @@ def rcm_ordering(n: int, edges: np.ndarray) -> tuple[np.ndarray, int, int]:
         head = len(order)
         order.append(start)
         while head < len(order):
-            for w in adj[order[head]]:
+            v = order[head]
+            for w in nbrs[first[v]:first[v + 1]]:
                 if visit[w] < 0:
                     visit[w] = len(order)
                     order.append(w)
@@ -402,8 +405,9 @@ def _banded_solve(D: np.ndarray, B: np.ndarray, factors, rhs: np.ndarray, rel_to
     f = np.ascontiguousarray(f.reshape(T, k, padded // s, s).transpose(3, 0, 1, 2))
     with np.errstate(over="ignore"):
         b_norm = _column_norms(f)
-    if np.isinf(b_norm).any():
-        raise SolverError(_OVERFLOW.format("banded_solve"), math.nan)
+    bad = ~np.isfinite(b_norm)
+    if bad.any():
+        raise SolverError(_NONFINITE.format("banded_solve", b_norm[bad][0]), math.nan)
     x = _bcr_solve(factors, f)
     r = _block_residual(D, B, f, x)
     r_norm = _column_norms(r)
@@ -700,9 +704,10 @@ def spd_solve_prepared(prepared: PreparedOperators, rhs, rel_tol: float,
 
     Row t of rhs holds the k columns of operator start + t; returns the
     (T, k, n) solutions, each to ||A x - b||_2 <= rel_tol * ||b||_2 or
-    SolverError, which a column whose ||b||_2 overflows raises before it is
-    solved.  Factored operators solve every column in one pass (refining the
-    columns that miss); assembled ones run ``cg_solve`` per column.
+    SolverError, which a column whose ||b||_2 is not finite (a NaN or infinite
+    entry, or an overflow) raises before it is solved.  Factored operators
+    solve every column in one pass (refining the columns that miss); assembled
+    ones run ``cg_solve`` per column.
     """
     rhs = np.asarray(rhs, dtype=float)
     if (rhs.ndim != 3 or rhs.shape[2] != prepared.n
@@ -734,7 +739,8 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
     Raises SolverError (reporting the relative residual achieved, the true
     one when the recurrence met the target) if the target is missed after
     50 n iterations, or the search direction vanishes first (p.Ap = 0, as
-    once the residual underflows); and, before iterating, if ||b||_2 overflows.
+    once the residual underflows); and, before iterating, if ||b||_2 is not
+    finite (a NaN or infinite entry, or an overflow).
     """
     b = np.asarray(b, dtype=float)
     n = A.n
@@ -742,8 +748,8 @@ def cg_solve(A: StencilOperator, b: np.ndarray, rel_tol: float = 1e-10) -> np.nd
         raise ValueError(f"b has shape {b.shape}, expected ({n},)")
     with np.errstate(over="ignore"):
         b_norm = math.sqrt(float(np.dot(b, b)))
-    if b_norm == math.inf:
-        raise SolverError(_OVERFLOW.format("cg_solve"), math.nan)
+    if not math.isfinite(b_norm):
+        raise SolverError(_NONFINITE.format("cg_solve", b_norm), math.nan)
     if b_norm == 0.0:
         return np.zeros(n)
     cap = 50 * n

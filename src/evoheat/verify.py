@@ -339,23 +339,34 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
     also has to respect RK4's stability window for the stiffest graph mode, so
     err on the large side; the cost is linear in n_steps.
 
-    The fine run (n_steps) and the halved run advance together: each halved
-    step follows the two fine steps it spans, and the gap between the two runs
-    is measured at its end, so only the fine trajectory is kept.  The windows
-    run in ``blocks``, each window counted at the floats of its operators and
-    coefficient tables.  A block reads one weight and one conductance table
-    over its distinct stage times, the exact floats each run computes
-    (``np.unique``), and assembles the rate operator once per time on
+    The fine run (n_steps) and the halved run advance in lockstep, one window
+    per halved step i.  The fine run's even step 2i and the halved step i are
+    one RK4 step on a (2, n) state, row 0 the fine run's and row 1 the halved
+    run's, each row with its own stage operators and step length; the odd fine
+    step 2i + 1 follows alone.  The gap between the runs is taken at the end of
+    the window, time (i + 1) * dt_half, so only the fine trajectory is kept.
+
+    The windows run in ``blocks``.  A block reads one weight and one
+    conductance table over its distinct stage times, the exact floats each run
+    computes (``np.unique``), and assembles the rate operator once per time on
     the graph's ``half_edge_layout``: off[k, i] = c / w_i along the half-edge
-    in slot k of vertex i, overflow half-edges alike.  A time two consecutive
-    blocks share is read by both.  A stage evaluates it in difference form,
+    in slot k of vertex i, overflow half-edges alike.  Fancy indexing stacks
+    each window's nine stage operators (start, middle and end of its three
+    steps): six for the two-row step and three for the lone one, each stage's
+    contiguous.  A window counts against ``PREPARE_BUDGET`` at ten stage times'
+    coefficient rows and operators, nine stacked operators and five vertex rows
+    (its three states and two of the self-check).  A time two consecutive
+    blocks share is read by both.  A stage evaluates the rate in difference
+    form,
 
         (-M_t^{-1} S_t y)_i = sum_k off[k, i] * (y[nbr[k, i]] - y_i),
 
-    so a constant stays exactly constant.  The coefficient callables are pure,
-    so the result is bitwise that of two separate runs on this stage form.  It
-    differs from the same RK4 on the edge-list form -stiffness_apply(edges, c, y)
-    / w by rounding only, at most 8 * n_steps * eps * max|u0| in the tests.
+    so a constant stays exactly constant.  Each row goes through the
+    operations of a one-row run in the same order, and the coefficient
+    callables are pure, so the result is bitwise that of two separate runs on
+    this stage form.  It differs from the same RK4 on the edge-list form
+    -stiffness_apply(edges, c, y) / w by rounding only, at most
+    8 * n_steps * eps * max|u0| in the tests.
     """
     u0 = _vertex_values(u0, G, "u0")
     if not (0 < T <= G.horizon + _TIME_FUZZ * max(1.0, G.horizon)):
@@ -368,73 +379,116 @@ def semidiscrete_oracle(G: TimeWeightedGraph, u0: np.ndarray, T: float,
     half = n_steps // 2
     dt = T / n_steps
     dt_half = T / half
-    gathered = np.empty(layout.nbr.shape)
-    buffers = np.empty((5, n))
+    # the step lengths a window's three steps take: fine even, halved, fine odd
+    step_lengths = np.array([dt, dt_half, dt])
+    stage_offsets = np.array([0.0 * step_lengths, 0.5 * step_lengths, step_lengths])
+    # each step's start is a multiple of its length: 2i dt, i dt_half, (2i + 1) dt
+    slot_scale, slot_shift = np.array([2, 1, 2]), np.array([0, 0, 1])
+    # (dt, dt / 2, dt / 6) as whole rows, row 0 the fine run's and row 1 the halved
+    # run's: a full row multiplies faster than a scalar or a broadcast column
+    row_dt = np.repeat(step_lengths[:2, None], n, axis=1)
+    pair_steps = (row_dt, 0.5 * row_dt, row_dt / 6.0)
+    lone_steps = tuple(step[0] for step in pair_steps)
+    # the neighbour of half-edge slot k of vertex i in row r, at r * n + nbr[k, i] of
+    # the raveled (2, n) state, so a (K, 2, n) gather broadcasts against the state,
+    # and the overflow half-edges' rows offset likewise for one bincount
+    pair_nbr = layout.nbr[:, None, :] + n * np.arange(2)[:, None]
+    over_bins = (layout.over_rows + n * np.arange(2)[:, None]).ravel()
+    buffers = np.empty((5, 2, n))
+    pair_scratch = (pair_nbr, np.empty(pair_nbr.shape), *buffers)
+    lone_scratch = (layout.nbr, np.empty(layout.nbr.shape), *buffers[:, 0])
 
-    def read(stage_times: np.ndarray) -> dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Each distinct one of ``stage_times`` (compared exactly), read once, to
-        its (off, overflow off, weights); the weights serve the self-check."""
-        times = np.unique(stage_times)
-        w, c = weight_table(G, times), conductance_table(G, times)
-        return dict(zip(times.tolist(), zip(c[:, layout.slot_edge] / w[:, None, :],
-                                             c[:, layout.over_edges] / w[:, layout.over_rows],
-                                             w)))
-
-    def rate(t: float, y: np.ndarray, out: np.ndarray) -> None:
-        off, over_off, _ = ops[t]
+    def rate(off: np.ndarray, over_off: np.ndarray, y: np.ndarray, out: np.ndarray,
+             nbr: np.ndarray, gathered: np.ndarray) -> None:
+        """out = -M^{-1} S y for the contiguous state y of one row (n,) or two (2, n),
+        each row on its own operator: ``off`` is (K, n) or (K, 2, n), ``over_off``
+        (n_over,) or (2, n_over)."""
         # the indices are in range by construction; mode="raise" would buffer the copy
-        diff = y.take(layout.nbr, out=gathered, mode="clip")
+        diff = y.take(nbr, out=gathered, mode="clip")
         diff -= y
         diff *= off
         np.add.reduce(diff, axis=0, out=out)
         if overflow:
-            out += np.bincount(layout.over_rows, minlength=n, weights=over_off
-                               * (y[layout.over_cols] - y[layout.over_rows]))
+            flow = y[..., layout.over_cols] - y[..., layout.over_rows]
+            flow *= over_off
+            out += np.bincount(over_bins[:flow.size], weights=flow.ravel(),
+                               minlength=out.size).reshape(out.shape)
 
-    def rk4_step(t: float, dt: float, y: np.ndarray, out: np.ndarray) -> None:
-        """out = y + dt/6 (k1 + 2 k2 + 2 k3 + k4), each operation in that order."""
-        k1, k2, k3, k4, stage = buffers
-        rate(t, y, k1)
-        np.multiply(k1, 0.5 * dt, out=stage)
+    def rk4_step(offs: np.ndarray, overs: np.ndarray, steps, y: np.ndarray,
+                 out: np.ndarray, scratch) -> None:
+        """out = y + dt/6 (k1 + 2 k2 + 2 k3 + k4), each operation in that order, on
+        the stage operators (offs[s], overs[s]) at the step's start, middle and end."""
+        step, half_step, sixth = steps
+        nbr, gathered, k1, k2, k3, k4, stage = scratch
+        rate(offs[0], overs[0], y, k1, nbr, gathered)
+        np.multiply(k1, half_step, out=stage)
         stage += y
-        rate(t + 0.5 * dt, stage, k2)
-        np.multiply(k2, 0.5 * dt, out=stage)
+        rate(offs[1], overs[1], stage, k2, nbr, gathered)
+        np.multiply(k2, half_step, out=stage)
         stage += y
-        rate(t + 0.5 * dt, stage, k3)
-        np.multiply(k3, dt, out=stage)
+        rate(offs[1], overs[1], stage, k3, nbr, gathered)
+        np.multiply(k3, step, out=stage)
         stage += y
-        rate(t + dt, stage, k4)
+        rate(offs[2], overs[2], stage, k4, nbr, gathered)
         k2 *= 2.0
         k2 += k1
         k3 *= 2.0
         k2 += k3
         k2 += k4
-        k2 *= dt / 6.0
+        k2 *= sixth
         np.add(y, k2, out=out)
 
+    table = layout.nbr.size + len(layout.over_rows)
+    # ten stage times' tables and operators, nine stacked operators, five vertex rows
+    window_floats = 10 * (n + G.n_edges + table) + 9 * table + 5 * n
+    windows = list(blocks([window_floats] * half))
+    most = max(map(len, windows))
+    # a block's states: window j's fine state 2i, halved state i and fine state 2i + 1
+    # at states[j], so the two-row step reads two adjacent rows and writes fine 2i + 1
+    # and the next window's halved state, two rows apart
+    states = np.empty((most + 1, 3, n))
+    states[0, :2] = u0
+    rows = states.reshape(-1, n)
+    pair_ends = [rows[3 * j + 2:3 * j + 5:2] for j in range(most)]
     fine = np.empty((n_steps + 1, n))
     fine[0] = u0
-    y_half = u0.copy()
     self_check = 0.0
-    # a window computes at most 10 stage times, rk4_step's and the self-check's
-    window_floats = 10 * (layout.nbr.size + len(layout.over_rows) + n + G.n_edges)
-    for block in blocks([window_floats] * half):
+    for block in windows:
+        size = len(block)
         window = np.arange(block.start, block.stop)
-        # the floats rk4_step and the self-check compute, in the same operations
-        t_fine, t_next, t_half = 2 * window * dt, (2 * window + 1) * dt, window * dt_half
-        ops = read(np.concatenate([
-            t_fine, t_fine + 0.5 * dt, t_fine + dt, t_next, t_next + 0.5 * dt, t_next + dt,
-            t_half, t_half + 0.5 * dt_half, t_half + dt_half, (window + 1) * dt_half]))
+        # the floats a one-row run computes, in the same operations: stage_times[j, s, r]
+        # is window j's stage s (start, middle, end) of the fine even step (r = 0), the
+        # halved step (1) and the fine odd step (2)
+        starts = (np.multiply.outer(window, slot_scale) + slot_shift) * step_lengths
+        stage_times = starts[:, None, :] + stage_offsets
+        times, index = np.unique(np.concatenate([stage_times.ravel(), (window + 1) * dt_half]),
+                                 return_inverse=True)
+        w, c = weight_table(G, times), conductance_table(G, times)
+        stage_index = index[:stage_times.size].reshape(stage_times.shape)
+        off = c[:, layout.slot_edge] / w[:, None, :]
+        over_off = c[:, layout.over_edges] / w[:, layout.over_rows]
+        # window j's stage s operators, each contiguous: pair_offs[j, s] (K, 2, n) of
+        # its two-row step, lone_offs[j, s] (K, n) of its odd fine step
+        pair_offs = off[stage_index[:, :, None, :2], np.arange(len(layout.nbr))[:, None]]
+        lone_offs = off[stage_index[:, :, 2]]
+        pair_overs, lone_overs = over_off[stage_index[:, :, :2]], over_off[stage_index[:, :, 2]]
         # a step past RK4's stability window overflows; the self-check below fails it
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in window.tolist():
-                rk4_step(2 * i * dt, dt, fine[2 * i], fine[2 * i + 1])
-                rk4_step((2 * i + 1) * dt, dt, fine[2 * i + 1], fine[2 * i + 2])
-                rk4_step(i * dt_half, dt_half, y_half, y_half)
-                w_end = ops[(i + 1) * dt_half][2]
-                # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
-                self_check = float(np.maximum(self_check,
-                                              weighted_l2(fine[2 * i + 2] - y_half, w_end)))
+            for pair, pair_end, odd, even, pair_off, pair_over, lone_off, lone_over in zip(
+                    states[:, :2], pair_ends, states[:, 2], states[1:, 0],
+                    pair_offs, pair_overs, lone_offs, lone_overs):
+                rk4_step(pair_off, pair_over, pair_steps, pair, pair_end, pair_scratch)
+                rk4_step(lone_off, lone_over, lone_steps, odd, even, lone_scratch)
+            ends = states[1:size + 1]
+            odd_even = fine[2 * block.start + 1:2 * block.stop + 1].reshape(size, 2, n)
+            odd_even[:, 0] = states[:size, 2]
+            odd_even[:, 1] = ends[:, 0]
+            gaps = ends[:, 0] - ends[:, 1]
+            gaps *= gaps
+            # np.maximum keeps a NaN gap (both runs overflowed), which max() would drop
+            self_check = float(np.maximum.reduce(
+                np.sqrt(_row_dots(w[index[stage_times.size:]], gaps)), initial=self_check))
+        states[0] = states[size]
     if not (self_check < self_check_tol):  # NaN from a blown-up run fails too
         raise OracleError(
             f"oracle self-check failed: halving n_steps={n_steps} moves the "

@@ -219,3 +219,35 @@ def weak_residual_reference(chain, G, test_fns):
             acc[f] += delta * (mass_term - phi * float(np.dot(cond, d_u * d_psi)))
             norm[f] += delta * abs(phi) * eh.weighted_l2(psi, w)
     return [(fn.name, abs(a), n) for fn, a, n in zip(test_fns, acc, norm)]
+
+
+def rcm_reference(n, edges):
+    """``rcm_ordering`` written as adjacency lists, each sorted by a (degree,
+    index) key: (perm, bandwidth, components)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    adj = [[] for _ in range(n)]
+    for i, j in edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    degree = [len(a) for a in adj]
+    for a in adj:
+        a.sort(key=lambda v: (degree[v], v))
+    visit = [-1] * n
+    order = []
+    components = 0
+    for start in sorted(range(n), key=lambda v: (degree[v], v)):
+        if visit[start] >= 0:
+            continue
+        visit[start] = len(order)
+        components += 1
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            for w in adj[order[head]]:
+                if visit[w] < 0:
+                    visit[w] = len(order)
+                    order.append(w)
+            head += 1
+    p = np.array(visit, dtype=np.int64)[edges]
+    bandwidth = int(np.abs(p[:, 0] - p[:, 1]).max(initial=0))
+    return np.array(order[::-1], dtype=np.int64), bandwidth, components

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 import evoheat as eh
 
-from helpers import (build, dense_solve, lone_step, prepare, random_operator, solve,
-                     step_operator)
+from helpers import (build, dense_solve, lone_step, prepare, random_operator, rcm_reference,
+                     solve, star_ring_graph, step_operator)
 
 # (mass + h*stiffness) on the single-edge graph, h = 1, unit coefficients:
 # A = [[2, -1], [-1, 2]], so A @ (1, 0) = (2, -1) and A^-1 (1, 0) = (2/3, 1/3).
@@ -305,9 +305,47 @@ def test_banded_reports_a_nan_column():
     A = _ring_operator(7, 16, closed=True)
     rhs = np.random.default_rng(8).standard_normal((1, 2, A.n))
     rhs[0, 1, 3] = np.nan
-    with pytest.raises(eh.SolverError, match="refinements") as excinfo:
+    with pytest.raises(eh.SolverError, match=r"not finite: \|\|b\|\|_2 = nan") as excinfo:
         solve([A], rhs, 1e-10, _direct_plan(A))
     assert np.isnan(excinfo.value.relative_residual)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("graph", ["circle", "star"])
+def test_a_non_finite_right_hand_side_is_rejected_before_solving(monkeypatch, graph, entry):
+    # one NaN or infinite entry makes ||b||_2 non-finite, and no iteration can
+    # meet a target set from it: the band path raises before its first solve, so
+    # it refines nothing, and CG before its first iteration, so it applies the
+    # operator not once (it used to run all 50 n iterations on a NaN)
+    G = build("conformal_circle", n=64) if graph == "circle" else star_ring_graph()
+    A = step_operator(G, 0.0, 0.1)
+    plan = eh.solve_plan(A.n, A.edges)
+    assert (plan.ordering is None) == (graph == "star")
+    prepared = prepare([A], plan)
+    calls = []
+    real_apply, real_bcr_solve = eh.linalg.StencilOperator.apply, eh.linalg._bcr_solve
+
+    def apply(self, x, out):
+        calls.append("apply")
+        return real_apply(self, x, out)
+
+    def bcr_solve(factors, f):
+        calls.append("bcr_solve")
+        return real_bcr_solve(factors, f)
+
+    monkeypatch.setattr(eh.linalg.StencilOperator, "apply", apply)
+    monkeypatch.setattr(eh.linalg, "_bcr_solve", bcr_solve)
+    rhs = np.random.default_rng(9).standard_normal((1, 1, A.n))
+    rhs[0, 0, 5] = entry
+    with pytest.raises(eh.SolverError, match="a right-hand side is not finite") as excinfo:
+        eh.spd_solve_prepared(prepared, rhs, 1e-10)
+    assert np.isnan(excinfo.value.relative_residual)
+    assert calls == []
+    # the same column, finite, solves through the counted function
+    rhs[0, 0, 5] = 1.0
+    eh.spd_solve_prepared(prepared, rhs, 1e-10)
+    assert set(calls) == {"apply" if graph == "star" else "bcr_solve"}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -348,6 +386,30 @@ def _cg_calls_per_step(monkeypatch, G):
     u0 = eh.make_initial_data(G, {"profile": "random", "seed": 1})
     lone_step(G, 0.1, 0.1, u0)
     return len(calls)
+
+
+def _random_edges(rng, n):
+    """Up to 2n random edges on n vertices, without loops or repeats; with few
+    edges the graph falls apart into several components."""
+    pairs = {tuple(sorted(int(v) for v in rng.choice(n, size=2, replace=False)))
+             for _ in range(int(rng.integers(0, 2 * n + 1)))} if n >= 2 else set()
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def test_rcm_ordering_matches_the_adjacency_list_search():
+    # perm, bandwidth and components of the lexsorted search are the sorted
+    # adjacency lists' on random graphs, connected or not, and on the
+    # benchmark's graphs
+    rng = np.random.default_rng(31)
+    graphs = [(n, _random_edges(rng, n)) for n in rng.integers(1, 40, 300).tolist()]
+    assert any(rcm_reference(n, e)[2] > 1 for n, e in graphs)
+    graphs += [(G.n_vertices, G.edges) for G in (
+        build("product_torus", nx=48, ny=48),
+        *(build("conformal_circle", n=n, k_spatial=1) for n in (1024, 64, 128)))]
+    for n, edges in graphs:
+        perm, bandwidth, components = eh.rcm_ordering(n, edges)
+        want = rcm_reference(n, edges)
+        assert np.array_equal(perm, want[0]) and (bandwidth, components) == want[1:]
 
 
 def test_narrow_graphs_take_the_direct_path(monkeypatch):

@@ -182,7 +182,11 @@ def _tabulated_square():
     (build("product_torus", T=1.3, nx=5, ny=6), 1.3, 1000),
     (_tabulated_square(), 1.0, 1024),
     (STAR_RING, 1.0, 1024),                                  # overflow half-edges
-], ids=["dyadic", "non_dyadic", "torus", "tabulated", "star_ring"])
+    (TWO_VERTEX, 1.0, 1024),                                 # one half-edge slot (K = 1)
+    (build("pinching_circle", n=32, amplitude=0.9), 0.9, 2048),  # weights down to 0.19 dx
+    (MOVING, 0.004, 2),                                      # one window
+], ids=["dyadic", "non_dyadic", "torus", "tabulated", "star_ring", "two_vertex", "pinching",
+        "one_window"])
 def test_oracle_bitwise_equals_two_separate_runs(G, T, n_steps):
     u0 = eh.make_initial_data(G, {"profile": "harmonic", "k": 1})
     values, times, gap = _two_run_rk4(G, u0, T, n_steps)
