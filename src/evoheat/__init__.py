@@ -18,7 +18,7 @@ from .verify import (AttainmentReport, ContractionReport, ConvergenceRow, Energy
                      chain_error_vs_oracle, contraction_report, convergence_table,
                      default_test_catalog, degiorgi_family, energy_estimate, extremum_check,
                      fit_order, initial_attainment_check, l2h1_interp_norm, oracle_value_at,
-                     report_json, semidiscrete_oracle, weak_residual, weighted_l2,
-                     weighted_l2_sq)
+                     report_json, semidiscrete_oracle, solve_error, weak_residual,
+                     weighted_l2, weighted_l2_sq)
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 One JSON config drives every subcommand; flags override single fields.  Exit
 codes: 0 all checks passed, 1 a check failed (reports are still written),
-2 config error, 3 solver or reference-flow (oracle) failure, a run whose
-right-hand sides overflow included, or out of memory, 4 an artifact could
-not be written (``I/O error:``).  Identical configs
+2 config error, 3 solver or reference-flow (oracle) failure, a right-hand side
+that overflows or a solver-error certificate that is not finite included, or
+out of memory, 4 an artifact could not be written (``I/O error:``).  Identical configs
 produce byte-identical artifacts: the solvers are deterministic and floats are
 written with shortest round-trip formatting.
 
@@ -131,7 +131,7 @@ def cmd_run(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tuple[b
     """Run the scheme; write samples.csv, energy_report.json and extremum_report.json."""
     [chain] = run_sweep(G, [u0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
     [energy] = energy_estimate([chain], G)
-    extremum = extremum_check(chain)
+    extremum = extremum_check(chain, G, cfg.rel_tol)
     return energy.passed and extremum.passed, _run_documents(spec, chain, energy, extremum)
 
 
@@ -178,8 +178,8 @@ def cmd_l2_limit(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tu
     truncated = [truncate(u0, level) for level in cfg.truncation_levels]
     for chain_full, *chains_n in run_sweep(G, [u0, *truncated], cfg.h_list, cfg.m,
                                            rel_tol=cfg.rel_tol):
-        diffs = [ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values,
-                             chain_full.solve_error + chain_n.solve_error) for chain_n in chains_n]
+        diffs = [ChainFamily(chain_full.h, chain_full.m, chain_full.values - chain_n.values)
+                 for chain_n in chains_n]
         energies = energy_estimate(diffs, G)
         for level, diff, energy in zip(cfg.truncation_levels, diffs, energies):
             rows.append({"h": chain_full.h, "level": float(level),
@@ -199,10 +199,10 @@ def cmd_verify(cfg: RunConfig, spec: Scenario, G: TimeWeightedGraph, u0) -> tupl
     d0 = u0 - v0
     chain, chain_v, chain_d = run_sweep(G, [u0, v0, d0], [cfg.h], cfg.m, rel_tol=cfg.rel_tol)[0]
     energy, energy_d = energy_estimate([chain, chain_d], G)
-    extremum = extremum_check(chain)
-    contraction = contraction_report(G, chain, chain_v, chain_d, energy_d)
+    extremum = extremum_check(chain, G, cfg.rel_tol)
+    contraction = contraction_report(G, chain, chain_v, chain_d, energy_d, cfg.rel_tol)
     weak_rows = weak_residual(chain, G, default_test_catalog(G, chain.horizon))
-    attainment = initial_attainment_check(chain, G, chain.h)
+    attainment = initial_attainment_check(chain, G, chain.h, cfg.rel_tol)
     passed = bool(energy.passed and extremum.passed and contraction.passed and attainment.passed)
     return passed, {**_run_documents(spec, chain, energy, extremum), "verify_report.json": {
         "scenario": spec.to_dict(), "h": chain.h, "m": chain.m,

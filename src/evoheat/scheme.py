@@ -19,17 +19,12 @@ interpolation (``verify.degiorgi_family``), which shortens the step to reach
 intermediate times; with moving coefficients the shortened step loses the uniform
 energy bounds, which is the point of the comparison tooling in ``verify``.
 
-``run_sweep`` steps chain families from several initial values through the
-same operators, with every step size of a list at once; every family comes out
-bitwise as if run alone.  A family is one (N*m + 1, n) array whose row j is the
-sample at t = j*delta.  The package steps only in rounds of m grid times, every
-grid's round r built and solved together, with the graph's ``plan``, which
-alone decides the solver: whole rounds are prepared ahead (``spd_prepare``, one
-``linalg.blocks`` batch of rounds at a time, straight from the weight and
-conductance tables of their grid times) and each round is one
-``spd_solve_prepared`` call.  Each family also carries its solver-error
-certificate, built from the same right-hand sides and weights the round solved
-with (see ``ChainFamily.solve_error``).
+``run_sweep`` steps chain families from several initial values, with every
+step size of a list at once, in rounds of m grid times solved together with the
+graph's ``plan``, which alone decides the solver; every family comes out bitwise
+as if run alone, one (N*m + 1, n) array whose row j is the sample at
+t = j*delta.  It only steps: how far the rows lie from the exact steps is
+certified by the checks in ``verify``, from the stored rows.
 
 Vertex functions are plain float vectors of length n.  A value's time is its
 place on the grid, never a tag it carries: ``ChainFamily.times()`` gives the
@@ -91,28 +86,15 @@ class ChainFamily:
     step sequence u_0, ..., u_N and values[1:] everything that came out of a
     minimization; row j >= 1 was produced by a full step of length h from row
     j - m (the initial value when j < m).  Chain index = j mod m.
-
-    solve_error[j] bounds how far values[j] lies from the exact step sequence in
-    the sup norm (0 at row 0).  Row j solves (M_t + h S_t) x = M_t x_prev to a
-    residual of at most rel_tol * ||M_t x_prev||_2; the matrix is strictly
-    diagonally dominant by the weights w_i(t), so the solve misses the exact x
-    by at most that residual over min_i w_i(t) (Varah 1975).  The exact step is
-    a sup-norm contraction, so these per-step errors add up along each chain.
     """
 
     h: float
     m: int
     values: np.ndarray
-    solve_error: np.ndarray
 
     def __post_init__(self):
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
-        if np.shape(self.solve_error) != (len(self.values),):
-            raise ValueError(f"solve_error has shape {np.shape(self.solve_error)}, "
-                             f"expected ({len(self.values)},)")
-        if not (np.isfinite(self.solve_error).all() and (self.solve_error >= 0).all()):
-            raise ValueError("solve_error must be finite and nonnegative")
 
     @property
     def delta(self) -> float:
@@ -137,23 +119,18 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     initial value and with each step size in h_list.
 
     Returns one list of families per entry of h_list, one family per initial
-    value.  Every sample j >= 1 solves a full step of length h at its own time
-    j*delta against the sample one h earlier (the initial value for j < m).
-    Row j of a grid reads only row j - m, so the grid of step h,
-    N = ``steps_within_horizon(T, h)``, runs in rounds: round r holds its rows
-    r*m + 1 .. r*m + m.  Round r of the sweep is round r of every grid with
-    N > r, in h_list order, each operator assembled once and solved for every
-    family in one ``spd_solve_prepared`` call.  Whole rounds are prepared ahead
-    in one ``spd_prepare`` call, a ``blocks`` batch of rounds at a time, from
-    one weight and one conductance table over the chunk's grid times.  A
-    family's samples are bitwise those of running it alone, and so is its
-    ``solve_error``: row j adds rel_tol * ||rhs_j||_2 / min(mass_j) to row
-    j - m's bound, from the right-hand side and weights it was solved with.
-    Before a round is solved, every row's bound must be finite, or SolverError
-    names its grid time: a right-hand side whose norm overflows cannot be
-    certified.  After it, every solved row must be finite, or SolverError names
-    its grid time and h, whether or not a later round reads the row.  Raises
-    ValueError before any read unless m is an integer >= 1.
+    value, each bitwise as if run alone.  Sample j >= 1 is a full step of length
+    h at its own time j*delta from the sample one h earlier (the initial value
+    for j < m), so the grid of step h, N = ``steps_within_horizon(T, h)``, runs
+    in rounds: round r holds rows r*m + 1 .. r*m + m.  Round r of the sweep is
+    round r of every grid with N > r, in h_list order, each operator assembled
+    once and solved for every family in one ``spd_solve_prepared`` call; whole
+    rounds are prepared ahead in one ``spd_prepare`` call, a ``blocks`` batch of
+    rounds at a time, from one weight and one conductance table.  A failed solve
+    (a right-hand side whose norm overflows included) raises SolverError naming
+    its round's first grid time and h; so does a solved row that is not finite,
+    naming its own, whether or not a later round reads it.  Raises ValueError
+    before any read unless m is an integer >= 1.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
@@ -165,7 +142,6 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
     # every grid's rows in one array, the rows of grid k from base[k] on
     base = np.cumsum([0] + [N * m + 1 for N in Ns])
     values = np.empty((len(initials), base[-1], G.n_vertices))
-    bounds = np.zeros(values.shape[:2])
     values[:, base[:-1]] = np.reshape(initials, (len(initials), 1, G.n_vertices))
     # the (grid, row) pairs each round solves
     rounds = [[(k, j) for k, N in enumerate(Ns) if N > r for j in range(r * m + 1, r * m + m + 1)]
@@ -184,15 +160,12 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
             mass = weights[start:start + len(pairs)]
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
-                bound = (bounds[:, prevs]
-                         + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
-            if not np.isfinite(bound).all():
-                t, h = steps[start + np.flatnonzero(~np.isfinite(bound).all(axis=0))[0]]
-                raise SolverError(
-                    f"the right-hand side at t = {t:.6g} (h = {h:g}) "
-                    "is too large: its norm or solver-error bound is not finite", float("nan"))
-            bounds[:, rows] = bound
-            solved = spd_solve_prepared(prepared, rhs, rel_tol, start)
+            try:
+                solved = spd_solve_prepared(prepared, rhs, rel_tol, start)
+            except SolverError as exc:  # a right-hand side that overflows, or no convergence
+                t, h = steps[start]
+                raise SolverError(f"the round from t = {t:.6g} (h = {h:g}): {exc}",
+                                  exc.relative_residual) from None
             finite = np.isfinite(solved).all(axis=(1, 2))
             if not finite.all():
                 t, h = steps[start + np.flatnonzero(~finite)[0]]
@@ -200,5 +173,5 @@ def run_sweep(G: TimeWeightedGraph, initials: list[np.ndarray], h_list: list[flo
                                   "non-finite values", float("nan"))
             values[:, rows] = solved.swapaxes(0, 1)
             start += len(pairs)
-    return [[ChainFamily(h=h, m=int(m), values=run[b:e], solve_error=err[b:e])
-             for run, err in zip(values, bounds)] for h, b, e in zip(hs, base[:-1], base[1:])]
+    return [[ChainFamily(h=h, m=int(m), values=run[b:e]) for run in values]
+            for h, b, e in zip(hs, base[:-1], base[1:])]

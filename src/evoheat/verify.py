@@ -28,9 +28,9 @@ block, and do each block's arithmetic whole: per-row dot products by
 to right in row order by ``_sum_in_order``, so every report is bitwise the one a
 row-by-row loop gives.
 
-Every check reads the initial value from the chain's row 0 and its solver error
-from the chain's own ``solve_error``, the per-row certificate that
-``run_sweep`` builds from the right-hand sides and weights it solved with.
+Every check reads the initial value from the chain's row 0.  The checks that
+allow for solver error take the run's ``rel_tol`` and certify its solves from
+the stored rows (``solve_error``), not on the stepper's word.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ import numpy as np
 
 from .geometry import (_TIME_FUZZ, TimeWeightedGraph, conductance_table, dirichlet_energy,
                        vertex_weights, weight_table)
-from .linalg import blocks, half_edge_layout, prepared_floats, spd_prepare, spd_solve_prepared
+from .linalg import (SolverError, blocks, half_edge_layout, prepared_floats, spd_prepare,
+                     spd_solve_prepared)
 from .profiles import make_initial_data
 from .scheme import ChainFamily, _vertex_values, run_sweep, steps_within_horizon
 
@@ -54,6 +55,7 @@ __all__ = [
     "report_json",
     "EnergyReport",
     "energy_estimate",
+    "solve_error",
     "ExtremumReport",
     "extremum_check",
     "ContractionReport",
@@ -140,6 +142,16 @@ def _growth_rates(log_prev: np.ndarray, W: np.ndarray, steps: np.ndarray) -> np.
     return tops
 
 
+def _one_grid(chains: list[ChainFamily], who: str) -> ChainFamily:
+    """The first of ``chains``, which must be nonempty and share h, m and row count."""
+    if not chains:
+        raise ValueError(f"{who} needs at least one chain family")
+    first = chains[0]
+    if any((c.h, c.m, len(c.values)) != (first.h, first.m, len(first.values)) for c in chains):
+        raise ValueError("chain families must share h, m and row count")
+    return first
+
+
 def report_json(report) -> dict:
     """A report dataclass as a JSON object: its fields in order, ``passed`` as "pass"."""
     return asdict(report, dict_factory=lambda items: {
@@ -186,11 +198,7 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph) -> list[Ene
     the first such grid time.  A bound exp(c0 * horizon) * a0 that is no finite
     double raises ValueError naming c0.
     """
-    if not chains:
-        raise ValueError("energy_estimate needs at least one chain family")
-    first = chains[0]
-    if any((c.h, c.m, len(c.values)) != (first.h, first.m, len(first.values)) for c in chains):
-        raise ValueError("chain families must share h, m and row count")
+    first = _one_grid(chains, "energy_estimate")
     times = first.times()
     delta = first.delta
     w = vertex_weights(G, times[0])
@@ -232,8 +240,42 @@ def energy_estimate(chains: list[ChainFamily], G: TimeWeightedGraph) -> list[Ene
 
 
 # ---------------------------------------------------------------------------
-# extremum (maximum principle)
+# solver-error certificate, extremum (maximum principle)
 # ---------------------------------------------------------------------------
+
+def solve_error(chains: list[ChainFamily], G: TimeWeightedGraph, rel_tol: float) -> np.ndarray:
+    """Solver-error certificate of each chain family solved to ``rel_tol``: entry
+    [f, j] bounds how far row j of family f lies from the exact steps, sup norm.
+
+    Row j solves (M_t + h S_t) x = M_t x_prev, t = j*delta, x_prev its row j - m,
+    to a residual of at most rel_tol * ||M_t x_prev||_2, and the matrix is
+    diagonally dominant by w(t), so x misses the exact step by at most that over
+    min_i w_i(t) (Varah 1975).  The exact step is a sup-norm contraction, so the
+    terms add up along each chain (``np.add.accumulate`` over the (N, m) rows),
+    each family alone; an overflow leaves inf, which the checks refuse.
+    """
+    first = _one_grid(chains, "solve_error")
+    times, m = first.times(), first.m
+    bound = np.zeros((len(chains), len(times)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for block in blocks([3 * G.n_vertices] * (len(times) - 1)):  # w, rhs and its squares
+            rows = np.arange(block.start + 1, block.stop + 1)  # the grid rows from 1 on
+            W = weight_table(G, times[rows])
+            for f, c in enumerate(chains):
+                norms = np.linalg.norm(c.values[np.maximum(rows - m, 0)] * W, axis=-1)
+                bound[f, rows] = rel_tol * norms / W.min(axis=1)
+        by_step = bound[:, 1:].reshape(len(chains), -1, m)  # a view: [f, r, i] is row r*m + i + 1
+        np.add.accumulate(by_step, axis=1, out=by_step)
+    return bound
+
+
+def _certified(tol: float, t: float, h: float) -> float:
+    """``tol``, or SolverError naming grid time t if it is not finite (it would pass anything)."""
+    if not math.isfinite(tol):
+        raise SolverError(f"the solver-error certificate at t = {t:.6g} (h = {h:g}) "
+                          "is not finite", math.nan)
+    return tol
+
 
 @dataclass(frozen=True)
 class ExtremumReport:
@@ -244,20 +286,23 @@ class ExtremumReport:
     passed: bool
 
 
-def extremum_check(chain: ChainFamily) -> ExtremumReport:
+def extremum_check(chain: ChainFamily, G: TimeWeightedGraph, rel_tol: float) -> ExtremumReport:
     """Every sample must stay inside [min u0, max u0] up to solver error.
 
     u0 is the chain's row 0.  The exact steps obey the maximum principle, so a
     computed sample leaves the range by at most its distance from the exact one.
-    The tolerance is the largest entry of the chain's ``solve_error`` (0 for
-    exact solves), plus a rounding floor of 1e-12 * (max|u0| + 1).
+    The tolerance is the largest entry of the chain's ``solve_error`` at ``rel_tol``
+    (0 for exact solves) plus a rounding floor of 1e-12 * (max|u0| + 1), or
+    SolverError if not finite.
     """
     u0 = chain.values[0]
     lo = float(u0.min())
     hi = float(u0.max())
     produced = chain.values[1:]
     worst = max(float(produced.max()) - hi, lo - float(produced.min()), 0.0)
-    tol = 1e-12 * (float(np.max(np.abs(u0))) + 1.0) + float(chain.solve_error.max())
+    errors = solve_error([chain], G, rel_tol)[0]
+    tol = _certified(1e-12 * (float(np.max(np.abs(u0))) + 1.0) + float(errors.max()),
+                     chain.times()[errors.argmax()], chain.h)
     return ExtremumReport(lo=lo, hi=hi, worst_violation=worst, tol=tol,
                           passed=worst <= tol)
 
@@ -275,24 +320,25 @@ class ContractionReport:
 
 
 def contraction_report(G: TimeWeightedGraph, chain_u: ChainFamily, chain_v: ChainFamily,
-                       chain_d: ChainFamily,
-                       difference_energy: EnergyReport) -> ContractionReport:
+                       chain_d: ChainFamily, difference_energy: EnergyReport,
+                       rel_tol: float) -> ContractionReport:
     """Judge chains run from u0, v0 and u0 - v0 on the same grid.
 
     The sample-wise difference of the first two must match the third (the scheme
     is a fixed linear solve per step), and ``difference_energy``, chain_d's
     ``energy_estimate`` report with the c0 of the other checks, must pass: that
-    is the contraction bound between the two solutions.  The linearity
-    tolerance is the largest row-wise sum of the three chains' ``solve_error``,
-    plus a rounding floor of 1e-9 times the data norms.
+    is the contraction bound between the two solutions.  The linearity tolerance
+    is the largest row-wise sum of the three chains' ``solve_error`` at ``rel_tol``
+    plus a rounding floor of 1e-9 times the data norms, or SolverError if not finite.
     """
     gap = chain_u.values - chain_v.values
     gap -= chain_d.values
     residual = float(np.abs(gap, out=gap).max())
-    solve_error = float((chain_u.solve_error + chain_v.solve_error + chain_d.solve_error).max())
     w0 = vertex_weights(G, 0.0)
-    tol = solve_error + 1e-9 * (weighted_l2(chain_u.values[0], w0)
-                                + weighted_l2(chain_v.values[0], w0))
+    floor = 1e-9 * (weighted_l2(chain_u.values[0], w0) + weighted_l2(chain_v.values[0], w0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = sum(solve_error([chain_u, chain_v, chain_d], G, rel_tol))
+    tol = _certified(float(errors.max()) + floor, chain_u.times()[errors.argmax()], chain_u.h)
     return ContractionReport(linearity_residual=residual, linearity_tol=tol,
                              difference_energy=difference_energy,
                              passed=bool(difference_energy.passed and residual <= tol))
@@ -691,12 +737,12 @@ class AttainmentReport:
     passed: bool
 
 
-def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
-                             t_small: float) -> AttainmentReport:
+def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph, t_small: float,
+                             rel_tol: float) -> AttainmentReport:
     """Weighted l2 distance of the sample at t_small from u0 (row 0), less its solver
     error, judged by the minimality bound dist^2 <= h * energy(u0, t_small).  The
-    solver error is the row's ``solve_error`` entry times sqrt(sum w), with the
-    weights the distance uses.
+    solver error is the row's ``solve_error`` at ``rel_tol`` times sqrt(sum w), with
+    the weights the distance uses; one that is not finite raises SolverError.
 
     t_small must be a grid time (within 1e-9) in (0, h]: the bound holds for the
     first-chain samples, one full step from u0, and no later.  At fixed t_small/h
@@ -715,7 +761,8 @@ def initial_attainment_check(chain: ChainFamily, G: TimeWeightedGraph,
     u0 = chain.values[0]
     distance = weighted_l2(chain.values[j] - u0, w)
     bound = chain.h * dirichlet_energy(G, t_small, u0)
-    solver_error = float(chain.solve_error[j]) * math.sqrt(float(w.sum()))
+    solver_error = _certified(float(solve_error([chain], G, rel_tol)[0, j])
+                              * math.sqrt(float(w.sum())), j * delta, chain.h)
     passed = max(distance - solver_error, 0.0) ** 2 <= bound * (1.0 + SLACK) + 1e-30
     return AttainmentReport(float(t_small), distance, bound, solver_error, passed)
 

@@ -1,7 +1,5 @@
 """Shared test fixtures: seeded random graphs, scenario shortcuts and solve references."""
 
-import dataclasses
-
 import numpy as np
 
 import evoheat as eh
@@ -74,8 +72,7 @@ def varah_bounds(G, families, rel_tol):
 
     Row j adds rel_tol * ||M_t x_prev||_2 / min_i w_i(t), t = j*delta, to row
     j - m's bound, with the weights evaluated afresh at every grid time.  The
-    arithmetic is the order ``run_sweep`` uses, so its ``solve_error`` must
-    equal this bitwise.
+    arithmetic is the order ``solve_error`` uses, so it must equal this bitwise.
     """
     m = families[0].m
     times = families[0].times()
@@ -86,11 +83,6 @@ def varah_bounds(G, families, rel_tol):
         norms = np.linalg.norm(w * np.stack([f.values[prev] for f in families]), axis=1)
         bound[:, j] = bound[:, prev] + rel_tol * norms / float(w.min())
     return bound
-
-
-def exact_solves(chain):
-    """``chain`` with a zero solver-error bound, so checks judge it by their rounding floors."""
-    return dataclasses.replace(chain, solve_error=np.zeros(len(chain.values)))
 
 
 def growth_reference(G, time_grid):
@@ -131,25 +123,21 @@ def per_round_families(G, initials, h, m, rel_tol):
 
     The loop the package stepped with before rounds were prepared ahead and
     grids stepped in lockstep: each round builds its m operators from one-row
-    coefficient reads, then prepares and solves them together.  Returns
-    (values, solve_error), one row per initial value, which a sweep must
-    reproduce bitwise.
+    coefficient reads, then prepares and solves them together.  Returns the
+    values, one family per initial value, which a sweep must reproduce bitwise.
     """
     N = eh.steps_within_horizon(G.horizon, h)
     delta = h / m
     values = np.empty((len(initials), N * m + 1, G.n_vertices))
     values[:, 0] = initials
-    bound = np.zeros(values.shape[:2])
     for start in range(1, N * m + 1, m):
         rows = list(range(start, start + m))
         prevs = [max(j - m, 0) for j in rows]
         ops = [step_operator(G, j * delta, h) for j in rows]
         mass = np.array([A.mass for A in ops])
         rhs = mass[:, None, :] * values[:, prevs].swapaxes(0, 1)
-        bound[:, rows] = (bound[:, prevs]
-                          + rel_tol * np.linalg.norm(rhs, axis=2).T / mass.min(axis=1))
         values[:, rows] = solve(ops, rhs, rel_tol, G.plan).swapaxes(0, 1)
-    return values, bound
+    return values
 
 
 # The checks written out one grid row (and one family or test function) at a

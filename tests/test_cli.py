@@ -710,14 +710,15 @@ def test_verify_tolerances_come_from_the_run_bounds(tmp_path, h, m):
     chains = eh.run_sweep(G, [u0, v0, u0 - v0], [h], m, rel_tol=cfg.rel_tol)[0]
     chain = chains[0]
     w0 = eh.vertex_weights(G, 0.0)
+    errors = eh.solve_error(chains, G, cfg.rel_tol)
     assert doc["extremum"]["tol"] == (1e-12 * (float(np.abs(u0).max()) + 1.0)
-                                      + float(chain.solve_error.max()))
+                                      + float(errors[0].max()))
     assert doc["contraction"]["linearity_tol"] == (
-        float((chains[0].solve_error + chains[1].solve_error + chains[2].solve_error).max())
+        float((errors[0] + errors[1] + errors[2]).max())
         + 1e-9 * (eh.weighted_l2(u0, w0) + eh.weighted_l2(v0, w0)))
     w_m = eh.vertex_weights(G, m * chain.delta)  # the weights row m was solved with
     assert doc["initial_attainment"]["solver_error"] == (
-        float(chain.solve_error[m]) * math.sqrt(float(w_m.sum())))
+        float(errors[0, m]) * math.sqrt(float(w_m.sum())))
     assert doc["initial_attainment"]["solver_error"] > 0.0
 
 
@@ -913,6 +914,31 @@ def test_overflowing_data_is_a_solver_failure(tmp_path, command):
     assert not out.exists()
 
 
+def test_a_certificate_that_overflows_fails_verify_but_not_l2_limit(tmp_path):
+    # at w = 1e-300 and data near 1e18, each family's solver-error certificate is
+    # finite but the contraction's row-wise sum over three chains is not: an
+    # infinite linearity tolerance would pass anything, so verify exits 3 and names
+    # the grid time, with no numpy warning; l2-limit reads no certificate
+    cfg = tmp_path / "config.json"
+    table = {"n_vertices": 2, "edges": [[0, 1]], "times": [0.0, 1.0],
+             "weights": [[1e-300, 1.0], [1e-300, 1.0]], "conductances": [[1.0], [1.0]]}
+    cfg.write_text(json.dumps({"scenario": {"kind": "custom_tabulated", "T": 1.0, "table": table},
+                               "initial": {"profile": "random", "seed": 7, "scale": 1e18},
+                               "h": 0.2, "m": 2, "h_list": [0.2, 0.1],
+                               "truncation_levels": [1.0]}))
+    stderr = {}
+    for command, code in (("verify", 3), ("l2-limit", 0)):
+        out = tmp_path / command
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        done = _python(f"import sys, evoheat.cli; sys.exit(evoheat.cli.main({argv!r}))")
+        assert done.returncode == code, done.stderr
+        assert out.exists() == (code == 0)
+        stderr[command] = done.stderr
+    assert stderr["l2-limit"] == ""
+    assert stderr["verify"].startswith("solver failure: the solver-error certificate at t = ")
+    assert stderr["verify"].endswith(" (h = 0.2) is not finite\n")
+
+
 def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     def allocate(*args, **kwargs):
         raise MemoryError
@@ -954,7 +980,7 @@ def test_samples_csv_keeps_extreme_floats_and_grid_times(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((61, 6))
     values[1] = [-0.0, 5e-324, 1e308, 1 / 3, 2.0, -7.0]
-    chain = ChainFamily(h=0.1, m=3, values=values, solve_error=np.zeros(61))  # delta = 0.1/3
+    chain = ChainFamily(h=0.1, m=3, values=values)  # delta = 0.1/3
     path = tmp_path / "out" / "samples.csv"
     artifacts.write_samples(str(path), chain)
     lines = path.read_text().splitlines()

@@ -174,7 +174,7 @@ def _c0_used(G, h, m):
     c0 depends on the grid alone, so the chain's values are zeros and nothing is solved.
     """
     rows = eh.steps_within_horizon(G.horizon, h) * m + 1
-    chain = eh.ChainFamily(h, m, np.zeros((rows, G.n_vertices)), np.zeros(rows))
+    chain = eh.ChainFamily(h, m, np.zeros((rows, G.n_vertices)))
     [report] = eh.energy_estimate([chain], G)
     return report.c0_used
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import evoheat as eh
 import evoheat.scheme as scheme
 
-from helpers import build, exact_solves, lone_step, per_round_families, star_ring_graph
+from helpers import build, lone_step, per_round_families, star_ring_graph
 
 # Single-edge graph, unit weights and conductance, h = 1.  The step system is
 # [[2, -1], [-1, 2]] u = u_prev, worked out by hand:
@@ -136,7 +136,7 @@ def test_truncation_never_raises_energy(seed, level):
 def test_maximum_principle(seed):
     u0 = np.random.default_rng(seed).standard_normal(MOVING.n_vertices)
     chain = eh.run_sweep(MOVING, [u0], [0.2], m=2, rel_tol=1e-12)[0][0]
-    rep = eh.extremum_check(exact_solves(chain))
+    rep = eh.extremum_check(chain, MOVING, 0.0)  # judged by the rounding floor alone
     assert rep.passed, rep
 
 
@@ -302,11 +302,10 @@ def test_sweep_matches_the_per_round_loop_bitwise(name, budget_rounds, monkeypat
     sweep = eh.run_sweep(G, initials, SWEEP_H, m=3, rel_tol=1e-10)
     assert [len(families) for families in sweep] == [2] * len(SWEEP_H)
     for h, families in zip(SWEEP_H, sweep):
-        values, bound = per_round_families(G, initials, h, 3, 1e-10)
-        for family, want, want_bound in zip(families, values, bound):
+        values = per_round_families(G, initials, h, 3, 1e-10)
+        for family, want in zip(families, values):
             assert family.h == h and family.m == 3
             assert np.array_equal(family.values, want)
-            assert np.array_equal(family.solve_error, want_bound)
 
 
 @pytest.mark.parametrize("budget_rounds", [None, 0, 3])

@@ -11,9 +11,9 @@ from numpy.testing import assert_allclose
 
 import evoheat as eh
 import evoheat.verify
-from helpers import (build, chain_error_reference, energy_reference, exact_solves,
-                     growth_reference, l2h1_reference, lone_step, star_ring_graph,
-                     varah_bounds, weak_residual_reference)
+from helpers import (build, chain_error_reference, energy_reference, growth_reference,
+                     l2h1_reference, lone_step, star_ring_graph, varah_bounds,
+                     weak_residual_reference)
 
 # exp(-2), the exact decay of the odd mode on the unit two-vertex graph over T = 1
 E_MINUS_2 = 0.1353352832366127
@@ -293,7 +293,7 @@ def test_energy_estimate_detects_uncovered_growth():
     # outgrows the certified bound: ||u_j||^2 reaches e^{5T} a0 against e^{c0 T} a0
     G = build("conformal_circle", n=8, amp=0.0, growth=1.0)
     times = np.arange(5) * 0.25
-    chain = eh.ChainFamily(0.25, 1, np.outer(2.5 * np.exp(2.0 * times), np.ones(8)), np.zeros(5))
+    chain = eh.ChainFamily(0.25, 1, np.outer(2.5 * np.exp(2.0 * times), np.ones(8)))
     [rep] = eh.energy_estimate([chain], G)
     assert rep.c0_used == pytest.approx(1.0, rel=1e-12)
     assert not rep.passed
@@ -314,7 +314,7 @@ def test_energy_estimate_certifies_past_a_weight_that_stays_zero():
     # weight 0 on the rows at t = 0.5 and 0.75: that vertex does not grow, so the
     # certified rate is the other vertex's 2, not a NaN clamped to 0
     G = _two_vertex_weights(lambda t: 1.0 if t < 0.5 else 0.0)
-    chain = eh.ChainFamily(0.25, 1, np.zeros((5, 2)), np.zeros(5))
+    chain = eh.ChainFamily(0.25, 1, np.zeros((5, 2)))
     [rep] = eh.energy_estimate([chain], G)
     assert rep.c0_used == 2.0 and rep.passed
 
@@ -327,7 +327,7 @@ def test_energy_estimate_certifies_past_a_weight_that_stays_zero():
 ])
 def test_energy_estimate_rejects_a_rate_that_admits_no_c0(monkeypatch, first, rate, time):
     G = _two_vertex_weights(first)
-    chain = eh.ChainFamily(0.25, 1, np.zeros((5, 2)), np.zeros(5))
+    chain = eh.ChainFamily(0.25, 1, np.zeros((5, 2)))
     with pytest.raises(ValueError, match=f"rate {rate} at grid time t={time} "):
         eh.energy_estimate([chain], G)
     # blocks of two rows (three floats each): rows 1-2 (t = 0.25, 0.5) and 3-4, so
@@ -342,7 +342,7 @@ def test_energy_estimate_rejects_a_rate_that_admits_no_c0(monkeypatch, first, ra
 def test_energy_estimate_rejects_a_bound_that_is_not_finite(c0):
     # vertex 0's weight e^{c0 (t - 1/2)} certifies c0; vertex 1 holds a0
     G = _two_vertex_weights(lambda t: math.exp(c0 * (t - 0.5)), second=lambda t: 1.0)
-    chain = eh.ChainFamily(0.5, 1, np.full((3, 2), 2.0), np.zeros(3))
+    chain = eh.ChainFamily(0.5, 1, np.full((3, 2), 2.0))
     certified = growth_reference(G, chain.times())
     assert certified == pytest.approx(c0, rel=1e-12)
     with pytest.raises(ValueError, match=f"^c0: .* not finite for c0={certified!r}, "
@@ -355,7 +355,7 @@ def test_energy_estimate_rejects_a_certified_c0_whose_bound_overflows():
     G = build("custom_tabulated", T=1.0, table={
         "n_vertices": 2, "edges": [[0, 1]], "times": [0.0, 1.0],
         "weights": [[1e-300, 1.0], [1e300, 1.0]], "conductances": [[1.0], [1.0]]})
-    chain = eh.ChainFamily(0.5, 1, np.zeros((3, 2)), np.zeros(3))
+    chain = eh.ChainFamily(0.5, 1, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="^c0: .* not finite for c0=1381.55"):
         eh.energy_estimate([chain], G)
 
@@ -367,8 +367,7 @@ def test_energy_estimate_rejects_empty_or_mismatched_families():
         eh.energy_estimate([], G)
     other_h = dataclasses.replace(chain, h=0.125)
     other_m = dataclasses.replace(chain, m=1)
-    fewer_rows = dataclasses.replace(chain, values=chain.values[:-2],
-                                     solve_error=chain.solve_error[:-2])
+    fewer_rows = dataclasses.replace(chain, values=chain.values[:-2])
     for other in (other_h, other_m, fewer_rows):
         for chains in ([chain, other], [other, chain, chain]):
             with pytest.raises(ValueError, match="share h, m and row count"):
@@ -556,9 +555,8 @@ def test_energy_report_json_uses_pass_key():
 # ---------------------------------------------------------------------------
 
 def test_extremum_flags_fabricated_violation():
-    bad = eh.ChainFamily(h=0.1, m=1, values=np.array([[0.0, 1.0], [0.2, 1.5]]),
-                         solve_error=np.zeros(2))
-    rep = eh.extremum_check(bad)
+    bad = eh.ChainFamily(h=0.1, m=1, values=np.array([[0.0, 1.0], [0.2, 1.5]]))
+    rep = eh.extremum_check(bad, TWO_VERTEX, 0.0)
     assert rep.lo == 0.0 and rep.hi == 1.0
     assert rep.worst_violation == pytest.approx(0.5)
     assert not rep.passed
@@ -570,8 +568,8 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
     floor = 1e-12 * (np.abs(u0).max() + 1.0)
     for rel_tol in (1e-12, 1e-6):
         chain = eh.run_sweep(MOVING, [u0], [0.25], m=2, rel_tol=rel_tol)[0][0]
-        solve_error = float(chain.solve_error.max())
-        rep = eh.extremum_check(chain)
+        solve_error = float(eh.solve_error([chain], MOVING, rel_tol).max())
+        rep = eh.extremum_check(chain, MOVING, rel_tol)
         assert rep.passed
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed
         # over the steps so far; the tolerance is the largest sum plus the floor
@@ -581,18 +579,18 @@ def test_extremum_tolerance_is_the_solver_bound_over_the_chain():
             sums[j % 2] += rel_tol * np.linalg.norm(w * chain.values[max(j - 2, 0)]) / w.min()
         assert solve_error == pytest.approx(max(sums), rel=1e-12)
         assert rep.tol == floor + solve_error
-        assert eh.extremum_check(exact_solves(chain)).tol == floor
+        assert eh.extremum_check(chain, MOVING, 0.0).tol == floor  # exact solves
 
 
 def test_extremum_flags_sample_pushed_past_derived_bound():
     u0 = np.random.default_rng(10).standard_normal(12)
     chain = eh.run_sweep(MOVING, [u0], [0.25], m=2, rel_tol=1e-8)[0][0]
-    rep = eh.extremum_check(chain)
+    rep = eh.extremum_check(chain, MOVING, 1e-8)
     assert rep.passed and rep.tol > 1e-9
     samples = chain.values.copy()
     samples[len(samples) // 2, 5] = u0.max() + 1.5 * rep.tol
-    bad = dataclasses.replace(chain, values=samples)  # the run's own bound
-    bad_rep = eh.extremum_check(bad)
+    bad = dataclasses.replace(chain, values=samples)
+    bad_rep = eh.extremum_check(bad, MOVING, 1e-8)
     assert bad_rep.tol < 1.1 * rep.tol  # later samples step from the pushed one
     assert bad_rep.worst_violation > bad_rep.tol
     assert not bad_rep.passed
@@ -600,9 +598,9 @@ def test_extremum_flags_sample_pushed_past_derived_bound():
 
 def _contraction(u0, v0):
     """contraction_report on chains from u0, v0 and u0 - v0 over MOVING, h=0.25, m=2."""
-    chains = eh.run_sweep(MOVING, [u0, v0, u0 - v0], [0.25], m=2)[0]
+    chains = eh.run_sweep(MOVING, [u0, v0, u0 - v0], [0.25], m=2, rel_tol=1e-10)[0]
     [energy_d] = eh.energy_estimate(chains[2:], MOVING)
-    return eh.contraction_report(MOVING, *chains, energy_d)
+    return eh.contraction_report(MOVING, *chains, energy_d, 1e-10)
 
 
 def test_contraction_identical_data():
@@ -631,9 +629,9 @@ def test_contraction_tolerance_follows_solver_tolerance():
     tols = []
     for rel_tol in (1e-12, 1e-6):
         chains = eh.run_sweep(MOVING, initials, [0.25], m=2, rel_tol=rel_tol)[0]
-        solve_error = float(sum(c.solve_error for c in chains).max())
+        solve_error = float(sum(eh.solve_error(chains, MOVING, rel_tol)).max())
         [energy_d] = eh.energy_estimate(chains[2:], MOVING)
-        rep = eh.contraction_report(MOVING, *chains, energy_d)
+        rep = eh.contraction_report(MOVING, *chains, energy_d, rel_tol)
         assert rep.passed
         tols.append(rep.linearity_tol)
         # per chain (j mod m), rel_tol * ||M_t x_prev||_2 / min_i w_i(t) summed over
@@ -658,20 +656,43 @@ def test_run_solve_error_equals_the_varah_reference(graph, m):
     rng = np.random.default_rng(8)
     initials = [rng.standard_normal(graph.n_vertices) for _ in range(3)]
     chains = eh.run_sweep(graph, initials, [0.1], m=m, rel_tol=1e-8)[0]
-    reference = varah_bounds(graph, chains, 1e-8)
-    for chain, want in zip(chains, reference):
-        assert np.array_equal(chain.solve_error, want)
-        assert chain.solve_error[0] == 0.0 and chain.solve_error[-1] > 0.0
-    # each family's bound is its own: alone it is the same, bitwise
+    certificate = eh.solve_error(chains, graph, 1e-8)
+    assert np.array_equal(certificate, varah_bounds(graph, chains, 1e-8))
+    assert (certificate[:, 0] == 0.0).all() and (certificate[:, -1] > 0.0).all()
+    # each family's certificate is its own: alone it is the same, bitwise
     [alone] = eh.run_sweep(graph, initials[1:2], [0.1], m=m, rel_tol=1e-8)[0]
-    assert np.array_equal(alone.solve_error, chains[1].solve_error)
+    assert np.array_equal(eh.solve_error([alone], graph, 1e-8)[0], certificate[1])
 
 
-def test_chain_rejects_a_bad_solve_error():
-    values = np.zeros((3, 2))
-    for bad in (np.zeros(2), np.array([0.0, -1e-20, 0.0]), np.array([0.0, np.inf, 0.0])):
-        with pytest.raises(ValueError, match="solve_error"):
-            eh.ChainFamily(0.1, 1, values, bad)
+def test_solve_error_rejects_empty_or_mismatched_families():
+    G = build("static_circle", n=8)
+    chain = eh.run_sweep(G, [np.ones(8)], [0.25], m=2)[0][0]
+    with pytest.raises(ValueError, match="at least one"):
+        eh.solve_error([], G, 1e-10)
+    with pytest.raises(ValueError, match="share h, m and row count"):
+        eh.solve_error([chain, dataclasses.replace(chain, values=chain.values[:-2])], G, 1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_tolerance_on_a_certificate_that_overflows_names_its_grid_time():
+    # each family's certificate is finite, the three chains' row-wise sum is not:
+    # a step adds 1e-10 * ||M u||_2 / min w = 1.5e307 for u and v, 3e307 for u - v,
+    # so the sum passes the largest double (1.8e308) at the third step, t = 0.5
+    G = build("custom_tabulated", T=1.0, table={
+        "n_vertices": 2, "edges": [[0, 1]], "times": [0.0, 1.0],
+        "weights": [[1e-300, 1.0], [1e-300, 1.0]], "conductances": [[1.0], [1.0]]})
+    u0, v0 = np.array([0.0, 1.5e17]), np.array([0.0, -1.5e17])
+    chains = eh.run_sweep(G, [u0, v0, u0 - v0], [0.2], m=2)[0]
+    errors = eh.solve_error(chains, G, 1e-10)
+    assert np.isfinite(errors).all()
+    [energy_d] = eh.energy_estimate(chains[2:], G)
+    with pytest.raises(eh.SolverError, match=r"certificate at t = 0.5 \(h = 0.2\) is not finite"):
+        eh.contraction_report(G, *chains, energy_d, 1e-10)
+    # a certificate that is itself inf fails the extremum and attainment tolerances
+    with pytest.raises(eh.SolverError, match=r"certificate at t = 0.1 \(h = 0.2\)"):
+        eh.extremum_check(chains[0], G, 1e300)
+    with pytest.raises(eh.SolverError, match=r"certificate at t = 0.2 \(h = 0.2\)"):
+        eh.initial_attainment_check(chains[0], G, 0.2, 1e300)
 
 
 def test_contraction_catches_difference_chain_off_by_tenfold_bound():
@@ -680,17 +701,18 @@ def test_contraction_catches_difference_chain_off_by_tenfold_bound():
     chain_u, chain_v, chain_d = eh.run_sweep(
         MOVING, [u0, v0, u0 - v0], [0.25], m=2, rel_tol=1e-8)[0]
     [energy_d] = eh.energy_estimate([chain_d], MOVING)
-    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, energy_d)
+    rep = eh.contraction_report(MOVING, chain_u, chain_v, chain_d, energy_d, 1e-8)
     assert rep.passed
 
     j = len(chain_d.values) // 2
     samples = chain_d.values.copy()
     samples[j, 3] += 10.0 * rep.linearity_tol
-    bad_d = dataclasses.replace(chain_d, values=samples)  # the run's own bound
+    bad_d = dataclasses.replace(chain_d, values=samples)
     [bad_energy] = eh.energy_estimate([bad_d], MOVING)
-    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, bad_energy)
+    bad = eh.contraction_report(MOVING, chain_u, chain_v, bad_d, bad_energy, 1e-8)
     assert bad.difference_energy.passed
-    assert bad.linearity_tol == rep.linearity_tol
+    # the certificate is read from the rows, and later rows step from the pushed one
+    assert bad.linearity_tol == pytest.approx(rep.linearity_tol, rel=1e-6)
     assert bad.linearity_residual > 9.0 * bad.linearity_tol
     assert not bad.passed
 
@@ -808,8 +830,7 @@ def test_weak_residual_is_finite_where_a_weight_vanishes():
         8, base.edges,
         lambda ts: np.column_stack([np.maximum(1.0 - 2.0 * ts, 0.0), np.ones((len(ts), 7))]),
         base.conductances_at, 1.0)
-    chain = eh.ChainFamily(0.25, 1, np.random.default_rng(0).standard_normal((5, 8)),
-                           np.zeros(5))
+    chain = eh.ChainFamily(0.25, 1, np.random.default_rng(0).standard_normal((5, 8)))
     fn = eh.TestFunction("sin", np.ones(8), lambda t: math.sin(math.pi * t),
                          lambda t: math.pi * math.cos(math.pi * t))
     with warnings.catch_warnings():
@@ -823,7 +844,7 @@ def test_weak_residual_validates_before_evaluating_coefficients():
     base = build("static_circle", n=8)
     G = eh.TimeWeightedGraph(8, base.edges, lambda ts: calls.append(ts) or np.ones((len(ts), 8)),
                              base.conductances_at, 1.0)
-    chain = eh.ChainFamily(0.25, 1, np.ones((5, 8)), np.zeros(5))
+    chain = eh.ChainFamily(0.25, 1, np.ones((5, 8)))
     good = eh.TestFunction("sin", np.ones(8), lambda t: math.sin(math.pi * t),
                            lambda t: math.pi * math.cos(math.pi * t))
     bad = eh.TestFunction("cos", np.ones(8), lambda t: math.cos(math.pi * t),
@@ -852,11 +873,11 @@ def test_attainment_grid_validation():
     G = build("static_circle", n=8)
     chain = eh.run_sweep(G, [np.ones(8)], [0.1], m=4)[0][0]
     with pytest.raises(ValueError, match="grid"):
-        eh.initial_attainment_check(chain, G, 0.03)
+        eh.initial_attainment_check(chain, G, 0.03, 1e-10)
     # on the grid, but past the first step, where the minimality bound does not hold
     for t_small in (0.0, 0.125, 1.0):
         with pytest.raises(ValueError, match="outside"):
-            eh.initial_attainment_check(chain, G, t_small)
+            eh.initial_attainment_check(chain, G, t_small, 1e-10)
 
 
 def test_attainment_minimality_bound():
@@ -866,7 +887,7 @@ def test_attainment_minimality_bound():
     delta = h / 4
     for j in (1, 2, 4):  # first-chain samples take one full step from u0
         t = j * delta
-        rep = eh.initial_attainment_check(chain, MOVING, t)
+        rep = eh.initial_attainment_check(chain, MOVING, t, 1e-12)
         bound = h * eh.dirichlet_energy(MOVING, t, u0)
         assert rep.minimality_bound_sq == bound
         assert rep.distance ** 2 <= bound * (1 + 1e-8)
@@ -888,10 +909,11 @@ def test_attainment_report_equals_the_verdict_written_out(graph, h, m):
         w = eh.vertex_weights(graph, j * delta)  # the weights row j was solved with
         distance = eh.weighted_l2(chain.values[j] - u0, w)
         bound = h * eh.dirichlet_energy(graph, t_small, u0)
-        solver_error = float(chain.solve_error[j]) * math.sqrt(float(w.sum()))
+        certificate = float(eh.solve_error([chain], graph, 1e-8)[0, j])
+        solver_error = certificate * math.sqrt(float(w.sum()))
         passed = max(distance - solver_error, 0.0) ** 2 <= bound * (1.0 + 1e-8) + 1e-30
         want = eh.AttainmentReport(t_small, distance, bound, solver_error, passed)
-        got = eh.initial_attainment_check(chain, graph, t_small)
+        got = eh.initial_attainment_check(chain, graph, t_small, 1e-8)
         assert _bits(got) == _bits(want)
         assert got.passed and solver_error > 0.0
 
@@ -902,7 +924,7 @@ def test_attainment_shrinks_with_h():
     dists = []
     for h in (0.2, 0.1, 0.05):
         chain = eh.run_sweep(G, [u0], [h], m=1, rel_tol=1e-12)[0][0]
-        dists.append(eh.initial_attainment_check(chain, G, h).distance)
+        dists.append(eh.initial_attainment_check(chain, G, h, 1e-12).distance)
     assert dists[0] > dists[1] > dists[2]
 
 
@@ -927,7 +949,7 @@ def test_energy_dissipation_sums_plainly_left_to_right(monkeypatch, block_rows):
     # as for the l2h1 norm: each 0.25 * 1e-16 term is below half an ulp of 0.25, so
     # a plain running sum never moves, while a compensated or pairwise one does
     rows = np.array([[0.0, 0.0], [1.0, 0.0]] + [[1e-8, 0.0]] * 15)
-    chain = eh.ChainFamily(0.25, 1, rows, np.zeros(len(rows)))
+    chain = eh.ChainFamily(0.25, 1, rows)
     terms = [0.25 * eh.dirichlet_energy(TWO_VERTEX, t, v)
              for t, v in zip(chain.times()[1:], rows[1:])]
     assert terms[0] == 0.25 and math.fsum(terms) > 0.25
